@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -50,18 +49,18 @@ WORKLOADS = {
 # 40 scenes, which falls in the gap below the scenes with huge boxes
 SCENES = 30
 TAIL_BEYOND = 10  # the tail percentile keeps this many samples beyond it
-SETUP_REPEATS = 3
+# a timed round: SETUPS_PER_ROUND times a set-up followed by EVALS_PER_SETUP
+# eval passes, then one detect pass; at least 6 set-ups, 12 evals and 3
+# detect passes per run, more where passes are short
 MIN_ROUNDS = 3
-EVALS_PER_ROUND = 2
+SETUPS_PER_ROUND = 2
+EVALS_PER_SETUP = 2
 TRACED_ROUNDS = 2
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# glibc malloc: a fixed mmap threshold turns off its dynamic threshold, whose
-# state depends on the sizes freed earlier in the process, so that a seed's
-# corpus alone no longer decides whether 16.8 MB tensor buffers reuse heap
-# pages or fault in fresh ones; the trim threshold keeps freed heap pages
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MALLOC_SETTINGS = {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30}
+ROI_SPANS = ("proposals.roi_align_batch.box", "proposals.roi_align_batch.cat")
+# every metric the run reports, with its unit, as BENCHMARK.json declares it
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+UNITS = {m["name"]: m["unit"] for m in DECLARED["end_to_end"] + DECLARED["per_layer"]}
 
 
 @dataclass
@@ -159,8 +158,7 @@ def patches():
         return lambda args, result: {key: len(args[pos])}
 
     def roi_name(args):
-        kind = "box" if len(args[0]) == BOX_CHANNELS else "cat"
-        return f"proposals.roi_align_batch.{kind}"
+        return ROI_SPANS[0] if len(args[0]) == BOX_CHANNELS else ROI_SPANS[1]
 
     def nms_counts(args, result):
         return {"in": len(args[0]), "out": len(result)}
@@ -225,39 +223,11 @@ def patches():
     ]
 
 
-# Spans whose self time is reported; together they cover every span recorded.
-SELF_TIMED = (
-    "tensorio.load_tensor",
-    "tensorio.store_tensor",
-    "synth.write_corpus",
-    "synth.build_scene",
-    "synth.render_oracle",
-    "synth.verify_bundle",
-    "pipeline.run_corpus",
-    "pipeline.load_scene_bundle",
-    "pipeline.detect_bundle",
-    "corners.decode_corners",
-    "proposals.enumerate_proposals",
-    "proposals.roi_align_batch.box",
-    "proposals.roi_align_batch.cat",
-    "proposals.binary_scores",
-    "proposals.class_scores",
-    "postprocess.filter_by_objectness",
-    "postprocess.assign_labels",
-    "postprocess.soft_nms",
-    "postprocess.top_k_truncate",
-    "postprocess.detection_records",
-    "postprocess.write_detections",
-    "postprocess.read_detections",
-    "evaluation.records_to_dets",
-    "evaluation.load_ground_truth",
-    "evaluation.build_report",
-    "evaluation.average_precision",
-    "evaluation.average_recall",
-    "evaluation.average_false_discovery",
-    "evaluation.render_tables",
-    "cli.main",
-)
+def self_timed(patch_list) -> list[str]:
+    """Every span name the patches record; together they cover every span."""
+    names = {p.name for p in patch_list if isinstance(p.name, str)}
+    return sorted(names.union(ROI_SPANS))
+
 
 # (metric, span, field); field "calls" counts spans, others sum span counts
 COUNTED = (
@@ -277,6 +247,9 @@ COUNTED = (
     ("evaluation.average_recall.calls", "evaluation.average_recall", "calls"),
 )
 
+# taken from the counting pass, the only one that wraps `iou`
+IOU_COUNTS = ("postprocess.soft_nms.iou_calls", "evaluation.iou_calls")
+
 MEGABYTES = (
     ("tensorio.load_tensor.mb", "tensorio.load_tensor"),
     ("tensorio.store_tensor.mb", "tensorio.store_tensor"),
@@ -285,23 +258,28 @@ MEGABYTES = (
 
 
 def traced_round(cfg, seed: int, base: Path):
-    """Traced set-up, then untraced and traced 1-worker detect and eval.
+    """Traced set-up, then untraced, traced and counting 1-worker detect and eval.
 
     The untraced twins run on the same corpus just before the traced
-    phases, so that their difference is the tracing overhead.
+    phases, so that their difference is the tracing overhead. The traced
+    phases wrap no `iou`, whose per-call tally would add to the self time of
+    soft-NMS and eval; a third detect and eval with the tallies gives the
+    `iou` counts, and its extra wall time is the cost of the tallies.
     """
     from cornerdet import synth
     from spans import Tracer
 
-    tracer = Tracer(patches())
+    every = patches()
+    tracer = Tracer([p for p in every if p.tally is None])
+    counter = Tracer(every)
     corpus = base / "corpus"
     gt = corpus / "ground_truth.json"
-    walls, plain = {}, {}
+    walls = {}
     with tracer:
         tracer.phase = "setup"
         walls["setup"] = timed(synth.write_corpus, corpus, cfg, SCENES, seed)
     untraced = detect_pass(corpus, 1, base / "plain")
-    plain["detect"] = untraced.wall
+    plain = {"detect": untraced.wall}
     plain["eval"] = eval_pass(base / "plain" / "dets.json", gt, base / "plain" / "report.json")
     with tracer:
         tracer.phase = "detect"
@@ -311,7 +289,14 @@ def traced_round(cfg, seed: int, base: Path):
         walls["eval"] = eval_pass(
             base / "traced" / "dets.json", gt, base / "traced" / "report.json"
         )
-    return tracer, walls, plain, (untraced, traced)
+    with counter:
+        counter.phase = "detect"
+        counted = detect_pass(corpus, 1, base / "counted")
+        counter.phase = "eval"
+        wall = eval_pass(base / "counted" / "dets.json", gt, base / "counted" / "report.json")
+    tallied = counted.wall + wall - walls["detect"] - walls["eval"]
+    dumps = (untraced, traced, counted)
+    return tracer, counter, walls, plain, tallied, dumps
 
 
 def round_metrics(tracer, walls: dict) -> tuple[dict, dict]:
@@ -325,12 +310,13 @@ def round_metrics(tracer, walls: dict) -> tuple[dict, dict]:
         entry["calls"] += 1
         for key, value in span.counts.items():
             entry[key] = entry.get(key, 0) + value
-        unattributed[span.phase] -= selfs[i]
+        if span.phase in unattributed:
+            unattributed[span.phase] -= selfs[i]
 
     def get(span, key):
         return agg.get(span, {}).get(key, 0)
 
-    values = {f"{span}.s": get(span, "s") for span in SELF_TIMED}
+    values = {f"{span}.s": get(span, "s") for span in self_timed(tracer.patches)}
     values.update({metric: get(span, key) for metric, span, key in COUNTED})
     values.update({metric: get(span, "bytes") / 1e6 for metric, span in MEGABYTES})
     values["evaluation.iou_calls"] = sum(
@@ -341,16 +327,6 @@ def round_metrics(tracer, walls: dict) -> tuple[dict, dict]:
     values["synth.accept_share"] = SCENES / max(1, values["synth.render_oracle.calls"])
     values["trace.unattributed_s"] = sum(unattributed.values())
     return values, unattributed
-
-
-def unit_of(metric: str) -> str:
-    if metric.endswith(".s") or metric.endswith("_s"):
-        return "s"
-    if metric.endswith(".mb"):
-        return "MB"
-    if metric.endswith("_share"):
-        return "ratio"
-    return "count"
 
 
 def layer_checks(values: dict, ref: DetectPass, absent: list[str]) -> list[str]:
@@ -397,39 +373,39 @@ def tail(values: list[float]) -> tuple[float, int]:
 
 
 def measure(cfg, workers: int, seed: int, seconds: int, tmp: Path, out: Outcome):
-    """Set-ups, the reference pass and the timed rounds, all untraced.
+    """A warm-up set-up and reference pass, then the timed rounds, all untraced.
 
     Returns an Untraced, or None when no timed round could run.
     """
     from cornerdet import synth
 
-    # each set-up removes the last corpus first, so that none waits on the
-    # dirty pages of another; the corpus of the last set-up is detected
     corpus = tmp / "corpus"
-    setup_walls, digests = [], set()
-    for _ in range(SETUP_REPEATS):
+    gt = corpus / "ground_truth.json"
+    digests = set()
+
+    def setup():
+        # each set-up removes the last corpus first, so that none waits on
+        # the dirty pages of another; the detect passes read the newest one
         shutil.rmtree(corpus, ignore_errors=True)
         wall = out.run("write_corpus", 1, timed, synth.write_corpus, corpus, cfg, SCENES, seed)
-        if wall is None:
-            return None
-        setup_walls.append(wall)
-        digests.add((sha256(corpus / "ground_truth.json"), sha256(corpus / "manifest.json")))
-    if len(digests) > 1:
-        out.problems.append("write_corpus gave different ground truth for the same seed")
-    gt = corpus / "ground_truth.json"
+        if wall is not None:
+            digests.add((sha256(gt), sha256(corpus / "manifest.json")))
+        return wall
 
-    # with several workers, an untimed 1-worker pass fixes the expected dumps;
-    # otherwise the first timed pass does
-    ref = None
-    if workers > 1:
-        ref = out.run("1-worker detect", SCENES, detect_pass, corpus, 1, tmp / "ref")
-        if ref is None:
-            return None
+    # the untimed warm-up: a set-up, then a 1-worker pass whose dumps every
+    # timed pass must equal, so that on cross 2 workers are checked against 1
+    timed_dir = tmp / "timed"
+    if setup() is None:
+        return None
+    ref = out.run("1-worker detect", SCENES, detect_pass, corpus, 1, timed_dir)
+    if ref is None:
+        return None
 
-    # rounds of one detect pass and EVALS_PER_ROUND eval passes, so that a
-    # slow spell of the machine touches few samples of each metric
-    dets, report = tmp / "timed" / "dets.json", tmp / "timed" / "report.json"
-    passes, eval_walls, reports, rounds = [], [], set(), 0
+    # interleaving set-ups, evals and detect passes spreads a slow spell of
+    # the machine over the samples of every metric; the evals after a
+    # set-up give its dirty pages time to drain before the next write
+    dets, report = timed_dir / "dets.json", timed_dir / "report.json"
+    setup_walls, passes, eval_walls, reports, rounds = [], [], [], set(), 0
     start = time.perf_counter()
     while True:
         elapsed = time.perf_counter() - start
@@ -437,18 +413,24 @@ def measure(cfg, workers: int, seed: int, seconds: int, tmp: Path, out: Outcome)
         if rounds >= MIN_ROUNDS and elapsed + elapsed / rounds > seconds:
             break
         rounds += 1
-        p = out.run("detect", SCENES, detect_pass, corpus, workers, tmp / "timed")
+        for _ in range(SETUPS_PER_ROUND):
+            wall = setup()
+            if wall is None:
+                break
+            setup_walls.append(wall)
+            for _ in range(EVALS_PER_SETUP):
+                wall = out.run("eval", 1, eval_pass, dets, gt, report)
+                if wall is not None:
+                    eval_walls.append(wall)
+                    reports.add((sha256(report), sha256(str(report) + ".txt")))
+        p = out.run("detect", SCENES, detect_pass, corpus, workers, timed_dir)
         if p is None:
             continue
         passes.append(p)
-        ref = ref or p
         if (p.dets, p.props) != (ref.dets, ref.props):
-            out.problems.append(f"detect with {workers} worker(s) wrote other dumps")
-        for _ in range(EVALS_PER_ROUND):
-            wall = out.run("eval", 1, eval_pass, dets, gt, report)
-            if wall is not None:
-                eval_walls.append(wall)
-                reports.add((sha256(report), sha256(str(report) + ".txt")))
+            out.problems.append(f"detect with {workers} worker(s) wrote other dumps than 1 worker")
+    if len(digests) > 1:
+        out.problems.append("write_corpus gave different ground truth for the same seed")
     if not passes or not eval_walls:
         return None
     if len(reports) > 1:
@@ -466,15 +448,15 @@ def end_to_end(m: Untraced, out: Outcome) -> tuple[dict, str]:
     latencies = [statistics.median(v) for v in per_scene.values()]
     tail_ms, tail_pct = tail(latencies)
     metrics = {
-        "setup_s": (statistics.median(m.setup_walls), "s"),
-        "detect_images_per_s": (statistics.median(SCENES / p.wall for p in m.passes), "images/s"),
-        "image_ms_p50": (statistics.median(latencies), "ms"),
-        "image_ms_tail": (tail_ms, "ms"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
-        "ap": (m.doc["ap"], "ratio"),
-        "ar_1000": (m.doc["ar_1000"], "ratio"),
-        "af_complement": (1.0 - m.doc["af"], "ratio"),
-        "success_rate": (1.0 - out.failed / max(1, out.attempted), "ratio"),
+        "setup_s": statistics.median(m.setup_walls),
+        "detect_images_per_s": statistics.median(SCENES / p.wall for p in m.passes),
+        "image_ms_p50": statistics.median(latencies),
+        "image_ms_tail": tail_ms,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "ap": m.doc["ap"],
+        "ar_1000": m.doc["ar_1000"],
+        "af_complement": 1.0 - m.doc["af"],
+        "success_rate": 1.0 - out.failed / max(1, out.attempted),
     }
     return metrics, f"image_ms_tail is p{tail_pct} of {len(latencies)} per-scene latencies"
 
@@ -484,50 +466,55 @@ def measure_traced(name: str, cfg, seed: int, m: Untraced, tmp: Path, out: Outco
     workers = WORKLOADS[name][1]
     spans_path = WORK / f"spans-{name}-seed{seed}.jsonl"
     spans_path.unlink(missing_ok=True)
-    rounds, overheads, absent = [], [], []
+    rounds, absent = [], []
     for r in range(TRACED_ROUNDS):
         base = tmp / f"traced{r}"
         outcome = out.run("traced round", 1, traced_round, cfg, seed, base)
         if outcome is None:
             continue
-        tracer, walls, plain, dumps = outcome
+        tracer, counter, walls, plain, tallied, dumps = outcome
         values, unattributed = round_metrics(tracer, walls)
+        tallies, _ = round_metrics(counter, {})
+        for metric in IOU_COUNTS:
+            values[metric] = tallies[metric]
         tracer.write_jsonl(spans_path, round=r)
         if any((d.dets, d.props) != (m.ref.dets, m.ref.props) for d in dumps):
             out.problems.append("the traced rounds wrote dumps that differ from the untraced run")
-        if any(sha256(base / side / "report.json") != m.report for side in ("plain", "traced")):
+        sides = ("plain", "traced", "counted")
+        if any(sha256(base / side / "report.json") != m.report for side in sides):
             out.problems.append("the traced rounds wrote another report than the untraced run")
         out.problems.extend(layer_checks(values, m.ref, tracer.absent))
         plain["setup"] = statistics.median(m.setup_walls)
-        overheads.append(sum(walls[phase] - plain[phase] for phase in walls))
+        values["trace.overhead_s"] = sum(walls[phase] - plain[phase] for phase in walls)
+        values["trace.iou_tally_overhead_s"] = tallied
         rounds.append(values)
-        absent = tracer.absent
+        absent = tracer.absent + counter.absent
         print(f"  traced round {r}:")
         for phase, wall in walls.items():
             print(
                 f"    {phase:<6} wall {wall:.3f} s = self {wall - unattributed[phase]:.3f} s"
                 f" + unattributed {unattributed[phase]:.6f} s; untraced {plain[phase]:.3f} s"
             )
+        print(f"    detect and eval with iou tallies took {tallied:+.3f} s more than without")
         shutil.rmtree(base)
     if not rounds:
         return None
-    counted = [k for k in rounds[0] if unit_of(k) == "count"]
+    counted = [k for k in rounds[0] if UNITS[k] == "count"]
     if any(r[k] != rounds[0][k] for r in rounds for k in counted):
         out.problems.append("traced work counts differ between rounds of the same seed")
 
-    layers = {k: (statistics.median(r[k] for r in rounds), unit_of(k)) for k in rounds[0]}
+    layers = {k: statistics.median(r[k] for r in rounds) for k in rounds[0]}
     busy = sum(secs for p in m.passes for _, secs in p.timings)
-    layers["pipeline.pool_busy_share"] = (busy / (sum(p.wall for p in m.passes) * workers), "ratio")
-    layers["trace.overhead_s"] = (statistics.median(overheads), "s")
-    layers["eval_s"] = (statistics.median(m.eval_walls), "s")
+    layers["pipeline.pool_busy_share"] = busy / (sum(p.wall for p in m.passes) * workers)
+    layers["eval_s"] = statistics.median(m.eval_walls)
     layers = dict(sorted(layers.items()))
 
     gone = {a.rsplit(".", 1)[1] for a in absent}
     print(f"  per-layer (traced, median of {len(rounds)} rounds; spans in {spans_path.name})")
-    for metric, (value, unit) in layers.items():
+    for metric, value in layers.items():
         stage = metric.split(".")[1] if "." in metric else ""
         note = "  absent" if stage in gone else ""
-        print(f"  {metric:<42} {value:>16.6f} {unit}{note}")
+        print(f"  {metric:<42} {value:>16.6f} {UNITS[metric]}{note}")
     digest = hashlib.sha256(json.dumps({k: rounds[0][k] for k in counted}, sort_keys=True).encode())
     print(f"  sha256 traced counts {digest.hexdigest()}")
     return layers
@@ -544,7 +531,7 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool) -> int:
         tmp = Path(tmp)
         m = measure(cfg, workers, seed, seconds, tmp, out)
         if m is None:
-            return finish(name, out, {})
+            return finish(name, out, {}, "end_to_end")
         if name == "clean" and (m.doc["ap"], m.doc["ar_1000"], m.doc["af"]) != (1.0, 1.0, 0.0):
             out.problems.append(
                 f"clean corpus must give AP = AR@1000 = 1 and AF = 0, got "
@@ -558,27 +545,34 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool) -> int:
         print("  eval walls   " + " ".join(f"{w:.3f}" for w in m.eval_walls) + " s")
         print("  note: tensor loads read a warm page cache (the corpus was just written")
         print("  and the file cache is not dropped)")
-        for metric, (value, unit) in e2e.items():
-            print(f"  {metric:<22} {value:>14.6f} {unit}")
-        # eval_s spreads more from run to run than any bound allows, so it
-        # is printed here and reported with the per-layer metrics
+        for metric, value in e2e.items():
+            print(f"  {metric:<22} {value:>14.6f} {UNITS[metric]}")
+        # eval_s drifts with the machine's speed by more than any bound allows
+        # (README.md), so it is printed here and reported per layer
         print(f"  {'eval_s':<22} {statistics.median(m.eval_walls):>14.6f} s")
         print(f"  {'af':<22} {m.doc['af']:>14.6f} ratio")
-        print(f"  {'error_rate':<22} {1.0 - e2e['success_rate'][0]:>14.6f} ratio")
+        print(f"  {'error_rate':<22} {1.0 - e2e['success_rate']:>14.6f} ratio")
         print(f"  {tail_note}")
         print(f"  sha256 detections {m.ref.dets}")
         print(f"  sha256 proposals  {m.ref.props}")
         print(f"  sha256 report     {m.report}")
         print(f"  records: {m.ref.n_dets} detections, {m.ref.n_props} proposals")
         if not trace:
-            return finish(name, out, e2e)
+            return finish(name, out, e2e, "end_to_end")
 
         shutil.rmtree(tmp / "corpus")
         layers = measure_traced(name, cfg, seed, m, tmp, out)
-        return finish(name, out, layers or {})
+        return finish(name, out, layers or {}, "per_layer")
 
 
-def finish(name: str, out: Outcome, metrics: dict) -> int:
+def finish(name: str, out: Outcome, metrics: dict, kind: str) -> int:
+    """Print the failed checks and the result line of `kind` metrics."""
+    declared = {m["name"] for m in DECLARED[kind]}
+    if metrics and set(metrics) != declared:
+        out.problems.append(
+            f"reported {kind} metrics differ from BENCHMARK.json: "
+            f"{sorted(set(metrics) ^ declared)}"
+        )
     for problem in out.problems:
         print(f"CHECK FAILED [{name}]: {problem}")
     correct = not out.problems and out.failed == 0 and bool(metrics)
@@ -586,7 +580,7 @@ def finish(name: str, out: Outcome, metrics: dict) -> int:
         "correct": correct,
         "attempted": out.attempted,
         "failed": out.failed,
-        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+        "metrics": {k: {"value": v, "unit": UNITS[k]} for k, v in metrics.items() if k in UNITS},
     }
     print(json.dumps(result, sort_keys=True))
     return 0 if correct else 1
@@ -595,7 +589,7 @@ def finish(name: str, out: Outcome, metrics: dict) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-def environment(seed: int, workers: int, malloc: dict | None) -> dict:
+def environment(seed: int, workers: int) -> dict:
     import numpy as np
 
     try:
@@ -623,19 +617,7 @@ def environment(seed: int, workers: int, malloc: dict | None) -> dict:
         "seed": seed,
         "workers": workers,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-        "malloc": malloc,
     }
-
-
-def pin_malloc() -> dict | None:
-    """Apply MALLOC_SETTINGS through glibc's mallopt; None where there is none."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return None
-    applied = mallopt(M_MMAP_THRESHOLD, MALLOC_SETTINGS["mmap_threshold"])
-    applied &= mallopt(M_TRIM_THRESHOLD, MALLOC_SETTINGS["trim_threshold"])
-    return MALLOC_SETTINGS if applied else None
 
 
 def run_all(args) -> int:
@@ -685,14 +667,13 @@ def main(argv=None) -> int:
     blas_threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
     for var in THREAD_VARS:
         os.environ[var] = blas_threads
-    malloc = pin_malloc()
     sys.path.insert(0, str(SRC))
     import cornerdet
 
     if not Path(cornerdet.__file__).resolve().is_relative_to(SRC.resolve()):
         print(f"perfbench: cornerdet comes from {cornerdet.__file__}, not {SRC}", file=sys.stderr)
         return 2
-    env = environment(args.seed, workers, malloc)
+    env = environment(args.seed, workers)
     print("environment " + json.dumps(env, sort_keys=True))
     return run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
 
