@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,40 +40,74 @@ def proposals_sibling(out_path) -> Path:
     return out_path.with_name(out_path.stem + ".proposals" + (out_path.suffix or ".json"))
 
 
-def _synth_config_from_json(path) -> SynthConfig:
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits a field annotation.
+
+    bool is not an int, an int is a float but NaN and infinity are not, a
+    tuple takes a list of its length, and a union such as int | None takes
+    any of its members.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+    if args:
+        return any(_fits(value, arm) for arm in args)
+    if hint is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is hint
+
+
+def load_config(cls, path):
+    """Load a JSON config file into the config dataclass `cls`.
+
+    Every key is optional. Unknown keys, values whose JSON type does not fit
+    the field's annotation, and values the dataclass rejects raise a
+    ValueError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(SynthConfig)}
-    unknown = sorted(set(doc) - known)
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(doc) - set(declared))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    for key in ("image_size", "num_boxes", "aspect_range", "area_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    return SynthConfig(**doc)
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{path}: {key} must be {declared[key]}, got {json.dumps(value)}")
+        if isinstance(value, list):
+            doc[key] = tuple(value)
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_detect(args) -> int:
-    config = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    config = load_config(PipelineConfig, args.config) if args.config else PipelineConfig()
+    start = time.perf_counter()
     run = run_corpus(args.corpus, config, workers=args.workers)
     write_detections(args.out, run.detection_records)
     write_detections(proposals_sibling(args.out), run.proposal_records)
-    total = 0.0
+    wall = time.perf_counter() - start
     for image_id, elapsed in run.timings:
         print(f"image {image_id}: {elapsed * 1000.0:.1f} ms")
-        total += elapsed
+    latency = sum(elapsed for _, elapsed in run.timings)
     n = max(1, len(run.timings))
     print(
         f"detected {len(run.detection_records)} boxes over {len(run.timings)} images "
-        f"in {total:.2f} s ({total / n * 1000.0:.1f} ms/image)"
+        f"in {wall:.2f} s wall time ({wall / n * 1000.0:.1f} ms/image); "
+        f"summed per-image latency {latency:.2f} s"
     )
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    config = _synth_config_from_json(args.config) if args.config else SynthConfig()
+    config = load_config(SynthConfig, args.config) if args.config else SynthConfig()
     manifest = write_corpus(args.out, config, args.count, args.seed)
     print(
         f"wrote {manifest['count']} scenes ({config.arrangement} arrangement, "
@@ -105,6 +142,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cornerdet",
@@ -122,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--config", default=None, help="scene config JSON")
     p_synth.add_argument("--out", required=True, help="output corpus directory")
-    p_synth.add_argument("--count", type=int, required=True, help="number of scenes")
+    p_synth.add_argument("--count", type=positive_int, required=True, help="number of scenes")
     p_synth.add_argument("--seed", type=int, required=True, help="corpus seed")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -23,17 +23,10 @@ STRIDE = 4
 TOP_LEFT = "top-left"
 BOTTOM_RIGHT = "bottom-right"
 
-
-@dataclass(frozen=True)
-class CornerKeypoint:
-    """A decoded corner: grid cell plus sub-pixel image position and score."""
-
-    kind: str
-    class_id: int
-    x: float
-    y: float
-    score: float
-    cell: tuple[int, int]
+# decoded corners, one row each: class, sub-pixel image position and score
+KEYPOINT_DTYPE = np.dtype(
+    [("class_id", np.int64), ("x", np.float64), ("y", np.float64), ("score", np.float64)]
+)
 
 
 @dataclass(frozen=True)
@@ -84,13 +77,13 @@ def local_max_suppress(heat: np.ndarray, window: int = 3) -> np.ndarray:
     return np.where(heat == neighborhood_max, heat, np.float32(0.0))
 
 
-def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> list[CornerKeypoint]:
+def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> np.ndarray:
     """Extract the k best corner keypoints of one kind from all heatmaps.
 
     Selection runs jointly over all C*H*W cells after 3x3 local-max
-    suppression. Results come back in descending score order; equal scores
-    are broken by ascending (class, row, col), which a stable sort on the
-    flat cell index provides for free.
+    suppression. Returns k rows of KEYPOINT_DTYPE in descending score order;
+    equal scores are broken by ascending (class, row, col), which a stable
+    sort on the flat cell index provides for free.
     """
     if kind == TOP_LEFT:
         heat, off = hm.tl_heat, hm.tl_off
@@ -113,17 +106,12 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> l
     xs = (cols.astype(np.float32) + ox) * np.float32(stride)
     ys = (rows.astype(np.float32) + oy) * np.float32(stride)
 
-    return [
-        CornerKeypoint(
-            kind=kind,
-            class_id=int(cls[i]),
-            x=float(xs[i]),
-            y=float(ys[i]),
-            score=float(flat[order[i]]),
-            cell=(int(rows[i]), int(cols[i])),
-        )
-        for i in range(k)
-    ]
+    kps = np.empty(k, dtype=KEYPOINT_DTYPE)
+    kps["class_id"] = cls
+    kps["x"] = xs
+    kps["y"] = ys
+    kps["score"] = flat[order]
+    return kps
 
 
 def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> float:

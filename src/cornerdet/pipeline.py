@@ -8,25 +8,22 @@ head, fuse scores, run per-class soft-NMS, and keep the top 100.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
 from cornerdet.postprocess import (
-    Detection,
-    assign_labels,
     detection_records,
     filter_by_objectness,
+    label_detections,
     soft_nms,
     top_k_truncate,
 )
 from cornerdet.proposals import (
-    Proposal,
     binary_scores,
     class_scores,
     enumerate_proposals,
@@ -41,9 +38,6 @@ class PipelineConfig:
 
     k: int = 70
     objectness_threshold: float = 0.2
-    iou_threshold: float = 0.7
-    alpha: float = 2.0
-    beta: float = 2.0
     soft_nms_sigma: float = 0.5
     soft_nms_prune: float = 0.001
     top_k: int = 100
@@ -56,8 +50,6 @@ class PipelineConfig:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.objectness_threshold < 1.0:
             raise ValueError("objectness_threshold must lie in (0, 1)")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ValueError("iou_threshold must lie in (0, 1)")
         if self.soft_nms_sigma <= 0.0:
             raise ValueError("soft_nms_sigma must be positive")
         if self.soft_nms_prune < 0.0:
@@ -67,26 +59,13 @@ class PipelineConfig:
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        """Load a config file; every field optional, unknown keys rejected."""
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {unknown}")
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class SceneResult:
-    """Detections plus the raw proposals of one image."""
+    """Detections plus the raw proposals of one image, as BOX_DTYPE rows."""
 
-    detections: list[Detection]
-    proposals: list[Proposal]
+    detections: np.ndarray
+    proposals: np.ndarray
     num_survivors: int
 
 
@@ -101,30 +80,15 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k, stride=config.stride)
     brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k, stride=config.stride)
     proposals = enumerate_proposals(tls, brs)
-    if not proposals:
-        return SceneResult(detections=[], proposals=[], num_survivors=0)
-
+    feats, weights = bundle.features, bundle.weights
+    survivors = proposals
     if config.use_binary_head:
-        boxes = np.array(
-            [[p.box.x1, p.box.y1, p.box.x2, p.box.y2] for p in proposals], dtype=np.float64
-        )
-        pooled_box = roi_align_batch(bundle.features.box_feat, boxes, stride=config.stride)
-        p_scores = binary_scores(pooled_box, bundle.weights)
+        pooled_box = roi_align_batch(feats.box_feat, proposals["box"], stride=config.stride)
+        p_scores = binary_scores(pooled_box, weights)
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
-    else:
-        survivors = list(proposals)
-    if not survivors:
-        return SceneResult(detections=[], proposals=proposals, num_survivors=0)
 
-    s_boxes = np.array(
-        [[p.box.x1, p.box.y1, p.box.x2, p.box.y2] for p in survivors], dtype=np.float64
-    )
-    pooled_cat = roi_align_batch(bundle.features.cat_feat, s_boxes, stride=config.stride)
-    q_rows = class_scores(pooled_cat, bundle.weights)
-
-    dets: list[Detection] = []
-    for prop, q in zip(survivors, q_rows):
-        dets.extend(assign_labels(prop, q))
+    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], stride=config.stride)
+    dets = label_detections(survivors, class_scores(pooled_cat, weights))
     dets = soft_nms(dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune)
     dets = top_k_truncate(dets, config.top_k)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))
@@ -135,25 +99,6 @@ class CorpusRun:
     detection_records: list[dict]
     proposal_records: list[dict]
     timings: list[tuple[int, float]]  # (image id, seconds)
-
-
-def _proposal_records(image_id: int, proposals: list[Proposal]) -> list[dict]:
-    out = []
-    for p in proposals:
-        out.append(
-            {
-                "image_id": int(image_id),
-                "category_id": int(p.class_id),
-                "bbox": [
-                    float(p.box.x1),
-                    float(p.box.y1),
-                    float(p.box.width),
-                    float(p.box.height),
-                ],
-                "score": float(p.corner_score),
-            }
-        )
-    return out
 
 
 def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRun:
@@ -188,7 +133,7 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     timings = []
     for image_id, result, elapsed in outcomes:
         det_records.extend(detection_records(image_id, result.detections))
-        prop_records.extend(_proposal_records(image_id, result.proposals))
+        prop_records.extend(detection_records(image_id, result.proposals))
         timings.append((image_id, elapsed))
     return CorpusRun(
         detection_records=det_records, proposal_records=prop_records, timings=timings

@@ -11,36 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, TypeVar
 
 import numpy as np
-
-from cornerdet.geometry import BBox, iou
-from cornerdet.proposals import Proposal
 
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
 TOP_K = 100
 
-SOURCE_CORNER = "corner-class"
-SOURCE_HEAD = "head-class"
 
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A final scored box; `source` records which classifier named the class."""
-
-    box: BBox
-    class_id: int
-    score: float
-    source: str = SOURCE_CORNER
-
-
-def filter_by_objectness(proposals: Sequence[T], scores, threshold: float) -> list[T]:
-    """Keep exactly the entries with score >= threshold, order preserved.
+def filter_by_objectness(proposals: np.ndarray, scores, threshold: float) -> np.ndarray:
+    """Keep exactly the rows with score >= threshold, order preserved.
 
     The boundary is inclusive so that a deliberately low threshold lets
     borderline proposals survive.
@@ -48,58 +28,51 @@ def filter_by_objectness(proposals: Sequence[T], scores, threshold: float) -> li
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(proposals),):
         raise ValueError("scores must have one entry per proposal")
-    return [p for p, s in zip(proposals, scores) if s >= threshold]
+    return proposals[scores >= threshold]
 
 
-def fuse_scores(s1: float, s2: float) -> float:
-    """Fuse corner score s1 and head score s2 into one confidence in [0, 1].
+def fuse_scores(s1, s2):
+    """Fuse corner scores s1 and head scores s2 into confidences in [0, 1].
 
-    The raw product (s1 + 0.5) * (s2 + 0.5) lives in (0.25, 2.25); the
-    affine map (raw - 0.25) / 2 rescales that attainable interval onto
-    [0, 1] while preserving order.
+    Works elementwise on scalars or arrays. The raw product
+    (s1 + 0.5) * (s2 + 0.5) lives in (0.25, 2.25); the affine map
+    (raw - 0.25) / 2 rescales that attainable interval onto [0, 1] while
+    preserving order.
     """
     for name, v in (("s1", s1), ("s2", s2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        v = np.asarray(v)
+        bad = v[~((0.0 <= v) & (v <= 1.0))]
+        if bad.size:
+            raise ValueError(f"{name} must lie in [0, 1], got {bad.flat[0]}")
     raw = (s1 + 0.5) * (s2 + 0.5)
     return (raw - 0.25) / 2.0
 
 
-def assign_labels(proposal: Proposal, q: np.ndarray) -> list[Detection]:
-    """Turn one survived proposal into one or two detections.
+def label_detections(survivors: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Turn survived proposals into detections, one or two per survivor.
 
-    Candidate classes are the corner class and the head's argmax. When they
-    agree the proposal yields a single detection; otherwise two detections
-    share the box, each fused with its own class probability.
+    Candidate classes are the corner class and the head's argmax over the
+    survivor's row of q. When they agree the survivor yields a single
+    detection; otherwise two detections share the box, each fused with its
+    own class probability. Survivors keep their order, and each gives its
+    corner-class detection before its head-class one.
     """
     q = np.asarray(q, dtype=np.float64)
-    corner_cls = proposal.class_id
-    head_cls = int(np.argmax(q))
-    dets = [
-        Detection(
-            box=proposal.box,
-            class_id=corner_cls,
-            score=fuse_scores(proposal.corner_score, float(q[corner_cls])),
-            source=SOURCE_CORNER,
-        )
-    ]
-    if head_cls != corner_cls:
-        dets.append(
-            Detection(
-                box=proposal.box,
-                class_id=head_cls,
-                score=fuse_scores(proposal.corner_score, float(q[head_cls])),
-                source=SOURCE_HEAD,
-            )
-        )
+    head = q.argmax(axis=1)
+    twice = head != survivors["class_id"]
+    counts = 1 + twice
+    src = np.repeat(np.arange(len(survivors)), counts)
+    dets = survivors[src]
+    dets["class_id"][np.cumsum(counts)[twice] - 1] = head[twice]
+    dets["score"] = fuse_scores(dets["score"], q[src, dets["class_id"]])
     return dets
 
 
 def soft_nms(
-    dets: Sequence[Detection],
+    dets: np.ndarray,
     sigma: float = SOFT_NMS_SIGMA,
     prune: float = SOFT_NMS_PRUNE,
-) -> list[Detection]:
+) -> np.ndarray:
     """Gaussian soft-NMS, run independently per class.
 
     Repeatedly select the highest-scoring remaining box (ties broken by
@@ -107,49 +80,59 @@ def soft_nms(
     exp(-iou^2 / sigma); boxes whose running score drops below `prune` are
     discarded. Scores never increase and geometry never changes. The result
     is ordered by descending final score, ties by original index.
+
+    The overlaps follow geometry.iou's operation order, and the decay uses
+    math.exp only where the overlap is nonzero (elsewhere the factor is
+    exactly 1), so the scores are bit-identical to the scalar algorithm.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    boxes = [d.box for d in dets]
-    picked: list[tuple[int, float]] = []
-    for cls in sorted({d.class_id for d in dets}):
-        remaining = [i for i, d in enumerate(dets) if d.class_id == cls]
-        scores = {i: dets[i].score for i in remaining}
-        while remaining:
-            best = max(remaining, key=lambda i: (scores[i], -i))
-            remaining.remove(best)
-            picked.append((best, scores[best]))
-            ref = boxes[best]
-            for i in remaining:
-                ov = iou(ref, boxes[i])
-                scores[i] *= math.exp(-(ov * ov) / sigma)
-            remaining = [i for i in remaining if scores[i] >= prune]
-    picked.sort(key=lambda t: (-t[1], t[0]))
-    return [replace(dets[i], score=s) for i, s in picked]
+    x1, y1, x2, y2 = dets["box"].T
+    areas = (x2 - x1) * (y2 - y1)
+    picked, kept = [], []
+    for cls in np.unique(dets["class_id"]):
+        idx = np.flatnonzero(dets["class_id"] == cls)
+        scores = dets["score"][idx]
+        while idx.size:
+            b = int(np.argmax(scores))  # first maximum: the lowest index
+            best = idx[b]
+            picked.append(best)
+            kept.append(scores[b])
+            idx, scores = np.delete(idx, b), np.delete(scores, b)
+            iw = np.minimum(x2[best], x2[idx]) - np.maximum(x1[best], x1[idx])
+            ih = np.minimum(y2[best], y2[idx]) - np.maximum(y1[best], y1[idx])
+            inter = iw * ih
+            union = areas[best] + areas[idx] - inter
+            hit = np.flatnonzero((iw > 0.0) & (ih > 0.0) & (union > 0.0))
+            ov = inter[hit] / union[hit]
+            scores[hit] *= [math.exp(v) for v in (-(ov * ov) / sigma).tolist()]
+            keep = scores >= prune
+            idx, scores = idx[keep], scores[keep]
+    picked, kept = np.array(picked, dtype=np.int64), np.array(kept, dtype=np.float64)
+    order = np.lexsort((picked, -kept))
+    out = dets[picked[order]]
+    out["score"] = kept[order]
+    return out
 
 
-def top_k_truncate(dets: Sequence[Detection], k: int = TOP_K) -> list[Detection]:
+def top_k_truncate(dets: np.ndarray, k: int = TOP_K) -> np.ndarray:
     """The k highest-scoring detections, descending; ties by original index."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in order[:k]]
+    return dets[np.argsort(-dets["score"], kind="stable")[:k]]
 
 
-def detection_records(image_id: int, dets: Sequence[Detection]) -> list[dict]:
-    """Detections as interchange records with COCO-style [x, y, w, h] boxes."""
-    out = []
-    for d in dets:
-        x, y, w, h = d.box.as_xywh()
-        out.append(
-            {
-                "image_id": int(image_id),
-                "category_id": int(d.class_id),
-                "bbox": [float(x), float(y), float(w), float(h)],
-                "score": float(d.score),
-            }
-        )
-    return out
+def detection_records(image_id: int, dets: np.ndarray) -> list[dict]:
+    """Interchange records with COCO-style [x, y, w, h] boxes, one per row.
+
+    Serves both dumps: detections, and proposals scored by corner score.
+    """
+    x1, y1, x2, y2 = dets["box"].T
+    bboxes = np.column_stack([x1, y1, x2 - x1, y2 - y1]).tolist()
+    return [
+        {"image_id": int(image_id), "category_id": c, "bbox": bbox, "score": s}
+        for c, bbox, s in zip(dets["class_id"].tolist(), bboxes, dets["score"].tolist())
+    ]
 
 
 def write_detections(path, records: list[dict]) -> None:

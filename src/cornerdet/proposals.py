@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cornerdet.corners import BOTTOM_RIGHT, STRIDE, TOP_LEFT, CornerKeypoint
-from cornerdet.geometry import BBox
+from cornerdet.corners import STRIDE
 from cornerdet.tensorio import load_tensor, store_tensor
 
 BOX_CHANNELS = 32
@@ -27,22 +26,10 @@ INITIAL_BIAS = -2.19  # sigmoid(-2.19) ~ 0.1, the objectness prior
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
-
-@dataclass(frozen=True)
-class Proposal:
-    """A valid top-left / bottom-right corner pair."""
-
-    box: BBox
-    class_id: int
-    corner_score: float
-    tl: CornerKeypoint
-    br: CornerKeypoint
-
-    def __post_init__(self):
-        if not (self.tl.class_id == self.br.class_id == self.class_id):
-            raise ValueError("proposal corners must share the proposal class")
-        if not (self.tl.x < self.br.x and self.tl.y < self.br.y):
-            raise ValueError("top-left corner must lie strictly above-left")
+# proposals, survivors and detections, one row per box: corners (x1, y1,
+# x2, y2) in image pixels, class, and score (the mean corner score of a
+# proposal, the fused score of a detection)
+BOX_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64), ("score", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -119,45 +106,24 @@ class HeadWeights:
         )
 
 
-def enumerate_proposals(
-    tls: list[CornerKeypoint], brs: list[CornerKeypoint]
-) -> list[Proposal]:
+def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
     """All valid (top-left, bottom-right) pairs, ordered by (tl index, br index).
 
+    Takes the top-left and bottom-right keypoints as KEYPOINT_DTYPE arrays.
     A pair is valid when both corners share a class and the top-left corner
-    lies strictly above and to the left of the bottom-right one.
+    lies strictly above and to the left of the bottom-right one. Returns
+    BOX_DTYPE rows scored by the mean of the two corner scores.
     """
-    if any(kp.kind != TOP_LEFT for kp in tls) or any(kp.kind != BOTTOM_RIGHT for kp in brs):
-        raise ValueError("tls must be top-left keypoints and brs bottom-right")
-    if not tls or not brs:
-        return []
-
-    t_cls = np.array([kp.class_id for kp in tls])
-    b_cls = np.array([kp.class_id for kp in brs])
-    t_x = np.array([kp.x for kp in tls])
-    b_x = np.array([kp.x for kp in brs])
-    t_y = np.array([kp.y for kp in tls])
-    b_y = np.array([kp.y for kp in brs])
-
     valid = (
-        (t_cls[:, None] == b_cls[None, :])
-        & (t_x[:, None] < b_x[None, :])
-        & (t_y[:, None] < b_y[None, :])
+        (tls["class_id"][:, None] == brs["class_id"][None, :])
+        & (tls["x"][:, None] < brs["x"][None, :])
+        & (tls["y"][:, None] < brs["y"][None, :])
     )
     ti, bj = np.nonzero(valid)  # row-major, so (tl index, br index) order
-
-    out = []
-    for i, j in zip(ti.tolist(), bj.tolist()):
-        tl, br = tls[i], brs[j]
-        out.append(
-            Proposal(
-                box=BBox(tl.x, tl.y, br.x, br.y),
-                class_id=tl.class_id,
-                corner_score=(tl.score + br.score) / 2.0,
-                tl=tl,
-                br=br,
-            )
-        )
+    out = np.empty(ti.size, dtype=BOX_DTYPE)
+    out["box"] = np.column_stack([tls["x"][ti], tls["y"][ti], brs["x"][bj], brs["y"][bj]])
+    out["class_id"] = tls["class_id"][ti]
+    out["score"] = (tls["score"][ti] + brs["score"][bj]) / 2.0
     return out
 
 
@@ -239,12 +205,6 @@ def roi_align_batch(
     return out
 
 
-def roi_align(feat: np.ndarray, box: BBox, out_size: int = POOL_SIZE, stride: int = STRIDE) -> np.ndarray:
-    """RoIAlign a single box; see :func:`roi_align_batch`."""
-    coords = np.array([[box.x1, box.y1, box.x2, box.y2]], dtype=np.float64)
-    return roi_align_batch(feat, coords, out_size=out_size, stride=stride)[0]
-
-
 def sigmoid(z):
     z = np.clip(np.asarray(z, dtype=np.float64), -700.0, 700.0)
     return 1.0 / (1.0 + np.exp(-z))
@@ -257,37 +217,19 @@ def binary_scores(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:
     if pooled.shape[1:] != expect:
         raise ValueError(f"pooled batch must be (N,) + {expect}, got {pooled.shape}")
     k = weights.binary_kernel.reshape(-1).astype(np.float64)
-    z = pooled.reshape(pooled.shape[0], -1) @ k + weights.binary_bias
+    z = pooled.reshape(-1, k.size) @ k + weights.binary_bias
     return sigmoid(z)
 
 
-def binary_head(pooled: np.ndarray, weights: HeadWeights) -> float:
-    """Objectness probability of one proposal's (32, 7, 7) pooled features."""
-    pooled = np.asarray(pooled)
-    if pooled.shape != (BOX_CHANNELS, POOL_SIZE, POOL_SIZE):
-        raise ValueError(
-            f"pooled must be ({BOX_CHANNELS}, {POOL_SIZE}, {POOL_SIZE}), got {pooled.shape}"
-        )
-    return float(binary_scores(pooled[None], weights)[0])
-
-
 def class_scores(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:
-    """Per-class probabilities, shape (N, C), for pooled category features."""
+    """Per-class probabilities, shape (N, C), for pooled category features.
+
+    Classes score independently, so each row holds C sigmoids, not a softmax.
+    """
     pooled = np.asarray(pooled, dtype=np.float64)
     expect = (CAT_CHANNELS, POOL_SIZE, POOL_SIZE)
     if pooled.shape[1:] != expect:
         raise ValueError(f"pooled batch must be (N,) + {expect}, got {pooled.shape}")
     k = weights.class_kernel.reshape(weights.num_classes, -1).astype(np.float64)
-    z = pooled.reshape(pooled.shape[0], -1) @ k.T + weights.class_bias.astype(np.float64)
+    z = pooled.reshape(-1, k.shape[1]) @ k.T + weights.class_bias.astype(np.float64)
     return sigmoid(z)
-
-
-def class_head(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:
-    """Per-class probabilities of one proposal; classes score independently,
-    so the result is C sigmoids, not a softmax."""
-    pooled = np.asarray(pooled)
-    if pooled.shape != (CAT_CHANNELS, POOL_SIZE, POOL_SIZE):
-        raise ValueError(
-            f"pooled must be ({CAT_CHANNELS}, {POOL_SIZE}, {POOL_SIZE}), got {pooled.shape}"
-        )
-    return class_scores(pooled[None], weights)[0]

@@ -39,9 +39,9 @@ from cornerdet.proposals import (
     POOL_SIZE,
     FeatureMaps,
     HeadWeights,
-    binary_head,
-    class_head,
-    roi_align,
+    binary_scores,
+    class_scores,
+    roi_align_batch,
 )
 from cornerdet.tensorio import load_tensor, store_tensor
 
@@ -340,15 +340,18 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     argmax; every geometrically valid same-class cross pairing must score
     <= 0.1.
     """
-    problems = []
+    feats, weights = bundle.features, bundle.weights
     boxes = [gt.box for gt in scene.gts]
+    coords = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
+    p_true = binary_scores(roi_align_batch(feats.box_feat, coords), weights)
+    heads = class_scores(roi_align_batch(feats.cat_feat, coords), weights).argmax(axis=1)
+    problems = []
     for i, gt in enumerate(scene.gts):
-        p = binary_head(roi_align(bundle.features.box_feat, gt.box), bundle.weights)
-        if p < TRUE_SCORE_FLOOR:
-            problems.append(f"true box {i}: binary score {p:.4f} < {TRUE_SCORE_FLOOR}")
-        q = class_head(roi_align(bundle.features.cat_feat, gt.box), bundle.weights)
-        if int(np.argmax(q)) != gt.class_id:
-            problems.append(f"true box {i}: class argmax {int(np.argmax(q))} != {gt.class_id}")
+        if p_true[i] < TRUE_SCORE_FLOOR:
+            problems.append(f"true box {i}: binary score {p_true[i]:.4f} < {TRUE_SCORE_FLOOR}")
+        if heads[i] != gt.class_id:
+            problems.append(f"true box {i}: class argmax {heads[i]} != {gt.class_id}")
+    pairs, cross_boxes = [], []
     for i, gi in enumerate(scene.gts):
         for j, gj in enumerate(scene.gts):
             if i == j or gi.class_id != gj.class_id:
@@ -359,11 +362,13 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
             cross = BBox(a.x1, a.y1, b.x2, b.y2)
             if any(cross == t for t in boxes):
                 continue
-            p = binary_head(roi_align(bundle.features.box_feat, cross), bundle.weights)
-            if p > FALSE_SCORE_CEIL:
-                problems.append(
-                    f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}"
-                )
+            pairs.append((i, j))
+            cross_boxes.append((cross.x1, cross.y1, cross.x2, cross.y2))
+    cross_coords = np.array(cross_boxes, dtype=np.float64)
+    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross_coords), weights)
+    for (i, j), p in zip(pairs, p_cross):
+        if p > FALSE_SCORE_CEIL:
+            problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")
     return problems
 
 
@@ -405,6 +410,8 @@ def scene_forces(cfg: SynthConfig, index: int):
 
 def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
     """Write `count` rendered scenes plus ground truth; manifest goes last."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written with plain loops and avoids importing any of the
-optimized library code paths; only value types (BBox, CornerKeypoint) are
-shared so the comparisons line up.
+optimized library code paths; only value types (BBox) and the keypoint
+array layout (fields class_id, x, y, score) are shared so the comparisons
+line up.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def naive_pairs(tls, brs) -> list[tuple[int, int]]:
     out = []
     for i, tl in enumerate(tls):
         for j, br in enumerate(brs):
-            if tl.class_id == br.class_id and tl.x < br.x and tl.y < br.y:
+            if tl["class_id"] == br["class_id"] and tl["x"] < br["x"] and tl["y"] < br["y"]:
                 out.append((i, j))
     return out
 

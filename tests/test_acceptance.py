@@ -14,9 +14,8 @@ import pytest
 
 import brute_eval
 from cornerdet.cli import main, proposals_sibling
-from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
+from cornerdet.corners import TOP_LEFT, decode_corners
 from cornerdet.evaluation import report_to_dict, build_report
-from cornerdet.geometry import BBox
 from cornerdet.losses import (
     ProposalLabel,
     loss_class,
@@ -27,13 +26,12 @@ from cornerdet.losses import (
     loss_prop_grad,
 )
 from cornerdet.postprocess import (
-    Detection,
     filter_by_objectness,
     fuse_scores,
     read_detections,
     soft_nms,
 )
-from cornerdet.proposals import enumerate_proposals, roi_align
+from cornerdet.proposals import BOX_DTYPE, enumerate_proposals, roi_align_batch
 from cornerdet.synth import SynthConfig, write_corpus
 from oracles import (
     central_difference,
@@ -43,7 +41,7 @@ from oracles import (
     relative_gradient_error,
 )
 from test_corners import make_heatmaps
-from test_proposals import random_keypoints
+from test_proposals import pair_indices, random_keypoints
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:
@@ -257,7 +255,8 @@ def test_criterion_4_roi_align_oracle():
         y1 = float(rng.uniform(-0.6 * span_y, 0.9 * span_y))
         x2 = x1 + float(rng.uniform(0.5, 1.2 * span_x))
         y2 = y1 + float(rng.uniform(0.5, 1.2 * span_y))
-        got = roi_align(feat, BBox(x1, y1, x2, y2))
+        box = np.array([x1, y1, x2, y2])
+        got = roi_align_batch(feat, box[None])[0]
         want = naive_roi_align(feat, (x1, y1, x2, y2))
         worst = max(worst, float(np.max(np.abs(got - want))))
     check(4, worst < 1e-5, f"max |impl - dense bilinear oracle| = {worst:.2e} over 1000 instances")
@@ -268,23 +267,18 @@ def test_criterion_5_soft_nms_oracle():
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 51))
-        boxes, scores, classes, dets = [], [], [], []
+        boxes, scores, classes = [], [], []
         for _ in range(n):
             x, y = rng.uniform(0, 90, 2)
             bw, bh = rng.uniform(1, 60, 2)
-            box = (float(x), float(y), float(x + bw), float(y + bh))
-            cls = int(rng.integers(4))
-            score = float(rng.random())
-            boxes.append(box)
-            scores.append(score)
-            classes.append(cls)
-            dets.append(Detection(box=BBox(*box), class_id=cls, score=score))
+            boxes.append((float(x), float(y), float(x + bw), float(y + bh)))
+            classes.append(int(rng.integers(4)))
+            scores.append(float(rng.random()))
+        dets = np.array(list(zip(boxes, classes, scores)), dtype=BOX_DTYPE)
         got = soft_nms(dets, sigma=0.5, prune=1e-3)
         want = naive_soft_nms(boxes, scores, classes, sigma=0.5, prune=1e-3)
-        if len(got) != len(want) or any(
-            g.score != s or g.box != dets[i].box or g.class_id != dets[i].class_id
-            for g, (i, s) in zip(got, want)
-        ):
+        got_rows = list(zip(got["box"].tolist(), got["class_id"].tolist(), got["score"].tolist()))
+        if got_rows != [(list(boxes[i]), classes[i], s) for i, s in want]:
             mismatches += 1
     check(5, mismatches == 0, f"{mismatches} mismatches vs naive O(n^2) reference on 1000 instances")
 
@@ -324,13 +318,11 @@ def test_criterion_7_pair_enumeration(detect_run, corpus_dir):
     mismatches = 0
     for _ in range(1000):
         k = int(rng.integers(1, 71))
-        tls = random_keypoints(rng, TOP_LEFT, k, num_classes=int(rng.integers(1, 6)))
-        brs = random_keypoints(rng, BOTTOM_RIGHT, k, num_classes=int(rng.integers(1, 6)))
+        tls = random_keypoints(rng, k, num_classes=int(rng.integers(1, 6)))
+        brs = random_keypoints(rng, k, num_classes=int(rng.integers(1, 6)))
         got = enumerate_proposals(tls, brs)
         want = naive_pairs(tls, brs)
-        pairs = [(next(i for i, t in enumerate(tls) if t is p.tl),
-                  next(j for j, b in enumerate(brs) if b is p.br)) for p in got]
-        if pairs != want:
+        if pair_indices(tls, brs, got) != want:
             mismatches += 1
 
     proposals = read_detections(proposals_sibling(detect_run["dump"]))
@@ -349,12 +341,12 @@ def test_criterion_8_monotonicity_and_ranges():
     rng = np.random.default_rng(888)
     violations = {"filter": 0, "fuse": 0, "nms": 0, "decode": 0}
 
-    items = list(range(40))
+    items = np.arange(40)
     for _ in range(1000):
         scores = rng.random(40)
         a, b = sorted(rng.random(2))
-        if not set(filter_by_objectness(items, scores, b)) <= set(
-            filter_by_objectness(items, scores, a)
+        if not set(filter_by_objectness(items, scores, b).tolist()) <= set(
+            filter_by_objectness(items, scores, a).tolist()
         ):
             violations["filter"] += 1
 
@@ -370,20 +362,17 @@ def test_criterion_8_monotonicity_and_ranges():
 
     for _ in range(1000):
         n = int(rng.integers(1, 13))
-        dets = []
+        rows = []
         for _ in range(n):
             x, y = rng.uniform(0, 60, 2)
             bw, bh = rng.uniform(2, 40, 2)
-            dets.append(
-                Detection(
-                    box=BBox(float(x), float(y), float(x + bw), float(y + bh)),
-                    class_id=int(rng.integers(3)),
-                    score=float(rng.random()),
-                )
-            )
+            box = (float(x), float(y), float(x + bw), float(y + bh))
+            rows.append((box, int(rng.integers(3)), float(rng.random())))
+        dets = np.array(rows, dtype=BOX_DTYPE)
         for o in soft_nms(dets):
-            inputs = [d.score for d in dets if d.box == o.box and d.class_id == o.class_id]
-            if not inputs or o.score > max(inputs):
+            same = np.all(dets["box"] == o["box"], axis=1) & (dets["class_id"] == o["class_id"])
+            inputs = dets["score"][same]
+            if not inputs.size or o["score"] > inputs.max():
                 violations["nms"] += 1
                 break
 
@@ -394,7 +383,7 @@ def test_criterion_8_monotonicity_and_ranges():
         hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
         k = int(rng.integers(1, c * 64 + 1))
         kps = decode_corners(hm, TOP_LEFT, k)
-        scores = [kp.score for kp in kps]
+        scores = kps["score"].tolist()
         if scores != sorted(scores, reverse=True):
             violations["decode"] += 1
 

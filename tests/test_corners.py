@@ -73,8 +73,8 @@ class TestDecodeCorners:
     def test_all_zero_tiebreak(self):
         hm = make_heatmaps(np.zeros((2, 4, 4), dtype=np.float32))
         kps = decode_corners(hm, TOP_LEFT, 2)
-        assert [(kp.class_id, kp.cell) for kp in kps] == [(0, (0, 0)), (0, (0, 1))]
-        assert all(kp.score == 0.0 for kp in kps)
+        assert kps[["class_id", "x", "y"]].tolist() == [(0, 0.0, 0.0), (0, 4.0, 0.0)]
+        assert kps["score"].tolist() == [0.0, 0.0]
 
     def test_single_peak_decoding(self):
         heat = np.zeros((2, 16, 16), dtype=np.float32)
@@ -84,11 +84,10 @@ class TestDecodeCorners:
         off[1, 5, 7] = 0.5
         hm = make_heatmaps(heat, tl_off=off)
         (kp,) = decode_corners(hm, TOP_LEFT, 1)
-        assert kp.class_id == 1
-        assert kp.x == pytest.approx(29.0)
-        assert kp.y == pytest.approx(22.0)
-        assert kp.score == pytest.approx(0.9)
-        assert kp.cell == (5, 7)
+        assert kp["class_id"] == 1
+        assert kp["x"] == pytest.approx(29.0)
+        assert kp["y"] == pytest.approx(22.0)
+        assert kp["score"] == pytest.approx(0.9)
 
     def test_k_too_large(self):
         hm = make_heatmaps(np.zeros((1, 2, 2), dtype=np.float32))
@@ -102,11 +101,10 @@ class TestDecodeCorners:
         hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
         for kind in (TOP_LEFT, BOTTOM_RIGHT):
             kps = decode_corners(hm, kind, 40)
-            scores = [kp.score for kp in kps]
+            scores = kps["score"].tolist()
             assert scores == sorted(scores, reverse=True)
-            for kp in kps:
-                assert 0.0 <= kp.x < 4 * 12
-                assert 0.0 <= kp.y < 4 * 12
+            assert np.all((0.0 <= kps["x"]) & (kps["x"] < 4 * 12))
+            assert np.all((0.0 <= kps["y"]) & (kps["y"] < 4 * 12))
 
 
 class TestGaussianTargets:
@@ -169,9 +167,9 @@ def test_decode_roundtrip_recovers_corners():
     hm = gaussian_targets(gts, 3, 128, 128)
     tls = decode_corners(hm, TOP_LEFT, len(gts))
     brs = decode_corners(hm, BOTTOM_RIGHT, len(gts))
-    got_tl = {(kp.class_id, round(kp.x, 3), round(kp.y, 3)) for kp in tls}
+    got_tl = {(c, round(x, 3), round(y, 3)) for c, x, y in tls[["class_id", "x", "y"]].tolist()}
     want_tl = {(g.class_id, round(g.box.x1, 3), round(g.box.y1, 3)) for g in gts}
     assert got_tl == want_tl
-    got_br = {(kp.class_id, round(kp.x, 3), round(kp.y, 3)) for kp in brs}
+    got_br = {(c, round(x, 3), round(y, 3)) for c, x, y in brs[["class_id", "x", "y"]].tolist()}
     want_br = {(g.class_id, round(g.box.x2, 3), round(g.box.y2, 3)) for g in gts}
     assert got_br == want_br

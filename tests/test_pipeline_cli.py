@@ -1,9 +1,11 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
-from cornerdet.cli import main, proposals_sibling
+from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
 from cornerdet.pipeline import PipelineConfig, run_corpus
 from cornerdet.postprocess import read_detections
@@ -15,9 +17,6 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.k == 70
         assert cfg.objectness_threshold == 0.2
-        assert cfg.iou_threshold == 0.7
-        assert cfg.alpha == 2.0
-        assert cfg.beta == 2.0
         assert cfg.top_k == 100
         assert cfg.stride == 4
         assert cfg.soft_nms_sigma == 0.5
@@ -27,7 +26,7 @@ class TestPipelineConfig:
     def test_from_json_partial(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k": 12, "objectness_threshold": 0.3}))
-        cfg = PipelineConfig.from_json(path)
+        cfg = load_config(PipelineConfig, path)
         assert cfg.k == 12
         assert cfg.objectness_threshold == 0.3
         assert cfg.top_k == 100
@@ -36,13 +35,22 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"K": 12}))
         with pytest.raises(ValueError, match="unknown config keys"):
-            PipelineConfig.from_json(path)
+            load_config(PipelineConfig, path)
+
+    def test_json_types_that_fit(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"soft_nms_sigma": 1, "num_classes": None, "k": 9}))
+        cfg = load_config(PipelineConfig, path)
+        assert (cfg.soft_nms_sigma, cfg.num_classes, cfg.k) == (1, None, 9)
+        path.write_text(json.dumps({"num_boxes": [2, 3], "area_range": [900, 2500.5]}))
+        cfg = load_config(SynthConfig, path)
+        assert (cfg.num_boxes, cfg.area_range) == ((2, 3), (900, 2500.5))
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
             PipelineConfig(objectness_threshold=0.0)
         with pytest.raises(ValueError):
-            PipelineConfig(iou_threshold=1.0)
+            PipelineConfig(objectness_threshold=1.0)
         with pytest.raises(ValueError):
             PipelineConfig(k=0)
 
@@ -104,7 +112,7 @@ class TestCliFlow:
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty"
-        assert main(["synth", "--out", str(corpus), "--count", "0", "--seed", "5"]) == 0
+        write_corpus(corpus, SynthConfig(), count=0, seed=5)
         dump = tmp_path / "dets.json"
         assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
         assert read_detections(dump) == []
@@ -232,6 +240,59 @@ class TestCliErrors:
         victim.write_bytes(b"JUNKJUNKJUNK")
         code = main(["detect", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")])
         assert code == 3
+
+
+BAD_CONFIGS = [
+    ("detect", {"k": "70"}, 'k must be int, got "70"'),
+    ("detect", {"k": 70.5}, "k must be int, got 70.5"),
+    ("detect", {"k": True}, "k must be int, got true"),
+    ("detect", {"num_classes": "2"}, "num_classes must be int | None"),
+    ("detect", {"k": 0}, "k must be >= 1"),
+    ("detect", {"soft_nms_sigma": float("nan")}, "soft_nms_sigma must be float, got NaN"),
+    ("detect", {"iou_threshold": 0.7, "alpha": 2, "beta": 2}, "unknown config keys"),
+    ("synth", {"num_boxes": 3}, "num_boxes must be tuple[int, int], got 3"),
+    ("synth", {"num_boxes": [1, 2, 3]}, "num_boxes must be tuple[int, int]"),
+    ("synth", {"num_boxes": [1, 2.5]}, "num_boxes must be tuple[int, int]"),
+    ("synth", {"noise": "0.3"}, "noise must be float"),
+    ("synth", {"num_classes": 0}, "num_classes must be in [1, 256]"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", BAD_CONFIGS)
+def test_bad_config_exit_3(command, doc, message, small_corpus, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "detect":
+        argv = ["detect", "--corpus", str(small_corpus), "--out", str(out)]
+    else:
+        argv = ["synth", "--out", str(out), "--count", "1", "--seed", "1"]
+    assert main(argv + ["--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_synth_count_below_one_exit_2(count, tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--count", count, "--seed", "1"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
+    dump = tmp_path / "dets.json"
+    start = time.perf_counter()
+    argv = ["detect", "--corpus", str(small_corpus), "--out", str(dump), "--workers", "2"]
+    assert main(argv) == 0
+    measured = time.perf_counter() - start
+    summary = capsys.readouterr().out.splitlines()[-1]
+    wall = float(re.search(r"in ([0-9.]+) s wall time", summary).group(1))
+    assert re.search(r"summed per-image latency [0-9.]+ s", summary)
+    assert wall <= measured + 0.005  # the summary rounds to two decimals
 
 
 def test_run_corpus_library_level(small_corpus):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
-from cornerdet.geometry import iou
+from cornerdet.geometry import BBox, iou
 from cornerdet.pipeline import PipelineConfig, detect_bundle
 from cornerdet.synth import (
     RenderBudgetError,
@@ -91,7 +91,7 @@ class TestCrossScene:
         assert res.num_survivors == 2
         assert len(res.detections) == 2
         matched = sorted(
-            max(iou(d.box, gt.box) for gt in scene.gts) for d in res.detections
+            max(iou(BBox(*d["box"]), gt.box) for gt in scene.gts) for d in res.detections
         )
         assert matched[0] > 0.99
 
@@ -106,7 +106,7 @@ class TestCrossScene:
         leaked = [
             det
             for det in bypassed.detections
-            if all(iou(det.box, tb) < 0.9 for tb in true_boxes)
+            if all(iou(BBox(*det["box"]), tb) < 0.9 for tb in true_boxes)
         ]
         assert leaked, "expected cross pairings in the bypassed output"
 
@@ -118,23 +118,23 @@ class TestRenderOracle:
         (gt,) = scene.gts
         tls = decode_corners(bundle.heatmaps, TOP_LEFT, 2)
         brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, 2)
-        assert tls[0].x == pytest.approx(gt.box.x1, abs=1e-3)
-        assert tls[0].y == pytest.approx(gt.box.y1, abs=1e-3)
-        assert brs[0].x == pytest.approx(gt.box.x2, abs=1e-3)
-        assert brs[0].y == pytest.approx(gt.box.y2, abs=1e-3)
+        assert tls[0]["x"] == pytest.approx(gt.box.x1, abs=1e-3)
+        assert tls[0]["y"] == pytest.approx(gt.box.y1, abs=1e-3)
+        assert brs[0]["x"] == pytest.approx(gt.box.x2, abs=1e-3)
+        assert brs[0]["y"] == pytest.approx(gt.box.y2, abs=1e-3)
 
         res = detect_bundle(bundle, PipelineConfig(k=2))
         assert len(res.detections) == 1
         det = res.detections[0]
-        assert det.class_id == gt.class_id
-        assert iou(det.box, gt.box) > 0.99
+        assert det["class_id"] == gt.class_id
+        assert iou(BBox(*det["box"]), gt.box) > 0.99
 
     def test_extreme_aspect_recovered(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=4, force_aspect=(7.5, 8.0))
         res = detect_bundle(bundle, PipelineConfig(k=4))
         (gt,) = scene.gts
-        best = max(iou(d.box, gt.box) for d in res.detections)
+        best = max(iou(BBox(*d["box"]), gt.box) for d in res.detections)
         assert best >= 0.99
 
     def test_closed_loop_multi_scene(self):
@@ -148,8 +148,8 @@ class TestRenderOracle:
                     i
                     for i, det in enumerate(res.detections)
                     if i not in used
-                    and det.class_id == gt.class_id
-                    and iou(det.box, gt.box) >= 0.99
+                    and det["class_id"] == gt.class_id
+                    and iou(BBox(*det["box"]), gt.box) >= 0.99
                 ]
                 assert candidates, f"ground truth not recovered (seed {seed})"
                 used.add(candidates[0])
