@@ -116,15 +116,24 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def read_dump(path):
+    """The detection records of a dump file; a malformed record names the file."""
+    records = read_detections(path)
+    try:
+        return records_to_dets(records)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
-    dets = records_to_dets(read_detections(args.dets))
+    dets = read_dump(args.dets)
     gts = load_ground_truth(args.gt)
     if args.proposals:
-        proposals = records_to_dets(read_detections(args.proposals))
+        proposals = read_dump(args.proposals)
     else:
         sibling = proposals_sibling(args.dets)
         if sibling.exists():
-            proposals = records_to_dets(read_detections(sibling))
+            proposals = read_dump(sibling)
         else:
             print("no proposal dump found; recall metrics use the detections")
             proposals = dets
@@ -160,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--corpus", required=True, help="corpus directory")
     p_detect.add_argument("--config", default=None, help="pipeline config JSON")
     p_detect.add_argument("--out", required=True, help="detection dump path")
-    p_detect.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p_detect.add_argument("--workers", type=positive_int, default=1, help="worker pool size")
     p_detect.set_defaults(func=cmd_detect)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")

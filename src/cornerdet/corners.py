@@ -72,8 +72,15 @@ def local_max_suppress(heat: np.ndarray, window: int = 3) -> np.ndarray:
         mode="constant",
         constant_values=-np.inf,
     )
-    patches = np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(1, 2))
-    neighborhood_max = patches.max(axis=(-2, -1))
+    # separable max: over each row's window, then over each column's; max is
+    # exact, so this equals the max over the full window x window patch
+    h, w = heat.shape[1:]
+    row_max = padded[:, :, :w].copy()
+    for d in range(1, window):
+        np.maximum(row_max, padded[:, :, d : d + w], out=row_max)
+    neighborhood_max = row_max[:, :h].copy()
+    for d in range(1, window):
+        np.maximum(neighborhood_max, row_max[:, d : d + h], out=neighborhood_max)
     return np.where(heat == neighborhood_max, heat, np.float32(0.0))
 
 
@@ -82,8 +89,13 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> n
 
     Selection runs jointly over all C*H*W cells after 3x3 local-max
     suppression. Returns k rows of KEYPOINT_DTYPE in descending score order;
-    equal scores are broken by ascending (class, row, col), which a stable
-    sort on the flat cell index provides for free.
+    equal scores are broken by ascending (class, row, col), the flat cell
+    index order.
+
+    The selection equals ``np.argsort(-flat, kind="stable")[:k]`` without
+    sorting every cell: a partition finds the k-th largest score, the cells
+    above it are stable-sorted, and the first cells equal to it, in index
+    order, fill the remaining places.
     """
     if kind == TOP_LEFT:
         heat, off = hm.tl_heat, hm.tl_off
@@ -98,7 +110,11 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> n
 
     suppressed = local_max_suppress(heat, window=3)
     flat = suppressed.ravel()
-    order = np.argsort(-flat, kind="stable")[:k]
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    above = np.flatnonzero(flat > kth)
+    above = above[np.argsort(-flat[above], kind="stable")]
+    ties = np.flatnonzero(flat == kth)[: k - above.size]
+    order = np.concatenate([above, ties])
 
     cls, rows, cols = np.unravel_index(order, (c, h, w))
     ox = off[0, rows, cols].astype(np.float32)

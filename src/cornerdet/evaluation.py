@@ -525,16 +525,26 @@ def load_ground_truth(path) -> GroundTruthSet:
 
 
 def records_to_dets(records: list[dict]) -> list[DetRecord]:
-    """Convert interchange records ({image_id, category_id, bbox, score})."""
+    """Convert interchange records ({image_id, category_id, bbox, score}).
+
+    Every field is required and the score must be a finite number; a record
+    that breaks this raises a ValueError naming its index.
+    """
     out = []
-    for r in records:
-        x, y, w, h = (float(v) for v in r["bbox"])
-        out.append(
-            DetRecord(
+    for i, r in enumerate(records):
+        try:
+            x, y, w, h = (float(v) for v in r["bbox"])
+            det = DetRecord(
                 image_id=int(r["image_id"]),
                 class_id=int(r["category_id"]),
                 box=BBox(x, y, x + w, y + h),
-                score=float(r.get("score", 1.0)),
+                score=float(r["score"]),
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"record {i} has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"record {i}: {exc}") from None
+        if not math.isfinite(det.score):
+            raise ValueError(f"record {i} has score {det.score}, which is not finite")
+        out.append(det)
     return out

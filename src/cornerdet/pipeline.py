@@ -117,8 +117,12 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
 
     def process(entry):
         start = time.perf_counter()
-        bundle = load_scene_bundle(corpus_dir / entry["dir"])
-        result = detect_bundle(bundle, config)
+        scene_dir = corpus_dir / entry["dir"]
+        bundle = load_scene_bundle(scene_dir)
+        try:
+            result = detect_bundle(bundle, config)
+        except ValueError as exc:
+            raise ValueError(f"{scene_dir}: {exc}") from None
         return entry["id"], result, time.perf_counter() - start
 
     entries = manifest["scenes"]

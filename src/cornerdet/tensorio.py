@@ -14,7 +14,10 @@ Tensors are plain ``numpy.float32`` arrays with rank >= 1 and every extent
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -52,26 +55,41 @@ def as_tensor(data) -> np.ndarray:
 def store_tensor(tensor, path) -> None:
     """Write `tensor` to `path` in CPNT format.
 
-    Round-trips bit-exactly: ``load_tensor(store_tensor(t)) == t``.
+    Round-trips bit-exactly: ``load_tensor(store_tensor(t)) == t``. The
+    bytes go to a temporary file in the same directory, which then replaces
+    `path`; the old file is never truncated in place, so a reader that still
+    maps it keeps its values.
     """
-    arr = as_tensor(tensor)
+    arr = as_tensor(tensor).astype("<f4", copy=False)
     header = MAGIC + struct.pack("<B", VERSION) + struct.pack("<I", arr.ndim)
     extents = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype("<f4", copy=False).tobytes(order="C")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(header)
             fh.write(extents)
-            fh.write(payload)
+            fh.write(arr.data)
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise OSError(f"cannot write tensor to {path}: {exc}") from exc
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a CPNT file back into a float32 array, bit-exactly."""
+    """Read a CPNT file back into a float32 array, bit-exactly.
+
+    The array views a private copy-on-write mapping of the whole file, so a
+    load copies nothing: pages are read in when first touched, the array is
+    writable, and writes to it never reach the file. Each live array keeps
+    the mapping, and with it a duplicate file descriptor, open.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            # an empty file cannot be mapped; it fails the magic check below
+            size = os.fstat(fh.fileno()).st_size
+            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if size else b""
     except OSError as exc:
         raise OSError(f"cannot read tensor from {path}: {exc}") from exc
 
@@ -114,4 +132,4 @@ def load_tensor(path) -> np.ndarray:
         )
 
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=extents_end)
-    return flat.reshape(shape).copy()
+    return flat.reshape(shape)

@@ -47,6 +47,12 @@ def naive_local_max(heat: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def naive_topk(scores: np.ndarray, k: int) -> list[int]:
+    """Flat indices of the k highest scores, equal scores by ascending index."""
+    flat = [float(v) for v in np.ravel(scores)]
+    return sorted(range(len(flat)), key=lambda i: (-flat[i], i))[:k]
+
+
 def naive_pairs(tls, brs) -> list[tuple[int, int]]:
     """Exhaustive O(K^2) validity filtering over keypoint index pairs."""
     out = []

@@ -11,7 +11,7 @@ from cornerdet.corners import (
     local_max_suppress,
 )
 from cornerdet.geometry import BBox, GroundTruth
-from oracles import iou_xyxy, naive_local_max
+from oracles import iou_xyxy, naive_local_max, naive_topk
 
 
 def make_heatmaps(tl_heat, tl_off=None, br_heat=None, br_off=None):
@@ -51,6 +51,12 @@ class TestLocalMaxSuppress:
         for _ in range(20):
             heat = (rng.random((2, 6, 6)) * rng.integers(1, 4, (2, 6, 6))).astype(np.float32)
             assert np.array_equal(local_max_suppress(heat, 3), naive_local_max(heat, 3))
+        # non-square maps, quantized so that neighbors tie, and other windows
+        for c, h, w in [(1, 1, 7), (2, 3, 9), (3, 8, 5), (1, 11, 2)]:
+            heat = (rng.integers(0, 4, (c, h, w)) / 4).astype(np.float32)
+            for window in (1, 3, 5):
+                got = local_max_suppress(heat, window)
+                assert got.tobytes() == naive_local_max(heat, window).tobytes()
 
     def test_ties_keep_both(self):
         heat = np.zeros((1, 3, 3), dtype=np.float32)
@@ -88,6 +94,27 @@ class TestDecodeCorners:
         assert kp["x"] == pytest.approx(29.0)
         assert kp["y"] == pytest.approx(22.0)
         assert kp["score"] == pytest.approx(0.9)
+
+    def test_every_k_matches_naive_topk(self):
+        # quantized scores leave runs of ties, so most k cut through one
+        rng = np.random.default_rng(5)
+        maps = [np.zeros((2, 3, 5), dtype=np.float32)]
+        maps += [(rng.integers(0, 3, (2, 4, 6)) / 2).astype(np.float32) for _ in range(8)]
+        cut_ties = 0
+        for heat in maps:
+            c, h, w = heat.shape
+            suppressed = naive_local_max(heat, 3)
+            for k in range(1, c * h * w + 1):
+                want = naive_topk(suppressed, k)
+                kps = decode_corners(make_heatmaps(heat), TOP_LEFT, k)
+                cls, rows, cols = np.unravel_index(want, (c, h, w))
+                assert kps["class_id"].tolist() == cls.tolist()
+                assert kps["x"].tolist() == (4.0 * cols).tolist()
+                assert kps["y"].tolist() == (4.0 * rows).tolist()
+                assert kps["score"].tolist() == suppressed.ravel()[want].tolist()
+                ranked = suppressed.ravel()[naive_topk(suppressed, k + 1)]
+                cut_ties += k < ranked.size and ranked[k - 1] == ranked[k]
+        assert cut_ties > 100
 
     def test_k_too_large(self):
         hm = make_heatmaps(np.zeros((1, 2, 2), dtype=np.float32))

@@ -274,13 +274,54 @@ def test_bad_config_exit_3(command, doc, message, small_corpus, tmp_path, capsys
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_synth_count_below_one_exit_2(count, tmp_path):
-    out = tmp_path / "corpus"
+def test_detect_error_names_scene(small_corpus, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k": 1000000}))
+    out = tmp_path / "out"
+    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--config", str(cfg_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {small_corpus / 'scene_00000'}: k must be in [1, ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+@pytest.mark.parametrize(
+    "command, value", [("synth", "0"), ("synth", "-3"), ("detect", "0"), ("detect", "-5")]
+)
+def test_count_below_one_exit_2(command, value, small_corpus, tmp_path):
+    out = tmp_path / "out"
+    if command == "detect":
+        argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--workers", value]
+    else:
+        argv = ["synth", "--out", str(out), "--count", value, "--seed", "1"]
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--out", str(out), "--count", count, "--seed", "1"])
+        main(argv)
     assert exc.value.code == 2
-    assert not out.exists()
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+BAD_SCORES = [
+    ({}, "record 1 has no 'score' field"),
+    ({"score": float("nan")}, "record 1 has score nan, which is not finite"),
+    ({"score": float("inf")}, "record 1 has score inf, which is not finite"),
+    ({"score": None}, "record 1: float() argument must be"),
+]
+
+
+@pytest.mark.parametrize("extra, message", BAD_SCORES)
+def test_eval_bad_score_exit_3(extra, message, small_corpus, tmp_path, capsys):
+    good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 4, 4], "score": 0.5}
+    bad = {"image_id": 0, "category_id": 0, "bbox": [1, 1, 4, 4], **extra}
+    dump = tmp_path / "dets.json"
+    dump.write_text(json.dumps([good, bad]))
+    report = tmp_path / "r.json"
+    argv = ["eval", "--dets", str(dump), "--gt", str(small_corpus / "ground_truth.json")]
+    assert main(argv + ["--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not report.exists()
 
 
 def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):

@@ -99,6 +99,54 @@ def test_bad_magic(tmp_path):
     assert err.value.offset == 0
 
 
+def test_empty_file_bad_magic(tmp_path):
+    path = tmp_path / "empty.cpnt"
+    path.write_bytes(b"")
+    with pytest.raises(TensorFormatError, match="bad magic") as err:
+        load_tensor(path)
+    assert err.value.offset == 0
+
+
+def test_truncated_extent_list(tmp_path):
+    path = tmp_path / "extents.cpnt"
+    path.write_bytes(MAGIC + struct.pack("<B", 1) + struct.pack("<I", 3) + struct.pack("<I", 2))
+    with pytest.raises(TensorFormatError, match="truncated extent list, need 3") as err:
+        load_tensor(path)
+    assert err.value.offset == 13
+
+
+def test_loaded_array_is_a_private_copy(tmp_path):
+    path = tmp_path / "t.cpnt"
+    store_tensor(np.arange(6, dtype=np.float32).reshape(2, 3), path)
+    blob = path.read_bytes()
+    arr = load_tensor(path)
+    arr[1, 2] = -1.0
+    arr += 1.0
+    assert arr.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]
+    assert path.read_bytes() == blob
+    assert load_tensor(path).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+def test_loaded_array_outlives_its_file(tmp_path):
+    path = tmp_path / "t.cpnt"
+    values = np.linspace(-1.0, 1.0, 4096, dtype=np.float32)
+    store_tensor(values, path)
+    arr = load_tensor(path)
+    store_tensor(np.zeros(3, dtype=np.float32), path)
+    assert load_tensor(path).tolist() == [0.0, 0.0, 0.0]
+    assert arr.tobytes() == values.tobytes()
+    path.unlink()
+    assert arr.tobytes() == values.tobytes()
+
+
+def test_store_leaves_no_temporary_file(tmp_path):
+    store_tensor(np.ones(3, dtype=np.float32), tmp_path / "t.cpnt")
+    store_tensor(np.ones(4, dtype=np.float32), tmp_path / "t.cpnt")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.cpnt"]
+    with pytest.raises(OSError, match="cannot write tensor"):
+        store_tensor(np.ones(3, dtype=np.float32), tmp_path / "missing" / "t.cpnt")
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "trunc.cpnt"
     store_tensor(np.ones(4, dtype=np.float32), path)
