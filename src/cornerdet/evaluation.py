@@ -499,52 +499,79 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+def _int_id(value, name: str) -> int:
+    """An id read from JSON; a float, bool or string id raises instead of being truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _parse_each(items, label: str, parse) -> list:
+    """parse(item) for every item; a failure raises a ValueError naming `label` and the index."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item))
+        except KeyError as exc:
+            raise ValueError(f"{label} {i} has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{label} {i}: {exc}") from None
+    return out
+
+
+def _gt_record(ann: dict) -> GtRecord:
+    x, y, w, h = (float(v) for v in ann["bbox"])
+    return GtRecord(
+        ann_id=_int_id(ann["id"], "id"),
+        image_id=_int_id(ann["image_id"], "image_id"),
+        class_id=_int_id(ann["category_id"], "category_id"),
+        box=BBox(x, y, x + w, y + h),
+    )
+
+
 def load_ground_truth(path) -> GroundTruthSet:
-    """Load the ground-truth JSON: images, annotations, categories."""
+    """Load the ground-truth JSON: images, annotations, categories.
+
+    Every id must be a JSON integer; a malformed image, annotation or
+    category raises a ValueError naming the file and its index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     for key in ("images", "annotations", "categories"):
         if key not in doc:
             raise ValueError(f"{path}: ground-truth file is missing {key!r}")
-    image_ids = tuple(int(img["id"]) for img in doc["images"])
+    try:
+        image_ids = tuple(_parse_each(doc["images"], "image", lambda img: _int_id(img["id"], "id")))
+        records = tuple(_parse_each(doc["annotations"], "annotation", _gt_record))
+        categories = tuple(
+            _parse_each(doc["categories"], "category", lambda c: _int_id(c["id"], "id"))
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(set(image_ids)) != len(image_ids):
         raise ValueError(f"{path}: duplicate image ids")
-    records = []
-    for ann in doc["annotations"]:
-        x, y, w, h = (float(v) for v in ann["bbox"])
-        records.append(
-            GtRecord(
-                ann_id=int(ann["id"]),
-                image_id=int(ann["image_id"]),
-                class_id=int(ann["category_id"]),
-                box=BBox(x, y, x + w, y + h),
-            )
-        )
-    categories = tuple(int(c["id"]) for c in doc["categories"])
-    return GroundTruthSet(image_ids=image_ids, records=tuple(records), category_ids=categories)
+    return GroundTruthSet(image_ids=image_ids, records=records, category_ids=categories)
+
+
+def _det_record(r: dict) -> DetRecord:
+    x, y, w, h = (float(v) for v in r["bbox"])
+    return DetRecord(
+        image_id=_int_id(r["image_id"], "image_id"),
+        class_id=_int_id(r["category_id"], "category_id"),
+        box=BBox(x, y, x + w, y + h),
+        score=float(r["score"]),
+    )
 
 
 def records_to_dets(records: list[dict]) -> list[DetRecord]:
     """Convert interchange records ({image_id, category_id, bbox, score}).
 
-    Every field is required and the score must be a finite number; a record
-    that breaks this raises a ValueError naming its index.
+    Every field is required, the ids must be integers and the score a
+    finite number; a record that breaks this raises a ValueError naming its
+    index.
     """
-    out = []
-    for i, r in enumerate(records):
-        try:
-            x, y, w, h = (float(v) for v in r["bbox"])
-            det = DetRecord(
-                image_id=int(r["image_id"]),
-                class_id=int(r["category_id"]),
-                box=BBox(x, y, x + w, y + h),
-                score=float(r["score"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"record {i} has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"record {i}: {exc}") from None
+    dets = _parse_each(records, "record", _det_record)
+    for i, det in enumerate(dets):
         if not math.isfinite(det.score):
             raise ValueError(f"record {i} has score {det.score}, which is not finite")
-        out.append(det)
-    return out
+    return dets

@@ -69,14 +69,25 @@ class SceneResult:
     num_survivors: int
 
 
+# NaN or infinity in the features turns into NaN scores, which raise below;
+# numpy's "invalid value" warning would only add lines to the error
+@np.errstate(invalid="ignore")
 def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
-    """Run the full pipeline on one image's tensors."""
+    """Run the full pipeline on one image's tensors.
+
+    Non-finite corner heatmaps or offsets, and non-finite objectness scores
+    (from box_feat or the binary head weights), raise a ValueError naming
+    the tensor.
+    """
     if config.num_classes is not None and bundle.heatmaps.num_classes != config.num_classes:
         raise ValueError(
             f"config expects {config.num_classes} classes, "
             f"bundle has {bundle.heatmaps.num_classes}"
         )
 
+    for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
+        if not np.isfinite(getattr(bundle.heatmaps, name)).all():
+            raise ValueError(f"{name} holds NaN or infinity")
     tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k, stride=config.stride)
     brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k, stride=config.stride)
     proposals = enumerate_proposals(tls, brs)
@@ -85,6 +96,10 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     if config.use_binary_head:
         pooled_box = roi_align_batch(feats.box_feat, proposals["box"], stride=config.stride)
         p_scores = binary_scores(pooled_box, weights)
+        # box_feat is too large to scan whole; a bad value under a proposal
+        # shows as a NaN objectness score
+        if not np.isfinite(p_scores).all():
+            raise ValueError("box_feat or the binary head weights hold NaN or infinity")
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
     pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], stride=config.stride)
@@ -118,9 +133,8 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     def process(entry):
         start = time.perf_counter()
         scene_dir = corpus_dir / entry["dir"]
-        bundle = load_scene_bundle(scene_dir)
         try:
-            result = detect_bundle(bundle, config)
+            result = detect_bundle(load_scene_bundle(scene_dir), config)
         except ValueError as exc:
             raise ValueError(f"{scene_dir}: {exc}") from None
         return entry["id"], result, time.perf_counter() - start

@@ -135,11 +135,72 @@ def detection_records(image_id: int, dets: np.ndarray) -> list[dict]:
     ]
 
 
+_RECORD_KEYS = frozenset(("bbox", "category_id", "image_id", "score"))
+
+# One record as json.dump(records, fh, sort_keys=True, indent=1) lays it out,
+# led by the ",\n" that json writes before every array item but the first.
+_RECORD_LAYOUT = (
+    ',\n {\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n'
+    '  "category_id": %s,\n  "image_id": %s,\n  "score": %s\n }'
+)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(v) -> str:
+    """A bbox value or score as json spells it: int or float repr, or NaN/Infinity."""
+    if type(v) is float:
+        return repr(v) if math.isfinite(v) else _NON_FINITE[repr(v)]
+    if type(v) is int:
+        return repr(v)
+    raise ValueError(f"{v!r} is not a number")
+
+
+def _record_text(r) -> str:
+    """One record in the dump layout; a ValueError says why a record has another shape."""
+    if type(r) is not dict:
+        raise ValueError(f"must be an object, got {type(r).__name__}")
+    if r.keys() != _RECORD_KEYS:
+        raise ValueError(f"keys must be {sorted(_RECORD_KEYS)}, got {list(r)}")
+    bbox, category_id, image_id, score = r["bbox"], r["category_id"], r["image_id"], r["score"]
+    if type(category_id) is not int:
+        raise ValueError(f"category_id must be an int, got {category_id!r}")
+    if type(image_id) is not int:
+        raise ValueError(f"image_id must be an int, got {image_id!r}")
+    if type(bbox) not in (list, tuple) or len(bbox) != 4:
+        raise ValueError(f"bbox must be a list of 4 numbers, got {bbox!r}")
+    x, y, w, h = bbox
+    # %s spells a finite float as its repr, like json; a finite sum means
+    # every term is finite, and an overflowing one only takes the slow path
+    if not (
+        type(x) is type(y) is type(w) is type(h) is type(score) is float
+        and math.isfinite(x + y + w + h + score)
+    ):
+        x, y, w, h, score = map(_number, (x, y, w, h, score))
+    return _RECORD_LAYOUT % (x, y, w, h, category_id, image_id, score)
+
+
 def write_detections(path, records: list[dict]) -> None:
-    """Write a detection dump: one JSON array of records."""
+    """Write a detection dump: one JSON array of records.
+
+    The bytes are those of json.dump(records, fh, sort_keys=True, indent=1)
+    followed by a newline, written by a fixed layout for the one record shape
+    detection_records builds: int image and category ids, a bbox of 4
+    numbers and a numeric score. Any other record raises a ValueError
+    naming its index before the file is opened.
+    """
+    texts = []
+    for i, r in enumerate(records):
+        try:
+            texts.append(_record_text(r))
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
+    if texts:
+        texts[0] = "[" + texts[0][1:]
+        texts.append("\n]\n")
+    else:
+        texts.append("[]\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.writelines(texts)
 
 
 def read_detections(path) -> list[dict]:

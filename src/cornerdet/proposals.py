@@ -206,8 +206,10 @@ def roi_align_batch(
 
 
 def sigmoid(z):
-    z = np.clip(np.asarray(z, dtype=np.float64), -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    """Logistic function; a NaN or infinite logit gives NaN, not a saturated 0 or 1."""
+    z = np.asarray(z, dtype=np.float64)
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
+    return np.where(np.isfinite(z), s, np.nan)
 
 
 def binary_scores(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import shutil
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ from cornerdet.evaluation import build_report, load_ground_truth, records_to_det
 from cornerdet.pipeline import PipelineConfig, run_corpus
 from cornerdet.postprocess import read_detections
 from cornerdet.synth import SynthConfig, write_corpus
+from cornerdet.tensorio import load_tensor, store_tensor
 
 
 class TestPipelineConfig:
@@ -233,13 +236,16 @@ class TestCliErrors:
         assert code == 3
         assert "999" in capsys.readouterr().err
 
-    def test_corrupt_tensor_exit_3(self, tmp_path):
+    def test_corrupt_tensor_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corrupt"
         write_corpus(corpus, SynthConfig(num_boxes=(1, 1)), count=1, seed=9)
         victim = corpus / "scene_00000" / "tl_heat.cpnt"
         victim.write_bytes(b"JUNKJUNKJUNK")
         code = main(["detect", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim.parent}: {victim}: bad magic")
+        assert err.count("\n") == 1
 
 
 BAD_CONFIGS = [
@@ -342,3 +348,70 @@ def test_run_corpus_library_level(small_corpus):
     assert all(r["score"] <= 1.0 for r in run.detection_records)
     image_ids = {r["image_id"] for r in run.detection_records}
     assert image_ids <= {0, 1, 2, 3}
+
+
+def plant_non_finite(scene, name, value):
+    """Store `value` into one scene tensor: one cell of a small tensor, or
+    box_feat over the scene's first ground-truth box, where the true
+    proposal pools."""
+    path = scene / f"{name}.cpnt"
+    tensor = load_tensor(path)
+    if name == "box_feat":
+        gt = json.loads((scene / "ground_truth.json").read_text())
+        x, y, w, h = (v / 4.0 for v in gt["annotations"][0]["bbox"])
+        tensor[:, int(y) : int(y + h) + 1, int(x) : int(x + w) + 1] = value
+    else:
+        tensor[0, 5, 5] = value
+    store_tensor(tensor, path)
+
+
+NON_FINITE_TENSORS = [
+    ("tl_heat", "tl_heat holds NaN or infinity"),
+    ("br_heat", "br_heat holds NaN or infinity"),
+    ("tl_off", "tl_off holds NaN or infinity"),
+    ("br_off", "br_off holds NaN or infinity"),
+    ("box_feat", "box_feat or the binary head weights hold NaN or infinity"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name, message", NON_FINITE_TENSORS)
+def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp_path, capsys):
+    # hard links: store_tensor replaces the link, so the shared corpus stays intact
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    scene = corpus / "scene_00000"
+    plant_non_finite(scene, name, value)
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {scene}: {message}\n"
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+BAD_IDS = [
+    ("dets", 1, "category_id", 1.5, "record 1: category_id must be an integer, got 1.5"),
+    ("dets", 1, "image_id", True, "record 1: image_id must be an integer, got true"),
+    ("annotations", 0, "category_id", 0.5, "annotation 0: category_id must be an integer, got 0.5"),
+    ("annotations", 0, "category_id", True, "annotation 0: category_id must be an integer, got true"),
+    ("annotations", 0, "id", 0.0, "annotation 0: id must be an integer, got 0.0"),
+    ("images", 1, "id", 1.0, "image 1: id must be an integer, got 1.0"),
+    ("categories", 1, "id", True, "category 1: id must be an integer, got true"),
+]
+
+
+@pytest.mark.parametrize("section, index, key, value, message", BAD_IDS)
+def test_eval_non_integer_id_exit_3(section, index, key, value, message, small_corpus, tmp_path, capsys):
+    good = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 4, 4], "score": 0.5}
+    dets = [good, dict(good)]
+    gt = json.loads((small_corpus / "ground_truth.json").read_text())
+    (dets if section == "dets" else gt[section])[index][key] = value
+    dump, gt_path = tmp_path / "dets.json", tmp_path / "gt.json"
+    dump.write_text(json.dumps(dets))
+    gt_path.write_text(json.dumps(gt))
+    report = tmp_path / "r.json"
+    assert main(["eval", "--dets", str(dump), "--gt", str(gt_path), "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {dump if section == 'dets' else gt_path}: {message}\n"
+    assert not report.exists()

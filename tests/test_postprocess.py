@@ -1,9 +1,11 @@
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cornerdet.postprocess import (
@@ -244,6 +246,82 @@ def test_detection_dump_roundtrip(tmp_path):
     blob = path.read_bytes()
     write_detections(path, records)
     assert path.read_bytes() == blob
+
+
+def json_dump_bytes(records) -> bytes:
+    """The reference bytes: json.dump with the dump's settings, then a newline."""
+    buf = io.StringIO()
+    json.dump(records, buf, sort_keys=True, indent=1)
+    return (buf.getvalue() + "\n").encode("utf-8")
+
+
+def record(image_id=7, category_id=4, bbox=(1.5, 2.5, 10.0, 20.0), score=0.25):
+    return {"image_id": image_id, "category_id": category_id, "bbox": list(bbox), "score": score}
+
+
+EDGE_FLOATS = [
+    5e-324,  # the smallest subnormal
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -123.456,
+    3.0,
+    1e16,
+    -1e22,
+    -0.0,
+    0.1,
+    0.30000001192092896,  # a float32 value widened to float64
+    math.nan,
+    math.inf,
+    -math.inf,
+]
+
+numbers = st.floats() | st.integers(min_value=-(10**20), max_value=10**20)
+ids = st.integers(min_value=-(2**70), max_value=2**70)
+records = st.fixed_dictionaries(
+    {
+        "image_id": ids,
+        "category_id": ids,
+        "bbox": st.lists(numbers, min_size=4, max_size=4),
+        "score": st.floats(),
+    }
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(records, max_size=6))
+@example([])
+@example([record()])
+@example([record(2**63, 10**30, EDGE_FLOATS[i : i + 4], EDGE_FLOATS[i - 1]) for i in range(10)])
+@example([record(bbox=(0, -1, 3, 10**20), score=1)])
+def test_write_detections_matches_json_dump(tmp_path, recs):
+    path = tmp_path / "dets.json"
+    write_detections(path, recs)
+    assert path.read_bytes() == json_dump_bytes(recs)
+
+
+BAD_RECORDS = [
+    ({**record(), "area": 200.0}, "keys must be"),
+    ({k: v for k, v in record().items() if k != "score"}, "keys must be"),
+    (record(image_id=True), "image_id must be an int, got True"),
+    (record(category_id=1.0), "category_id must be an int, got 1.0"),
+    (record(category_id=False), "category_id must be an int, got False"),
+    (record(image_id=2.0), "image_id must be an int, got 2.0"),
+    (record(bbox=(1.0, 2.0, 3.0)), "bbox must be a list of 4 numbers"),
+    (record(bbox=(1.0, 2.0, 3.0, "4")), "'4' is not a number"),
+    (record(bbox=(1.0, 2.0, 3.0, True)), "True is not a number"),
+    (record(score=None), "None is not a number"),
+    ([1.0, 2.0], "must be an object, got list"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_RECORDS)
+def test_write_detections_rejects_other_shapes(tmp_path, bad, message):
+    path = tmp_path / "dets.json"
+    with pytest.raises(ValueError, match=f"^record 1: {re.escape(message)}"):
+        write_detections(path, [record(), bad])
+    assert not path.exists()
 
 
 def test_read_detections_rejects_non_array(tmp_path):

@@ -155,6 +155,22 @@ class TestHeads:
         )
         assert binary_scores(np.zeros((1, 32, 7, 7), dtype=np.float32), w)[0] == 0.5
 
+    def test_non_finite_logit_scores_nan(self):
+        # a dense positive kernel turns an infinite feature into an infinite
+        # logit, which must not saturate to a finite score
+        w = HeadWeights(
+            binary_kernel=np.ones((1, 32, 7, 7), dtype=np.float32),
+            binary_bias=0.0,
+            class_kernel=np.ones((2, 256, 7, 7), dtype=np.float32),
+            class_bias=np.zeros(2, dtype=np.float32),
+        )
+        pooled = np.zeros((4, 32, 7, 7), dtype=np.float32)
+        pooled[0, 0, 0, 0] = np.inf
+        pooled[1, 3, 2, 1] = -np.inf
+        pooled[2, 5, 6, 6] = np.nan
+        p = binary_scores(pooled, w)
+        assert np.isnan(p[:3]).all() and p[3] == 0.5
+
     def test_binary_matches_naive_dot(self):
         rng = np.random.default_rng(9)
         w = HeadWeights.initial(2, rng)
