@@ -8,10 +8,10 @@ Protocol summary:
   The headline AP averages thresholds 0.50:0.05:0.95; at most 100
   detections per image enter the computation.
 - AR is the fraction of (in-range) ground truths covered by at least one
-  proposal at IoU >= t, averaged over the same ten thresholds. Class
-  labels are ignored in class-agnostic mode. Area buckets follow
-  (96^2, 200^2], (200^2, 300^2], (300^2, 400^2], (400^2, inf); aspect
-  buckets r:1 collect ground truths whose max(w/h, h/w) rounds to r.
+  proposal at IoU >= t, averaged over the same ten thresholds, at 100 and
+  at 1000 proposals per image. Class labels are ignored. Area buckets
+  follow (96^2, 200^2], (200^2, 300^2], (300^2, 400^2], (400^2, inf);
+  aspect buckets r:1 collect ground truths whose max(w/h, h/w) rounds to r.
 - AF = 1 - mean AP over the low-IoU grid 0.05:0.05:0.50; single-threshold
   and scale-restricted variants replace the grid accordingly. Scale
   restriction keeps only detections and ground truths whose box area falls
@@ -20,24 +20,32 @@ Protocol summary:
 Metrics with no eligible ground truth are undefined: they are excluded
 from averages, reported as 0.0, and named in ``EvalReport.undefined``.
 All accumulation runs in float64.
+
+Records are structured arrays (DET_DTYPE, GT_DTYPE). Each image and class
+gets one IoU matrix between its detections and ground truths, and the
+greedy match runs every AP and AF threshold over it, each scale view over a
+row and column subset. Each image gets one IoU matrix between its
+score-sorted proposals and ground truths, whose column maxima over the
+first 100 and 1000 rows give every AR value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from cornerdet.geometry import BBox, InvariantError, iou
+from cornerdet.geometry import InvariantError, iou_matrix
 
 AP_IOU_GRID = tuple((10 + i) / 20 for i in range(10))  # 0.50 .. 0.95
 AF_IOU_GRID = tuple((i + 1) / 20 for i in range(10))  # 0.05 .. 0.50
+THRESHOLDS = AP_IOU_GRID + AF_IOU_GRID  # every threshold one match pass serves
 RECALL_GRID = tuple(j / 100 for j in range(101))
 
 MAX_DETS_PER_IMAGE = 100
+AR_LIMITS = (100, 1000)  # proposals per image for ar_100 and ar_1000
 
 SCALE_RANGES = {
     "small": (0.0, 32.0**2),
@@ -52,81 +60,55 @@ AR_AREA_BUCKETS = (
 )
 AR_ASPECT_BUCKETS = (5, 6, 7, 8)
 
-
-@dataclass(frozen=True)
-class DetRecord:
-    """One detection (or proposal) attached to an image."""
-
-    image_id: int
-    class_id: int
-    box: BBox
-    score: float
-
-
-@dataclass(frozen=True)
-class GtRecord:
-    """One ground-truth annotation."""
-
-    ann_id: int
-    image_id: int
-    class_id: int
-    box: BBox
+# ground truths and detections (or proposals), one row each; box is x1y1x2y2
+GT_DTYPE = np.dtype([("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
+DET_DTYPE = np.dtype(
+    [("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,)), ("score", np.float64)]
+)
 
 
 @dataclass(frozen=True)
 class GroundTruthSet:
-    image_ids: tuple[int, ...]
-    records: tuple[GtRecord, ...]
-    category_ids: tuple[int, ...]
+    image_ids: np.ndarray  # int64, distinct
+    records: np.ndarray  # GT_DTYPE
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy one-to-one matching outcome for one image and class."""
+def greedy_match(ious: np.ndarray, thresholds) -> np.ndarray:
+    """Greedy one-to-one matching of rows to columns at every threshold at once.
 
-    det_matches: tuple  # per detection: matched gt index or None
-    gt_covered: tuple  # per ground truth: covered flag
-
-    def __post_init__(self):
-        matched = [m for m in self.det_matches if m is not None]
-        if len(matched) != len(set(matched)):
-            raise InvariantError("matching is not one-to-one")
-
-
-def match_greedy(det_boxes: Sequence[BBox], gt_boxes: Sequence[BBox], iou_thr: float) -> MatchResult:
-    """Match score-sorted detections to ground truths greedily.
-
-    Each detection takes the still-unmatched ground truth of highest IoU,
-    provided that IoU reaches `iou_thr`; equal IoUs resolve to the lowest
-    ground-truth index. Detections must already be sorted by descending
-    score.
+    `ious` is (R, G) with rows sorted by descending score. At each threshold,
+    each row in turn takes the still-unmatched column of highest IoU,
+    provided that IoU reaches the threshold; equal IoUs resolve to the
+    lowest column index. Returns (T, R) matched column indices, -1 where a
+    row matched nothing.
     """
-    covered = [False] * len(gt_boxes)
-    matches = []
-    for det in det_boxes:
-        best_j = None
-        best_iou = 0.0
-        for j, gt in enumerate(gt_boxes):
-            if covered[j]:
-                continue
-            v = iou(det, gt)
-            if v >= iou_thr and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j is not None:
-            covered[best_j] = True
-        matches.append(best_j)
-    return MatchResult(det_matches=tuple(matches), gt_covered=tuple(covered))
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n_rows, n_cols = ious.shape
+    matched = np.full((len(thresholds), n_rows), -1, dtype=np.int64)
+    if n_cols == 0:
+        return matched
+    taken = np.zeros((len(thresholds), n_cols), dtype=bool)
+    states = np.arange(len(thresholds))
+    # a row below the lowest threshold everywhere matches nothing
+    for r in np.flatnonzero(ious.max(axis=1) >= thresholds.min()):
+        candidates = np.where(taken, -1.0, ious[r])
+        j = candidates.argmax(axis=1)
+        hit = candidates[states, j] >= thresholds
+        if taken[states[hit], j[hit]].any():
+            raise InvariantError("ground truth matched twice")
+        taken[states[hit], j[hit]] = True
+        matched[hit, r] = j[hit]
+    return matched
 
 
-def _interpolated_ap(tp_flags: list[bool], n_gt: int) -> float:
+def _interpolated_ap(tp_flags: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP from ordered true-positive flags."""
     if n_gt <= 0:
         raise ValueError("n_gt must be positive")
-    if not tp_flags:
+    if not len(tp_flags):
         return 0.0
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    tp = np.cumsum(tp_flags.astype(np.float64))
+    fp = np.cumsum(~tp_flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
@@ -135,177 +117,120 @@ def _interpolated_ap(tp_flags: list[bool], n_gt: int) -> float:
     return float(np.mean(sampled))
 
 
-def _truncate_per_image(dets: Sequence[DetRecord], limit: int) -> list[DetRecord]:
-    order = sorted(range(len(dets)), key=lambda i: (dets[i].image_id, -dets[i].score, i))
-    kept = []
-    count: dict[int, int] = {}
-    for i in order:
-        c = count.get(dets[i].image_id, 0)
-        if c < limit:
-            kept.append(i)
-            count[dets[i].image_id] = c + 1
-    kept.sort()
-    return [dets[i] for i in kept]
-
-
-def _class_ap(dets: Sequence[DetRecord], gts: Sequence[GtRecord], iou_thr: float) -> float:
-    """AP for one class: pooled score-ordered matching across images."""
-    n_gt = len(gts)
-    if n_gt == 0:
-        raise ValueError("class AP needs at least one ground truth")
-    gt_by_image: dict[int, list[GtRecord]] = {}
-    for g in gts:
-        gt_by_image.setdefault(g.image_id, []).append(g)
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
-    covered: dict[int, list[bool]] = {
-        img: [False] * len(lst) for img, lst in gt_by_image.items()
+def _runs(order: np.ndarray, *keys: np.ndarray) -> dict[tuple, np.ndarray]:
+    """The indices of `order` split into runs of equal keys; `order` sorts by the keys."""
+    if not len(order):
+        return {}
+    cols = [k[order] for k in keys]
+    cuts = np.flatnonzero(np.any([c[1:] != c[:-1] for c in cols], axis=0)) + 1
+    starts = np.concatenate([[0], cuts])
+    return {
+        tuple(c[s] for c in cols): part for s, part in zip(starts.tolist(), np.split(order, cuts))
     }
-    tp_flags = []
-    for i in order:
-        det = dets[i]
-        img_gts = gt_by_image.get(det.image_id, [])
-        flags = covered.get(det.image_id, [])
-        best_j = None
-        best_iou = 0.0
-        for j, g in enumerate(img_gts):
-            if flags[j]:
-                continue
-            v = iou(det.box, g.box)
-            if v >= iou_thr and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j is not None:
-            if flags[best_j]:
-                raise InvariantError("ground truth matched twice")
-            flags[best_j] = True
-            tp_flags.append(True)
-        else:
-            tp_flags.append(False)
-    return _interpolated_ap(tp_flags, n_gt)
 
 
-def average_precision(
-    dets: Sequence[DetRecord], gts: Sequence[GtRecord], iou_thr: float
-) -> float:
-    """Mean per-class 101-point AP at one IoU threshold.
+def _area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
-    Classes with no ground truth are excluded from the mean. With no ground
-    truth at all the metric is undefined and reported as 0.0; callers that
-    need the distinction should check the ground-truth set first.
+
+def _scale_views(boxes: np.ndarray) -> np.ndarray:
+    """(4, N) membership of each box in the views all, small, medium, large."""
+    area = _area(boxes)
+    masks = [(lo <= area) & (area < hi) for lo, hi in SCALE_RANGES.values()]
+    return np.array([np.ones(len(boxes), dtype=bool)] + masks)
+
+
+def _top_per_image(dets: np.ndarray, limit: int) -> np.ndarray:
+    """Ascending indices of each image's `limit` highest-scoring rows, ties by index."""
+    order = np.lexsort((-dets["score"], dets["image_id"]))
+    images = dets["image_id"][order]
+    rank = np.arange(len(order)) - np.searchsorted(images, images)
+    return np.sort(order[rank < limit])
+
+
+def average_precision(dets: np.ndarray, truth: np.ndarray) -> list[list[float] | None]:
+    """Mean per-class 101-point AP at every THRESHOLDS value, in each scale view.
+
+    Returns one list per view (all, small, medium, large), or None for a
+    view without ground truth. A class enters a view's mean when it has
+    ground truth in that view; its detections are matched in score order,
+    ties by image id and then by row.
     """
-    classes = sorted({g.class_id for g in gts})
-    if not classes:
-        return 0.0
-    aps = []
-    for c in classes:
-        c_dets = [d for d in dets if d.class_id == c]
-        c_gts = [g for g in gts if g.class_id == c]
-        aps.append(_class_ap(c_dets, c_gts, iou_thr))
-    return math.fsum(aps) / len(aps)
-
-
-def _restrict_scale(
-    dets: Sequence[DetRecord], gts: Sequence[GtRecord], scale: str
-) -> tuple[list[DetRecord], list[GtRecord]]:
-    lo, hi = SCALE_RANGES[scale]
-    return (
-        [d for d in dets if lo <= d.box.area < hi],
-        [g for g in gts if lo <= g.box.area < hi],
+    det_views, gt_views = _scale_views(dets["box"]), _scale_views(truth["box"])
+    tp = np.zeros((len(det_views), len(THRESHOLDS), len(dets)), dtype=bool)
+    gt_groups = _runs(
+        np.lexsort((truth["class_id"], truth["image_id"])), truth["image_id"], truth["class_id"]
     )
-
-
-def _aspect_bucket(box: BBox) -> int | None:
-    if box.width <= 0.0 or box.height <= 0.0:
-        return None
-    return round(max(box.width / box.height, box.height / box.width))
-
-
-def average_recall(
-    proposals: Sequence[DetRecord],
-    gts: Sequence[GtRecord],
-    max_dets: int = 1000,
-    class_agnostic: bool = True,
-    area_range: tuple[float, float] | None = None,
-    aspect_bucket: int | None = None,
-) -> float | None:
-    """Average recall over the ten IoU thresholds 0.50:0.05:0.95.
-
-    A ground truth counts as covered at threshold t when at least one of
-    its image's (top `max_dets` by score) proposals overlaps it with
-    IoU >= t; in class-agnostic mode proposal classes are ignored.
-    `area_range` restricts ground truths to lo < area <= hi and
-    `aspect_bucket` to boxes whose rounded max aspect ratio equals the
-    bucket. Returns None when no ground truth is in range.
-    """
-    eligible = list(gts)
-    if area_range is not None:
-        lo, hi = area_range
-        eligible = [g for g in eligible if lo < g.box.area <= hi]
-    if aspect_bucket is not None:
-        eligible = [g for g in eligible if _aspect_bucket(g.box) == aspect_bucket]
-    if not eligible:
-        return None
-
-    props_by_image: dict[int, list[DetRecord]] = {}
-    for p in proposals:
-        props_by_image.setdefault(p.image_id, []).append(p)
-    for img, plist in props_by_image.items():
-        order = sorted(range(len(plist)), key=lambda i: (-plist[i].score, i))
-        props_by_image[img] = [plist[i] for i in order[:max_dets]]
-
-    best = []
-    for g in eligible:
-        candidates = props_by_image.get(g.image_id, [])
-        if not class_agnostic:
-            candidates = [p for p in candidates if p.class_id == g.class_id]
-        best.append(max((iou(p.box, g.box) for p in candidates), default=0.0))
-
-    recalls = []
-    for t in AP_IOU_GRID:
-        covered = sum(1 for b in best if b >= t)
-        recalls.append(covered / len(eligible))
-    return math.fsum(recalls) / len(recalls)
-
-
-@dataclass(frozen=True)
-class FalseDiscovery:
-    """AF components; None marks undefined scale variants."""
-
-    af: float
-    af5: float
-    af25: float
-    af50: float
-    af_small: float | None
-    af_medium: float | None
-    af_large: float | None
-    ap_grid: tuple[float, ...]
-
-
-def average_false_discovery(dets: Sequence[DetRecord], gts: Sequence[GtRecord]) -> FalseDiscovery:
-    """AF = 1 - mean AP over the low-IoU grid, plus threshold/scale variants."""
-    grid = tuple(average_precision(dets, gts, t) for t in AF_IOU_GRID)
-    af = 1.0 - math.fsum(grid) / len(grid)
-
-    scale_values = {}
-    for scale in ("small", "medium", "large"):
-        s_dets, s_gts = _restrict_scale(dets, gts, scale)
-        if not s_gts:
-            scale_values[scale] = None
+    det_order = np.lexsort((-dets["score"], dets["class_id"], dets["image_id"]))
+    for key, rows in _runs(det_order, dets["image_id"], dets["class_id"]).items():
+        cols = gt_groups.get(key)
+        if cols is None:
             continue
-        s_grid = [average_precision(s_dets, s_gts, t) for t in AF_IOU_GRID]
-        scale_values[scale] = 1.0 - math.fsum(s_grid) / len(s_grid)
+        ious = iou_matrix(dets["box"][rows], truth["box"][cols])
+        for flags, in_rows, in_cols in zip(tp, det_views[:, rows], gt_views[:, cols]):
+            matched = greedy_match(ious[np.ix_(in_rows, in_cols)], THRESHOLDS)
+            flags[:, rows[in_rows]] = matched >= 0
 
-    return FalseDiscovery(
-        af=af,
-        af5=1.0 - grid[0],
-        af25=1.0 - grid[4],
-        af50=1.0 - grid[9],
-        af_small=scale_values["small"],
-        af_medium=scale_values["medium"],
-        af_large=scale_values["large"],
-        ap_grid=grid,
-    )
+    order = np.lexsort((dets["image_id"], -dets["score"]))
+    grids = []
+    for flags, det_view, gt_view in zip(tp, det_views, gt_views):
+        classes, counts = np.unique(truth["class_id"][gt_view], return_counts=True)
+        if not len(classes):
+            grids.append(None)
+            continue
+        picks = [order[(dets["class_id"][order] == c) & det_view[order]] for c in classes]
+        grids.append(
+            [
+                math.fsum(_interpolated_ap(row[p], n) for p, n in zip(picks, counts))
+                / len(classes)
+                for row in flags
+            ]
+        )
+    return grids
+
+
+def _recall(best: np.ndarray, eligible: np.ndarray) -> float | None:
+    """Mean over AP_IOU_GRID of the share of eligible ground truths covered."""
+    n = int(eligible.sum())
+    if not n:
+        return None
+    covered = best[eligible]
+    return math.fsum(int((covered >= t).sum()) / n for t in AP_IOU_GRID) / len(AP_IOU_GRID)
+
+
+def average_recall(proposals: np.ndarray, truth: np.ndarray) -> dict[str, float | None]:
+    """Class-agnostic AR at 100 and 1000 proposals, and per area and aspect bucket.
+
+    A ground truth counts as covered at threshold t when one of its image's
+    top proposals by score (ties by row) overlaps it with IoU >= t. The
+    buckets use the top 1000. A value is None when no ground truth is in
+    range.
+    """
+    best = np.zeros((len(AR_LIMITS), len(truth)))
+    gt_groups = _runs(np.argsort(truth["image_id"], kind="stable"), truth["image_id"])
+    order = np.lexsort((-proposals["score"], proposals["image_id"]))
+    for key, rows in _runs(order, proposals["image_id"]).items():
+        cols = gt_groups.get(key)
+        if cols is not None:
+            ious = iou_matrix(proposals["box"][rows[: max(AR_LIMITS)]], truth["box"][cols])
+            for k, limit in enumerate(AR_LIMITS):
+                best[k, cols] = ious[:limit].max(axis=0)
+
+    x1, y1, x2, y2 = truth["box"].T
+    w, h = x2 - x1, y2 - y1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aspect = np.where((w > 0.0) & (h > 0.0), np.rint(np.maximum(w / h, h / w)), 0.0)
+    area = w * h
+    everything = np.ones(len(truth), dtype=bool)
+    return {
+        "ar_100": _recall(best[0], everything),
+        "ar_1000": _recall(best[1], everything),
+        **{
+            f"ar_area_bucket_{i + 1}": _recall(best[1], (lo < area) & (area <= hi))
+            for i, (lo, hi) in enumerate(AR_AREA_BUCKETS)
+        },
+        **{f"ar_aspect_{r}_1": _recall(best[1], aspect == r) for r in AR_ASPECT_BUCKETS},
+    }
 
 
 @dataclass(frozen=True)
@@ -337,98 +262,55 @@ class EvalReport:
     undefined: tuple[str, ...]
 
 
-def _fill(value: float | None, name: str, undefined: list[str]) -> float:
-    if value is None:
-        undefined.append(name)
-        return 0.0
-    return value
-
-
-def build_report(
-    dets: Sequence[DetRecord],
-    proposals: Sequence[DetRecord],
-    gts: GroundTruthSet,
-) -> EvalReport:
+# two areas near the float limit overflow in the union; that IoU is 0 (a
+# finite intersection over infinity) and numpy's warning would only add output
+@np.errstate(over="ignore")
+def build_report(dets: np.ndarray, proposals: np.ndarray, gts: GroundTruthSet) -> EvalReport:
     """Assemble the full report from detections, raw proposals, and truth."""
-    known = set(gts.image_ids)
-    offenders = sorted(
-        {d.image_id for d in dets if d.image_id not in known}
-        | {p.image_id for p in proposals if p.image_id not in known}
-    )
-    if offenders:
+    ids = np.concatenate([dets["image_id"], proposals["image_id"]])
+    offenders = np.setdiff1d(ids, gts.image_ids)
+    if offenders.size:
         raise ValueError(
-            f"records reference image ids absent from the ground truth: {offenders}"
+            f"records reference image ids absent from the ground truth: {offenders.tolist()}"
         )
 
-    dets = _truncate_per_image(list(dets), MAX_DETS_PER_IMAGE)
-    gt_records = list(gts.records)
-    undefined: list[str] = []
+    dets = dets[_top_per_image(dets, MAX_DETS_PER_IMAGE)]
+    grids = average_precision(dets, gts.records)
+    n = len(AP_IOU_GRID)
+    ap = [None if g is None else math.fsum(g[:n]) / n for g in grids]
+    af = [None if g is None else 1.0 - math.fsum(g[n:]) / n for g in grids]
+    full = grids[0] or [None] * len(THRESHOLDS)
 
-    if gt_records:
-        ap_grid = [average_precision(dets, gt_records, t) for t in AP_IOU_GRID]
-        ap = math.fsum(ap_grid) / len(ap_grid)
-        ap50 = ap_grid[0]
-        ap75 = ap_grid[5]
-    else:
-        undefined.extend(["ap", "ap50", "ap75"])
-        ap = ap50 = ap75 = 0.0
+    def complement(value):
+        return None if value is None else 1.0 - value
 
-    scale_ap = {}
-    for scale in ("small", "medium", "large"):
-        s_dets, s_gts = _restrict_scale(dets, gt_records, scale)
-        if not s_gts:
-            scale_ap[scale] = None
-            continue
-        grid = [average_precision(s_dets, s_gts, t) for t in AP_IOU_GRID]
-        scale_ap[scale] = math.fsum(grid) / len(grid)
-
-    ar_100 = average_recall(proposals, gt_records, max_dets=100) if gt_records else None
-    ar_1000 = average_recall(proposals, gt_records, max_dets=1000) if gt_records else None
-    area_buckets = tuple(
-        average_recall(proposals, gt_records, max_dets=1000, area_range=rng)
-        for rng in AR_AREA_BUCKETS
-    )
-    aspect_buckets = tuple(
-        average_recall(proposals, gt_records, max_dets=1000, aspect_bucket=r)
-        for r in AR_ASPECT_BUCKETS
-    )
-
-    if gt_records:
-        fd = average_false_discovery(dets, gt_records)
-        af, af5, af25, af50 = fd.af, fd.af5, fd.af25, fd.af50
-        af_scales = {"small": fd.af_small, "medium": fd.af_medium, "large": fd.af_large}
-        af_grid = fd.ap_grid
-    else:
-        undefined.extend(["af", "af5", "af25", "af50"])
-        af = af5 = af25 = af50 = 0.0
-        af_scales = {"small": None, "medium": None, "large": None}
-        af_grid = tuple(0.0 for _ in AF_IOU_GRID)
-
+    # in the order undefined metrics are listed
+    metrics = {
+        "ap": ap[0],
+        "ap50": full[AP_IOU_GRID.index(0.5)],
+        "ap75": full[AP_IOU_GRID.index(0.75)],
+        "af": af[0],
+        "af5": complement(full[n + AF_IOU_GRID.index(0.05)]),
+        "af25": complement(full[n + AF_IOU_GRID.index(0.25)]),
+        "af50": complement(full[n + AF_IOU_GRID.index(0.5)]),
+        "ap_small": ap[1],
+        "ap_medium": ap[2],
+        "ap_large": ap[3],
+        **average_recall(proposals, gts.records),
+        "af_small": af[1],
+        "af_medium": af[2],
+        "af_large": af[3],
+    }
+    undefined = tuple(name for name, value in metrics.items() if value is None)
+    values = {name: 0.0 if value is None else value for name, value in metrics.items()}
+    area = tuple(values.pop(f"ar_area_bucket_{i + 1}") for i in range(len(AR_AREA_BUCKETS)))
+    aspect = tuple(values.pop(f"ar_aspect_{r}_1") for r in AR_ASPECT_BUCKETS)
     return EvalReport(
-        ap=ap,
-        ap50=ap50,
-        ap75=ap75,
-        ap_small=_fill(scale_ap["small"], "ap_small", undefined),
-        ap_medium=_fill(scale_ap["medium"], "ap_medium", undefined),
-        ap_large=_fill(scale_ap["large"], "ap_large", undefined),
-        ar_100=_fill(ar_100, "ar_100", undefined),
-        ar_1000=_fill(ar_1000, "ar_1000", undefined),
-        ar_area_buckets=tuple(
-            _fill(v, f"ar_area_bucket_{i + 1}", undefined) for i, v in enumerate(area_buckets)
-        ),
-        ar_aspect_buckets=tuple(
-            _fill(v, f"ar_aspect_{r}_1", undefined)
-            for r, v in zip(AR_ASPECT_BUCKETS, aspect_buckets)
-        ),
-        af=af,
-        af5=af5,
-        af25=af25,
-        af50=af50,
-        af_small=_fill(af_scales["small"], "af_small", undefined),
-        af_medium=_fill(af_scales["medium"], "af_medium", undefined),
-        af_large=_fill(af_scales["large"], "af_large", undefined),
-        af_grid=af_grid,
-        undefined=tuple(undefined),
+        **values,
+        ar_area_buckets=area,
+        ar_aspect_buckets=aspect,
+        af_grid=tuple(0.0 if v is None else v for v in full[n:]),
+        undefined=undefined,
     )
 
 
@@ -440,7 +322,7 @@ def render_tables(report: EvalReport) -> str:
 
     ap_head = ["AP", "AP50", "AP75", "AP_S", "AP_M", "AP_L"]
     ap_vals = [
-        f"{100.0 * report.ap:5.1f}" if "ap" not in report.undefined else "  n/a",
+        fmt("ap", report.ap),
         fmt("ap50", report.ap50),
         fmt("ap75", report.ap75),
         fmt("ap_small", report.ap_small),
@@ -476,102 +358,148 @@ def render_tables(report: EvalReport) -> str:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "ap": report.ap,
-        "ap50": report.ap50,
-        "ap75": report.ap75,
-        "ap_small": report.ap_small,
-        "ap_medium": report.ap_medium,
-        "ap_large": report.ap_large,
-        "ar_100": report.ar_100,
-        "ar_1000": report.ar_1000,
-        "ar_area_buckets": list(report.ar_area_buckets),
-        "ar_aspect_buckets": list(report.ar_aspect_buckets),
-        "af": report.af,
-        "af5": report.af5,
-        "af25": report.af25,
-        "af50": report.af50,
-        "af_small": report.af_small,
-        "af_medium": report.af_medium,
-        "af_large": report.af_large,
-        "af_grid": list(report.af_grid),
-        "undefined": list(report.undefined),
-    }
+    """The report's fields by name; json writes the tuples as arrays."""
+    return asdict(report)
 
 
-def _int_id(value, name: str) -> int:
-    """An id read from JSON; a float, bool or string id raises instead of being truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
+# -- parsing -------------------------------------------------------------------
 
 
-def _parse_each(items, label: str, parse) -> list:
-    """parse(item) for every item; a failure raises a ValueError naming `label` and the index."""
-    out = []
+def _columns(items: list, label: str, keys: tuple[str, ...]) -> list[list]:
+    """Each key's value in every item, one list per key.
+
+    An item that is not an object, or lacks a key, raises a ValueError
+    naming `label` and its index.
+    """
     for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"{label} {i} is not an object")
+        missing = [k for k in keys if k not in item]
+        if missing:
+            raise ValueError(f"{label} {i} has no {missing[0]!r} field")
+    return [[item[k] for item in items] for k in keys]
+
+
+def _ints(values: list, label: str, name: str) -> np.ndarray:
+    """JSON integers as int64; a float, bool, string or too-large id raises naming its index."""
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise ValueError(f"{label} {i}: {name} must be an integer, got {json.dumps(v)}")
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"{label} {i}: {name} {v} does not fit in 64 bits")
+    return np.array(values, dtype=np.int64)
+
+
+def _numbers(values: list, label: str, name: str) -> np.ndarray:
+    """JSON numbers as float64; a bool, string or anything else raises naming its index."""
+    if set(map(type, values)) <= {float}:
+        return np.array(values, dtype=np.float64)
+    out = []
+    for i, v in enumerate(values):
+        if type(v) in (bool, str):
+            raise ValueError(f"{label} {i}: {name} must be a number, got {json.dumps(v)}")
         try:
-            out.append(parse(item))
-        except KeyError as exc:
-            raise ValueError(f"{label} {i} has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
+            out.append(float(v))  # null, an array or an object: TypeError; a huge int: OverflowError
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"{label} {i}: {exc}") from None
-    return out
+    return np.array(out, dtype=np.float64)
 
 
-def _gt_record(ann: dict) -> GtRecord:
-    x, y, w, h = (float(v) for v in ann["bbox"])
-    return GtRecord(
-        ann_id=_int_id(ann["id"], "id"),
-        image_id=_int_id(ann["image_id"], "image_id"),
-        class_id=_int_id(ann["category_id"], "category_id"),
-        box=BBox(x, y, x + w, y + h),
-    )
+# values that are not finite, or overflow, are reported below; numpy's
+# warnings about them would only add lines to the error
+@np.errstate(over="ignore", invalid="ignore")
+def _boxes(bboxes: list, label: str) -> np.ndarray:
+    """(N, 4) x1y1x2y2 boxes from [x, y, w, h] lists of 4 numbers.
+
+    The corners and the area must be finite (so IoU is never NaN) and the
+    width and height not negative.
+    """
+    for i, b in enumerate(bboxes):
+        if type(b) is not list or len(b) != 4:
+            raise ValueError(f"{label} {i}: bbox must be a list of 4 numbers, got {json.dumps(b)}")
+    if not bboxes:
+        return np.zeros((0, 4))
+    x, y, w, h = (_numbers(list(c), label, "bbox value") for c in zip(*bboxes))
+    boxes = np.column_stack([x, y, x + w, y + h])
+    for bad, why in (
+        (~np.isfinite(boxes).all(axis=1), "which is not finite"),
+        (~np.isfinite(_area(boxes)), "whose area is not finite"),
+        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "whose width or height is negative"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{label} {i} has bbox {json.dumps(bboxes[i])}, {why}")
+    return boxes
 
 
 def load_ground_truth(path) -> GroundTruthSet:
     """Load the ground-truth JSON: images, annotations, categories.
 
-    Every id must be a JSON integer; a malformed image, annotation or
-    category raises a ValueError naming the file and its index.
+    The document must be an object whose three keys hold arrays of objects.
+    Every id must be a JSON integer, every annotation bbox 4 finite numbers
+    [x, y, w, h] with w, h >= 0, and every annotation's image_id among the
+    images. Anything else raises a ValueError naming the file and, for an
+    entry, its index.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise ValueError(f"{path}: ground-truth file is missing {key!r}")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     try:
-        image_ids = tuple(_parse_each(doc["images"], "image", lambda img: _int_id(img["id"], "id")))
-        records = tuple(_parse_each(doc["annotations"], "annotation", _gt_record))
-        categories = tuple(
-            _parse_each(doc["categories"], "category", lambda c: _int_id(c["id"], "id"))
-        )
+        return _ground_truth(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if len(set(image_ids)) != len(image_ids):
-        raise ValueError(f"{path}: duplicate image ids")
-    return GroundTruthSet(image_ids=image_ids, records=records, category_ids=categories)
 
 
-def _det_record(r: dict) -> DetRecord:
-    x, y, w, h = (float(v) for v in r["bbox"])
-    return DetRecord(
-        image_id=_int_id(r["image_id"], "image_id"),
-        class_id=_int_id(r["category_id"], "category_id"),
-        box=BBox(x, y, x + w, y + h),
-        score=float(r["score"]),
+def _ground_truth(doc) -> GroundTruthSet:
+    if type(doc) is not dict:
+        raise ValueError("ground truth must be a JSON object")
+    for key in ("images", "annotations", "categories"):
+        if key not in doc:
+            raise ValueError(f"ground-truth file is missing {key!r}")
+        if type(doc[key]) is not list:
+            raise ValueError(f"{key!r} must be an array")
+    (ids,) = _columns(doc["images"], "image", ("id",))
+    image_ids = _ints(ids, "image", "id")
+    ann_ids, images, classes, bboxes = _columns(
+        doc["annotations"], "annotation", ("id", "image_id", "category_id", "bbox")
     )
+    _ints(ann_ids, "annotation", "id")
+    records = np.zeros(len(ann_ids), dtype=GT_DTYPE)
+    records["image_id"] = _ints(images, "annotation", "image_id")
+    records["class_id"] = _ints(classes, "annotation", "category_id")
+    records["box"] = _boxes(bboxes, "annotation")
+    (category_ids,) = _columns(doc["categories"], "category", ("id",))
+    _ints(category_ids, "category", "id")
+    if len(np.unique(image_ids)) != len(image_ids):
+        raise ValueError("duplicate image ids")
+    unknown = ~np.isin(records["image_id"], image_ids)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ValueError(
+            f"annotation {i}: image_id {records['image_id'][i]} is not among the images"
+        )
+    return GroundTruthSet(image_ids=image_ids, records=records)
 
 
-def records_to_dets(records: list[dict]) -> list[DetRecord]:
-    """Convert interchange records ({image_id, category_id, bbox, score}).
+def records_to_dets(records: list) -> np.ndarray:
+    """DET_DTYPE rows from interchange records ({image_id, category_id, bbox, score}).
 
-    Every field is required, the ids must be integers and the score a
-    finite number; a record that breaks this raises a ValueError naming its
-    index.
+    Every field is required; the ids must be JSON integers, the bbox 4
+    finite numbers [x, y, w, h] with w, h >= 0, and the score a finite
+    number (a bool or a string is not a number). A record that breaks this
+    raises a ValueError naming its index.
     """
-    dets = _parse_each(records, "record", _det_record)
-    for i, det in enumerate(dets):
-        if not math.isfinite(det.score):
-            raise ValueError(f"record {i} has score {det.score}, which is not finite")
+    keys = ("image_id", "category_id", "bbox", "score")
+    images, classes, bboxes, scores = _columns(records, "record", keys)
+    dets = np.zeros(len(records), dtype=DET_DTYPE)
+    dets["image_id"] = _ints(images, "record", "image_id")
+    dets["class_id"] = _ints(classes, "record", "category_id")
+    dets["box"] = _boxes(bboxes, "record")
+    dets["score"] = _numbers(scores, "record", "score")
+    bad = ~np.isfinite(dets["score"])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"record {i} has score {float(dets['score'][i])}, which is not finite")
     return dets

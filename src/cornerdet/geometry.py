@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed."""
@@ -73,3 +75,20 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every x1y1x2y2 row of `a` (N, 4) with every row of `b` (M, 4), as (N, M).
+
+    Each entry follows iou's operation order, so it equals iou of the two
+    boxes bit for bit, except where areas overflow to infinity and the
+    union is NaN: iou then gives NaN, this 0.0.
+    """
+    ax1, ay1, ax2, ay2 = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    hit = (np.minimum(iw, ih) > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=hit)

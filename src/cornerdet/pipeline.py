@@ -75,9 +75,10 @@ class SceneResult:
 def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     """Run the full pipeline on one image's tensors.
 
-    Non-finite corner heatmaps or offsets, and non-finite objectness scores
-    (from box_feat or the binary head weights), raise a ValueError naming
-    the tensor.
+    Non-finite corner heatmaps or offsets, non-finite objectness scores
+    (from box_feat or the binary head weights) and non-finite class scores
+    (from cat_feat or the class head weights) raise a ValueError naming the
+    tensor.
     """
     if config.num_classes is not None and bundle.heatmaps.num_classes != config.num_classes:
         raise ValueError(
@@ -103,7 +104,11 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
     pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], stride=config.stride)
-    dets = label_detections(survivors, class_scores(pooled_cat, weights))
+    q = class_scores(pooled_cat, weights)
+    # likewise for cat_feat: a bad value under a survivor gives a NaN class score
+    if not np.isfinite(q).all():
+        raise ValueError("cat_feat or the class head weights hold NaN or infinity")
+    dets = label_detections(survivors, q)
     dets = soft_nms(dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune)
     dets = top_k_truncate(dets, config.top_k)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from cornerdet.geometry import iou_matrix
+
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
 TOP_K = 100
@@ -81,33 +83,30 @@ def soft_nms(
     discarded. Scores never increase and geometry never changes. The result
     is ordered by descending final score, ties by original index.
 
-    The overlaps follow geometry.iou's operation order, and the decay uses
-    math.exp only where the overlap is nonzero (elsewhere the factor is
-    exactly 1), so the scores are bit-identical to the scalar algorithm.
+    The overlaps come from geometry.iou_matrix, which keeps geometry.iou's
+    operation order, and the decay uses math.exp only where the overlap is
+    nonzero (elsewhere the factor is exactly 1), so the scores are
+    bit-identical to the scalar algorithm.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    x1, y1, x2, y2 = dets["box"].T
-    areas = (x2 - x1) * (y2 - y1)
     picked, kept = [], []
     for cls in np.unique(dets["class_id"]):
         idx = np.flatnonzero(dets["class_id"] == cls)
-        scores = dets["score"][idx]
+        scores, boxes = dets["score"][idx], dets["box"][idx]
         while idx.size:
             b = int(np.argmax(scores))  # first maximum: the lowest index
-            best = idx[b]
-            picked.append(best)
+            picked.append(idx[b])
             kept.append(scores[b])
-            idx, scores = np.delete(idx, b), np.delete(scores, b)
-            iw = np.minimum(x2[best], x2[idx]) - np.maximum(x1[best], x1[idx])
-            ih = np.minimum(y2[best], y2[idx]) - np.maximum(y1[best], y1[idx])
-            inter = iw * ih
-            union = areas[best] + areas[idx] - inter
-            hit = np.flatnonzero((iw > 0.0) & (ih > 0.0) & (union > 0.0))
-            ov = inter[hit] / union[hit]
-            scores[hit] *= [math.exp(v) for v in (-(ov * ov) / sigma).tolist()]
+            ov = iou_matrix(boxes[b : b + 1], boxes)[0]
+            ov[b] = 0.0  # the picked box leaves undecayed
+            hit = np.flatnonzero(ov)
+            ov = ov[hit]
+            decay = map(math.exp, (-(ov * ov) / sigma).tolist())
+            scores[hit] *= np.fromiter(decay, np.float64, len(hit))
             keep = scores >= prune
-            idx, scores = idx[keep], scores[keep]
+            keep[b] = False
+            idx, scores, boxes = idx[keep], scores[keep], boxes[keep]
     picked, kept = np.array(picked, dtype=np.int64), np.array(kept, dtype=np.float64)
     order = np.lexsort((picked, -kept))
     out = dets[picked[order]]
@@ -205,7 +204,10 @@ def write_detections(path, records: list[dict]) -> None:
 
 def read_detections(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except ValueError as exc:  # malformed JSON or UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"{path}: detection dump must be a JSON array")
     return records

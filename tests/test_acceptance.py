@@ -292,7 +292,7 @@ def test_criterion_6_evaluator_oracle():
     for _ in range(100):
         dets, gts = random_instance(rng)
         props, _ = random_instance(rng)
-        report = build_report(dets, props, gt_set(gts, n_images=2, n_classes=3))
+        report = build_report(dets, props, gt_set(gts, n_images=2))
         doc = report_to_dict(report)
         brute = brute_eval.brute_report(to_brute(dets), to_brute(props), to_brute(gts))
         for key, want in brute.items():

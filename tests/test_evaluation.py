@@ -8,244 +8,327 @@ import brute_eval
 from cornerdet.evaluation import (
     AF_IOU_GRID,
     AP_IOU_GRID,
-    DetRecord,
+    DET_DTYPE,
+    GT_DTYPE,
+    THRESHOLDS,
     GroundTruthSet,
-    GtRecord,
-    MatchResult,
-    average_false_discovery,
     average_precision,
     average_recall,
     build_report,
+    greedy_match,
     load_ground_truth,
-    match_greedy,
     records_to_dets,
     render_tables,
     report_to_dict,
 )
-from cornerdet.geometry import BBox, InvariantError
+from cornerdet.geometry import BBox, InvariantError, iou, iou_matrix
 
 
 def d(img, cls, box, score):
-    return DetRecord(image_id=img, class_id=cls, box=BBox(*box), score=score)
+    return (img, cls, box, score)
 
 
-def g(ann, img, cls, box):
-    return GtRecord(ann_id=ann, image_id=img, class_id=cls, box=BBox(*box))
+def g(img, cls, box):
+    return (img, cls, box)
 
 
-def gt_set(gts, n_images=None, n_classes=None):
-    images = tuple(range((n_images or (max((x.image_id for x in gts), default=0) + 1))))
-    classes = tuple(range((n_classes or (max((x.class_id for x in gts), default=0) + 1))))
-    return GroundTruthSet(image_ids=images, records=tuple(gts), category_ids=classes)
+def dets_of(rows):
+    return np.array(rows, dtype=DET_DTYPE)
+
+
+def gts_of(rows):
+    return np.array(rows, dtype=GT_DTYPE)
+
+
+def gt_set(gts, n_images=None):
+    if n_images is None:
+        n_images = int(gts["image_id"].max(initial=0)) + 1
+    return GroundTruthSet(image_ids=np.arange(n_images), records=gts)
+
+
+def boxes_of(*boxes):
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def ap_at(dets, gts, thr):
+    """AP over every class and scale at one threshold."""
+    return average_precision(dets_of(dets), gts_of(gts))[0][THRESHOLDS.index(thr)]
 
 
 class TestMatchGreedy:
     def test_perfect_single(self):
-        res = match_greedy([BBox(0, 0, 10, 10)], [BBox(0, 0, 10, 10)], 0.5)
-        assert res.det_matches == (0,)
-        assert res.gt_covered == (True,)
+        ious = iou_matrix(boxes_of((0, 0, 10, 10)), boxes_of((0, 0, 10, 10)))
+        assert greedy_match(ious, [0.5]).tolist() == [[0]]
 
     def test_second_detection_unmatched(self):
-        dets = [BBox(0, 0, 10, 10), BBox(1, 1, 10, 10)]
-        res = match_greedy(dets, [BBox(0, 0, 10, 10)], 0.5)
-        assert res.det_matches == (0, None)
+        ious = iou_matrix(boxes_of((0, 0, 10, 10), (1, 1, 10, 10)), boxes_of((0, 0, 10, 10)))
+        assert greedy_match(ious, [0.5]).tolist() == [[0, -1]]
 
     def test_empty_gts(self):
-        res = match_greedy([BBox(0, 0, 1, 1)], [], 0.5)
-        assert res.det_matches == (None,)
+        ious = iou_matrix(boxes_of((0, 0, 1, 1)), boxes_of())
+        assert greedy_match(ious, [0.5]).tolist() == [[-1]]
 
     def test_prefers_highest_iou_then_index(self):
-        gts = [BBox(0, 0, 8, 8), BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)]
-        res = match_greedy([BBox(0, 0, 10, 10)], gts, 0.5)
-        assert res.det_matches == (1,)  # exact match, lowest index among ties
+        gts = boxes_of((0, 0, 8, 8), (0, 0, 10, 10), (0, 0, 10, 10))
+        ious = iou_matrix(boxes_of((0, 0, 10, 10)), gts)
+        # exact match, lowest index among ties; at 0.5 the 8x8 box (IoU 0.64)
+        # loses to the exact ones as well
+        assert greedy_match(ious, [0.5, 0.9]).tolist() == [[1], [1]]
 
     def test_one_to_one_invariant(self):
+        # a threshold below the -1 that marks matched columns lets the
+        # second row reach the taken column; the check must catch it
+        ious = iou_matrix(boxes_of((0, 0, 10, 10), (0, 0, 10, 10)), boxes_of((0, 0, 10, 10)))
         with pytest.raises(InvariantError):
-            MatchResult(det_matches=(0, 0), gt_covered=(True,))
+            greedy_match(ious, [-2.0])
+
+    def test_thresholds_run_independently(self):
+        rng = np.random.default_rng(3)
+        dets, gts = random_instance(rng, n_images=1, n_classes=1)
+        ious = iou_matrix(dets["box"][np.argsort(-dets["score"])], gts["box"])
+        together = greedy_match(ious, THRESHOLDS)
+        for t, row in zip(THRESHOLDS, together):
+            assert row.tolist() == greedy_match(ious, [t])[0].tolist()
 
 
 class TestAveragePrecision:
     def test_perfect_single(self):
         dets = [d(0, 0, (0, 0, 10, 10), 0.9)]
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        gts = [g(0, 0, (0, 0, 10, 10))]
+        assert ap_at(dets, gts, 0.5) == 1.0
 
     def test_no_detections(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        assert average_precision([], gts, 0.5) == 0.0
+        gts = [g(0, 0, (0, 0, 10, 10))]
+        assert ap_at([], gts, 0.5) == 0.0
 
     def test_trailing_false_positive_is_free(self):
         dets = [
             d(0, 0, (0, 0, 10, 10), 0.9),
             d(0, 0, (50, 50, 60, 60), 0.8),
         ]
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
+        gts = [g(0, 0, (0, 0, 10, 10))]
         # interpolated PR: (1.0, 1.0) then (1.0, 0.5); envelope keeps 1.0
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert ap_at(dets, gts, 0.5) == 1.0
 
     def test_leading_false_positive_hurts(self):
         dets = [
             d(0, 0, (50, 50, 60, 60), 0.9),
             d(0, 0, (0, 0, 10, 10), 0.8),
         ]
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        got = average_precision(dets, gts, 0.5)
+        gts = [g(0, 0, (0, 0, 10, 10))]
+        got = ap_at(dets, gts, 0.5)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_classes_averaged(self):
         dets = [d(0, 0, (0, 0, 10, 10), 0.9)]
-        gts = [g(0, 0, 0, (0, 0, 10, 10)), g(1, 0, 1, (20, 20, 30, 30))]
-        assert average_precision(dets, gts, 0.5) == pytest.approx(0.5)
+        gts = [g(0, 0, (0, 0, 10, 10)), g(0, 1, (20, 20, 30, 30))]
+        assert ap_at(dets, gts, 0.5) == pytest.approx(0.5)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(5)
         dets, gts = random_instance(rng)
-        values = [average_precision(dets, gts, t) for t in AP_IOU_GRID]
+        values = average_precision(dets, gts)[0][: len(AP_IOU_GRID)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_adding_correct_detection_never_hurts(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10)), g(1, 0, 0, (30, 30, 40, 40))]
+        gts = [g(0, 0, (0, 0, 10, 10)), g(0, 0, (30, 30, 40, 40))]
         dets = [d(0, 0, (0, 0, 10, 10), 0.9)]
-        base = average_precision(dets, gts, 0.5)
+        base = ap_at(dets, gts, 0.5)
         more = dets + [d(0, 0, (30, 30, 40, 40), 0.8)]
-        assert average_precision(more, gts, 0.5) >= base
+        assert ap_at(more, gts, 0.5) >= base
+
+
+def recall(props, gts):
+    return average_recall(dets_of(props), gts_of(gts))
 
 
 class TestAverageRecall:
     def test_perfect_proposals(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10)), g(1, 0, 1, (30, 30, 50, 50))]
+        gts = [g(0, 0, (0, 0, 10, 10)), g(0, 1, (30, 30, 50, 50))]
         props = [d(0, 0, (0, 0, 10, 10), 0.9), d(0, 0, (30, 30, 50, 50), 0.8)]
-        assert average_recall(props, gts) == 1.0
+        assert recall(props, gts)["ar_1000"] == 1.0
 
     def test_partial_overlap_counts_two_thresholds(self):
         # aspect 5:1 ground truth covered only at IoU 0.50 and 0.55
-        gts = [g(0, 0, 0, (0, 0, 100, 20))]
+        gts = [g(0, 0, (0, 0, 100, 20))]
         props = [d(0, 0, (0, 0, 55.6, 20), 0.9)]
-        from cornerdet.geometry import iou
-
-        v = iou(props[0].box, gts[0].box)
+        v = iou(BBox(0, 0, 55.6, 20), BBox(0, 0, 100, 20))
         assert 0.55 < v < 0.6
-        got = average_recall(props, gts, aspect_bucket=5)
-        assert got == pytest.approx(0.2)
+        assert recall(props, gts)["ar_aspect_5_1"] == pytest.approx(0.2)
 
     def test_empty_proposals(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        assert average_recall([], gts) == 0.0
+        gts = [g(0, 0, (0, 0, 10, 10))]
+        assert recall([], gts)["ar_1000"] == 0.0
 
     def test_no_eligible_gts_undefined(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        assert average_recall([], gts, area_range=(96.0**2, 200.0**2)) is None
+        gts = [g(0, 0, (0, 0, 10, 10))]
+        assert recall([], gts)["ar_area_bucket_1"] is None
 
     def test_class_agnostic_ignores_labels(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
+        gts = [g(0, 0, (0, 0, 10, 10))]
         props = [d(0, 5, (0, 0, 10, 10), 0.9)]
-        assert average_recall(props, gts, class_agnostic=True) == 1.0
-        assert average_recall(props, gts, class_agnostic=False) == 0.0
+        got = recall(props, gts)
+        assert got["ar_100"] == got["ar_1000"] == 1.0
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(9)
         dets, gts = random_instance(rng)
         base = average_recall(dets, gts)
-        shuffled = [
-            DetRecord(p.image_id, (p.class_id + 3) % 5, p.box, p.score) for p in dets
-        ]
+        shuffled = dets.copy()
+        shuffled["class_id"] = (shuffled["class_id"] + 3) % 5
         assert average_recall(shuffled, gts) == base
 
     def test_max_dets_cap(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
+        gts = [g(0, 0, (0, 0, 10, 10))]
         filler = [d(0, 0, (200, 200, 201, 201), 0.9)] * 100
         good = [d(0, 0, (0, 0, 10, 10), 0.1)]
-        assert average_recall(filler + good, gts, max_dets=100) == 0.0
-        assert average_recall(filler + good, gts, max_dets=1000) == 1.0
+        got = recall(filler + good, gts)
+        assert got["ar_100"] == 0.0
+        assert got["ar_1000"] == 1.0
 
 
 class TestAverageFalseDiscovery:
     def test_perfect(self):
-        dets = [d(0, 0, (0, 0, 10, 10), 0.9)]
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        fd = average_false_discovery(dets, gts)
-        assert fd.af == 0.0 and fd.af5 == 0.0 and fd.af50 == 0.0
+        dets = dets_of([d(0, 0, (0, 0, 10, 10), 0.9)])
+        gts = gts_of([g(0, 0, (0, 0, 10, 10))])
+        report = build_report(dets, dets, gt_set(gts))
+        assert report.af == 0.0 and report.af5 == 0.0 and report.af50 == 0.0
 
     def test_no_detections(self):
-        gts = [g(0, 0, 0, (0, 0, 10, 10))]
-        fd = average_false_discovery([], gts)
-        assert fd.af == 1.0
+        gts = gts_of([g(0, 0, (0, 0, 10, 10))])
+        report = build_report(dets_of([]), dets_of([]), gt_set(gts))
+        assert report.af == 1.0
 
     def test_identity_with_grid(self):
         rng = np.random.default_rng(31)
         dets, gts = random_instance(rng)
-        fd = average_false_discovery(dets, gts)
-        assert fd.af == 1.0 - math.fsum(fd.ap_grid) / len(fd.ap_grid)
-        assert fd.af5 == 1.0 - fd.ap_grid[0]
-        assert fd.af25 == 1.0 - fd.ap_grid[4]
-        assert fd.af50 == 1.0 - fd.ap_grid[9]
+        report = build_report(dets, dets, gt_set(gts, n_images=2))
+        grid = report.af_grid
+        assert report.af == 1.0 - math.fsum(grid) / len(grid)
+        assert report.af5 == 1.0 - grid[0]
+        assert report.af25 == 1.0 - grid[4]
+        assert report.af50 == 1.0 - grid[9]
         assert AF_IOU_GRID[0] == 0.05 and AF_IOU_GRID[9] == 0.5
 
 
-def random_instance(rng, n_images=2, n_classes=3, max_dets=10, max_gts=10):
+def random_instance(
+    rng,
+    n_images=2,
+    n_classes=3,
+    max_dets=10,
+    max_gts=10,
+    min_dets=0,
+    span=80.0,
+    sizes=(2.0, 60.0),
+):
+    """Detections and ground truths as DET_DTYPE and GT_DTYPE arrays.
+
+    About 60% of the detections jitter a ground truth, mostly keeping its
+    class; the rest are random boxes.
+    """
+
     def rand_box():
-        x, y = rng.uniform(0, 80, 2)
-        w, h = rng.uniform(2, 60, 2)
+        x, y = rng.uniform(0, span, 2)
+        w, h = rng.uniform(*sizes, 2)
         return (float(x), float(y), float(x + w), float(y + h))
 
     gts = [
-        g(i, int(rng.integers(n_images)), int(rng.integers(n_classes)), rand_box())
-        for i in range(int(rng.integers(1, max_gts + 1)))
+        g(int(rng.integers(n_images)), int(rng.integers(n_classes)), rand_box())
+        for _ in range(int(rng.integers(1, max_gts + 1)))
     ]
     dets = []
-    for _ in range(int(rng.integers(0, max_dets + 1))):
+    for _ in range(int(rng.integers(min_dets, max_dets + 1))):
         if gts and rng.random() < 0.6:
-            base = gts[rng.integers(len(gts))]
+            _, base_cls, (bx1, by1, bx2, by2) = gts[rng.integers(len(gts))]
             jitter = rng.uniform(-8, 8, 4)
-            x1, y1 = base.box.x1 + jitter[0], base.box.y1 + jitter[1]
-            x2, y2 = max(x1 + 1, base.box.x2 + jitter[2]), max(y1 + 1, base.box.y2 + jitter[3])
+            x1, y1 = bx1 + jitter[0], by1 + jitter[1]
+            x2, y2 = max(x1 + 1, bx2 + jitter[2]), max(y1 + 1, by2 + jitter[3])
             box = (float(x1), float(y1), float(x2), float(y2))
-            cls = base.class_id if rng.random() < 0.8 else int(rng.integers(n_classes))
+            cls = base_cls if rng.random() < 0.8 else int(rng.integers(n_classes))
         else:
             box = rand_box()
             cls = int(rng.integers(n_classes))
         dets.append(d(int(rng.integers(n_images)), cls, box, float(rng.random())))
-    return dets, gts
+    return dets_of(dets), gts_of(gts)
+
+
+def tie_instance(rng, n_images=2):
+    """Ground-truth pairs that tie exactly in IoU with a higher-scored detection.
+
+    Each cluster holds a detection of integer width 2w and two ground truths
+    shifted by -a and +a, which overlap it equally, plus a lower-scored
+    detection equal to one of the two. Only taking the lower index on the
+    tie leaves that one free for the second detection.
+    """
+    dets, gts = [], []
+    for _ in range(int(rng.integers(2, 6))):
+        img, cls = int(rng.integers(n_images)), int(rng.integers(2))
+        x, y = (int(v) for v in rng.integers(0, 200, 2))
+        w, h = int(rng.integers(5, 40)), int(rng.integers(10, 80))
+        a = int(rng.integers(1, w))
+        pair = [(x - a, y, x + 2 * w - a, y + h), (x + a, y, x + 2 * w + a, y + h)]
+        rng.shuffle(pair)
+        gts += [g(img, cls, tuple(map(float, box))) for box in pair]
+        high, low = rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.5)
+        dets.append(d(img, cls, (float(x), float(y), float(x + 2 * w), float(y + h)), high))
+        dets.append(d(img, cls, tuple(map(float, pair[int(rng.integers(2))])), low))
+    return dets_of(dets), gts_of(gts)
 
 
 def to_brute(records):
+    scores = records["score"] if "score" in records.dtype.names else np.ones(len(records))
     return [
-        {
-            "image_id": r.image_id,
-            "class_id": r.class_id,
-            "box": (r.box.x1, r.box.y1, r.box.x2, r.box.y2),
-            "score": getattr(r, "score", 1.0),
-        }
-        for r in records
+        {"image_id": img, "class_id": cls, "box": tuple(box), "score": score}
+        for img, cls, box, score in zip(
+            records["image_id"].tolist(),
+            records["class_id"].tolist(),
+            records["box"].tolist(),
+            scores.tolist(),
+        )
     ]
+
+
+def assert_matches_brute(dets, props, gts):
+    """The report of one instance against brute_eval at 1e-9; returns the report."""
+    report = report_to_dict(build_report(dets, props, gt_set(gts, n_images=2)))
+    brute = brute_eval.brute_report(to_brute(dets), to_brute(props), to_brute(gts))
+    for key, want in brute.items():
+        got = report[key]
+        if key == "undefined":
+            assert set(got) == set(want)
+        elif isinstance(want, list):
+            assert np.allclose(got, want, atol=1e-9)
+        else:
+            assert got == pytest.approx(want, abs=1e-9)
+    return report
 
 
 class TestBuildReport:
     def test_empty_everything_flagged(self):
-        report = build_report([], [], gt_set([], n_images=1, n_classes=1))
+        report = build_report(dets_of([]), dets_of([]), gt_set(gts_of([]), n_images=1))
         doc = report_to_dict(report)
         assert "ap" in report.undefined and "af" in report.undefined
         for key in ("ap", "ap50", "af", "ar_100"):
             assert doc[key] == 0.0
 
     def test_perfect_pipeline(self):
-        gts = [g(0, 0, 0, (0, 0, 50, 50)), g(1, 1, 1, (10, 10, 200, 150))]
-        dets = [d(0, 0, (0, 0, 50, 50), 1.0), d(1, 1, (10, 10, 200, 150), 0.9)]
+        gts = gts_of([g(0, 0, (0, 0, 50, 50)), g(1, 1, (10, 10, 200, 150))])
+        dets = dets_of([d(0, 0, (0, 0, 50, 50), 1.0), d(1, 1, (10, 10, 200, 150), 0.9)])
         report = build_report(dets, dets, gt_set(gts))
         assert report.ap == 1.0
         assert report.ar_100 == 1.0 and report.ar_1000 == 1.0
         assert report.af == 0.0
 
     def test_id_mismatch_lists_offenders(self):
-        gts = [g(0, 0, 0, (0, 0, 50, 50))]
-        dets = [d(5, 0, (0, 0, 50, 50), 1.0), d(9, 0, (0, 0, 50, 50), 1.0)]
+        gts = gts_of([g(0, 0, (0, 0, 50, 50))])
+        dets = dets_of([d(5, 0, (0, 0, 50, 50), 1.0), d(9, 0, (0, 0, 50, 50), 1.0)])
         with pytest.raises(ValueError, match=r"\[5, 9\]"):
-            build_report(dets, [], gt_set(gts, n_images=1))
+            build_report(dets, dets_of([]), gt_set(gts, n_images=1))
 
     def test_af_recomputable_from_grid(self):
         rng = np.random.default_rng(77)
         dets, gts = random_instance(rng)
-        report = build_report(dets, dets, gt_set(gts, n_images=2, n_classes=3))
+        report = build_report(dets, dets, gt_set(gts, n_images=2))
         assert report.af == 1.0 - math.fsum(report.af_grid) / len(report.af_grid)
 
     def test_matches_brute_force(self):
@@ -253,23 +336,43 @@ class TestBuildReport:
         for _ in range(25):
             dets, gts = random_instance(rng)
             props, _ = random_instance(rng)
-            report = report_to_dict(
-                build_report(dets, props, gt_set(gts, n_images=2, n_classes=3))
-            )
-            brute = brute_eval.brute_report(to_brute(dets), to_brute(props), to_brute(gts))
-            for key, want in brute.items():
-                got = report[key]
-                if key == "undefined":
-                    assert set(got) == set(want)
-                elif isinstance(want, list):
-                    assert np.allclose(got, want, atol=1e-9)
-                else:
-                    assert got == pytest.approx(want, abs=1e-9)
+            assert_matches_brute(dets, props, gts)
+
+        # boxes above 96^2: AP_L, AF_L and every AR area bucket
+        rng = np.random.default_rng(4321)
+        large = dict(span=300.0, sizes=(60.0, 500.0))
+        reports = []
+        for _ in range(6):
+            dets, gts = random_instance(rng, **large)
+            props, _ = random_instance(rng, max_dets=30, **large)
+            reports.append(assert_matches_brute(dets, props, gts))
+        for name in ("ap_large", "af_large", *(f"ar_area_bucket_{i}" for i in range(1, 5))):
+            assert any(name not in r["undefined"] for r in reports), name
+
+        # more than 100 detections and proposals in one image: the detection
+        # truncation, and AR@100 apart from AR@1000
+        rng = np.random.default_rng(5678)
+        reports = []
+        for _ in range(3):
+            dets, gts = random_instance(rng, n_images=1, min_dets=150, max_dets=250, max_gts=20)
+            props, _ = random_instance(rng, n_images=1, min_dets=150, max_dets=250)
+            # every ground truth again as a proposal, ranked below the rest
+            exact = np.zeros(len(gts), dtype=DET_DTYPE)
+            exact["box"], exact["score"] = gts["box"], -1.0
+            props = np.concatenate([props, exact])
+            reports.append(assert_matches_brute(dets, props, gts))
+        assert any(r["ar_100"] != r["ar_1000"] for r in reports)
+
+        # exact IoU ties between ground truths: the lowest index wins
+        rng = np.random.default_rng(8765)
+        for _ in range(20):
+            dets, gts = tie_instance(rng)
+            assert_matches_brute(dets, dets, gts)
 
 
 def test_render_tables_layout():
-    gts = [g(0, 0, 0, (0, 0, 50, 50))]
-    dets = [d(0, 0, (0, 0, 50, 50), 1.0)]
+    gts = gts_of([g(0, 0, (0, 0, 50, 50))])
+    dets = dets_of([d(0, 0, (0, 0, 50, 50), 1.0)])
     report = build_report(dets, dets, gt_set(gts))
     text = render_tables(report)
     lines = text.splitlines()
@@ -291,15 +394,15 @@ def test_ground_truth_roundtrip(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(doc))
     gts = load_ground_truth(path)
-    assert gts.image_ids == (0,)
-    assert gts.category_ids == (0, 1)
+    assert gts.image_ids.tolist() == [0]
     (rec,) = gts.records
-    assert rec.box == BBox(10.0, 20.0, 40.0, 60.0)
+    assert (rec["image_id"], rec["class_id"]) == (0, 1)
+    assert rec["box"].tolist() == [10.0, 20.0, 40.0, 60.0]
 
     dets = records_to_dets(
         [{"image_id": 0, "category_id": 1, "bbox": [10.0, 20.0, 30.0, 40.0], "score": 0.5}]
     )
-    assert dets[0].box == rec.box
+    assert dets["box"].tolist() == [rec["box"].tolist()]
 
 
 def test_ground_truth_missing_key(tmp_path):

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cornerdet.geometry import BBox, GroundTruth, iou
+from cornerdet.geometry import BBox, GroundTruth, iou, iou_matrix
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -66,3 +67,37 @@ def test_box_helpers():
 def test_ground_truth_class_gate():
     with pytest.raises(ValueError):
         GroundTruth(box=BBox(0, 0, 1, 1), class_id=-1)
+
+
+def scalar_and_matrix(rows, cols):
+    """iou over every pair, and iou_matrix over the same boxes."""
+    want = np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+    as_array = lambda boxes: np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes]).reshape(-1, 4)
+    return iou_matrix(as_array(rows), as_array(cols)), want
+
+
+def test_iou_matrix_bit_exact_cases():
+    cases = [
+        BBox(0, 0, 10, 10),
+        BBox(0, 0, 10, 10),  # identical
+        BBox(20, 20, 30, 30),  # disjoint
+        BBox(10, 0, 20, 10),  # shares an edge
+        BBox(10, 10, 20, 20),  # shares a corner
+        BBox(5, 5, 5, 5),  # zero area, inside
+        BBox(3, 1, 3, 9),  # zero width
+        BBox(2, 2, 8, 8),  # nested
+        BBox(0.1, 0.2, 7.3, 9.9),
+        BBox(-3.75, 1.5, 6.125, 12.0),
+    ]
+    got, want = scalar_and_matrix(cases, cases)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 1] == 1.0 and got[0, 2] == got[0, 3] == got[0, 4] == got[0, 5] == 0.0
+    assert got[0, 7] == 0.36
+
+
+@given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
+def test_iou_matrix_bit_exact_random(rows, cols):
+    got, want = scalar_and_matrix(rows, cols)
+    assert got.shape == (len(rows), len(cols))
+    assert got.tobytes() == want.tobytes()

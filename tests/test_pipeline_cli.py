@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
 import shutil
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
@@ -352,11 +360,11 @@ def test_run_corpus_library_level(small_corpus):
 
 def plant_non_finite(scene, name, value):
     """Store `value` into one scene tensor: one cell of a small tensor, or
-    box_feat over the scene's first ground-truth box, where the true
-    proposal pools."""
+    box_feat or cat_feat over the scene's first ground-truth box, where the
+    true proposal pools."""
     path = scene / f"{name}.cpnt"
     tensor = load_tensor(path)
-    if name == "box_feat":
+    if name in ("box_feat", "cat_feat"):
         gt = json.loads((scene / "ground_truth.json").read_text())
         x, y, w, h = (v / 4.0 for v in gt["annotations"][0]["bbox"])
         tensor[:, int(y) : int(y + h) + 1, int(x) : int(x + w) + 1] = value
@@ -371,6 +379,7 @@ NON_FINITE_TENSORS = [
     ("tl_off", "tl_off holds NaN or infinity"),
     ("br_off", "br_off holds NaN or infinity"),
     ("box_feat", "box_feat or the binary head weights hold NaN or infinity"),
+    ("cat_feat", "cat_feat or the class head weights hold NaN or infinity"),
 ]
 
 
@@ -415,3 +424,156 @@ def test_eval_non_integer_id_exit_3(section, index, key, value, message, small_c
     err = capsys.readouterr().err
     assert err == f"error: {dump if section == 'dets' else gt_path}: {message}\n"
     assert not report.exists()
+
+
+# a small valid eval input: two images, one ground truth and one detection each
+GT_DOC = {
+    "images": [{"id": 0, "width": 64, "height": 64}, {"id": 1, "width": 64, "height": 64}],
+    "annotations": [
+        {"id": 0, "image_id": 0, "category_id": 0, "bbox": [0, 0, 4, 4]},
+        {"id": 1, "image_id": 1, "category_id": 1, "bbox": [2.5, 2, 6, 3]},
+    ],
+    "categories": [{"id": 0, "name": "class_0"}, {"id": 1, "name": "class_1"}],
+}
+DUMP = [
+    {"image_id": 0, "category_id": 0, "bbox": [0, 0, 4, 4], "score": 0.5},
+    {"image_id": 1, "category_id": 1, "bbox": [1.0, 1, 4, 4.5], "score": 0.25},
+]
+DROP = object()  # a mutation that removes the key
+
+
+def mutated(doc, path, value):
+    """A deep copy of `doc` with the value at `path` replaced (or dropped)."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def run_eval(gt_doc, dump, workdir: Path, text=None):
+    """cornerdet eval on the two documents, or with `text` as the file of
+    `text[0]`; returns (exit code, stderr, paths)."""
+    gt_path, dets_path, report = workdir / "gt.json", workdir / "dets.json", workdir / "report.json"
+    gt_path.write_text(json.dumps(gt_doc))
+    dets_path.write_text(json.dumps(dump))
+    if text is not None:
+        {"gt": gt_path, "dets": dets_path}[text[0]].write_text(text[1])
+    argv = ["eval", "--dets", str(dets_path), "--gt", str(gt_path), "--report", str(report)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            code = main(argv)
+    return code, err.getvalue(), {"gt": gt_path, "dets": dets_path, "report": report}
+
+
+def test_eval_small_input_is_valid(tmp_path):
+    code, err, paths = run_eval(GT_DOC, DUMP, tmp_path)
+    assert (code, err) == (0, "")
+    assert paths["report"].exists()
+
+
+INF, NAN = float("inf"), float("nan")
+BAD_INPUTS = [
+    ("gt", (), 5, "ground truth must be a JSON object"),
+    ("gt", (), None, "ground truth must be a JSON object"),
+    ("gt", ("images",), 5, "'images' must be an array"),
+    ("gt", ("annotations",), {}, "'annotations' must be an array"),
+    ("gt", ("categories",), "x", "'categories' must be an array"),
+    ("gt", ("images", 1), 7, "image 1 is not an object"),
+    ("gt", ("annotations", 1, "bbox", 2), INF, "annotation 1 has bbox [2.5, 2, Infinity, 3], which is not finite"),
+    ("gt", ("annotations", 1, "bbox", 1), NAN, "annotation 1 has bbox [2.5, NaN, 6, 3], which is not finite"),
+    ("gt", ("annotations", 0, "bbox", 3), -1, "annotation 0 has bbox [0, 0, 4, -1], whose width or height is negative"),
+    ("gt", ("annotations", 1, "bbox"), [0, 0, 1e200, 1e200], "annotation 1 has bbox [0, 0, 1e+200, 1e+200], whose area is not finite"),
+    ("gt", ("annotations", 1, "bbox", 0), True, "annotation 1: bbox value must be a number, got true"),
+    ("gt", ("annotations", 1, "image_id"), 7, "annotation 1: image_id 7 is not among the images"),
+    ("dets", (1, "score"), True, "record 1: score must be a number, got true"),
+    ("dets", (1, "score"), "0.5", 'record 1: score must be a number, got "0.5"'),
+    ("dets", (1, "bbox", 0), False, "record 1: bbox value must be a number, got false"),
+    ("dets", (1, "bbox", 3), "4", 'record 1: bbox value must be a number, got "4"'),
+    ("dets", (1, "bbox", 2), INF, "record 1 has bbox [1.0, 1, Infinity, 4.5], which is not finite"),
+    ("dets", (1, "bbox", 1), -INF, "record 1 has bbox [1.0, -Infinity, 4, 4.5], which is not finite"),
+    ("dets", (1, "bbox", 0), NAN, "record 1 has bbox [NaN, 1, 4, 4.5], which is not finite"),
+    ("dets", (1,), [], "record 1 is not an object"),
+]
+
+
+@pytest.mark.parametrize("target, path, value, message", BAD_INPUTS)
+def test_eval_bad_input_exit_3(target, path, value, message, tmp_path):
+    gt_doc = mutated(GT_DOC, path, value) if target == "gt" else GT_DOC
+    dump = mutated(DUMP, path, value) if target == "dets" else DUMP
+    code, err, paths = run_eval(gt_doc, dump, tmp_path)
+    assert code == 3
+    assert err == f"error: {paths[target]}: {message}\n"
+    assert not paths["report"].exists()
+
+
+@pytest.mark.parametrize("target", ["gt", "dets"])
+def test_eval_malformed_json_exit_3(target, tmp_path):
+    code, err, paths = run_eval(GT_DOC, DUMP, tmp_path, text=(target, '{"images": ['))
+    assert code == 3
+    assert err.startswith(f"error: {paths[target]}: Expecting value")
+    assert err.count("\n") == 1
+    assert not paths["report"].exists()
+
+
+def required_paths(doc, path=()):
+    """Paths to every value eval requires: the document, its arrays, their
+    entries, each entry's id fields and bbox, and each bbox value."""
+    yield path
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from required_paths(item, path + (i,))
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            if key not in ("width", "height", "name"):
+                yield from required_paths(value, path + (key,))
+
+
+MUTANTS = [NAN, INF, -INF, True, False, "0", None]
+
+
+def replacements(doc, path):
+    """Every invalid replacement of the value at `path`: a mutant, the value
+    wrapped in an array, the key dropped, or an array unwrapped."""
+    value = doc
+    for key in path:
+        value = value[key]
+    out = MUTANTS + [[value]]
+    if path and isinstance(path[-1], str):
+        out.append(DROP)
+    if isinstance(value, list) and value:
+        out.append(value[0])
+    return out
+
+
+@st.composite
+def eval_mutations(draw):
+    """A target file, a required path in it and a replacement that is invalid there."""
+    target = draw(st.sampled_from(["gt", "dets"]))
+    doc = GT_DOC if target == "gt" else DUMP
+    path = draw(st.sampled_from(list(required_paths(doc))))
+    return target, path, draw(st.sampled_from(replacements(doc, path)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_mutations())
+def test_eval_fuzzed_input_exit_3(mutation):
+    target, path, value = mutation
+    gt_doc = mutated(GT_DOC, path, value) if target == "gt" else GT_DOC
+    dump = mutated(DUMP, path, value) if target == "dets" else DUMP
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, paths = run_eval(gt_doc, dump, Path(tmp))
+        assert code == 3
+        assert err.startswith(f"error: {paths[target]}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not paths["report"].exists()
+        assert not paths["report"].with_suffix(".json.txt").exists()
