@@ -105,6 +105,87 @@ def naive_roi_align(feat: np.ndarray, box, out_size: int = 7, stride: int = 4) -
     return pooled
 
 
+def frozen_roi_align_batch(
+    feat: np.ndarray,
+    boxes: np.ndarray,
+    out_size: int = 7,
+    stride: int = 4,
+    chunk: int = 512,
+) -> np.ndarray:
+    """Frozen copy of the library's dense batched RoIAlign, (N, D, out, out).
+
+    The library pools only live channels; on those it must equal this
+    kernel bit for bit, and this kernel must be zero on every other channel.
+
+    Box coordinates are image pixels and get divided by `stride` into
+    feature coordinates, where cell (r, c) sits at continuous position
+    (c, r). Every output bin averages 4 bilinear samples at the bin's
+    quarter-points; bilinear taps outside the feature extent read 0.
+    Degenerate (zero-area) boxes produce all-zero output.
+    """
+    feat = np.asarray(feat, dtype=np.float32)
+    d, h, w = feat.shape
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    n = boxes.shape[0]
+    out = np.zeros((n, d, out_size, out_size), dtype=np.float32)
+    if n == 0:
+        return out
+
+    # all-zero channels pool to exact zeros, so skip their gathers entirely
+    channels = np.flatnonzero(feat.reshape(d, -1).any(axis=1))
+    if channels.size == 0:
+        return out
+    dense = channels.size == d
+    flat = (feat if dense else feat[channels]).reshape(channels.size, h * w)
+
+    live = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+
+    # sample positions within a bin: quarter and three-quarter points
+    frac = (np.arange(out_size * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
+
+    idx_live = np.nonzero(live)[0]
+    for start in range(0, idx_live.size, chunk):
+        sel = idx_live[start : start + chunk]
+        fb = boxes[sel] / stride
+        bw = (fb[:, 2] - fb[:, 0]) / out_size
+        bh = (fb[:, 3] - fb[:, 1]) / out_size
+        sx = fb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2*out)
+        sy = fb[:, 1:2] + frac[None, :] * bh[:, None]
+
+        x0 = np.floor(sx).astype(np.int64)
+        y0 = np.floor(sy).astype(np.int64)
+        tx = sx - x0
+        ty = sy - y0
+
+        acc = None
+        for dy in (0, 1):
+            yy = y0 + dy
+            wy = ((1.0 - ty) if dy == 0 else ty) * ((yy >= 0) & (yy < h))
+            yc = np.clip(yy, 0, h - 1)
+            for dx in (0, 1):
+                xx = x0 + dx
+                wx = ((1.0 - tx) if dx == 0 else tx) * ((xx >= 0) & (xx < w))
+                xc = np.clip(xx, 0, w - 1)
+                # gather (d, m, 2*out, 2*out) for this tap; float32 weights
+                # keep the tap products single-precision like the features
+                lin = yc[:, :, None] * w + xc[:, None, :]
+                vals = flat[:, lin]
+                weight = (wy[:, :, None] * wx[:, None, :]).astype(np.float32)
+                vals *= weight[None, :, :, :]
+                if acc is None:
+                    acc = vals
+                else:
+                    acc += vals
+
+        m = sel.size
+        pooled = acc.reshape(channels.size, m, out_size, 2, out_size, 2).mean(axis=(3, 5))
+        if dense:
+            out[sel] = pooled.transpose(1, 0, 2, 3)
+        else:
+            out[np.ix_(sel, channels)] = pooled.transpose(1, 0, 2, 3)
+    return out
+
+
 def naive_head_score(pooled: np.ndarray, kernel: np.ndarray, bias: float) -> float:
     """Triple-loop dot product plus sigmoid."""
     total = 0.0

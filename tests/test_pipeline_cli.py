@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -356,6 +357,23 @@ def test_run_corpus_library_level(small_corpus):
     assert all(r["score"] <= 1.0 for r in run.detection_records)
     image_ids = {r["image_id"] for r in run.detection_records}
     assert image_ids <= {0, 1, 2, 3}
+
+
+# sha256 of both dumps of a fixed noisy corpus: any change to the summation
+# order of a RoIAlign kernel or a head moves a score's last bit, and so these
+NOISY_DUMP_SHA256 = {
+    "dets.json": "1d5502b421cf51c00c16583a87e3c65e46968324c2ae1e389b7e66741401ca9c",
+    "dets.proposals.json": "3ad174bddbe50eaa7f1240a92e1c0603ff60b89061aa7aa4658d509bc05fa5a7",
+}
+
+
+def test_noisy_dumps_pinned(tmp_path, capsys):
+    corpus = tmp_path / "noisy"
+    write_corpus(corpus, SynthConfig(noise=0.3), count=3, seed=61)
+    dump = tmp_path / "dets.json"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (dump, proposals_sibling(dump))}
+    assert got == NOISY_DUMP_SHA256
 
 
 def plant_non_finite(scene, name, value):
