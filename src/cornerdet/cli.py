@@ -57,17 +57,27 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; a repeated key raises."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate config key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(cls, path):
     """Load a JSON config file into the config dataclass `cls`.
 
-    Every key is optional. Unknown keys, values whose JSON type does not fit
-    the field's annotation, and values the dataclass rejects raise a
-    ValueError naming the file.
+    Every key is optional. Repeated keys, unknown keys, values whose JSON
+    type does not fit the field's annotation, and values the dataclass
+    rejects raise a ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # malformed JSON or a repeated key
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")

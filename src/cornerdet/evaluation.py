@@ -391,16 +391,16 @@ def _ints(values: list, label: str, name: str) -> np.ndarray:
 
 
 def _numbers(values: list, label: str, name: str) -> np.ndarray:
-    """JSON numbers as float64; a bool, string or anything else raises naming its index."""
+    """JSON numbers as float64; a bool, string, null, array or object raises naming its index."""
     if set(map(type, values)) <= {float}:
         return np.array(values, dtype=np.float64)
     out = []
     for i, v in enumerate(values):
-        if type(v) in (bool, str):
+        if type(v) not in (int, float):
             raise ValueError(f"{label} {i}: {name} must be a number, got {json.dumps(v)}")
         try:
-            out.append(float(v))  # null, an array or an object: TypeError; a huge int: OverflowError
-        except (TypeError, OverflowError) as exc:
+            out.append(float(v))
+        except OverflowError as exc:  # an int beyond float range
             raise ValueError(f"{label} {i}: {exc}") from None
     return np.array(out, dtype=np.float64)
 

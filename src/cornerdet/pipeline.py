@@ -96,7 +96,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     survivors = proposals
     if config.use_binary_head:
         pooled_box = roi_align_batch(feats.box_feat, proposals["box"], stride=config.stride)
-        p_scores = binary_scores(pooled_box, weights)
+        p_scores = binary_scores(*pooled_box, weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
         if not np.isfinite(p_scores).all():
@@ -104,7 +104,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
     pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], stride=config.stride)
-    q = class_scores(pooled_cat, weights)
+    q = class_scores(*pooled_cat, weights)
     # likewise for cat_feat: a bad value under a survivor gives a NaN class score
     if not np.isfinite(q).all():
         raise ValueError("cat_feat or the class head weights hold NaN or infinity")

@@ -98,11 +98,18 @@ class HeadWeights:
         missing = [n for n in _BUNDLE_FILES if not (directory / n).exists()]
         if missing:
             raise FileNotFoundError(f"weights bundle {directory} is missing {missing}")
+        tensors = {}
+        for name in _BUNDLE_FILES:
+            tensors[name] = load_tensor(directory / name)
+            # the heads skip dead channels, so a bad kernel entry there would
+            # never show as a non-finite score
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"{directory / name} holds NaN or infinity")
         return cls(
-            binary_kernel=load_tensor(directory / "binary_kernel"),
-            binary_bias=float(load_tensor(directory / "binary_bias")[0]),
-            class_kernel=load_tensor(directory / "class_kernel"),
-            class_bias=load_tensor(directory / "class_bias"),
+            binary_kernel=tensors["binary_kernel"],
+            binary_bias=float(tensors["binary_bias"][0]),
+            class_kernel=tensors["class_kernel"],
+            class_bias=tensors["class_bias"],
         )
 
 
@@ -133,8 +140,13 @@ def roi_align_batch(
     out_size: int = POOL_SIZE,
     stride: int = STRIDE,
     chunk: int = 512,
-) -> np.ndarray:
-    """RoIAlign a (D, H, W) feature map over N boxes into (N, D, out, out).
+) -> tuple[np.ndarray, np.ndarray]:
+    """RoIAlign a (D, H, W) feature map over N boxes, on its live channels only.
+
+    Returns `(pooled, channels)`: `pooled` is (N, L, out, out) float32 over
+    the L channels that hold a nonzero (or NaN) cell where the boxes'
+    bilinear taps can reach, and `channels` holds their indices in ascending
+    order. Every other channel would pool to exact zeros.
 
     Box coordinates are image pixels and get divided by `stride` into
     feature coordinates, where cell (r, c) sits at continuous position
@@ -143,33 +155,42 @@ def roi_align_batch(
     Degenerate (zero-area) boxes produce all-zero output.
     """
     feat = np.asarray(feat, dtype=np.float32)
-    d, h, w = feat.shape
+    _, h, w = feat.shape
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     n = boxes.shape[0]
-    out = np.zeros((n, d, out_size, out_size), dtype=np.float32)
-    if n == 0:
-        return out
-
-    # all-zero channels pool to exact zeros, so skip their gathers entirely
-    channels = np.flatnonzero(feat.reshape(d, -1).any(axis=1))
-    if channels.size == 0:
-        return out
-    dense = channels.size == d
-    flat = (feat if dense else feat[channels]).reshape(channels.size, h * w)
-
     live = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    idx_live = np.flatnonzero(live)
+    if idx_live.size == 0:
+        return np.zeros((n, 0, out_size, out_size), dtype=np.float32), np.zeros(0, dtype=np.intp)
+
+    # A box's taps lie in feature rows floor(y1) .. floor(y2) + 1 and columns
+    # floor(x1) .. floor(x2) + 1, and a tap outside the map reads the clipped
+    # edge cell (with weight 0), so the band between the clipped extremes
+    # holds every cell any tap reads. Channels all zero there pool to zeros.
+    fb = boxes[idx_live] / stride
+    lo = np.floor(fb[:, :2].min(axis=0))
+    hi = np.floor(fb[:, 2:].max(axis=0)) + 1.0
+    top = np.array([w - 1, h - 1])
+    c0, r0 = np.clip(lo, 0, top).astype(np.intp)
+    c1, r1 = np.clip(hi, 0, top).astype(np.intp)
+    band = feat[:, r0 : r1 + 1, c0 : c1 + 1]
+    channels = np.flatnonzero((band != 0).any(axis=(1, 2)))
+    out = np.zeros((n, channels.size, out_size, out_size), dtype=np.float32)
+    if channels.size == 0:
+        return out, channels
+    band_w = c1 - c0 + 1
+    flat = band[channels].reshape(channels.size, -1)
 
     # sample positions within a bin: quarter and three-quarter points
     frac = (np.arange(out_size * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
 
-    idx_live = np.nonzero(live)[0]
     for start in range(0, idx_live.size, chunk):
         sel = idx_live[start : start + chunk]
-        fb = boxes[sel] / stride
-        bw = (fb[:, 2] - fb[:, 0]) / out_size
-        bh = (fb[:, 3] - fb[:, 1]) / out_size
-        sx = fb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2*out)
-        sy = fb[:, 1:2] + frac[None, :] * bh[:, None]
+        cb = fb[start : start + chunk]
+        bw = (cb[:, 2] - cb[:, 0]) / out_size
+        bh = (cb[:, 3] - cb[:, 1]) / out_size
+        sx = cb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2*out)
+        sy = cb[:, 1:2] + frac[None, :] * bh[:, None]
 
         x0 = np.floor(sx).astype(np.int64)
         y0 = np.floor(sy).astype(np.int64)
@@ -180,14 +201,14 @@ def roi_align_batch(
         for dy in (0, 1):
             yy = y0 + dy
             wy = ((1.0 - ty) if dy == 0 else ty) * ((yy >= 0) & (yy < h))
-            yc = np.clip(yy, 0, h - 1)
+            yc = np.clip(yy, r0, r1) - r0
             for dx in (0, 1):
                 xx = x0 + dx
                 wx = ((1.0 - tx) if dx == 0 else tx) * ((xx >= 0) & (xx < w))
-                xc = np.clip(xx, 0, w - 1)
-                # gather (d, m, 2*out, 2*out) for this tap; float32 weights
+                xc = np.clip(xx, c0, c1) - c0
+                # gather (L, m, 2*out, 2*out) for this tap; float32 weights
                 # keep the tap products single-precision like the features
-                lin = yc[:, :, None] * w + xc[:, None, :]
+                lin = yc[:, :, None] * band_w + xc[:, None, :]
                 vals = flat[:, lin]
                 weight = (wy[:, :, None] * wx[:, None, :]).astype(np.float32)
                 vals *= weight[None, :, :, :]
@@ -196,13 +217,17 @@ def roi_align_batch(
                 else:
                     acc += vals
 
-        m = sel.size
-        pooled = acc.reshape(channels.size, m, out_size, 2, out_size, 2).mean(axis=(3, 5))
-        if dense:
-            out[sel] = pooled.transpose(1, 0, 2, 3)
-        else:
-            out[np.ix_(sel, channels)] = pooled.transpose(1, 0, 2, 3)
-    return out
+        # Average each bin's 2x2 samples, added to +0 in row order for any
+        # channel count, so a box pools the same bits whatever else its batch
+        # holds. numpy's mean over this layout adds in this order for two or
+        # more channels but pairwise for one.
+        samples = acc.reshape(channels.size, sel.size, out_size, 2, out_size, 2)
+        pooled = np.zeros((channels.size, sel.size, out_size, out_size), dtype=np.float32)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            pooled += samples[:, :, :, i, :, j]
+        pooled /= 4
+        out[sel] = pooled.transpose(1, 0, 2, 3)
+    return out, channels
 
 
 def sigmoid(z):
@@ -212,26 +237,55 @@ def sigmoid(z):
     return np.where(np.isfinite(z), s, np.nan)
 
 
-def binary_scores(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:
-    """Objectness probabilities for a (N, 32, 7, 7) batch of pooled features."""
-    pooled = np.asarray(pooled, dtype=np.float64)
-    expect = (BOX_CHANNELS, POOL_SIZE, POOL_SIZE)
-    if pooled.shape[1:] != expect:
-        raise ValueError(f"pooled batch must be (N,) + {expect}, got {pooled.shape}")
-    k = weights.binary_kernel.reshape(-1).astype(np.float64)
-    z = pooled.reshape(-1, k.size) @ k + weights.binary_bias
-    return sigmoid(z)
+def _logits(pooled: np.ndarray, channels: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Bias-free head logits, (N, C), of pooled live channels under a (C, D, 7, 7) kernel.
 
-
-def class_scores(pooled: np.ndarray, weights: HeadWeights) -> np.ndarray:
-    """Per-class probabilities, shape (N, C), for pooled category features.
-
-    Classes score independently, so each row holds C sigmoids, not a softmax.
+    Each channel's 49 products are taken in float64 and summed by
+    np.add.reduce, and the channel sums are added in index order: an order
+    numpy fixes, not a BLAS build. A float32 x float32 product is exact in
+    float64, so a channel left out of `channels` (all zeros) would only have
+    added an exact 0.
     """
     pooled = np.asarray(pooled, dtype=np.float64)
-    expect = (CAT_CHANNELS, POOL_SIZE, POOL_SIZE)
-    if pooled.shape[1:] != expect:
-        raise ValueError(f"pooled batch must be (N,) + {expect}, got {pooled.shape}")
-    k = weights.class_kernel.reshape(weights.num_classes, -1).astype(np.float64)
-    z = pooled.reshape(-1, k.shape[1]) @ k.T + weights.class_bias.astype(np.float64)
+    channels = np.asarray(channels)
+    depth = kernel.shape[1]
+    if pooled.ndim != 4 or pooled.shape[2:] != (POOL_SIZE, POOL_SIZE):
+        raise ValueError(f"pooled batch must be (N, L, {POOL_SIZE}, {POOL_SIZE}), got {pooled.shape}")
+    if channels.shape != pooled.shape[1:2]:
+        raise ValueError(
+            f"channels must list the {pooled.shape[1]} pooled channels, got shape {channels.shape}"
+        )
+    if channels.size and (
+        channels.dtype.kind not in "iu"
+        or channels[0] < 0
+        or channels[-1] >= depth
+        or (np.diff(channels) <= 0).any()
+    ):
+        raise ValueError(
+            f"channels must be ascending integers in [0, {depth}), got {channels.tolist()}"
+        )
+    rows = pooled.reshape(pooled.shape[0], channels.size, 1, POOL_SIZE * POOL_SIZE)
+    k = kernel.reshape(kernel.shape[0], depth, -1).astype(np.float64)
+    z = np.zeros((pooled.shape[0], kernel.shape[0]))
+    for i, ch in enumerate(channels):
+        z += np.add.reduce(rows[:, i] * k[:, ch], axis=-1)
+    return z
+
+
+def binary_scores(pooled: np.ndarray, channels: np.ndarray, weights: HeadWeights) -> np.ndarray:
+    """Objectness probabilities, shape (N,), for pooled box features.
+
+    Takes `roi_align_batch`'s output: (N, L, 7, 7) pooled over the ascending
+    box-feature channels `channels`.
+    """
+    return sigmoid(_logits(pooled, channels, weights.binary_kernel)[:, 0] + weights.binary_bias)
+
+
+def class_scores(pooled: np.ndarray, channels: np.ndarray, weights: HeadWeights) -> np.ndarray:
+    """Per-class probabilities, shape (N, C), for pooled category features.
+
+    Takes `roi_align_batch`'s output like `binary_scores`. Classes score
+    independently, so each row holds C sigmoids, not a softmax.
+    """
+    z = _logits(pooled, channels, weights.class_kernel) + weights.class_bias.astype(np.float64)
     return sigmoid(z)

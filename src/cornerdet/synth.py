@@ -343,8 +343,8 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     feats, weights = bundle.features, bundle.weights
     boxes = [gt.box for gt in scene.gts]
     coords = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
-    p_true = binary_scores(roi_align_batch(feats.box_feat, coords), weights)
-    heads = class_scores(roi_align_batch(feats.cat_feat, coords), weights).argmax(axis=1)
+    p_true = binary_scores(*roi_align_batch(feats.box_feat, coords), weights)
+    heads = class_scores(*roi_align_batch(feats.cat_feat, coords), weights).argmax(axis=1)
     problems = []
     for i, gt in enumerate(scene.gts):
         if p_true[i] < TRUE_SCORE_FLOOR:
@@ -365,7 +365,7 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
             pairs.append((i, j))
             cross_boxes.append((cross.x1, cross.y1, cross.x2, cross.y2))
     cross_coords = np.array(cross_boxes, dtype=np.float64)
-    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross_coords), weights)
+    p_cross = binary_scores(*roi_align_batch(feats.box_feat, cross_coords), weights)
     for (i, j), p in zip(pairs, p_cross):
         if p > FALSE_SCORE_CEIL:
             problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")

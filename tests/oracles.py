@@ -3,7 +3,9 @@
 Everything here is written with plain loops and avoids importing any of the
 optimized library code paths; only value types (BBox) and the keypoint
 array layout (fields class_id, x, y, score) are shared so the comparisons
-line up.
+line up. The one exception, `frozen_roi_align_batch`, is a verbatim copy of
+an earlier vectorized library kernel, kept so a rewrite can be held to its
+exact bits.
 """
 
 from __future__ import annotations

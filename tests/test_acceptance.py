@@ -256,7 +256,9 @@ def test_criterion_4_roi_align_oracle():
         x2 = x1 + float(rng.uniform(0.5, 1.2 * span_x))
         y2 = y1 + float(rng.uniform(0.5, 1.2 * span_y))
         box = np.array([x1, y1, x2, y2])
-        got = roi_align_batch(feat, box[None])[0]
+        pooled, channels = roi_align_batch(feat, box[None])
+        got = np.zeros((d, 7, 7), dtype=np.float32)
+        got[channels] = pooled[0]
         want = naive_roi_align(feat, (x1, y1, x2, y2))
         worst = max(worst, float(np.max(np.abs(got - want))))
     check(4, worst < 1e-5, f"max |impl - dense bilinear oracle| = {worst:.2e} over 1000 instances")

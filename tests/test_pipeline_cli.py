@@ -270,13 +270,14 @@ BAD_CONFIGS = [
     ("synth", {"num_boxes": [1, 2.5]}, "num_boxes must be tuple[int, int]"),
     ("synth", {"noise": "0.3"}, "noise must be float"),
     ("synth", {"num_classes": 0}, "num_classes must be in [1, 256]"),
+    ("detect", '{"k": 70, "k": 71}', "duplicate config key 'k'"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, message", BAD_CONFIGS)
 def test_bad_config_exit_3(command, doc, message, small_corpus, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # str: raw JSON text
     out = tmp_path / "out"
     if command == "detect":
         argv = ["detect", "--corpus", str(small_corpus), "--out", str(out)]
@@ -320,7 +321,9 @@ BAD_SCORES = [
     ({}, "record 1 has no 'score' field"),
     ({"score": float("nan")}, "record 1 has score nan, which is not finite"),
     ({"score": float("inf")}, "record 1 has score inf, which is not finite"),
-    ({"score": None}, "record 1: float() argument must be"),
+    ({"score": None}, "record 1: score must be a number, got null"),
+    ({"score": [0.5]}, "record 1: score must be a number, got [0.5]"),
+    ({"score": {"value": 0.5}}, 'record 1: score must be a number, got {"value": 0.5}'),
 ]
 
 
@@ -359,15 +362,15 @@ def test_run_corpus_library_level(small_corpus):
     assert image_ids <= {0, 1, 2, 3}
 
 
-# sha256 of both dumps of a fixed noisy corpus: any change to the summation
-# order of a RoIAlign kernel or a head moves a score's last bit, and so these
+# sha256 of both dumps of a fixed noisy corpus. A RoIAlign kernel or head that
+# adds in another order would move a score's last bit, and so these hashes.
 NOISY_DUMP_SHA256 = {
     "dets.json": "1d5502b421cf51c00c16583a87e3c65e46968324c2ae1e389b7e66741401ca9c",
     "dets.proposals.json": "3ad174bddbe50eaa7f1240a92e1c0603ff60b89061aa7aa4658d509bc05fa5a7",
 }
 
 
-def test_noisy_dumps_pinned(tmp_path, capsys):
+def test_noisy_dumps_pinned(tmp_path):
     corpus = tmp_path / "noisy"
     write_corpus(corpus, SynthConfig(noise=0.3), count=3, seed=61)
     dump = tmp_path / "dets.json"
@@ -414,6 +417,24 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {scene}: {message}\n"
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, index", [("class_kernel", (1, 255, 3, 3)), ("binary_bias", (0,))])
+def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, capsys):
+    # cat_feat channel 255 is all zero, so no class score ever reads that entry
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    scene = corpus / "scene_00000"
+    path = scene / "weights" / name
+    tensor = load_tensor(path)
+    tensor[index] = np.nan
+    store_tensor(tensor, path)
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {scene}: {path} holds NaN or infinity\n"
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
@@ -521,6 +542,9 @@ BAD_INPUTS = [
     ("dets", (1, "bbox", 1), -INF, "record 1 has bbox [1.0, -Infinity, 4, 4.5], which is not finite"),
     ("dets", (1, "bbox", 0), NAN, "record 1 has bbox [NaN, 1, 4, 4.5], which is not finite"),
     ("dets", (1,), [], "record 1 is not an object"),
+    ("dets", (1, "bbox", 0), None, "record 1: bbox value must be a number, got null"),
+    ("dets", (1, "bbox", 2), [4], "record 1: bbox value must be a number, got [4]"),
+    ("gt", ("annotations", 1, "bbox", 1), {}, "annotation 1: bbox value must be a number, got {}"),
 ]
 
 
