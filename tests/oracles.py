@@ -117,7 +117,9 @@ def frozen_roi_align_batch(
     """Frozen copy of the library's dense batched RoIAlign, (N, D, out, out).
 
     The library pools only live channels; on those it must equal this
-    kernel bit for bit, and this kernel must be zero on every other channel.
+    kernel bit for bit whenever this kernel pools two or more channels (with
+    one, its mean adds a bin's samples pairwise), and this kernel must be
+    zero on every other channel.
 
     Box coordinates are image pixels and get divided by `stride` into
     feature coordinates, where cell (r, c) sits at continuous position
