@@ -39,11 +39,15 @@ class HeatmapSet:
     br_off: np.ndarray
 
     def __post_init__(self):
+        if self.tl_heat.ndim != 3:
+            raise ValueError(f"tl_heat must be (C, H, W), got shape {self.tl_heat.shape}")
         c, h, w = self.tl_heat.shape
         if self.br_heat.shape != (c, h, w):
-            raise ValueError("top-left and bottom-right heatmap shapes differ")
-        if self.tl_off.shape != (2, h, w) or self.br_off.shape != (2, h, w):
-            raise ValueError("offset maps must be (2, H, W) matching the heatmaps")
+            raise ValueError(f"br_heat must be {(c, h, w)} like tl_heat, got shape {self.br_heat.shape}")
+        for name in ("tl_off", "br_off"):
+            shape = getattr(self, name).shape
+            if shape != (2, h, w):
+                raise ValueError(f"{name} must be {(2, h, w)} to match the heatmaps, got shape {shape}")
 
     @property
     def num_classes(self) -> int:

@@ -41,10 +41,11 @@ class FeatureMaps:
 
     def __post_init__(self):
         if self.box_feat.ndim != 3 or self.box_feat.shape[0] != BOX_CHANNELS:
-            raise ValueError(f"box_feat must be ({BOX_CHANNELS}, H, W)")
+            raise ValueError(f"box_feat must be ({BOX_CHANNELS}, H, W), got shape {self.box_feat.shape}")
         if self.cat_feat.shape != (CAT_CHANNELS,) + self.box_feat.shape[1:]:
             raise ValueError(
-                f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat"
+                f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
+                f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
             )
 
 
@@ -60,15 +61,17 @@ class HeadWeights:
     def __post_init__(self):
         if self.binary_kernel.shape != (1, BOX_CHANNELS, POOL_SIZE, POOL_SIZE):
             raise ValueError(
-                f"binary kernel must be (1, {BOX_CHANNELS}, {POOL_SIZE}, {POOL_SIZE})"
+                f"binary_kernel must be (1, {BOX_CHANNELS}, {POOL_SIZE}, {POOL_SIZE}), "
+                f"got shape {self.binary_kernel.shape}"
             )
         c = self.class_kernel.shape[0]
         if self.class_kernel.shape != (c, CAT_CHANNELS, POOL_SIZE, POOL_SIZE):
             raise ValueError(
-                f"class kernel must be (C, {CAT_CHANNELS}, {POOL_SIZE}, {POOL_SIZE})"
+                f"class_kernel must be (C, {CAT_CHANNELS}, {POOL_SIZE}, {POOL_SIZE}), "
+                f"got shape {self.class_kernel.shape}"
             )
         if self.class_bias.shape != (c,):
-            raise ValueError("class_bias must have one entry per class")
+            raise ValueError(f"class_bias must be ({c},), one entry per class, got shape {self.class_bias.shape}")
 
     @property
     def num_classes(self) -> int:
@@ -105,6 +108,8 @@ class HeadWeights:
             # never show as a non-finite score
             if not np.isfinite(tensors[name]).all():
                 raise ValueError(f"{directory / name} holds NaN or infinity")
+        if tensors["binary_bias"].shape != (1,):
+            raise ValueError(f"{directory / 'binary_bias'} must be (1,), got shape {tensors['binary_bias'].shape}")
         return cls(
             binary_kernel=tensors["binary_kernel"],
             binary_bias=float(tensors["binary_bias"][0]),
@@ -178,14 +183,34 @@ def roi_align_batch(
     out = np.zeros((n, channels.size, out_size, out_size), dtype=np.float32)
     if channels.size == 0:
         return out, channels
-    band_w = c1 - c0 + 1
-    flat = band[channels].reshape(channels.size, -1)
+
+    # The band's live channels with their edge cells repeated one step
+    # outward. A sample's four taps are then the padded cells i, i + 1,
+    # i + pw and i + pw + 1, where i is the sample's floor(y), floor(x)
+    # clipped into the padded band: each tap reads the cell that clipping
+    # the tap itself into the band would read.
+    nlive = channels.size
+    pw = c1 - c0 + 3
+    padded = np.empty((nlive, r1 - r0 + 3, pw), dtype=np.float32)
+    padded[:, 1:-1, 1:-1] = band[channels]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    padded[:, :, 0] = padded[:, :, 1]
+    padded[:, :, -1] = padded[:, :, -2]
+    flat = padded.reshape(nlive, -1)
 
     # sample positions within a bin: quarter and three-quarter points
     frac = (np.arange(out_size * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
+    quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
 
+    grid = out_size * 2
+    most = min(chunk, idx_live.size)
+    weights = np.empty((4, most, grid, grid), dtype=np.float32)
+    acc = np.empty((nlive, most, grid, grid), dtype=np.float32)
+    tap = np.empty_like(acc)
     for start in range(0, idx_live.size, chunk):
         sel = idx_live[start : start + chunk]
+        m = sel.size
         cb = fb[start : start + chunk]
         bw = (cb[:, 2] - cb[:, 0]) / out_size
         bh = (cb[:, 3] - cb[:, 1]) / out_size
@@ -196,34 +221,34 @@ def roi_align_batch(
         y0 = np.floor(sy).astype(np.int64)
         tx = sx - x0
         ty = sy - y0
+        # tap weights in float64, zero outside the map; cast to float32 they
+        # keep the tap products single-precision like the features
+        wy = ((1.0 - ty) * ((y0 >= 0) & (y0 < h)), ty * ((y0 + 1 >= 0) & (y0 + 1 < h)))
+        wx = ((1.0 - tx) * ((x0 >= 0) & (x0 < w)), tx * ((x0 + 1 >= 0) & (x0 + 1 < w)))
+        # clipped before the shift, so the cast of a non-finite sample cannot wrap
+        rows = np.clip(y0, r0 - 1, r1) - (r0 - 1)
+        cols = np.clip(x0, c0 - 1, c1) - (c0 - 1)
+        lin = rows[:, :, None] * pw + cols[:, None, :]
 
-        acc = None
-        for dy in (0, 1):
-            yy = y0 + dy
-            wy = ((1.0 - ty) if dy == 0 else ty) * ((yy >= 0) & (yy < h))
-            yc = np.clip(yy, r0, r1) - r0
-            for dx in (0, 1):
-                xx = x0 + dx
-                wx = ((1.0 - tx) if dx == 0 else tx) * ((xx >= 0) & (xx < w))
-                xc = np.clip(xx, c0, c1) - c0
-                # gather (L, m, 2*out, 2*out) for this tap; float32 weights
-                # keep the tap products single-precision like the features
-                lin = yc[:, :, None] * band_w + xc[:, None, :]
-                vals = flat[:, lin]
-                weight = (wy[:, :, None] * wx[:, None, :]).astype(np.float32)
-                vals *= weight[None, :, :, :]
-                if acc is None:
-                    acc = vals
-                else:
-                    acc += vals
+        # each tap's float32 products, added to the first tap's in tap order
+        chunk_weights, chunk_acc, chunk_tap = weights[:, :m], acc[:, :m], tap[:, :m]
+        for t, (dy, dx) in enumerate(quad):
+            np.multiply(wy[dy][:, :, None], wx[dx][:, None, :], out=chunk_weights[t])
+            vals = chunk_tap if t else chunk_acc
+            # indices are in range by construction; mode="raise" would
+            # stage out= through a copy
+            for c in range(nlive):
+                np.take(flat[c, dy * pw + dx :], lin, out=vals[c], mode="clip")
+            vals *= chunk_weights[t]
+            if t:
+                chunk_acc += vals
 
         # Average each bin's 2x2 samples, added to +0 in row order for any
         # channel count, so a box pools the same bits whatever else its batch
-        # holds. numpy's mean over this layout adds in this order for two or
-        # more channels but pairwise for one.
-        samples = acc.reshape(channels.size, sel.size, out_size, 2, out_size, 2)
-        pooled = np.zeros((channels.size, sel.size, out_size, out_size), dtype=np.float32)
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # holds.
+        samples = chunk_acc.reshape(nlive, m, out_size, 2, out_size, 2)
+        pooled = np.zeros((nlive, m, out_size, out_size), dtype=np.float32)
+        for i, j in quad:
             pooled += samples[:, :, :, i, :, j]
         pooled /= 4
         out[sel] = pooled.transpose(1, 0, 2, 3)

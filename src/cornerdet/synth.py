@@ -103,6 +103,22 @@ class OracleBundle:
     features: FeatureMaps
     weights: HeadWeights
 
+    def __post_init__(self):
+        # features off the heatmap grid would be read at the wrong cells (or
+        # as zeros), and a class head of another width labels boxes with
+        # classes no heatmap has
+        grid = self.heatmaps.grid_shape
+        if self.features.box_feat.shape[1:] != grid:
+            raise ValueError(
+                f"box_feat has shape {self.features.box_feat.shape}, "
+                f"off the {grid[0]} x {grid[1]} heatmap grid"
+            )
+        if self.weights.num_classes != self.heatmaps.num_classes:
+            raise ValueError(
+                f"the class head scores {self.weights.num_classes} classes "
+                f"but the heatmaps hold {self.heatmaps.num_classes}"
+            )
+
 
 def map_size(image_extent: int, stride: int = STRIDE) -> int:
     """Heatmap extent for an image extent (511 -> 128 at stride 4)."""
@@ -484,14 +500,44 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
     return manifest
 
 
+def _require(doc: dict, key: str, fits, kind: str, where: str = "") -> None:
+    """Raise a ValueError unless `doc[key]` exists and `fits` it."""
+    if key not in doc:
+        raise ValueError(f"{where}missing {key}")
+    if not fits(doc[key]):
+        raise ValueError(f"{where}{key} must be {kind}, got {json.dumps(doc[key])}")
+
+
+def _is_dir_name(value) -> bool:
+    """A plain directory name, so a scene cannot lie outside its corpus."""
+    return type(value) is str and value not in ("", "..") and Path(value).name == value
+
+
 def read_manifest(corpus_dir) -> dict:
+    """A corpus manifest; a malformed one raises a ValueError naming the file and entry."""
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"{corpus_dir} has no manifest.json; not a corpus?")
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "cornerdet-corpus":
-        raise ValueError(f"{path}: unrecognized corpus format")
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # malformed JSON or UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest must be a JSON object")
+        if manifest.get("format") != "cornerdet-corpus":
+            raise ValueError("unrecognized corpus format")
+        _require(manifest, "num_classes", lambda v: type(v) is int and v >= 1, "a positive integer")
+        _require(manifest, "scenes", lambda v: type(v) is list, "an array")
+        for i, entry in enumerate(manifest["scenes"]):
+            where = f"scene {i}: "
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}must be an object")
+            _require(entry, "id", lambda v: type(v) is int, "an integer", where)
+            _require(entry, "dir", _is_dir_name, "a directory name", where)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return manifest
 
 

@@ -438,6 +438,141 @@ def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, c
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
+def class_count(count):
+    """Resize scene_00000's class head to `count` classes."""
+
+    def mutate(corpus):
+        for name in ("class_kernel", "class_bias"):
+            path = corpus / "scene_00000" / "weights" / name
+            tensor = load_tensor(path)
+            store_tensor(np.resize(tensor, (count,) + tensor.shape[1:]), path)
+
+    return mutate
+
+
+def tensor_shapes(**shapes):
+    """Replace scene_00000's named tensors (weights/<name> for head weights)
+    by zeros of the given shapes."""
+
+    def mutate(corpus):
+        scene = corpus / "scene_00000"
+        for name, shape in shapes.items():
+            path = scene / "weights" / name if (scene / "weights" / name).exists() else scene / f"{name}.cpnt"
+            store_tensor(np.zeros(shape, dtype=np.float32), path)
+
+    return mutate
+
+
+def manifest_edit(edit):
+    """Rewrite the manifest as `edit(doc)`, a document or raw JSON text."""
+
+    def mutate(corpus):
+        path = corpus / "manifest.json"
+        doc = edit(json.loads(path.read_text()))
+        path.unlink()  # a hard link into the shared corpus
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+    return mutate
+
+
+def first_scene(**entry):
+    return manifest_edit(lambda doc: {**doc, "scenes": [entry] + doc["scenes"][1:]})
+
+
+SCENE, MANIFEST = "scene_00000", "manifest.json"
+BAD_CORPORA = [
+    pytest.param(
+        class_count(1), SCENE, "the class head scores 1 classes but the heatmaps hold 2", id="fewer-classes"
+    ),
+    pytest.param(
+        class_count(3), SCENE, "the class head scores 3 classes but the heatmaps hold 2", id="more-classes"
+    ),
+    pytest.param(
+        tensor_shapes(box_feat=(32, 64, 64), cat_feat=(256, 64, 64)),
+        SCENE,
+        "box_feat has shape (32, 64, 64), off the 128 x 128 heatmap grid",
+        id="features-off-grid",
+    ),
+    pytest.param(
+        tensor_shapes(cat_feat=(256, 64, 64)),
+        SCENE,
+        "cat_feat must be (256, H, W) with extents matching box_feat (32, 128, 128), got shape (256, 64, 64)",
+        id="cat-feat-extents",
+    ),
+    pytest.param(
+        tensor_shapes(tl_heat=(128, 128)), SCENE, "tl_heat must be (C, H, W), got shape (128, 128)", id="rank-2-heat"
+    ),
+    pytest.param(
+        tensor_shapes(br_off=(2, 128, 64)),
+        SCENE,
+        "br_off must be (2, 128, 128) to match the heatmaps, got shape (2, 128, 64)",
+        id="offset-extents",
+    ),
+    pytest.param(
+        tensor_shapes(binary_bias=(2, 2)),
+        SCENE,
+        "weights/binary_bias must be (1,), got shape (2, 2)",
+        id="binary-bias-rank-2",
+    ),
+    pytest.param(
+        tensor_shapes(class_kernel=(2, 256, 49)),
+        SCENE,
+        "class_kernel must be (C, 256, 7, 7), got shape (2, 256, 49)",
+        id="class-kernel-rank-3",
+    ),
+    pytest.param(manifest_edit(lambda doc: doc["scenes"]), MANIFEST, "manifest must be a JSON object", id="array"),
+    pytest.param(
+        manifest_edit(lambda doc: {k: v for k, v in doc.items() if k != "scenes"}),
+        MANIFEST,
+        "missing scenes",
+        id="no-scenes",
+    ),
+    pytest.param(
+        manifest_edit(lambda doc: {**doc, "scenes": {"0": doc["scenes"][0]}}),
+        MANIFEST,
+        'scenes must be an array, got {"0": ',
+        id="scenes-object",
+    ),
+    pytest.param(
+        manifest_edit(lambda doc: {**doc, "num_classes": True}),
+        MANIFEST,
+        "num_classes must be a positive integer, got true",
+        id="bool-num-classes",
+    ),
+    pytest.param(first_scene(id=0), MANIFEST, "scene 0: missing dir", id="no-dir"),
+    pytest.param(
+        first_scene(id=0, dir="../scene_00000"),
+        MANIFEST,
+        'scene 0: dir must be a directory name, got "../scene_00000"',
+        id="dir-outside",
+    ),
+    pytest.param(first_scene(dir=SCENE), MANIFEST, "scene 0: missing id", id="no-id"),
+    pytest.param(first_scene(id=0.5, dir=SCENE), MANIFEST, "scene 0: id must be an integer, got 0.5", id="float-id"),
+    pytest.param(first_scene(id=True, dir=SCENE), MANIFEST, "scene 0: id must be an integer, got true", id="bool-id"),
+    pytest.param(
+        manifest_edit(lambda doc: {**doc, "scenes": doc["scenes"][:1] + ["scene_00001"]}),
+        MANIFEST,
+        "scene 1: must be an object",
+        id="scene-string",
+    ),
+    pytest.param(manifest_edit(lambda doc: '{"format": '), MANIFEST, "Expecting value", id="malformed-json"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mutate, where, message", BAD_CORPORA)
+def test_detect_bad_corpus_exit_3(mutate, where, message, small_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    mutate(corpus)
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus / where}: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
 BAD_IDS = [
     ("dets", 1, "category_id", 1.5, "record 1: category_id must be an integer, got 1.5"),
     ("dets", 1, "image_id", True, "record 1: image_id must be an integer, got true"),

@@ -193,6 +193,67 @@ class TestRoiAlign:
             if trial % 5 == 0:
                 assert np.isnan(pooled[0, -1]).all() and channels[-1] == d - 1
 
+    @pytest.mark.parametrize("chunk", [512, 7])
+    def test_many_boxes_across_chunks_match_frozen_kernel(self, chunk):
+        # ~1,100 boxes, some zero-area, so chunks hold non-adjacent rows and
+        # the default chunk's last one is short
+        rng = np.random.default_rng(43)
+        feat = rng.standard_normal((8, 30, 41)).astype(np.float32)
+        feat[[1, 4]] = 0.0
+        feat[6, :, :20] = 0.0  # live only on the right
+        boxes = rng.uniform(-40, 180, (1100, 4))
+        boxes[:, 2:] = boxes[:, :2] + rng.uniform(-3, 90, (1100, 2))
+        pooled, channels = roi_align_batch(feat, boxes, chunk=chunk)
+        want = frozen_roi_align_batch(feat, boxes)
+        assert channels.tolist() == [0, 2, 3, 5, 6, 7]
+        assert (~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))).sum() > 10
+        assert pooled.tobytes() == want[:, channels].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_infinite_edge_cells_read_with_weight_zero_give_nan(self):
+        # a tap beyond a map edge reads the edge cell with weight 0, and
+        # 0 * inf is NaN in both kernels; a sample between the edge cell and
+        # the edge reads the cell twice, once with weight 0
+        feat = np.ones((3, 10, 12), dtype=np.float32)
+        feat[0, 0, :] = np.inf  # top row
+        feat[1, :, -1] = -np.inf  # right column
+        boxes = np.array(
+            [
+                [8.0, -60.0, 30.0, -10.0],  # above the map
+                [8.0, -3.6, 30.0, -0.4],  # between row 0 and the top edge
+                [60.0, 8.0, 90.0, 30.0],  # right of the map
+                [44.4, 8.0, 47.6, 30.0],  # between the last column and the edge
+                [8.0, 8.0, 30.0, 30.0],  # inside, away from both edges
+            ]
+        )
+        pooled, channels = roi_align_batch(feat, boxes)
+        want = frozen_roi_align_batch(feat, boxes)
+        assert channels.tolist() == [0, 1, 2]
+        assert pooled.tobytes() == want.tobytes()
+        assert np.isnan(pooled[:2, 0]).all() and np.isnan(pooled[2:4, 1]).all()
+        assert np.isfinite(pooled[4]).all() and np.isfinite(pooled[:, 2]).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_boxes_clipped_on_all_sides_match_frozen_kernel(self):
+        rng = np.random.default_rng(47)
+        feat = rng.standard_normal((5, 9, 14)).astype(np.float32)
+        feat[2] = 0.0
+        boxes = np.array(
+            [
+                [-30.0, -25.0, 4 * 14 + 30.0, 4 * 9 + 25.0],
+                [-1.0, -0.5, 4 * 14 + 0.5, 4 * 9 + 1.0],
+                [-1000.0, -900.0, 2000.0, 1500.0],
+                [-3.0, 10.0, 70.0, 20.0],  # clipped left and right only
+                [10.0, -3.0, 20.0, 50.0],  # clipped top and bottom only
+                [-1e300, -1e300, 1e300, 1e300],  # samples beyond int64
+                [0.0, 0.0, np.inf, 20.0],
+            ]
+        )
+        pooled, channels = roi_align_batch(feat, boxes)
+        want = frozen_roi_align_batch(feat, boxes)
+        assert channels.tolist() == [0, 1, 3, 4]
+        assert pooled.tobytes() == want[:, channels].tobytes()
+
     def test_no_live_box_pools_nothing(self):
         feat = np.ones((3, 8, 8), dtype=np.float32)
         for boxes in (np.zeros((0, 4)), np.array([[4.0, 4, 4, 20]])):
