@@ -109,7 +109,9 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     if not np.isfinite(q).all():
         raise ValueError("cat_feat or the class head weights hold NaN or infinity")
     dets = label_detections(survivors, q)
-    dets = soft_nms(dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune)
+    dets = soft_nms(
+        dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune, limit=config.top_k
+    )
     dets = top_k_truncate(dets, config.top_k)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))
 

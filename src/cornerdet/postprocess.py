@@ -9,12 +9,11 @@ with Gaussian soft-NMS, and keep the top 100.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 
 import numpy as np
-
-from cornerdet.geometry import iou_matrix
 
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
@@ -70,48 +69,109 @@ def label_detections(survivors: np.ndarray, q: np.ndarray) -> np.ndarray:
     return dets
 
 
+# an overflow is the limit the scalar algorithm reaches too: a tiny sigma
+# gives exp(-inf) = 0, and an infinite area an overlap of 0, as in iou_matrix
+@np.errstate(over="ignore", invalid="ignore")
 def soft_nms(
     dets: np.ndarray,
     sigma: float = SOFT_NMS_SIGMA,
     prune: float = SOFT_NMS_PRUNE,
+    limit: int | None = None,
 ) -> np.ndarray:
-    """Gaussian soft-NMS, run independently per class.
+    """Gaussian soft-NMS, run independently per class, keeping the first `limit` picks.
 
-    Repeatedly select the highest-scoring remaining box (ties broken by
-    original index), then decay every other same-class score by
-    exp(-iou^2 / sigma); boxes whose running score drops below `prune` are
-    discarded. Scores never increase and geometry never changes. The result
-    is ordered by descending final score, ties by original index.
+    Within each class, repeatedly select the highest-scoring remaining box
+    (ties broken by original index), then decay every other same-class
+    score by exp(-iou^2 / sigma); boxes whose running score drops below
+    `prune` are discarded. Scores never increase and geometry never changes.
+    The result is ordered by descending final score, ties by original index,
+    and holds at most `limit` rows (all of them when None): exactly
+    top_k_truncate(soft_nms(dets, sigma, prune), limit).
 
-    The overlaps come from geometry.iou_matrix, which keeps geometry.iou's
-    operation order, and the decay uses math.exp only where the overlap is
-    nonzero (elsewhere the factor is exactly 1), so the scores are
-    bit-identical to the scalar algorithm.
+    Decay never raises a score, so a class's picks come out in that order,
+    and each class's next pick, the argmax of its scores, is known before it
+    decays anything. A heap over the classes' next picks therefore yields
+    the final order directly and stops after `limit` picks; a NaN score,
+    which it cannot order, raises.
+
+    The overlaps follow geometry.iou_matrix's operations on arrays of each
+    class's corners and areas, computed once, and the decay uses math.exp
+    only where two boxes intersect (elsewhere the factor is exactly 1), so
+    the scores are bit-identical to the scalar algorithm.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    # below zero, a decayed negative score would rise past earlier picks
+    if not prune >= 0.0:
+        raise ValueError(f"prune must be >= 0, got {prune}")
+    if limit is None:
+        limit = len(dets)
+    elif limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    if np.isnan(dets["score"]).any():
+        raise ValueError("scores must not be NaN")
+    if not len(dets) or not limit:
+        return dets[:0]
+
+    # one column per box, grouped by class and each class in ascending
+    # original index; rows x1, y1, x2, y2, area, running score and original
+    # index (exact in float64)
+    order = np.argsort(dets["class_id"], kind="stable")
+    cols = np.empty((7, len(dets)))
+    cols[:4] = dets["box"][order].T
+    cols[4] = (cols[2] - cols[0]) * (cols[3] - cols[1])
+    cols[5] = dets["score"][order]
+    cols[6] = order
+    cls = dets["class_id"][order]
+    edges = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
+    classes, heap = [], []  # heap: (-score, original index, class) of each next pick
+    for c, (lo, hi) in enumerate(zip([0, *edges], [*edges, len(dets)])):
+        col = cols[:, lo:hi]
+        b = int(col[5].argmax())  # first maximum: the lowest index
+        classes.append((col, b))
+        heap.append((-float(col[5, b]), int(col[6, b]), c))
+    heapq.heapify(heap)
+
     picked, kept = [], []
-    for cls in np.unique(dets["class_id"]):
-        idx = np.flatnonzero(dets["class_id"] == cls)
-        scores, boxes = dets["score"][idx], dets["box"][idx]
-        while idx.size:
-            b = int(np.argmax(scores))  # first maximum: the lowest index
-            picked.append(idx[b])
-            kept.append(scores[b])
-            ov = iou_matrix(boxes[b : b + 1], boxes)[0]
-            ov[b] = 0.0  # the picked box leaves undecayed
-            hit = np.flatnonzero(ov)
-            ov = ov[hit]
-            decay = map(math.exp, (-(ov * ov) / sigma).tolist())
-            scores[hit] *= np.fromiter(decay, np.float64, len(hit))
-            keep = scores >= prune
-            keep[b] = False
-            idx, scores, boxes = idx[keep], scores[keep], boxes[keep]
-    picked, kept = np.array(picked, dtype=np.int64), np.array(kept, dtype=np.float64)
-    order = np.lexsort((picked, -kept))
-    out = dets[picked[order]]
-    out["score"] = kept[order]
+    while heap:
+        neg_score, i, c = heap[0]
+        picked.append(i)
+        kept.append(-neg_score)
+        if len(picked) == limit:
+            break
+        col = _decay(*classes[c], sigma, prune)
+        if col.shape[1]:
+            b = int(col[5].argmax())
+            classes[c] = col, b
+            heapq.heapreplace(heap, (-float(col[5, b]), int(col[6, b]), c))
+        else:
+            heapq.heappop(heap)
+    out = dets[np.array(picked, dtype=np.int64)]
+    out["score"] = kept
     return out
+
+
+def _decay(col: np.ndarray, b: int, sigma: float, prune: float) -> np.ndarray:
+    """A class's columns after its pick `b` decays the others; `b` and pruned boxes leave."""
+    wh = np.minimum(col[2:4], col[2:4, b, None])
+    wh -= np.maximum(col[:2], col[:2, b, None])
+    hit = np.minimum(wh[0], wh[1]) > 0.0
+    hit[b] = False  # the picked box leaves undecayed
+    hit = hit.nonzero()[0]
+    if hit.size:
+        iw, ih = wh.take(hit, axis=1)
+        inter = iw * ih
+        union = col[4, b] + col[4].take(hit)
+        union -= inter
+        # iou_matrix's overlap is 0 where the union is not positive
+        ov = np.divide(inter, union, out=np.zeros(hit.size), where=union > 0.0)
+        ov *= ov
+        ov /= -sigma  # -(ov * ov) / sigma, bit for bit
+        score = col[5]
+        score[hit] = score.take(hit) * np.fromiter(map(math.exp, ov.tolist()), np.float64, hit.size)
+    keep = col[5] >= prune
+    keep[b] = False
+    return col.compress(keep, axis=1)
 
 
 def top_k_truncate(dets: np.ndarray, k: int = TOP_K) -> np.ndarray:

@@ -58,6 +58,10 @@ FALSE_SCORE_CEIL = 0.1
 SCENE_TENSORS = ("tl_heat", "br_heat", "tl_off", "br_off", "box_feat", "cat_feat")
 
 
+# the least aspect ratio of the forced first box of an extreme-aspect scene
+EXTREME_ASPECT = 5.0
+
+
 class RenderBudgetError(RuntimeError):
     """Scene resampling exhausted its attempt budget."""
 
@@ -82,8 +86,33 @@ class SynthConfig:
             raise ValueError(f"num_classes must be in [1, {CAT_CHANNELS}]")
         if self.arrangement not in ("random", "cross"):
             raise ValueError(f"unknown arrangement {self.arrangement!r}")
-        if self.noise < 0.0:
+        if not self.noise >= 0.0:
             raise ValueError("noise must be >= 0")
+        if min(self.image_size) < 1:
+            raise ValueError(f"image_size extents must be >= 1, got {list(self.image_size)}")
+        if not 0 <= self.num_boxes[0] <= self.num_boxes[1]:
+            raise ValueError(f"num_boxes must satisfy 0 <= lo <= hi, got {list(self.num_boxes)}")
+        # an infinite or NaN margin fails the comparisons too
+        if not (0.0 <= self.margin and 2.0 * self.margin < min(self.image_size)):
+            raise ValueError(
+                f"margin must be >= 0 and below half of each image extent, got {self.margin}"
+            )
+        lo, hi = self.area_range
+        if not (0.0 < lo <= hi < math.inf):
+            raise ValueError(f"area_range must satisfy 0 < lo <= hi, got {list(self.area_range)}")
+        lo, hi = self.aspect_range
+        if not (1.0 <= lo <= hi < math.inf):
+            raise ValueError(f"aspect_range must satisfy 1 <= lo <= hi, got {list(self.aspect_range)}")
+        for name in ("extreme_aspect_period", "extreme_area_period"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # the forced aspect ratios are drawn from [5, hi]; a forced area out of
+        # reach instead ends in a RenderBudgetError
+        if self.extreme_aspect_period and self.arrangement == "random" and hi < EXTREME_ASPECT:
+            raise ValueError(
+                f"aspect_range must reach {EXTREME_ASPECT} when extreme_aspect_period "
+                f"is set, got {list(self.aspect_range)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,7 +207,7 @@ def _sample_box(
     if force_aspect is not None:
         ratio = float(rng.uniform(*force_aspect))
     else:
-        ratio = float(np.exp(rng.uniform(0.0, math.log(cfg.aspect_range[1]))))
+        ratio = float(np.exp(rng.uniform(*map(math.log, cfg.aspect_range))))
     wide = bool(rng.random() < 0.5)
 
     # ratio applies as w/h when wide, h/w otherwise
@@ -217,8 +246,6 @@ def generate_scene(
     """
     rng = np.random.default_rng(seed)
     lo, hi = cfg.num_boxes
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad num_boxes range {cfg.num_boxes}")
 
     for _ in range(60):  # whole-scene restarts when placement jams
         target = int(rng.integers(lo, hi + 1))
@@ -418,7 +445,7 @@ def scene_forces(cfg: SynthConfig, index: int):
     force_aspect = force_area = None
     if cfg.arrangement == "random":
         if cfg.extreme_aspect_period and index % cfg.extreme_aspect_period == 0:
-            force_aspect = (5.0, cfg.aspect_range[1])
+            force_aspect = (max(EXTREME_ASPECT, cfg.aspect_range[0]), cfg.aspect_range[1])
         elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1:
             force_area = (400.0**2 + 1.0, cfg.area_range[1])
     return force_aspect, force_area

@@ -7,7 +7,9 @@ import os
 import re
 import shutil
 import tempfile
+import struct
 import time
+import typing
 import warnings
 from pathlib import Path
 
@@ -290,6 +292,101 @@ def test_bad_config_exit_3(command, doc, message, small_corpus, tmp_path, capsys
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
+# values no field of its JSON kind accepts, as JSON text
+NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", '"0.5"', "true", "null", "[0.5]"]
+NOT_AN_INT = ["1.5", "true", '"3"', "null", "1e400", "NaN", "[3]"]
+NOT_A_PAIR = ["5", "[]", "[1]", "[1, 2, 3]", '[1, "2"]', "[1, NaN]", "[1, 1e400]", "null"]
+NOT_OF_KIND = {float: NOT_A_FLOAT, int: NOT_AN_INT, bool: ["1", '"true"', "null"], str: ["5", "null"]}
+
+
+def field_mutants(cls):
+    """(name, JSON text) for every field of a config class and every value
+    of the wrong JSON kind for it."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is tuple:
+            bad = NOT_A_PAIR
+        else:  # int | None takes what an int takes, and null
+            bad = NOT_OF_KIND.get(hint, [v for v in NOT_AN_INT if v != "null"])
+        for value in bad:
+            yield name, value
+
+
+# values of the right kind that the config class rejects
+OUT_OF_RANGE = {
+    "detect": [
+        ("k", "0"),
+        ("objectness_threshold", "0"),
+        ("objectness_threshold", "1"),
+        ("soft_nms_sigma", "0"),
+        ("soft_nms_sigma", "-1e-320"),
+        ("soft_nms_prune", "-0.001"),
+        ("top_k", "-1"),
+        ("stride", "0"),
+    ],
+    "synth": [
+        ("margin", "1e308"),
+        ("margin", "-1e9"),
+        ("margin", "255.5"),
+        ("aspect_range", "[0, 0]"),
+        ("aspect_range", "[0.5, 8]"),
+        ("aspect_range", "[6, 5]"),
+        ("aspect_range", "[1, 3]"),  # never reaches the forced 5:1
+        ("area_range", "[0, 100]"),
+        ("area_range", "[-1, 1e6]"),
+        ("area_range", "[1e6, 1e5]"),
+        ("image_size", "[0, 511]"),
+        ("image_size", "[511, -3]"),
+        ("num_boxes", "[3, 1]"),
+        ("num_boxes", "[-1, 2]"),
+        ("extreme_aspect_period", "-1"),
+        ("extreme_area_period", "-5"),
+        ("num_classes", "0"),
+        ("num_classes", "257"),
+        ("noise", "-0.1"),
+        ("arrangement", '"diagonal"'),
+    ],
+}
+WHOLE_FILE = [
+    ("bad-utf8", b'{"k": \xff}'),
+    ("bad-utf8-bom16", b"\xff\xfe{\x00}\x00"),
+    ("empty", b""),
+    ("truncated", b'{"k": 7'),
+    ("truncated-key", b'{"'),
+    ("array", b"[]"),
+    ("null", b"null"),
+    ("string", b'"k"'),
+    ("number", b"5"),
+    ("nan", b"NaN"),
+    ("duplicate-key", b'{"noise": 0.1, "noise": 0.2}'),
+]
+CONFIG_FUZZ = [
+    pytest.param(command, text, id=f"{command}-{case}")
+    for command in ("detect", "synth")
+    for case, text in WHOLE_FILE
+] + [
+    pytest.param(command, f'{{"{name}": {value}}}'.encode(), id=f"{command}-{name}={value}")
+    for command, cls in (("detect", PipelineConfig), ("synth", SynthConfig))
+    for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command]]
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text", CONFIG_FUZZ)
+def test_config_fuzzed_input_exit_3(command, text, small_corpus, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "out"
+    if command == "detect":
+        argv = ["detect", "--corpus", str(small_corpus), "--out", str(out)]
+    else:
+        argv = ["synth", "--out", str(out), "--count", "2", "--seed", "1"]
+    assert main(argv + ["--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
 def test_detect_error_names_scene(small_corpus, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": 1000000}))
@@ -438,6 +535,18 @@ def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, c
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_detect_subnormal_sigma_is_silent(small_corpus, tmp_path, capsys):
+    # ov^2 / sigma overflows to infinity, and the decay factor is exp(-inf) = 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"soft_nms_sigma": 1e-320}))
+    out = tmp_path / "out"
+    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--config", str(cfg_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 def class_count(count):
     """Resize scene_00000's class head to `count` classes."""
 
@@ -569,6 +678,57 @@ def test_detect_bad_corpus_exit_3(mutate, where, message, small_corpus, tmp_path
     assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus / where}: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
+def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
+    """Malformed variants of a valid CPNT file, each one header or size fault."""
+    (rank,) = struct.unpack_from("<I", blob, 5)
+
+    def with_rank(r):
+        return blob[:5] + struct.pack("<I", r) + blob[9:]
+
+    def with_extents(*extents):
+        return blob[:9] + struct.pack(f"<{rank}I", *extents) + blob[9 + 4 * rank :]
+
+    return [
+        ("bad-magic", b"CPNX" + blob[4:]),
+        ("version-0", blob[:4] + b"\x00" + blob[5:]),
+        ("version-2", blob[:4] + b"\x02" + blob[5:]),
+        ("rank-0", with_rank(0)),
+        ("rank-max", with_rank(2**32 - 1)),
+        ("rank-plus-1", with_rank(rank + 1)),  # reads the payload's first word as an extent
+        ("rank-minus-1", with_rank(rank - 1)),
+        ("zero-extent", with_extents(*[0] + [1] * (rank - 1))),
+        ("overflowing-extents", with_extents(*[2**32 - 1] * rank)),
+        ("truncated-payload", blob[:-1]),
+        ("trailing-bytes", blob + b"\x00" * 4),
+        ("empty", b""),
+    ]
+
+
+CPNT_FILES = ["scene_00000/tl_heat.cpnt", "scene_00000/cat_feat.cpnt", "scene_00000/weights/class_kernel"]
+CPNT_FUZZ = [
+    pytest.param(name, index, id=f"{name.rsplit('/', 1)[1]}-{case}")
+    for name in CPNT_FILES
+    for index, (case, _) in enumerate(malformed_cpnt(struct.pack("<4sBI2I", b"CPNT", 1, 2, 1, 1)))
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, index", CPNT_FUZZ)
+def test_cpnt_header_fuzzed_exit_3(name, index, small_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    victim = corpus / name
+    _, blob = malformed_cpnt(victim.read_bytes())[index]
+    victim.unlink()  # a hard link into the shared corpus
+    victim.write_bytes(blob)
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus / 'scene_00000'}: {victim}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists() and not proposals_sibling(out).exists()
 

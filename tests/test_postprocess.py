@@ -18,6 +18,7 @@ from cornerdet.postprocess import (
     top_k_truncate,
     write_detections,
 )
+from cornerdet.geometry import iou_matrix
 from cornerdet.proposals import BOX_DTYPE
 from oracles import naive_soft_nms
 
@@ -144,6 +145,22 @@ def scored(out):
     return [(tuple(b), c, s) for b, c, s in zip(*columns)]
 
 
+def random_case(rng, n, ties=False):
+    """n random boxes in three classes, as (boxes, scores, classes) lists."""
+    boxes_, scores, classes = [], [], []
+    for _ in range(n):
+        x, y = rng.uniform(0, 60, 2)
+        w, h = rng.uniform(1, 50, 2)
+        boxes_.append((float(x), float(y), float(x + w), float(y + h)))
+        classes.append(int(rng.integers(3)))
+        scores.append(int(rng.integers(1, 9)) / 8 if ties else float(rng.random()))
+    return boxes_, scores, classes
+
+
+def as_dets(boxes_, scores, classes):
+    return boxes(*[det(*b, cls=c, score=s) for b, c, s in zip(boxes_, classes, scores)])
+
+
 class TestSoftNms:
     def test_single_detection_identity(self):
         d = boxes(det(0, 0, 10, 10, score=0.7))
@@ -188,25 +205,92 @@ class TestSoftNms:
     def test_matches_naive_reference_exactly(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            n = int(rng.integers(1, 30))
-            rows, boxes_, scores, classes = [], [], [], []
-            for _ in range(n):
-                x, y = rng.uniform(0, 60, 2)
-                w, h = rng.uniform(1, 50, 2)
-                box = (float(x), float(y), float(x + w), float(y + h))
-                cls = int(rng.integers(3))
-                score = float(rng.random())
-                boxes_.append(box)
-                scores.append(score)
-                classes.append(cls)
-                rows.append(det(*box, cls=cls, score=score))
-            got = scored(soft_nms(boxes(*rows), sigma=0.5, prune=1e-3))
+            boxes_, scores, classes = random_case(rng, int(rng.integers(1, 30)))
+            got = scored(soft_nms(as_dets(boxes_, scores, classes), sigma=0.5, prune=1e-3))
             want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
             assert got == [(boxes_[i], classes[i], s) for i, s in want]  # bit-exact
+
+    def test_limit_is_a_prefix_of_the_naive_reference(self):
+        # scores on a grid of eighths tie within and across classes
+        rng = np.random.default_rng(29)
+        for trial in range(120):
+            n = int(rng.integers(1, 40))
+            boxes_, scores, classes = random_case(rng, n, ties=trial % 2 == 0)
+            dets = as_dets(boxes_, scores, classes)
+            want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
+            full = soft_nms(dets, sigma=0.5, prune=1e-3)
+            for k in sorted({0, 1, 5, n, len(want) + 3}):
+                got = soft_nms(dets, sigma=0.5, prune=1e-3, limit=k)
+                assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want[:k]]
+                assert got.tobytes() == top_k_truncate(full, k).tobytes()
+
+    def test_equal_scores_across_classes_straddle_the_cut(self):
+        # disjoint boxes decay nothing; the three 0.5 scores go by row, not class
+        dets = boxes(
+            det(0, 0, 10, 10, cls=0, score=0.9),
+            det(20, 0, 30, 10, cls=1, score=0.5),
+            det(40, 0, 50, 10, cls=0, score=0.5),
+            det(60, 0, 70, 10, cls=1, score=0.5),
+        )
+        for k, rows in [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3])]:
+            out = soft_nms(dets, limit=k)
+            assert out.tobytes() == dets[rows].tobytes()
+
+    def test_cut_inside_a_class_before_another_class_picks(self):
+        # class 0's second box decays below both class 1 boxes, so class 0's
+        # sequence is cut after its first pick while class 1 has picks to come
+        dets = boxes(
+            det(0, 0, 10, 10, cls=0, score=0.9),
+            det(0, 0, 10, 11, cls=0, score=0.85),
+            det(50, 50, 60, 60, cls=1, score=0.7),
+            det(80, 80, 90, 90, cls=1, score=0.6),
+        )
+        full = soft_nms(dets)
+        assert full["class_id"].tolist() == [0, 1, 1, 0]
+        assert full["score"][3] < 0.6
+        for k in range(6):
+            out = soft_nms(dets, limit=k)
+            assert out.tobytes() == full[:k].tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_nan_score_raises(self, row):
+        rows = [det(0, 0, 10, 10, cls=c, score=0.5) for c in (0, 0, 1, 1)]
+        rows[row] = rows[row][:5] + (math.nan,)
+        with pytest.raises(ValueError, match="NaN"):
+            soft_nms(boxes(*rows), limit=1)
+
+    @pytest.mark.filterwarnings("error")  # numpy would warn of the overflow in ov^2 / sigma
+    def test_subnormal_sigma_gives_factor_zero(self):
+        boxes_ = [(0.0, 0.0, 10.0, 10.0), (1.0, 1.0, 11.0, 11.0), (50.0, 50.0, 60.0, 60.0)]
+        scores, classes = [0.9, 0.8, 0.7], [0, 0, 0]
+        out = soft_nms(as_dets(boxes_, scores, classes), sigma=1e-320, prune=0.0)
+        assert out["score"].tolist() == [0.9, 0.7, 0.0]  # exp(-inf) = 0 for the overlap
+        want = naive_soft_nms(boxes_, scores, classes, sigma=1e-320, prune=0.0)
+        assert scored(out) == [(boxes_[i], classes[i], s) for i, s in want]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_geometry_overlaps_like_iou_matrix(self):
+        # an infinite intersection (union inf - inf) or area (union inf)
+        # gives iou_matrix's overlap 0, so no decay and no numpy warning
+        rows = [(0, 0, 1e160, 1e160), (0, 0, 1e160, 1e160), (0, 0, 1e200, 1e200), (0, 0, 1, 1)]
+        dets = boxes(*[det(*r, cls=c, score=s) for r, c, s in zip(rows, (0, 0, 1, 1), (0.9, 0.8, 0.7, 0.6))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not iou_matrix(dets["box"][:1], dets["box"][1:2]).any()
+            assert not iou_matrix(dets["box"][2:3], dets["box"][3:]).any()
+        assert soft_nms(dets)["score"].tolist() == [0.9, 0.8, 0.7, 0.6]
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             soft_nms(boxes(det(0, 0, 1, 1)), sigma=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"prune": -1e-3}, {"prune": math.nan}, {"limit": -1}])
+    def test_bad_prune_or_limit(self, kwargs):
+        with pytest.raises(ValueError):
+            soft_nms(boxes(det(0, 0, 1, 1)), **kwargs)
+
+    def test_empty_input(self):
+        for k in (None, 0, 3):
+            assert soft_nms(boxes()[:0], limit=k).dtype == BOX_DTYPE
 
 
 class TestTopK:

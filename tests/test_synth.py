@@ -60,6 +60,18 @@ class TestGenerateScene:
             seed += 1
         assert {5, 6, 7, 8} <= buckets
 
+    def test_aspect_range_lower_bound(self):
+        cfg = SynthConfig(
+            num_boxes=(2, 6), aspect_range=(4.0, 8.0), extreme_aspect_period=0, extreme_area_period=0
+        )
+        ratios = [
+            max(gt.box.width / gt.box.height, gt.box.height / gt.box.width)
+            for seed in range(20)
+            for gt in generate_scene(cfg, seed=seed).gts
+        ]
+        assert len(ratios) >= 20
+        assert 4.0 - 1e-9 <= min(ratios) and max(ratios) <= 8.0 + 1e-9
+
     def test_forced_aspect(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene = generate_scene(cfg, seed=3, force_aspect=(5.0, 8.0))
