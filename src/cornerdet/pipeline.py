@@ -17,6 +17,7 @@ import numpy as np
 
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
 from cornerdet.postprocess import (
+    RECORD_DTYPE,
     detection_records,
     filter_by_objectness,
     label_detections,
@@ -118,8 +119,10 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
 
 @dataclass(frozen=True)
 class CorpusRun:
-    detection_records: list[dict]
-    proposal_records: list[dict]
+    """Both dumps' RECORD_DTYPE rows in manifest order, and each scene's time."""
+
+    detection_records: np.ndarray
+    proposal_records: np.ndarray
     timings: list[tuple[int, float]]  # (image id, seconds)
 
 
@@ -153,13 +156,11 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(process, entries))
 
-    det_records: list[dict] = []
-    prop_records: list[dict] = []
-    timings = []
-    for image_id, result, elapsed in outcomes:
-        det_records.extend(detection_records(image_id, result.detections))
-        prop_records.extend(detection_records(image_id, result.proposals))
-        timings.append((image_id, elapsed))
+    empty = np.empty(0, RECORD_DTYPE)
+    dets = [detection_records(i, result.detections) for i, result, _ in outcomes]
+    props = [detection_records(i, result.proposals) for i, result, _ in outcomes]
     return CorpusRun(
-        detection_records=det_records, proposal_records=prop_records, timings=timings
+        detection_records=np.concatenate([empty, *dets]),
+        proposal_records=np.concatenate([empty, *props]),
+        timings=[(image_id, elapsed) for image_id, _, elapsed in outcomes],
     )

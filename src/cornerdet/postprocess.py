@@ -181,85 +181,80 @@ def top_k_truncate(dets: np.ndarray, k: int = TOP_K) -> np.ndarray:
     return dets[np.argsort(-dets["score"], kind="stable")[:k]]
 
 
-def detection_records(image_id: int, dets: np.ndarray) -> list[dict]:
-    """Interchange records with COCO-style [x, y, w, h] boxes, one per row.
+# one dump record: image id, COCO-style [x, y, w, h] box, class id and score
+RECORD_DTYPE = np.dtype(
+    [
+        ("image_id", np.int64),
+        ("box", np.float64, (4,)),
+        ("class_id", np.int64),
+        ("score", np.float64),
+    ]
+)
+
+
+def detection_records(image_id: int, dets: np.ndarray) -> np.ndarray:
+    """Dump records of one image, as RECORD_DTYPE rows in the order of `dets`.
 
     Serves both dumps: detections, and proposals scored by corner score.
     """
-    x1, y1, x2, y2 = dets["box"].T
-    bboxes = np.column_stack([x1, y1, x2 - x1, y2 - y1]).tolist()
-    return [
-        {"image_id": int(image_id), "category_id": c, "bbox": bbox, "score": s}
-        for c, bbox, s in zip(dets["class_id"].tolist(), bboxes, dets["score"].tolist())
-    ]
+    records = np.empty(len(dets), RECORD_DTYPE)
+    records["image_id"] = image_id
+    records["box"] = dets["box"]
+    records["box"][:, 2:] -= dets["box"][:, :2]
+    records["class_id"] = dets["class_id"]
+    records["score"] = dets["score"]
+    return records
 
 
-_RECORD_KEYS = frozenset(("bbox", "category_id", "image_id", "score"))
-
-# One record as json.dump(records, fh, sort_keys=True, indent=1) lays it out,
-# led by the ",\n" that json writes before every array item but the first.
-_RECORD_LAYOUT = (
-    ',\n {\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],\n'
-    '  "category_id": %s,\n  "image_id": %s,\n  "score": %s\n }'
+# json.dump(records, fh, sort_keys=True, indent=1) lays a record out as these
+# separators around its bbox numbers, category_id, image_id and score, led by
+# the ",\n" json writes before every array item but the first.
+_LAYOUT = (
+    ',\n {\n  "bbox": [\n   ', None, ",\n   ", None, ",\n   ", None, ",\n   ", None,
+    '\n  ],\n  "category_id": ', None, ',\n  "image_id": ', None, ',\n  "score": ', None, "\n }",
 )
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _number(v) -> str:
-    """A bbox value or score as json spells it: int or float repr, or NaN/Infinity."""
-    if type(v) is float:
-        return repr(v) if math.isfinite(v) else _NON_FINITE[repr(v)]
-    if type(v) is int:
-        return repr(v)
-    raise ValueError(f"{v!r} is not a number")
+def _spelled(column: np.ndarray) -> list[str]:
+    """A column's numbers as json spells them: int or float repr, or NaN/Infinity.
 
-
-def _record_text(r) -> str:
-    """One record in the dump layout; a ValueError says why a record has another shape."""
-    if type(r) is not dict:
-        raise ValueError(f"must be an object, got {type(r).__name__}")
-    if r.keys() != _RECORD_KEYS:
-        raise ValueError(f"keys must be {sorted(_RECORD_KEYS)}, got {list(r)}")
-    bbox, category_id, image_id, score = r["bbox"], r["category_id"], r["image_id"], r["score"]
-    if type(category_id) is not int:
-        raise ValueError(f"category_id must be an int, got {category_id!r}")
-    if type(image_id) is not int:
-        raise ValueError(f"image_id must be an int, got {image_id!r}")
-    if type(bbox) not in (list, tuple) or len(bbox) != 4:
-        raise ValueError(f"bbox must be a list of 4 numbers, got {bbox!r}")
-    x, y, w, h = bbox
-    # %s spells a finite float as its repr, like json; a finite sum means
-    # every term is finite, and an overflowing one only takes the slow path
-    if not (
-        type(x) is type(y) is type(w) is type(h) is type(score) is float
-        and math.isfinite(x + y + w + h + score)
-    ):
-        x, y, w, h, score = map(_number, (x, y, w, h, score))
-    return _RECORD_LAYOUT % (x, y, w, h, category_id, image_id, score)
-
-
-def write_detections(path, records: list[dict]) -> None:
-    """Write a detection dump: one JSON array of records.
-
-    The bytes are those of json.dump(records, fh, sort_keys=True, indent=1)
-    followed by a newline, written by a fixed layout for the one record shape
-    detection_records builds: int image and category ids, a bbox of 4
-    numbers and a numeric score. Any other record raises a ValueError
-    naming its index before the file is opened.
+    Each distinct bit pattern is spelled once, since the boxes of the pairs
+    that share a corner share its coordinates; bits, unlike values, tell
+    -0.0 from 0.0.
     """
-    texts = []
-    for i, r in enumerate(records):
-        try:
-            texts.append(_record_text(r))
-        except ValueError as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-    if texts:
-        texts[0] = "[" + texts[0][1:]
-        texts.append("\n]\n")
-    else:
-        texts.append("[]\n")
+    distinct, where = np.unique(column.view(np.int64), return_inverse=True)
+    values = distinct.view(column.dtype)
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    bad = ~np.isfinite(values)
+    text[bad] = [_NON_FINITE[t] for t in text[bad]]
+    return text[where].tolist()
+
+
+def write_detections(path, records: np.ndarray) -> None:
+    """Write a dump of RECORD_DTYPE rows as one JSON array of objects.
+
+    The bytes are those of json.dump(dicts, fh, sort_keys=True, indent=1)
+    followed by a newline, where each dict holds a row's "image_id",
+    "category_id" (class_id), "bbox" (box as a list) and "score". Anything
+    but a 1-D RECORD_DTYPE array raises a ValueError before the file is
+    opened.
+    """
+    want = "records must be a 1-D RECORD_DTYPE array"
+    if not isinstance(records, np.ndarray):
+        raise ValueError(f"{want}, got {type(records).__name__}")
+    if records.dtype != RECORD_DTYPE or records.ndim != 1:
+        raise ValueError(f"{want}, got a {records.ndim}-D array of {records.dtype}")
+    stride = len(_LAYOUT)
+    parts = list(_LAYOUT) * len(records)
+    columns = (*records["box"].T, records["class_id"], records["image_id"], records["score"])
+    for at, column in zip(range(1, stride, 2), columns):
+        parts[at::stride] = _spelled(column)
+    if parts:
+        parts[0] = "[" + parts[0][1:]
+        parts.append("\n]\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(texts)
+        fh.write("".join(parts) or "[]\n")
 
 
 def read_detections(path) -> list[dict]:

@@ -446,7 +446,7 @@ def scene_forces(cfg: SynthConfig, index: int):
     if cfg.arrangement == "random":
         if cfg.extreme_aspect_period and index % cfg.extreme_aspect_period == 0:
             force_aspect = (max(EXTREME_ASPECT, cfg.aspect_range[0]), cfg.aspect_range[1])
-        elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1:
+        elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1 % cfg.extreme_area_period:
             force_area = (400.0**2 + 1.0, cfg.area_range[1])
     return force_aspect, force_area
 
@@ -562,6 +562,7 @@ def read_manifest(corpus_dir) -> dict:
             if not isinstance(entry, dict):
                 raise ValueError(f"{where}must be an object")
             _require(entry, "id", lambda v: type(v) is int, "an integer", where)
+            _require(entry, "id", lambda v: -(2**63) <= v < 2**63, "within the int64 range", where)
             _require(entry, "dir", _is_dir_name, "a directory name", where)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import tempfile
 import struct
+import sys
 import time
 import typing
 import warnings
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
 from cornerdet.pipeline import PipelineConfig, run_corpus
-from cornerdet.postprocess import read_detections
+from cornerdet.postprocess import RECORD_DTYPE, read_detections
 from cornerdet.synth import SynthConfig, write_corpus
 from cornerdet.tensorio import load_tensor, store_tensor
 
@@ -129,7 +131,10 @@ class TestCliFlow:
         write_corpus(corpus, SynthConfig(), count=0, seed=5)
         dump = tmp_path / "dets.json"
         assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
-        assert read_detections(dump) == []
+        assert dump.read_text() == proposals_sibling(dump).read_text() == "[]\n"
+        run = run_corpus(corpus, PipelineConfig())
+        assert run.detection_records.dtype == run.proposal_records.dtype == RECORD_DTYPE
+        assert len(run.detection_records) == len(run.proposal_records) == 0
 
     def test_k_override_limits_proposals(self, tmp_path):
         corpus = tmp_path / "two_box"
@@ -459,6 +464,34 @@ def test_run_corpus_library_level(small_corpus):
     assert image_ids <= {0, 1, 2, 3}
 
 
+def test_run_corpus_records_equal_across_workers(small_corpus):
+    one = run_corpus(small_corpus, PipelineConfig(), workers=1)
+    two = run_corpus(small_corpus, PipelineConfig(), workers=2)
+    for field in ("detection_records", "proposal_records"):
+        a, b = getattr(one, field), getattr(two, field)
+        assert a.dtype == b.dtype == RECORD_DTYPE
+        assert a.tobytes() == b.tobytes()
+    assert len(one.proposal_records) > len(one.detection_records) > 0
+    # manifest order: image ids never decrease along either dump
+    assert (np.diff(one.proposal_records["image_id"]) >= 0).all()
+
+
+def test_perfbench_detect_pass_smoke(small_corpus, tmp_path, monkeypatch):
+    """The benchmark's detect pass, loaded from perfbench/run.py, on the small corpus."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look their module up
+    spec.loader.exec_module(bench)
+    out = tmp_path / "out"
+    result = bench.detect_pass(small_corpus, 2, out)
+    dets, props = out / "dets.json", proposals_sibling(out / "dets.json")
+    assert result.n_dets == len(read_detections(dets)) > 0
+    assert result.n_props == len(read_detections(props)) > result.n_dets
+    assert (result.dets, result.props) == (bench.sha256(dets), bench.sha256(props))
+    assert [image_id for image_id, _ in result.timings] == [0, 1, 2, 3]
+
+
 # sha256 of both dumps of a fixed noisy corpus. A RoIAlign kernel or head that
 # adds in another order would move a score's last bit, and so these hashes.
 NOISY_DUMP_SHA256 = {
@@ -658,6 +691,24 @@ BAD_CORPORA = [
     pytest.param(first_scene(dir=SCENE), MANIFEST, "scene 0: missing id", id="no-id"),
     pytest.param(first_scene(id=0.5, dir=SCENE), MANIFEST, "scene 0: id must be an integer, got 0.5", id="float-id"),
     pytest.param(first_scene(id=True, dir=SCENE), MANIFEST, "scene 0: id must be an integer, got true", id="bool-id"),
+    pytest.param(
+        first_scene(id=2**63, dir=SCENE),
+        MANIFEST,
+        "scene 0: id must be within the int64 range, got 9223372036854775808",
+        id="id-above-int64",
+    ),
+    pytest.param(
+        first_scene(id=-(2**63) - 1, dir=SCENE),
+        MANIFEST,
+        "scene 0: id must be within the int64 range, got -9223372036854775809",
+        id="id-below-int64",
+    ),
+    pytest.param(
+        manifest_edit(lambda doc: json.dumps(doc).replace('"id": 0,', '"id": 1' + "0" * 400 + ",", 1)),
+        MANIFEST,
+        "scene 0: id must be within the int64 range, got 1000",
+        id="id-400-digits",
+    ),
     pytest.param(
         manifest_edit(lambda doc: {**doc, "scenes": doc["scenes"][:1] + ["scene_00001"]}),
         MANIFEST,

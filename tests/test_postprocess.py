@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cornerdet.postprocess import (
+    RECORD_DTYPE,
     detection_records,
     filter_by_objectness,
     fuse_scores,
@@ -320,16 +320,29 @@ class TestTopK:
 def test_detection_dump_roundtrip(tmp_path):
     dets = boxes(det(1.5, 2.5, 11.5, 22.5, cls=4, score=0.25))
     records = detection_records(7, dets)
-    assert records == [
-        {"image_id": 7, "category_id": 4, "bbox": [1.5, 2.5, 10.0, 20.0], "score": 0.25}
-    ]
+    assert records.dtype == RECORD_DTYPE
+    assert records["image_id"].tolist() == [7]
+    assert records["box"].tolist() == [[1.5, 2.5, 10.0, 20.0]]
+    assert records["class_id"].tolist() == [4] and records["score"].tolist() == [0.25]
     path = tmp_path / "dets.json"
     write_detections(path, records)
-    assert read_detections(path) == records
+    assert read_detections(path) == [
+        {"image_id": 7, "category_id": 4, "bbox": [1.5, 2.5, 10.0, 20.0], "score": 0.25}
+    ]
     # deterministic bytes on rewrite
     blob = path.read_bytes()
     write_detections(path, records)
     assert path.read_bytes() == blob
+
+
+def test_detection_records_keep_row_order():
+    dets = boxes(det(0, 0, 4, 4, cls=2, score=0.9), det(-1.0, 3.0, 2.0, 3.5, cls=0, score=0.1))
+    records = detection_records(-3, dets)
+    assert records["image_id"].tolist() == [-3, -3]
+    assert records["box"].tolist() == [[0.0, 0.0, 4.0, 4.0], [-1.0, 3.0, 3.0, 0.5]]
+    assert records["class_id"].tolist() == [2, 0]
+    assert records["score"].tolist() == [0.9, 0.1]
+    assert len(detection_records(0, dets[:0])) == 0
 
 
 def json_dump_bytes(records) -> bytes:
@@ -339,14 +352,12 @@ def json_dump_bytes(records) -> bytes:
     return (buf.getvalue() + "\n").encode("utf-8")
 
 
-def record(image_id=7, category_id=4, bbox=(1.5, 2.5, 10.0, 20.0), score=0.25):
-    return {"image_id": image_id, "category_id": category_id, "bbox": list(bbox), "score": score}
-
-
 EDGE_FLOATS = [
     5e-324,  # the smallest subnormal
     2.2250738585072014e-308,
     1.7976931348623157e308,
+    -1e308,
+    1e308,
     -123.456,
     3.0,
     1e16,
@@ -358,54 +369,73 @@ EDGE_FLOATS = [
     math.inf,
     -math.inf,
 ]
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
-numbers = st.floats() | st.integers(min_value=-(10**20), max_value=10**20)
-ids = st.integers(min_value=-(2**70), max_value=2**70)
-records = st.fixed_dictionaries(
-    {
-        "image_id": ids,
-        "category_id": ids,
-        "bbox": st.lists(numbers, min_size=4, max_size=4),
-        "score": st.floats(),
-    }
-)
+int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
+rows = st.tuples(int64s, st.tuples(*[st.floats()] * 4), int64s, st.floats())
 
 
-@settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(st.lists(records, max_size=6))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(rows, max_size=6))
 @example([])
-@example([record()])
-@example([record(2**63, 10**30, EDGE_FLOATS[i : i + 4], EDGE_FLOATS[i - 1]) for i in range(10)])
-@example([record(bbox=(0, -1, 3, 10**20), score=1)])
+@example([(7, (1.5, 2.5, 10.0, 20.0), 4, 0.25)])
+@example([(INT64_MIN, (0.0, -0.0, 5e-324, -5e-324), INT64_MAX, -0.0)])
+@example([(0, (0.0, -0.0, 0.0, -0.0), 0, 0.0), (0, (-0.0, 0.0, -0.0, 0.0), 0, -0.0)])
+@example(
+    [
+        (INT64_MAX - i, tuple(EDGE_FLOATS[i : i + 4]), INT64_MIN + i, EDGE_FLOATS[i - 1])
+        for i in range(len(EDGE_FLOATS) - 3)
+    ]
+)
 def test_write_detections_matches_json_dump(tmp_path, recs):
+    # the oracle sees the drawn Python numbers, never the array
+    dicts = [
+        {"image_id": i, "category_id": c, "bbox": list(box), "score": s} for i, box, c, s in recs
+    ]
     path = tmp_path / "dets.json"
-    write_detections(path, recs)
-    assert path.read_bytes() == json_dump_bytes(recs)
+    write_detections(path, np.array(recs, dtype=RECORD_DTYPE))
+    assert path.read_bytes() == json_dump_bytes(dicts)
 
 
+def record_fields(**changes):
+    """RECORD_DTYPE's fields with some retyped, dropped (None) or added."""
+    fields = {name: RECORD_DTYPE.fields[name][0] for name in RECORD_DTYPE.names}
+    fields.update(changes)
+    return np.zeros(2, dtype=[(name, t) for name, t in fields.items() if t is not None])
+
+
+# Each dict-shaped fault the per-record writer once named, as the array that
+# carries it now: a field added, dropped or of another type. The message
+# names the fault; the writer rejects the whole array by its dtype.
 BAD_RECORDS = [
-    ({**record(), "area": 200.0}, "keys must be"),
-    ({k: v for k, v in record().items() if k != "score"}, "keys must be"),
-    (record(image_id=True), "image_id must be an int, got True"),
-    (record(category_id=1.0), "category_id must be an int, got 1.0"),
-    (record(category_id=False), "category_id must be an int, got False"),
-    (record(image_id=2.0), "image_id must be an int, got 2.0"),
-    (record(bbox=(1.0, 2.0, 3.0)), "bbox must be a list of 4 numbers"),
-    (record(bbox=(1.0, 2.0, 3.0, "4")), "'4' is not a number"),
-    (record(bbox=(1.0, 2.0, 3.0, True)), "True is not a number"),
-    (record(score=None), "None is not a number"),
-    ([1.0, 2.0], "must be an object, got list"),
+    (record_fields(area=np.float64), "keys must be"),
+    (record_fields(score=None), "keys must be"),
+    (record_fields(image_id=np.bool_), "image_id must be an int, got True"),
+    (record_fields(class_id=np.float64), "category_id must be an int, got 1.0"),
+    (record_fields(class_id=np.bool_), "category_id must be an int, got False"),
+    (record_fields(image_id=np.float64), "image_id must be an int, got 2.0"),
+    (record_fields(box=(np.float64, (3,))), "bbox must be a list of 4 numbers"),
+    (record_fields(box=(np.str_, 4)), "'4' is not a number"),
+    (record_fields(box=(np.bool_, (4,))), "True is not a number"),
+    (record_fields(score=object), "None is not a number"),
+    (
+        [{"image_id": 7, "category_id": 4, "bbox": [1.5, 2.5, 10.0, 20.0], "score": 0.25}],
+        "must be an object, got list",
+    ),
+    (np.zeros(2, dtype=BOX_DTYPE), "detections, not records"),
+    (np.zeros((2, 1), dtype=RECORD_DTYPE), "a 2-D array"),
+    (np.zeros((), dtype=RECORD_DTYPE), "a 0-D array"),
+    (np.zeros(2, dtype=RECORD_DTYPE.descr[::-1]), "fields in another order"),
+    (None, "no records"),
 ]
 
 
 @pytest.mark.parametrize("bad, message", BAD_RECORDS)
 def test_write_detections_rejects_other_shapes(tmp_path, bad, message):
     path = tmp_path / "dets.json"
-    with pytest.raises(ValueError, match=f"^record 1: {re.escape(message)}"):
-        write_detections(path, [record(), bad])
-    assert not path.exists()
+    with pytest.raises(ValueError, match="^records must be a 1-D RECORD_DTYPE array, got "):
+        write_detections(path, bad)
+    assert not path.exists(), message
 
 
 def test_read_detections_rejects_non_array(tmp_path):

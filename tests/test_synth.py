@@ -13,6 +13,7 @@ from cornerdet.synth import (
     generate_scene,
     map_size,
     render_oracle,
+    scene_forces,
     verify_bundle,
 )
 
@@ -82,6 +83,16 @@ class TestGenerateScene:
         cfg = SynthConfig(num_boxes=(1, 1))
         scene = generate_scene(cfg, seed=3, force_area=(400.0**2 + 1, 490.0**2))
         assert scene.gts[0].box.area > 400.0**2
+
+    def test_area_period_one_forces_every_scene(self):
+        cfg = SynthConfig(extreme_aspect_period=0, extreme_area_period=1)
+        for index in range(4):
+            assert scene_forces(cfg, index) == (None, (400.0**2 + 1.0, cfg.area_range[1]))
+
+    def test_default_periods_schedule(self):
+        forces = [scene_forces(SynthConfig(), index) for index in range(10)]
+        assert [i for i, (aspect, _) in enumerate(forces) if aspect] == [0, 5]
+        assert [i for i, (_, area) in enumerate(forces) if area] == [1, 6]
 
     def test_infeasible_range(self):
         cfg = SynthConfig(image_size=(64, 64), num_boxes=(1, 1), area_range=(300.0**2, 400.0**2))
