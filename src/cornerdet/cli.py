@@ -161,11 +161,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--corpus", required=True, help="corpus directory")
     p_detect.add_argument("--config", default=None, help="pipeline config JSON")
     p_detect.add_argument("--out", required=True, help="detection dump path")
-    p_detect.add_argument("--workers", type=positive_int, default=1, help="worker pool size")
+    p_detect.add_argument("--workers", type=int_at_least(1), default=1, help="worker pool size")
     p_detect.set_defaults(func=cmd_detect)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--config", default=None, help="scene config JSON")
     p_synth.add_argument("--out", required=True, help="output corpus directory")
-    p_synth.add_argument("--count", type=positive_int, required=True, help="number of scenes")
-    p_synth.add_argument("--seed", type=int, required=True, help="corpus seed")
+    p_synth.add_argument("--count", type=int_at_least(1), required=True, help="number of scenes")
+    p_synth.add_argument("--seed", type=int_at_least(0), required=True, help="corpus seed")
     p_synth.set_defaults(func=cmd_synth)
 
     p_eval = sub.add_parser("eval", help="score a detection dump against ground truth")

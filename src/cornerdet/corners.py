@@ -6,7 +6,7 @@ Heatmaps are per-class probability maps at a stride-4-reduced resolution:
 first, then the y-offset plane, with fractional values in [0, 1).
 
 A corner at heatmap cell (row, col) with offsets (ox, oy) sits at image
-position x = (col + ox) * stride, y = (row + oy) * stride.
+position x = (col + ox) * STRIDE, y = (row + oy) * STRIDE.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def local_max_suppress(heat: np.ndarray, window: int = 3) -> np.ndarray:
     return np.where(heat == neighborhood_max, heat, np.float32(0.0))
 
 
-def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> np.ndarray:
+def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     """Extract the k best corner keypoints of one kind from all heatmaps.
 
     Selection runs jointly over all C*H*W cells after 3x3 local-max
@@ -123,8 +123,8 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int, stride: int = STRIDE) -> n
     cls, rows, cols = np.unravel_index(order, (c, h, w))
     ox = off[0, rows, cols].astype(np.float32)
     oy = off[1, rows, cols].astype(np.float32)
-    xs = (cols.astype(np.float32) + ox) * np.float32(stride)
-    ys = (rows.astype(np.float32) + oy) * np.float32(stride)
+    xs = (cols.astype(np.float32) + ox) * np.float32(STRIDE)
+    ys = (rows.astype(np.float32) + oy) * np.float32(STRIDE)
 
     kps = np.empty(k, dtype=KEYPOINT_DTYPE)
     kps["class_id"] = cls
@@ -184,7 +184,6 @@ def gaussian_targets(
     num_classes: int,
     height: int,
     width: int,
-    stride: int = STRIDE,
     min_overlap: float = 0.7,
 ) -> HeatmapSet:
     """Render training-target heatmaps and offset planes for a scene.
@@ -203,12 +202,12 @@ def gaussian_targets(
         if gt.class_id >= num_classes:
             raise ValueError(f"class_id {gt.class_id} outside [0, {num_classes})")
         box = gt.box
-        radius = max(0, int(gaussian_radius(box.height / stride, box.width / stride, min_overlap)))
+        radius = max(0, int(gaussian_radius(box.height / STRIDE, box.width / STRIDE, min_overlap)))
         for heat, off, cx, cy in (
             (tl_heat, tl_off, box.x1, box.y1),
             (br_heat, br_off, box.x2, box.y2),
         ):
-            fx, fy = cx / stride, cy / stride
+            fx, fy = cx / STRIDE, cy / STRIDE
             col, row = int(math.floor(fx)), int(math.floor(fy))
             if not (0 <= col < width and 0 <= row < height):
                 raise ValueError(

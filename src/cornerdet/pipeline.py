@@ -18,6 +18,9 @@ import numpy as np
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
 from cornerdet.postprocess import (
     RECORD_DTYPE,
+    SOFT_NMS_PRUNE,
+    SOFT_NMS_SIGMA,
+    TOP_K,
     detection_records,
     filter_by_objectness,
     label_detections,
@@ -25,6 +28,7 @@ from cornerdet.postprocess import (
     top_k_truncate,
 )
 from cornerdet.proposals import (
+    HeadWeights,
     binary_scores,
     class_scores,
     enumerate_proposals,
@@ -39,11 +43,10 @@ class PipelineConfig:
 
     k: int = 70
     objectness_threshold: float = 0.2
-    soft_nms_sigma: float = 0.5
-    soft_nms_prune: float = 0.001
-    top_k: int = 100
+    soft_nms_sigma: float = SOFT_NMS_SIGMA
+    soft_nms_prune: float = SOFT_NMS_PRUNE
+    top_k: int = TOP_K
     num_classes: int | None = None
-    stride: int = 4
     use_binary_head: bool = True
 
     def __post_init__(self):
@@ -57,8 +60,6 @@ class PipelineConfig:
             raise ValueError("soft_nms_prune must be >= 0")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,13 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
         if not np.isfinite(getattr(bundle.heatmaps, name)).all():
             raise ValueError(f"{name} holds NaN or infinity")
-    tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k, stride=config.stride)
-    brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k, stride=config.stride)
+    tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k)
+    brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k)
     proposals = enumerate_proposals(tls, brs)
     feats, weights = bundle.features, bundle.weights
     survivors = proposals
     if config.use_binary_head:
-        pooled_box = roi_align_batch(feats.box_feat, proposals["box"], stride=config.stride)
+        pooled_box = roi_align_batch(feats.box_feat, proposals["box"])
         p_scores = binary_scores(*pooled_box, weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
@@ -104,7 +105,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             raise ValueError("box_feat or the binary head weights hold NaN or infinity")
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
-    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], stride=config.stride)
+    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"])
     q = class_scores(*pooled_cat, weights)
     # likewise for cat_feat: a bad value under a survivor gives a NaN class score
     if not np.isfinite(q).all():
@@ -127,7 +128,7 @@ class CorpusRun:
 
 
 def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRun:
-    """Detect over every scene of a corpus.
+    """Detect over every scene of a corpus, all scored by its one weights bundle.
 
     Scenes are processed by a bounded worker pool; results are collected in
     manifest order, so the output is identical regardless of worker count.
@@ -139,12 +140,17 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
             f"config expects {config.num_classes} classes, "
             f"corpus has {manifest['num_classes']}"
         )
+    weights_dir = corpus_dir / "weights"
+    try:
+        weights = HeadWeights.load_bundle(weights_dir)
+    except ValueError as exc:
+        raise ValueError(f"{weights_dir}: {exc}") from None
 
     def process(entry):
         start = time.perf_counter()
         scene_dir = corpus_dir / entry["dir"]
         try:
-            result = detect_bundle(load_scene_bundle(scene_dir), config)
+            result = detect_bundle(load_scene_bundle(scene_dir, weights), config)
         except ValueError as exc:
             raise ValueError(f"{scene_dir}: {exc}") from None
         return entry["id"], result, time.perf_counter() - start

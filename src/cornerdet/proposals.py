@@ -143,7 +143,6 @@ def roi_align_batch(
     feat: np.ndarray,
     boxes: np.ndarray,
     out_size: int = POOL_SIZE,
-    stride: int = STRIDE,
     chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RoIAlign a (D, H, W) feature map over N boxes, on its live channels only.
@@ -153,7 +152,7 @@ def roi_align_batch(
     bilinear taps can reach, and `channels` holds their indices in ascending
     order. Every other channel would pool to exact zeros.
 
-    Box coordinates are image pixels and get divided by `stride` into
+    Box coordinates are image pixels and get divided by `STRIDE` into
     feature coordinates, where cell (r, c) sits at continuous position
     (c, r). Every output bin averages 4 bilinear samples at the bin's
     quarter-points; bilinear taps outside the feature extent read 0.
@@ -172,7 +171,7 @@ def roi_align_batch(
     # floor(x1) .. floor(x2) + 1, and a tap outside the map reads the clipped
     # edge cell (with weight 0), so the band between the clipped extremes
     # holds every cell any tap reads. Channels all zero there pool to zeros.
-    fb = boxes[idx_live] / stride
+    fb = boxes[idx_live] / STRIDE
     lo = np.floor(fb[:, :2].min(axis=0))
     hi = np.floor(fb[:, 2:].max(axis=0)) + 1.0
     top = np.array([w - 1, h - 1])

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,8 @@ SCENE_TENSORS = ("tl_heat", "br_heat", "tl_off", "br_off", "box_feat", "cat_feat
 
 # the least aspect ratio of the forced first box of an extreme-aspect scene
 EXTREME_ASPECT = 5.0
+# the forced first box of an extreme-area scene is larger than this
+EXTREME_AREA = 400.0**2 + 1.0
 
 
 class RenderBudgetError(RuntimeError):
@@ -106,13 +109,31 @@ class SynthConfig:
         for name in ("extreme_aspect_period", "extreme_area_period"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # the forced aspect ratios are drawn from [5, hi]; a forced area out of
-        # reach instead ends in a RenderBudgetError
-        if self.extreme_aspect_period and self.arrangement == "random" and hi < EXTREME_ASPECT:
+        if self.arrangement != "random":
+            return
+        # the forced aspect ratios are drawn from [5, hi]
+        if self.extreme_aspect_period and hi < EXTREME_ASPECT:
             raise ValueError(
                 f"aspect_range must reach {EXTREME_ASPECT} when extreme_aspect_period "
                 f"is set, got {list(self.aspect_range)}"
             )
+        # the forced areas are drawn from above EXTREME_AREA, up to area_range[1]
+        # and the largest box the margins fit at some ratio of aspect_range
+        if self.extreme_area_period:
+            least = max(self.area_range[0], EXTREME_AREA)
+            avail = [extent - 2.0 * self.margin for extent in self.image_size]
+            largest = 0.0
+            for along, across in (avail, avail[::-1]):
+                # a box whose side along is r times its side across fits at most
+                # min(along^2 / r, across^2 * r), most at the r nearest along / across
+                r = min(max(along / across, lo), hi)
+                largest = max(largest, min(along * along / r, across * across * r))
+            if min(self.area_range[1], largest) <= least:
+                raise ValueError(
+                    f"area_range {list(self.area_range)} and aspect_range {list(self.aspect_range)} "
+                    f"allow no box above area {least:g} within the margins (which fit at most "
+                    f"{largest:g}) when extreme_area_period is set"
+                )
 
 
 @dataclass(frozen=True)
@@ -149,9 +170,9 @@ class OracleBundle:
             )
 
 
-def map_size(image_extent: int, stride: int = STRIDE) -> int:
+def map_size(image_extent: int) -> int:
     """Heatmap extent for an image extent (511 -> 128 at stride 4)."""
-    return image_extent // stride + 1
+    return image_extent // STRIDE + 1
 
 
 def _subseed(seed: int, *key: int) -> int:
@@ -166,14 +187,8 @@ def _corner_cells(boxes: list[BBox], pick) -> list[tuple[int, int]]:
 
 
 def _cells_isolated(cells: list[tuple[int, int]]) -> bool:
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if (
-                abs(cells[i][0] - cells[j][0]) <= 1
-                and abs(cells[i][1] - cells[j][1]) <= 1
-            ):
-                return False
-    return True
+    """No two cells are equal or adjacent, diagonally included."""
+    return all(abs(a[0] - b[0]) > 1 or abs(a[1] - b[1]) > 1 for a, b in combinations(cells, 2))
 
 
 def _boxes_separated(a: BBox, b: BBox, gap: float) -> bool:
@@ -186,10 +201,8 @@ def _boxes_separated(a: BBox, b: BBox, gap: float) -> bool:
 
 
 def _scene_geometry_ok(boxes: list[BBox], gap: float = 10.0) -> bool:
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if not _boxes_separated(boxes[i], boxes[j], gap):
-                return False
+    if not all(_boxes_separated(a, b, gap) for a, b in combinations(boxes, 2)):
+        return False
     tl_cells = _corner_cells(boxes, lambda b: (b.x1, b.y1))
     br_cells = _corner_cells(boxes, lambda b: (b.x2, b.y2))
     return _cells_isolated(tl_cells) and _cells_isolated(br_cells)
@@ -447,22 +460,22 @@ def scene_forces(cfg: SynthConfig, index: int):
         if cfg.extreme_aspect_period and index % cfg.extreme_aspect_period == 0:
             force_aspect = (max(EXTREME_ASPECT, cfg.aspect_range[0]), cfg.aspect_range[1])
         elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1 % cfg.extreme_area_period:
-            force_area = (400.0**2 + 1.0, cfg.area_range[1])
+            force_area = (EXTREME_AREA, cfg.area_range[1])
     return force_aspect, force_area
 
 
 def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
-    """Write `count` rendered scenes plus ground truth; manifest goes last."""
+    """Write `count` rendered scenes, the head weights and the ground truth; manifest goes last."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    planted_weights(cfg.num_classes).save_bundle(out_dir / "weights")
 
-    img_h, img_w = cfg.image_size
-    images = []
     annotations = []
     scenes_meta = []
-    ann_id = 0
     for i in range(count):
         force_aspect, force_area = scene_forces(cfg, i)
         scene, bundle = build_scene(
@@ -476,42 +489,19 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
             SCENE_TENSORS, (hm.tl_heat, hm.br_heat, hm.tl_off, hm.br_off, fm.box_feat, fm.cat_feat)
         ):
             store_tensor(tensor, scene_dir / f"{tensor_name}.cpnt")
-        bundle.weights.save_bundle(scene_dir / "weights")
-
-        frag_annotations = []
         for gt in scene.gts:
             x, y, w, h = gt.box.as_xywh()
-            record = {
-                "id": ann_id,
-                "image_id": i,
-                "category_id": gt.class_id,
-                "bbox": [x, y, w, h],
-            }
-            frag_annotations.append(record)
-            annotations.append(record)
-            ann_id += 1
-        fragment = {
-            "image_id": i,
-            "width": img_w,
-            "height": img_h,
-            "annotations": frag_annotations,
-        }
-        with open(scene_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
-            json.dump(fragment, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-        images.append({"id": i, "width": img_w, "height": img_h})
+            annotations.append(
+                {"id": len(annotations), "image_id": i, "category_id": gt.class_id, "bbox": [x, y, w, h]}
+            )
         scenes_meta.append({"id": i, "dir": name, "seed": scene.seed})
 
+    img_h, img_w = cfg.image_size
     ground_truth = {
-        "images": images,
+        "images": [{"id": i, "width": img_w, "height": img_h} for i in range(count)],
         "annotations": annotations,
         "categories": [{"id": c, "name": f"class_{c}"} for c in range(cfg.num_classes)],
     }
-    with open(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(ground_truth, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
     manifest = {
         "format": "cornerdet-corpus",
         "version": 1,
@@ -521,9 +511,11 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
         "seed": seed,
         "scenes": scenes_meta,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # the manifest goes last: a corpus without one is incomplete
+    for file_name, doc in (("ground_truth.json", ground_truth), ("manifest.json", manifest)):
+        with open(out_dir / file_name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     return manifest
 
 
@@ -569,16 +561,8 @@ def read_manifest(corpus_dir) -> dict:
     return manifest
 
 
-def load_scene_bundle(scene_dir) -> OracleBundle:
-    scene_dir = Path(scene_dir)
-    tensors = {name: load_tensor(scene_dir / f"{name}.cpnt") for name in SCENE_TENSORS}
-    return OracleBundle(
-        heatmaps=HeatmapSet(
-            tl_heat=tensors["tl_heat"],
-            br_heat=tensors["br_heat"],
-            tl_off=tensors["tl_off"],
-            br_off=tensors["br_off"],
-        ),
-        features=FeatureMaps(box_feat=tensors["box_feat"], cat_feat=tensors["cat_feat"]),
-        weights=HeadWeights.load_bundle(scene_dir / "weights"),
-    )
+def load_scene_bundle(scene_dir, weights: HeadWeights) -> OracleBundle:
+    """One scene's six tensors, scored by the corpus's head weights."""
+    tensors = {name: load_tensor(Path(scene_dir) / f"{name}.cpnt") for name in SCENE_TENSORS}
+    heatmaps = HeatmapSet(**{name: tensors.pop(name) for name in SCENE_TENSORS[:4]})
+    return OracleBundle(heatmaps=heatmaps, features=FeatureMaps(**tensors), weights=weights)

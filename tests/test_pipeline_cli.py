@@ -34,7 +34,6 @@ class TestPipelineConfig:
         assert cfg.k == 70
         assert cfg.objectness_threshold == 0.2
         assert cfg.top_k == 100
-        assert cfg.stride == 4
         assert cfg.soft_nms_sigma == 0.5
         assert cfg.soft_nms_prune == 0.001
         assert cfg.use_binary_head is True
@@ -58,7 +57,7 @@ class TestPipelineConfig:
         path.write_text(json.dumps({"soft_nms_sigma": 1, "num_classes": None, "k": 9}))
         cfg = load_config(PipelineConfig, path)
         assert (cfg.soft_nms_sigma, cfg.num_classes, cfg.k) == (1, None, 9)
-        path.write_text(json.dumps({"num_boxes": [2, 3], "area_range": [900, 2500.5]}))
+        path.write_text(json.dumps({"num_boxes": [2, 3], "area_range": [900, 2500.5], "extreme_area_period": 0}))
         cfg = load_config(SynthConfig, path)
         assert (cfg.num_boxes, cfg.area_range) == ((2, 3), (900, 2500.5))
 
@@ -199,10 +198,12 @@ class TestCliFlow:
         manifest = json.loads((corpus / "manifest.json").read_text())
         assert manifest["count"] == 1
         scene_dir = corpus / manifest["scenes"][0]["dir"]
-        for name in ("tl_heat", "br_heat", "tl_off", "br_off", "box_feat", "cat_feat"):
-            assert (scene_dir / f"{name}.cpnt").exists()
-        assert (scene_dir / "weights" / "binary_kernel").exists()
-        assert (scene_dir / "ground_truth.json").exists()
+        names = ("tl_heat", "br_heat", "tl_off", "br_off", "box_feat", "cat_feat")
+        assert sorted(p.name for p in scene_dir.iterdir()) == sorted(f"{n}.cpnt" for n in names)
+        weights = sorted(p.name for p in (corpus / "weights").iterdir())
+        assert weights == ["binary_bias", "binary_kernel", "class_bias", "class_kernel"]
+        root = sorted(p.name for p in corpus.iterdir())
+        assert root == ["ground_truth.json", "manifest.json", scene_dir.name, "weights"]
 
 
 class TestCliErrors:
@@ -277,6 +278,18 @@ BAD_CONFIGS = [
     ("synth", {"num_boxes": [1, 2.5]}, "num_boxes must be tuple[int, int]"),
     ("synth", {"noise": "0.3"}, "noise must be float"),
     ("synth", {"num_classes": 0}, "num_classes must be in [1, 256]"),
+    (
+        "synth",
+        {"area_range": [100, 10000]},
+        "area_range [100, 10000] and aspect_range [1.0, 8.0] allow no box above area 160001 "
+        "within the margins (which fit at most 237169) when extreme_area_period is set",
+    ),
+    (
+        "synth",
+        {"aspect_range": [4, 8], "extreme_aspect_period": 0},
+        "area_range [576.0, 240100.0] and aspect_range [4, 8] allow no box above area 160001 "
+        "within the margins (which fit at most 59292.2) when extreme_area_period is set",
+    ),
     ("detect", '{"k": 70, "k": 71}', "duplicate config key 'k'"),
 ]
 
@@ -326,7 +339,6 @@ OUT_OF_RANGE = {
         ("soft_nms_sigma", "-1e-320"),
         ("soft_nms_prune", "-0.001"),
         ("top_k", "-1"),
-        ("stride", "0"),
     ],
     "synth": [
         ("margin", "1e308"),
@@ -336,6 +348,10 @@ OUT_OF_RANGE = {
         ("aspect_range", "[0.5, 8]"),
         ("aspect_range", "[6, 5]"),
         ("aspect_range", "[1, 3]"),  # never reaches the forced 5:1
+        ("area_range", "[100, 10000]"),  # never reaches the forced area above 400^2
+        # no ratio of [4, 8] fits an area above 400^2 in 487 x 487; the second
+        # key keeps the forced 5:1 out of it
+        ("aspect_range", '[4, 8], "extreme_aspect_period": 0'),
         ("area_range", "[0, 100]"),
         ("area_range", "[-1, 1e6]"),
         ("area_range", "[1e6, 1e5]"),
@@ -350,6 +366,12 @@ OUT_OF_RANGE = {
         ("noise", "-0.1"),
         ("arrangement", '"diagonal"'),
     ],
+}
+# retired keys, with the values they used to reject and their last default:
+# a config that still sets one exits 3 as an unknown key, not ignored
+RETIRED = {
+    "detect": [("stride", value) for value in [*NOT_AN_INT, "0", "4"]],
+    "synth": [],
 }
 WHOLE_FILE = [
     ("bad-utf8", b'{"k": \xff}'),
@@ -371,7 +393,7 @@ CONFIG_FUZZ = [
 ] + [
     pytest.param(command, f'{{"{name}": {value}}}'.encode(), id=f"{command}-{name}={value}")
     for command, cls in (("detect", PipelineConfig), ("synth", SynthConfig))
-    for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command]]
+    for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command], *RETIRED[command]]
 ]
 
 
@@ -417,6 +439,25 @@ def test_count_below_one_exit_2(command, value, small_corpus, tmp_path):
         main(argv)
     assert exc.value.code == 2
     assert not out.exists() and not proposals_sibling(out).exists()
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--count", "1", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "count, seed, message", [(-1, 1, "count must be >= 0, got -1"), (1, -1, "seed must be >= 0, got -1")]
+)
+def test_write_corpus_rejects_negative_arguments(count, seed, message, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_corpus(out, SynthConfig(), count=count, seed=seed)
+    assert not out.exists()
 
 
 BAD_SCORES = [
@@ -476,13 +517,20 @@ def test_run_corpus_records_equal_across_workers(small_corpus):
     assert (np.diff(one.proposal_records["image_id"]) >= 0).all()
 
 
-def test_perfbench_detect_pass_smoke(small_corpus, tmp_path, monkeypatch):
-    """The benchmark's detect pass, loaded from perfbench/run.py, on the small corpus."""
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py as a module, with perfbench/ on sys.path for its spans module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    monkeypatch.syspath_prepend(str(path.parent))
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look their module up
-    spec.loader.exec_module(bench)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_detect_pass_smoke(bench, small_corpus, tmp_path):
+    """The benchmark's detect pass, loaded from perfbench/run.py, on the small corpus."""
     out = tmp_path / "out"
     result = bench.detect_pass(small_corpus, 2, out)
     dets, props = out / "dets.json", proposals_sibling(out / "dets.json")
@@ -490,6 +538,23 @@ def test_perfbench_detect_pass_smoke(small_corpus, tmp_path, monkeypatch):
     assert result.n_props == len(read_detections(props)) > result.n_dets
     assert (result.dets, result.props) == (bench.sha256(dets), bench.sha256(props))
     assert [image_id for image_id, _ in result.timings] == [0, 1, 2, 3]
+
+
+def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
+    """A traced benchmark round on 3 noisy scenes: every layer check runs and
+    passes, only the two retired stages are absent, and tracing moves no dump."""
+    monkeypatch.setattr(bench, "SCENES", 3)
+    tracer, _, walls, _, _, dumps = bench.traced_round(SynthConfig(noise=0.3), 1, tmp_path)
+    values, _ = bench.round_metrics(tracer, walls)
+    untraced = dumps[0]
+    assert bench.layer_checks(values, untraced, tracer.absent) == []
+    assert tracer.absent == [
+        "cornerdet.pipeline.assign_labels",
+        "cornerdet.evaluation.average_false_discovery",
+    ]
+    assert {(d.dets, d.props, d.n_dets, d.n_props) for d in dumps} == {
+        (untraced.dets, untraced.props, untraced.n_dets, untraced.n_props)
+    }
 
 
 # sha256 of both dumps of a fixed noisy corpus. A RoIAlign kernel or head that
@@ -510,14 +575,15 @@ def test_noisy_dumps_pinned(tmp_path):
 
 
 def plant_non_finite(scene, name, value):
-    """Store `value` into one scene tensor: one cell of a small tensor, or
-    box_feat or cat_feat over the scene's first ground-truth box, where the
-    true proposal pools."""
+    """Store `value` into one tensor of scene_00000 (image 0): one cell of a
+    small tensor, or box_feat or cat_feat over the image's first ground-truth
+    box, where the true proposal pools."""
     path = scene / f"{name}.cpnt"
     tensor = load_tensor(path)
     if name in ("box_feat", "cat_feat"):
-        gt = json.loads((scene / "ground_truth.json").read_text())
-        x, y, w, h = (v / 4.0 for v in gt["annotations"][0]["bbox"])
+        gt = json.loads((scene.parent / "ground_truth.json").read_text())
+        box = next(a["bbox"] for a in gt["annotations"] if a["image_id"] == 0)
+        x, y, w, h = (v / 4.0 for v in box)
         tensor[:, int(y) : int(y + h) + 1, int(x) : int(x + w) + 1] = value
     else:
         tensor[0, 5, 5] = value
@@ -556,15 +622,14 @@ def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, c
     # cat_feat channel 255 is all zero, so no class score ever reads that entry
     corpus = tmp_path / "corpus"
     shutil.copytree(small_corpus, corpus, copy_function=os.link)
-    scene = corpus / "scene_00000"
-    path = scene / "weights" / name
+    path = corpus / "weights" / name
     tensor = load_tensor(path)
     tensor[index] = np.nan
     store_tensor(tensor, path)
     out = tmp_path / "out"
     assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == f"error: {scene}: {path} holds NaN or infinity\n"
+    assert err == f"error: {corpus / 'weights'}: {path} holds NaN or infinity\n"
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
@@ -581,11 +646,11 @@ def test_detect_subnormal_sigma_is_silent(small_corpus, tmp_path, capsys):
 
 
 def class_count(count):
-    """Resize scene_00000's class head to `count` classes."""
+    """Resize the corpus's class head to `count` classes."""
 
     def mutate(corpus):
         for name in ("class_kernel", "class_bias"):
-            path = corpus / "scene_00000" / "weights" / name
+            path = corpus / "weights" / name
             tensor = load_tensor(path)
             store_tensor(np.resize(tensor, (count,) + tensor.shape[1:]), path)
 
@@ -593,13 +658,14 @@ def class_count(count):
 
 
 def tensor_shapes(**shapes):
-    """Replace scene_00000's named tensors (weights/<name> for head weights)
-    by zeros of the given shapes."""
+    """Replace scene_00000's named tensors (the corpus's weights/<name> for
+    head weights) by zeros of the given shapes."""
 
     def mutate(corpus):
-        scene = corpus / "scene_00000"
         for name, shape in shapes.items():
-            path = scene / "weights" / name if (scene / "weights" / name).exists() else scene / f"{name}.cpnt"
+            path = corpus / "weights" / name
+            if not path.exists():
+                path = corpus / "scene_00000" / f"{name}.cpnt"
             store_tensor(np.zeros(shape, dtype=np.float32), path)
 
     return mutate
@@ -621,7 +687,7 @@ def first_scene(**entry):
     return manifest_edit(lambda doc: {**doc, "scenes": [entry] + doc["scenes"][1:]})
 
 
-SCENE, MANIFEST = "scene_00000", "manifest.json"
+SCENE, MANIFEST, WEIGHTS = "scene_00000", "manifest.json", "weights"
 BAD_CORPORA = [
     pytest.param(
         class_count(1), SCENE, "the class head scores 1 classes but the heatmaps hold 2", id="fewer-classes"
@@ -652,13 +718,13 @@ BAD_CORPORA = [
     ),
     pytest.param(
         tensor_shapes(binary_bias=(2, 2)),
-        SCENE,
+        WEIGHTS,
         "weights/binary_bias must be (1,), got shape (2, 2)",
         id="binary-bias-rank-2",
     ),
     pytest.param(
         tensor_shapes(class_kernel=(2, 256, 49)),
-        SCENE,
+        WEIGHTS,
         "class_kernel must be (C, 256, 7, 7), got shape (2, 256, 49)",
         id="class-kernel-rank-3",
     ),
@@ -733,6 +799,21 @@ def test_detect_bad_corpus_exit_3(mutate, where, message, small_corpus, tmp_path
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
+def test_detect_old_layout_exit_3(small_corpus, tmp_path, capsys):
+    """A corpus with a weights bundle in every scene and none at the root."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    for scene in sorted(corpus.glob("scene_*")):
+        shutil.copytree(corpus / "weights", scene / "weights", copy_function=os.link)
+    shutil.rmtree(corpus / "weights")
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    missing = ["binary_kernel", "binary_bias", "class_kernel", "class_bias"]
+    assert err == f"error: weights bundle {corpus / 'weights'} is missing {missing}\n"
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
 def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
     """Malformed variants of a valid CPNT file, each one header or size fault."""
     (rank,) = struct.unpack_from("<I", blob, 5)
@@ -759,7 +840,7 @@ def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
     ]
 
 
-CPNT_FILES = ["scene_00000/tl_heat.cpnt", "scene_00000/cat_feat.cpnt", "scene_00000/weights/class_kernel"]
+CPNT_FILES = ["scene_00000/tl_heat.cpnt", "scene_00000/cat_feat.cpnt", "weights/class_kernel"]
 CPNT_FUZZ = [
     pytest.param(name, index, id=f"{name.rsplit('/', 1)[1]}-{case}")
     for name in CPNT_FILES
@@ -779,7 +860,7 @@ def test_cpnt_header_fuzzed_exit_3(name, index, small_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {corpus / 'scene_00000'}: {victim}: ")
+    assert err.startswith(f"error: {victim.parent}: {victim}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists() and not proposals_sibling(out).exists()
 

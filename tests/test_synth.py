@@ -22,6 +22,30 @@ def test_map_size_matches_convention():
     assert map_size(511) == 128
 
 
+@pytest.mark.parametrize(
+    "overrides, fits",
+    [
+        # 487 x 487 inside the margins: ratio r fits at most 487^2 / r
+        ({"aspect_range": (1.48, 8.0)}, True),
+        ({"aspect_range": (1.49, 8.0)}, False),
+        # 487 x 336 and 336 x 487 fit a box above 400^2 only upright or only lying
+        ({"image_size": (511, 360)}, True),
+        ({"image_size": (360, 511)}, True),
+        ({"image_size": (511, 300)}, False),
+        ({"area_range": (576.0, 160001.0)}, False),
+        ({"area_range": (576.0, 160001.5)}, True),
+        ({"area_range": (100.0, 10000.0), "extreme_area_period": 0}, True),
+        ({"area_range": (100.0, 10000.0), "arrangement": "cross"}, True),
+    ],
+)
+def test_forced_area_must_fit(overrides, fits):
+    if fits:
+        SynthConfig(**overrides)
+    else:
+        with pytest.raises(ValueError, match="extreme_area_period is set"):
+            SynthConfig(**overrides)
+
+
 class TestGenerateScene:
     def test_empty_scene(self):
         cfg = SynthConfig(num_boxes=(0, 0))
@@ -95,7 +119,10 @@ class TestGenerateScene:
         assert [i for i, (_, area) in enumerate(forces) if area] == [1, 6]
 
     def test_infeasible_range(self):
-        cfg = SynthConfig(image_size=(64, 64), num_boxes=(1, 1), area_range=(300.0**2, 400.0**2))
+        # no forced extreme area, which the config itself would reject
+        cfg = SynthConfig(
+            image_size=(64, 64), num_boxes=(1, 1), area_range=(300.0**2, 400.0**2), extreme_area_period=0
+        )
         with pytest.raises(RenderBudgetError):
             generate_scene(cfg, seed=0)
 
