@@ -371,6 +371,11 @@ def _columns(items: list, label: str, keys: tuple[str, ...]) -> list[list]:
     An item that is not an object, or lacks a key, raises a ValueError
     naming `label` and its index.
     """
+    if set(map(type, items)) <= {dict}:
+        try:
+            return [[item[k] for item in items] for k in keys]
+        except KeyError:  # the loop below names the first item without a key
+            pass
     for i, item in enumerate(items):
         if type(item) is not dict:
             raise ValueError(f"{label} {i} is not an object")
@@ -382,6 +387,11 @@ def _columns(items: list, label: str, keys: tuple[str, ...]) -> list[list]:
 
 def _ints(values: list, label: str, name: str) -> np.ndarray:
     """JSON integers as int64; a float, bool, string or too-large id raises naming its index."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:  # the loop below names the first int beyond int64
+            pass
     for i, v in enumerate(values):
         if type(v) is not int:
             raise ValueError(f"{label} {i}: {name} must be an integer, got {json.dumps(v)}")

@@ -71,16 +71,18 @@ class SceneResult:
     num_survivors: int
 
 
-# NaN or infinity in the features turns into NaN scores, which raise below;
-# numpy's "invalid value" warning would only add lines to the error
-@np.errstate(invalid="ignore")
+# NaN, infinity or a float32 overflow in the features turns into NaN or
+# infinite scores, which raise below; numpy's "invalid value" and "overflow"
+# warnings would only add lines to the error
+@np.errstate(invalid="ignore", over="ignore")
 def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     """Run the full pipeline on one image's tensors.
 
     Non-finite corner heatmaps or offsets, non-finite objectness scores
     (from box_feat or the binary head weights) and non-finite class scores
     (from cat_feat or the class head weights) raise a ValueError naming the
-    tensor.
+    tensor; finite features whose pooling overflows float32 give such
+    scores too.
     """
     if config.num_classes is not None and bundle.heatmaps.num_classes != config.num_classes:
         raise ValueError(
@@ -97,19 +99,25 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     feats, weights = bundle.features, bundle.weights
     survivors = proposals
     if config.use_binary_head:
-        pooled_box = roi_align_batch(feats.box_feat, proposals["box"])
+        pooled_box = roi_align_batch(
+            feats.box_feat, proposals["box"], candidates=feats.box_channels
+        )
         p_scores = binary_scores(*pooled_box, weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
         if not np.isfinite(p_scores).all():
-            raise ValueError("box_feat or the binary head weights hold NaN or infinity")
+            raise ValueError(
+                "box_feat or the binary head weights hold NaN, infinity or values that overflow"
+            )
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
-    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"])
+    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], candidates=feats.cat_channels)
     q = class_scores(*pooled_cat, weights)
     # likewise for cat_feat: a bad value under a survivor gives a NaN class score
     if not np.isfinite(q).all():
-        raise ValueError("cat_feat or the class head weights hold NaN or infinity")
+        raise ValueError(
+            "cat_feat or the class head weights hold NaN, infinity or values that overflow"
+        )
     dets = label_detections(survivors, q)
     dets = soft_nms(
         dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune, limit=config.top_k

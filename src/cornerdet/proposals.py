@@ -22,7 +22,6 @@ from cornerdet.tensorio import load_tensor, store_tensor
 BOX_CHANNELS = 32
 CAT_CHANNELS = 256
 POOL_SIZE = 7
-INITIAL_BIAS = -2.19  # sigmoid(-2.19) ~ 0.1, the objectness prior
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
@@ -34,10 +33,17 @@ BOX_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64), ("score
 
 @dataclass(frozen=True)
 class FeatureMaps:
-    """Box (32ch) and category (256ch) feature maps for one image."""
+    """Box (32ch) and category (256ch) feature maps for one image.
+
+    `box_channels` and `cat_channels`, when given, list ascending channels
+    of each map outside which every channel is all zeros; RoIAlign then
+    looks at those channels only. None means any channel may hold data.
+    """
 
     box_feat: np.ndarray
     cat_feat: np.ndarray
+    box_channels: np.ndarray | None = None
+    cat_channels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.box_feat.ndim != 3 or self.box_feat.shape[0] != BOX_CHANNELS:
@@ -47,6 +53,24 @@ class FeatureMaps:
                 f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
                 f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
             )
+        for name, depth in (("box_channels", BOX_CHANNELS), ("cat_channels", CAT_CHANNELS)):
+            channels = getattr(self, name)
+            if channels is not None:
+                _check_channels(name, np.asarray(channels), depth)
+
+
+def _check_channels(name: str, channels: np.ndarray, depth: int) -> None:
+    """Raise unless `channels` is a 1-D ascending integer array within [0, depth)."""
+    if channels.ndim != 1 or (
+        channels.size
+        and (
+            channels.dtype.kind not in "iu"
+            or channels[0] < 0
+            or channels[-1] >= depth
+            or (np.diff(channels) <= 0).any()
+        )
+    ):
+        raise ValueError(f"{name} must be ascending integers in [0, {depth}), got {channels.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -76,16 +100,6 @@ class HeadWeights:
     @property
     def num_classes(self) -> int:
         return self.class_kernel.shape[0]
-
-    @classmethod
-    def initial(cls, num_classes: int, rng: np.random.Generator) -> "HeadWeights":
-        """Randomly initialized heads with every bias at the untrained prior."""
-        return cls(
-            binary_kernel=rng.normal(0.0, 0.01, (1, BOX_CHANNELS, POOL_SIZE, POOL_SIZE)).astype(np.float32),
-            binary_bias=INITIAL_BIAS,
-            class_kernel=rng.normal(0.0, 0.01, (num_classes, CAT_CHANNELS, POOL_SIZE, POOL_SIZE)).astype(np.float32),
-            class_bias=np.full(num_classes, INITIAL_BIAS, dtype=np.float32),
-        )
 
     def save_bundle(self, directory) -> None:
         directory = Path(directory)
@@ -144,13 +158,17 @@ def roi_align_batch(
     boxes: np.ndarray,
     out_size: int = POOL_SIZE,
     chunk: int = 512,
+    candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RoIAlign a (D, H, W) feature map over N boxes, on its live channels only.
 
     Returns `(pooled, channels)`: `pooled` is (N, L, out, out) float32 over
     the L channels that hold a nonzero (or NaN) cell where the boxes'
     bilinear taps can reach, and `channels` holds their indices in ascending
-    order. Every other channel would pool to exact zeros.
+    order. Every other channel would pool to exact zeros. `candidates`, the
+    ascending channels outside which `feat` is known to be all zeros (as
+    `FeatureMaps` carries them), limits the search to those channels; None
+    searches all D.
 
     Box coordinates are image pixels and get divided by `STRIDE` into
     feature coordinates, where cell (r, c) sits at continuous position
@@ -178,7 +196,11 @@ def roi_align_batch(
     c0, r0 = np.clip(lo, 0, top).astype(np.intp)
     c1, r1 = np.clip(hi, 0, top).astype(np.intp)
     band = feat[:, r0 : r1 + 1, c0 : c1 + 1]
-    channels = np.flatnonzero((band != 0).any(axis=(1, 2)))
+    if candidates is None:
+        channels = np.flatnonzero((band != 0).any(axis=(1, 2)))
+    else:
+        candidates = np.asarray(candidates, dtype=np.intp)
+        channels = candidates[(band[candidates] != 0).any(axis=(1, 2))]
     out = np.zeros((n, channels.size, out_size, out_size), dtype=np.float32)
     if channels.size == 0:
         return out, channels
@@ -279,15 +301,7 @@ def _logits(pooled: np.ndarray, channels: np.ndarray, kernel: np.ndarray) -> np.
         raise ValueError(
             f"channels must list the {pooled.shape[1]} pooled channels, got shape {channels.shape}"
         )
-    if channels.size and (
-        channels.dtype.kind not in "iu"
-        or channels[0] < 0
-        or channels[-1] >= depth
-        or (np.diff(channels) <= 0).any()
-    ):
-        raise ValueError(
-            f"channels must be ascending integers in [0, {depth}), got {channels.tolist()}"
-        )
+    _check_channels("channels", channels, depth)
     rows = pooled.reshape(pooled.shape[0], channels.size, 1, POOL_SIZE * POOL_SIZE)
     k = kernel.reshape(kernel.shape[0], depth, -1).astype(np.float64)
     z = np.zeros((pooled.shape[0], kernel.shape[0]))

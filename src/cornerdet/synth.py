@@ -111,29 +111,43 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.arrangement != "random":
             return
-        # the forced aspect ratios are drawn from [5, hi]
-        if self.extreme_aspect_period and hi < EXTREME_ASPECT:
-            raise ValueError(
-                f"aspect_range must reach {EXTREME_ASPECT} when extreme_aspect_period "
-                f"is set, got {list(self.aspect_range)}"
-            )
+        # the forced aspect ratios are drawn from [max(5, lo), hi], and the
+        # area from area_range up to the largest box the margins fit at that ratio
+        if self.extreme_aspect_period:
+            if hi < EXTREME_ASPECT:
+                raise ValueError(
+                    f"aspect_range must reach {EXTREME_ASPECT} when extreme_aspect_period "
+                    f"is set, got {list(self.aspect_range)}"
+                )
+            largest = self._largest_box(max(EXTREME_ASPECT, lo), hi)
+            if self.area_range[0] >= largest:
+                raise ValueError(
+                    f"area_range {list(self.area_range)} and aspect_range {list(self.aspect_range)} "
+                    f"allow no box of aspect ratio {EXTREME_ASPECT:g} or more within the margins "
+                    f"(which fit at most {largest:g}) when extreme_aspect_period is set"
+                )
         # the forced areas are drawn from above EXTREME_AREA, up to area_range[1]
         # and the largest box the margins fit at some ratio of aspect_range
         if self.extreme_area_period:
             least = max(self.area_range[0], EXTREME_AREA)
-            avail = [extent - 2.0 * self.margin for extent in self.image_size]
-            largest = 0.0
-            for along, across in (avail, avail[::-1]):
-                # a box whose side along is r times its side across fits at most
-                # min(along^2 / r, across^2 * r), most at the r nearest along / across
-                r = min(max(along / across, lo), hi)
-                largest = max(largest, min(along * along / r, across * across * r))
+            largest = self._largest_box(lo, hi)
             if min(self.area_range[1], largest) <= least:
                 raise ValueError(
                     f"area_range {list(self.area_range)} and aspect_range {list(self.aspect_range)} "
                     f"allow no box above area {least:g} within the margins (which fit at most "
                     f"{largest:g}) when extreme_area_period is set"
                 )
+
+    def _largest_box(self, ratio_lo: float, ratio_hi: float) -> float:
+        """The largest area the margins fit at some aspect ratio in [ratio_lo, ratio_hi]."""
+        avail = [extent - 2.0 * self.margin for extent in self.image_size]
+        largest = 0.0
+        for along, across in (avail, avail[::-1]):
+            # a box whose side along is r times its side across fits at most
+            # min(along^2 / r, across^2 * r), most at the r nearest along / across
+            r = min(max(along / across, ratio_lo), ratio_hi)
+            largest = max(largest, min(along * along / r, across * across * r))
+        return largest
 
 
 @dataclass(frozen=True)
@@ -382,11 +396,14 @@ def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
         _paint_coverage(box_feat[i % BOX_CHANNELS], gt.box)
         _paint_coverage(cat_feat[gt.class_id], gt.box)
 
-    return OracleBundle(
-        heatmaps=hm,
-        features=FeatureMaps(box_feat=box_feat, cat_feat=cat_feat),
-        weights=planted_weights(cfg.num_classes),
+    # every channel left unpainted is all zeros
+    features = FeatureMaps(
+        box_feat=box_feat,
+        cat_feat=cat_feat,
+        box_channels=np.unique(np.arange(len(scene.gts)) % BOX_CHANNELS),
+        cat_channels=np.unique(np.array([gt.class_id for gt in scene.gts], dtype=np.intp)),
     )
+    return OracleBundle(heatmaps=hm, features=features, weights=planted_weights(cfg.num_classes))
 
 
 def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
@@ -399,8 +416,12 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     feats, weights = bundle.features, bundle.weights
     boxes = [gt.box for gt in scene.gts]
     coords = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
-    p_true = binary_scores(*roi_align_batch(feats.box_feat, coords), weights)
-    heads = class_scores(*roi_align_batch(feats.cat_feat, coords), weights).argmax(axis=1)
+    p_true = binary_scores(
+        *roi_align_batch(feats.box_feat, coords, candidates=feats.box_channels), weights
+    )
+    heads = class_scores(
+        *roi_align_batch(feats.cat_feat, coords, candidates=feats.cat_channels), weights
+    ).argmax(axis=1)
     problems = []
     for i, gt in enumerate(scene.gts):
         if p_true[i] < TRUE_SCORE_FLOOR:
@@ -421,7 +442,9 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
             pairs.append((i, j))
             cross_boxes.append((cross.x1, cross.y1, cross.x2, cross.y2))
     cross_coords = np.array(cross_boxes, dtype=np.float64)
-    p_cross = binary_scores(*roi_align_batch(feats.box_feat, cross_coords), weights)
+    p_cross = binary_scores(
+        *roi_align_batch(feats.box_feat, cross_coords, candidates=feats.box_channels), weights
+    )
     for (i, j), p in zip(pairs, p_cross):
         if p > FALSE_SCORE_CEIL:
             problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")
@@ -562,7 +585,18 @@ def read_manifest(corpus_dir) -> dict:
 
 
 def load_scene_bundle(scene_dir, weights: HeadWeights) -> OracleBundle:
-    """One scene's six tensors, scored by the corpus's head weights."""
-    tensors = {name: load_tensor(Path(scene_dir) / f"{name}.cpnt") for name in SCENE_TENSORS}
-    heatmaps = HeatmapSet(**{name: tensors.pop(name) for name in SCENE_TENSORS[:4]})
-    return OracleBundle(heatmaps=heatmaps, features=FeatureMaps(**tensors), weights=weights)
+    """One scene's six tensors, scored by the corpus's head weights.
+
+    Each feature map's candidate channels are the slices its file stores.
+    """
+    tensors, stored = {}, {}
+    for name in SCENE_TENSORS:
+        tensors[name], stored[name] = load_tensor(Path(scene_dir) / f"{name}.cpnt", with_slices=True)
+    heatmaps = HeatmapSet(**{name: tensors[name] for name in SCENE_TENSORS[:4]})
+    features = FeatureMaps(
+        box_feat=tensors["box_feat"],
+        cat_feat=tensors["cat_feat"],
+        box_channels=stored["box_feat"],
+        cat_channels=stored["cat_feat"],
+    )
+    return OracleBundle(heatmaps=heatmaps, features=features, weights=weights)

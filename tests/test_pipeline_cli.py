@@ -24,7 +24,8 @@ from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
 from cornerdet.pipeline import PipelineConfig, run_corpus
 from cornerdet.postprocess import RECORD_DTYPE, read_detections
-from cornerdet.synth import SynthConfig, write_corpus
+from cornerdet.proposals import HeadWeights
+from cornerdet.synth import SynthConfig, load_scene_bundle, write_corpus
 from cornerdet.tensorio import load_tensor, store_tensor
 
 
@@ -290,6 +291,12 @@ BAD_CONFIGS = [
         "area_range [576.0, 240100.0] and aspect_range [4, 8] allow no box above area 160001 "
         "within the margins (which fit at most 59292.2) when extreme_area_period is set",
     ),
+    (
+        "synth",
+        {"area_range": [50000, 240100]},
+        "area_range [50000, 240100] and aspect_range [1.0, 8.0] allow no box of aspect ratio 5 "
+        "or more within the margins (which fit at most 47433.8) when extreme_aspect_period is set",
+    ),
     ("detect", '{"k": 70, "k": 71}', "duplicate config key 'k'"),
 ]
 
@@ -349,6 +356,7 @@ OUT_OF_RANGE = {
         ("aspect_range", "[6, 5]"),
         ("aspect_range", "[1, 3]"),  # never reaches the forced 5:1
         ("area_range", "[100, 10000]"),  # never reaches the forced area above 400^2
+        ("area_range", "[50000, 240100]"),  # no box of ratio 5 or more fits above 487^2 / 5
         # no ratio of [4, 8] fits an area above 400^2 in 487 x 487; the second
         # key keeps the forced 5:1 out of it
         ("aspect_range", '[4, 8], "extreme_aspect_period": 0'),
@@ -497,6 +505,17 @@ def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
     assert wall <= measured + 0.005  # the summary rounds to two decimals
 
 
+def test_loaded_features_carry_the_stored_channels(small_corpus):
+    # the feature files leave out their all-zero channels, and a loaded
+    # scene's RoIAlign looks at the stored ones alone
+    weights = HeadWeights.load_bundle(small_corpus / "weights")
+    for scene in sorted(small_corpus.glob("scene_*")):
+        feats = load_scene_bundle(scene, weights).features
+        for feat, channels in ((feats.box_feat, feats.box_channels), (feats.cat_feat, feats.cat_channels)):
+            assert channels.tolist() == np.flatnonzero(feat.reshape(len(feat), -1).any(axis=1)).tolist()
+        assert (scene / "cat_feat.cpnt").stat().st_size < 4 * feats.cat_feat.size // 64
+
+
 def test_run_corpus_library_level(small_corpus):
     run = run_corpus(small_corpus, PipelineConfig(), workers=2)
     assert len(run.timings) == 4
@@ -595,14 +614,19 @@ NON_FINITE_TENSORS = [
     ("br_heat", "br_heat holds NaN or infinity"),
     ("tl_off", "tl_off holds NaN or infinity"),
     ("br_off", "br_off holds NaN or infinity"),
-    ("box_feat", "box_feat or the binary head weights hold NaN or infinity"),
-    ("cat_feat", "cat_feat or the class head weights hold NaN or infinity"),
+    ("box_feat", "box_feat or the binary head weights hold NaN, infinity or values that overflow"),
+    ("cat_feat", "cat_feat or the class head weights hold NaN, infinity or values that overflow"),
 ]
+# 3e38 is finite, but pooling it overflows float32
+NON_FINITE_CASES = [
+    (name, message, value)
+    for name, message in NON_FINITE_TENSORS
+    for value in (float("nan"), float("inf"))
+] + [(name, message, 3e38) for name, message in NON_FINITE_TENSORS[4:]]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name, message", NON_FINITE_TENSORS)
+@pytest.mark.parametrize("name, message, value", NON_FINITE_CASES)
 def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp_path, capsys):
     # hard links: store_tensor replaces the link, so the shared corpus stays intact
     corpus = tmp_path / "corpus"
@@ -815,7 +839,11 @@ def test_detect_old_layout_exit_3(small_corpus, tmp_path, capsys):
 
 
 def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
-    """Malformed variants of a valid CPNT file, each one header or size fault."""
+    """Malformed variants of a valid CPNT file, each one header or size fault.
+
+    A version-2 file (sparse, with at least one stored slice) also gets
+    faults in its slice count, slice indices and slice payload."""
+    version = blob[4]
     (rank,) = struct.unpack_from("<I", blob, 5)
 
     def with_rank(r):
@@ -824,10 +852,12 @@ def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
     def with_extents(*extents):
         return blob[:9] + struct.pack(f"<{rank}I", *extents) + blob[9 + 4 * rank :]
 
-    return [
+    cases = [
         ("bad-magic", b"CPNX" + blob[4:]),
         ("version-0", blob[:4] + b"\x00" + blob[5:]),
-        ("version-2", blob[:4] + b"\x02" + blob[5:]),
+        ("version-3", blob[:4] + b"\x03" + blob[5:]),
+        # the other version's layout read over this file's bytes
+        (f"version-{3 - version}", blob[:4] + bytes([3 - version]) + blob[5:]),
         ("rank-0", with_rank(0)),
         ("rank-max", with_rank(2**32 - 1)),
         ("rank-plus-1", with_rank(rank + 1)),  # reads the payload's first word as an extent
@@ -838,14 +868,50 @@ def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
         ("trailing-bytes", blob + b"\x00" * 4),
         ("empty", b""),
     ]
+    if version != 2:
+        return cases
+
+    at = 9 + 4 * rank  # the slice count
+    extents = struct.unpack_from(f"<{rank}I", blob, 9)
+    (count,) = struct.unpack_from("<I", blob, at)
+    indices = list(struct.unpack_from(f"<{count}I", blob, at + 4))
+    payload = blob[at + 4 + 4 * count :]
+    first = payload[: len(payload) // count]
+
+    def sparse(indices, payload):
+        return blob[:at] + struct.pack(f"<I{len(indices)}I", len(indices), *indices) + payload
+
+    return cases + [
+        ("count-above-extent", blob[:at] + struct.pack("<I", extents[0] + 1) + blob[at + 4 :]),
+        ("truncated-count", blob[: at + 2]),
+        ("truncated-index-list", blob[: at + 2 + 4 * count]),
+        ("duplicate-index", sparse([indices[0]] + indices, first + payload)),
+        ("descending-index", sparse([indices[0] + 1] + indices, first + payload)),
+        ("index-at-extent", sparse(indices[:-1] + [extents[0]], payload)),
+        ("payload-missing-slice", blob[: -len(first)]),
+        ("payload-extra-slice", blob + first),
+    ]
 
 
-CPNT_FILES = ["scene_00000/tl_heat.cpnt", "scene_00000/cat_feat.cpnt", "weights/class_kernel"]
+# names come from a template of each file's version; the test takes the
+# faults of the file's own bytes
+CPNT_FILES = {
+    "scene_00000/tl_heat.cpnt": struct.pack("<4sBI2If", b"CPNT", 1, 2, 1, 1, 1.0),
+    "scene_00000/cat_feat.cpnt": struct.pack("<4sBI2IIIf", b"CPNT", 2, 2, 2, 1, 1, 0, 1.0),
+    "weights/class_kernel": struct.pack("<4sBI2If", b"CPNT", 1, 2, 1, 1, 1.0),
+}
 CPNT_FUZZ = [
     pytest.param(name, index, id=f"{name.rsplit('/', 1)[1]}-{case}")
-    for name in CPNT_FILES
-    for index, (case, _) in enumerate(malformed_cpnt(struct.pack("<4sBI2I", b"CPNT", 1, 2, 1, 1)))
+    for name, template in CPNT_FILES.items()
+    for index, (case, _) in enumerate(malformed_cpnt(template))
 ]
+
+
+def test_cpnt_fuzz_files_have_their_template_versions(small_corpus):
+    for name, template in CPNT_FILES.items():
+        blob = (small_corpus / name).read_bytes()
+        assert blob[4] == template[4]
+        assert [case for case, _ in malformed_cpnt(blob)] == [case for case, _ in malformed_cpnt(template)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -873,6 +939,8 @@ BAD_IDS = [
     ("annotations", 0, "id", 0.0, "annotation 0: id must be an integer, got 0.0"),
     ("images", 1, "id", 1.0, "image 1: id must be an integer, got 1.0"),
     ("categories", 1, "id", True, "category 1: id must be an integer, got true"),
+    ("dets", 1, "image_id", 2**63, f"record 1: image_id {2**63} does not fit in 64 bits"),
+    ("annotations", 0, "id", -(2**63) - 1, f"annotation 0: id {-(2**63) - 1} does not fit in 64 bits"),
 ]
 
 

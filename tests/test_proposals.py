@@ -5,7 +5,11 @@ import pytest
 
 from cornerdet.corners import KEYPOINT_DTYPE
 from cornerdet.proposals import (
+    BOX_CHANNELS,
     BOX_DTYPE,
+    CAT_CHANNELS,
+    POOL_SIZE,
+    FeatureMaps,
     HeadWeights,
     binary_scores,
     class_scores,
@@ -13,6 +17,19 @@ from cornerdet.proposals import (
     roi_align_batch,
 )
 from oracles import frozen_roi_align_batch, naive_head_score, naive_pairs, naive_roi_align
+
+
+INITIAL_BIAS = -2.19  # sigmoid(-2.19) ~ 0.1, the objectness prior
+
+
+def initial_weights(num_classes: int, rng: np.random.Generator) -> HeadWeights:
+    """Randomly initialized heads with every bias at the untrained prior."""
+    return HeadWeights(
+        binary_kernel=rng.normal(0.0, 0.01, (1, BOX_CHANNELS, POOL_SIZE, POOL_SIZE)).astype(np.float32),
+        binary_bias=INITIAL_BIAS,
+        class_kernel=rng.normal(0.0, 0.01, (num_classes, CAT_CHANNELS, POOL_SIZE, POOL_SIZE)).astype(np.float32),
+        class_bias=np.full(num_classes, INITIAL_BIAS, dtype=np.float32),
+    )
 
 
 def keypoints(*rows):
@@ -261,6 +278,40 @@ class TestRoiAlign:
             assert pooled.shape == (len(boxes), 0, 7, 7) and channels.size == 0
 
 
+    def test_candidates_give_the_same_bits(self):
+        # any candidate list that holds every channel with data pools the
+        # same channels and bits as searching them all, NaN channels included
+        rng = np.random.default_rng(53)
+        for trial in range(100):
+            d = int(rng.integers(1, 12))
+            h, w = (int(v) for v in rng.integers(4, 20, 2))
+            feat = rng.standard_normal((d, h, w)).astype(np.float32)
+            feat[rng.random(d) < 0.6] = 0.0
+            if trial % 4 == 0:
+                feat[int(rng.integers(d))] = np.nan
+            if trial % 7 == 0:
+                feat[0] = -0.0
+            data = np.flatnonzero(feat.reshape(d, -1).view(np.uint32).any(axis=1))
+            extra = np.flatnonzero(rng.random(d) < 0.3)
+            n = int(rng.integers(1, 9))
+            boxes = rng.uniform(-30, 4 * max(h, w) + 30, (n, 4))
+            boxes[:, 2:] = boxes[:, :2] + rng.uniform(-5, 60, (n, 2))
+            with np.errstate(invalid="ignore"):
+                want, want_channels = roi_align_batch(feat, boxes)
+                for candidates in (data, np.union1d(data, extra), np.arange(d)):
+                    got, channels = roi_align_batch(feat, boxes, candidates=candidates)
+                    assert channels.tolist() == want_channels.tolist()
+                    assert got.tobytes() == want.tobytes()
+
+    def test_feature_maps_check_candidate_channels(self):
+        box, cat = np.zeros((32, 4, 4), np.float32), np.zeros((256, 4, 4), np.float32)
+        FeatureMaps(box, cat, box_channels=np.array([0, 5]), cat_channels=np.zeros(0, np.intp))
+        for bad in ([3, 1], [1, 1], [-1], [32], [0.0], [[0]]):
+            with pytest.raises(ValueError, match="box_channels must be ascending integers"):
+                FeatureMaps(box, cat, box_channels=np.array(bad))
+        with pytest.raises(ValueError, match=r"cat_channels must be ascending integers in \[0, 256\)"):
+            FeatureMaps(box, cat, cat_channels=np.array([256]))
+
 ALL_BOX = np.arange(32)
 ALL_CAT = np.arange(256)
 
@@ -268,7 +319,7 @@ ALL_CAT = np.arange(256)
 class TestHeads:
     def test_zero_features_initial_bias(self):
         rng = np.random.default_rng(1)
-        w = HeadWeights.initial(3, rng)
+        w = initial_weights(3, rng)
         p = binary_scores(np.zeros((1, 32, 7, 7), dtype=np.float32), ALL_BOX, w)[0]
         assert p == pytest.approx(0.1006, abs=2e-4)  # sigmoid(-2.19), the 0.1 prior
         q = class_scores(np.zeros((1, 256, 7, 7), dtype=np.float32), ALL_CAT, w)[0]
@@ -305,7 +356,7 @@ class TestHeads:
 
     def test_binary_matches_naive_dot(self):
         rng = np.random.default_rng(9)
-        w = HeadWeights.initial(2, rng)
+        w = initial_weights(2, rng)
         for _ in range(20):
             pooled = rng.standard_normal((32, 7, 7)).astype(np.float32)
             got = binary_scores(pooled[None], ALL_BOX, w)[0]
@@ -314,7 +365,7 @@ class TestHeads:
 
     def test_class_matches_naive_dot(self):
         rng = np.random.default_rng(13)
-        w = HeadWeights.initial(4, rng)
+        w = initial_weights(4, rng)
         pooled = rng.standard_normal((256, 7, 7)).astype(np.float32)
         q = class_scores(pooled[None], ALL_CAT, w)[0]
         for c in range(4):
@@ -325,7 +376,7 @@ class TestHeads:
         # float32 x float32 is exact in float64, so leaving out all-zero
         # channels must not move a single bit of either head's score
         rng = np.random.default_rng(19)
-        w = HeadWeights.initial(3, rng)
+        w = initial_weights(3, rng)
         for depth, head, full in ((32, binary_scores, ALL_BOX), (256, class_scores, ALL_CAT)):
             for _ in range(10):
                 live = np.flatnonzero(rng.random(depth) < 0.1)
@@ -336,7 +387,7 @@ class TestHeads:
 
     def test_single_class_reduces_to_binary_semantics(self):
         rng = np.random.default_rng(21)
-        w = HeadWeights.initial(1, rng)
+        w = initial_weights(1, rng)
         pooled = rng.standard_normal((256, 7, 7)).astype(np.float32)
         q = class_scores(pooled[None], ALL_CAT, w)[0]
         assert q.shape == (1,)
@@ -345,13 +396,13 @@ class TestHeads:
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(29)
-        w = HeadWeights.initial(3, rng)
+        w = initial_weights(3, rng)
         pooled = rng.standard_normal((50, 32, 7, 7)).astype(np.float32)
         p = binary_scores(pooled, ALL_BOX, w)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
     def test_shape_mismatch(self):
-        w = HeadWeights.initial(2, np.random.default_rng(2))
+        w = initial_weights(2, np.random.default_rng(2))
         for head, shape, channels in [
             (binary_scores, (1, 16, 7, 7), np.arange(15)),  # length
             (binary_scores, (1, 2, 7, 7), np.arange(2)[None]),  # not 1-D
@@ -371,7 +422,7 @@ class TestHeads:
 
     def test_bundle_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = HeadWeights.initial(3, rng)
+        w = initial_weights(3, rng)
         w.save_bundle(tmp_path / "weights")
         for name in ("binary_kernel", "binary_bias", "class_kernel", "class_bias"):
             assert (tmp_path / "weights" / name).exists()

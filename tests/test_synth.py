@@ -46,6 +46,25 @@ def test_forced_area_must_fit(overrides, fits):
             SynthConfig(**overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides, fits",
+    [
+        # a box of ratio 5 or more fits at most 487^2 / 5 = 47,433.8 inside the margins
+        ({"area_range": (50000.0, 240100.0)}, False),
+        ({"area_range": (47433.7, 240100.0)}, True),
+        ({"area_range": (47433.9, 240100.0)}, False),
+        ({"area_range": (47000.0, 240100.0), "aspect_range": (6.0, 8.0)}, False),
+        ({"area_range": (50000.0, 240100.0), "extreme_aspect_period": 0}, True),
+        ({"area_range": (50000.0, 240100.0), "arrangement": "cross"}, True),
+    ],
+)
+def test_forced_aspect_area_must_fit(overrides, fits):
+    if fits:
+        SynthConfig(**overrides)
+    else:
+        with pytest.raises(ValueError, match="extreme_aspect_period is set"):
+            SynthConfig(**overrides)
+
 class TestGenerateScene:
     def test_empty_scene(self):
         cfg = SynthConfig(num_boxes=(0, 0))
@@ -119,9 +138,13 @@ class TestGenerateScene:
         assert [i for i, (_, area) in enumerate(forces) if area] == [1, 6]
 
     def test_infeasible_range(self):
-        # no forced extreme area, which the config itself would reject
+        # no forced extreme area or aspect, which the config itself would reject
         cfg = SynthConfig(
-            image_size=(64, 64), num_boxes=(1, 1), area_range=(300.0**2, 400.0**2), extreme_area_period=0
+            image_size=(64, 64),
+            num_boxes=(1, 1),
+            area_range=(300.0**2, 400.0**2),
+            extreme_area_period=0,
+            extreme_aspect_period=0,
         )
         with pytest.raises(RenderBudgetError):
             generate_scene(cfg, seed=0)
@@ -203,6 +226,15 @@ class TestRenderOracle:
                 ]
                 assert candidates, f"ground truth not recovered (seed {seed})"
                 used.add(candidates[0])
+
+    def test_render_lists_the_channels_with_data(self):
+        cfg = SynthConfig(num_boxes=(2, 6), num_classes=5)
+        for seed in (3, 4):
+            _, bundle = build_scene(cfg, seed=seed)
+            f = bundle.features
+            for feat, channels in ((f.box_feat, f.box_channels), (f.cat_feat, f.cat_channels)):
+                assert channels.dtype.kind == "i"
+                assert channels.tolist() == np.flatnonzero(feat.reshape(len(feat), -1).any(axis=1)).tolist()
 
     def test_verification_clean(self):
         cfg = SynthConfig(num_boxes=(2, 5))

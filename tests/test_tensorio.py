@@ -183,6 +183,140 @@ def test_zero_extent_in_file(tmp_path):
 
 def test_bad_version(tmp_path):
     path = tmp_path / "ver.cpnt"
-    path.write_bytes(MAGIC + b"\x02" + b"\x00" * 8)
+    path.write_bytes(MAGIC + b"\x03" + b"\x00" * 8)
     with pytest.raises(TensorFormatError, match="version"):
         load_tensor(path)
+
+
+# -- version 2: all-zero axis-0 slices left out ------------------------------
+
+
+def sparse_file(extents, indices, payload, count=None) -> bytes:
+    """A hand-assembled version-2 file."""
+    count = len(indices) if count is None else count
+    return (
+        MAGIC
+        + struct.pack("<BI", 2, len(extents))
+        + struct.pack(f"<{len(extents)}I", *extents)
+        + struct.pack(f"<I{len(indices)}I", count, *indices)
+        + struct.pack(f"<{len(payload)}f", *payload)
+    )
+
+
+def test_sparse_roundtrip_keeps_negative_zero_and_nan(tmp_path):
+    arr = np.zeros((6, 3, 4), dtype=np.float32)
+    arr[0] = np.arange(12).reshape(3, 4)
+    arr[2] = -0.0
+    arr[3] = np.nan
+    arr[5, 2, 3] = 1e-45  # the least subnormal
+    path = tmp_path / "t.cpnt"
+    store_tensor(arr, path)
+    blob = path.read_bytes()
+    assert blob[4] == 2
+    # header, count, 4 indices, 4 slices of 12 floats
+    assert len(blob) == 9 + 12 + 4 + 16 + 4 * 48
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices.tolist() == [0, 2, 3, 5]
+    assert back.shape == arr.shape and back.dtype == np.float32
+    assert back.tobytes() == arr.tobytes()
+    assert load_tensor(path).tobytes() == arr.tobytes()
+
+
+def test_all_zero_tensor_stores_no_slice(tmp_path):
+    path = tmp_path / "t.cpnt"
+    store_tensor(np.zeros((4, 5), dtype=np.float32), path)
+    assert path.read_bytes() == sparse_file((4, 5), [], [])
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices.size == 0 and back.shape == (4, 5) and not back.any()
+
+
+def test_one_live_slice(tmp_path):
+    arr = np.zeros((256, 8, 8), dtype=np.float32)
+    arr[7, 3:5, 2:6] = 0.25
+    path = tmp_path / "t.cpnt"
+    store_tensor(arr, path)
+    assert path.stat().st_size == 9 + 12 + 8 + 256
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices.tolist() == [7]
+    assert back.tobytes() == arr.tobytes()
+
+
+def test_sparse_array_is_writable_and_private(tmp_path):
+    arr = np.zeros((3, 4), dtype=np.float32)
+    arr[1] = 2.0
+    path = tmp_path / "t.cpnt"
+    store_tensor(arr, path)
+    blob = path.read_bytes()
+    back = load_tensor(path)
+    back[0, 0] = 5.0
+    back[1] += 1.0
+    assert back.tolist() == [[5, 0, 0, 0], [3, 3, 3, 3], [0, 0, 0, 0]]
+    assert path.read_bytes() == blob
+    path.unlink()
+    assert back[1, 0] == 3.0
+
+
+def test_dense_tensor_writes_version_1(tmp_path):
+    path = tmp_path / "t.cpnt"
+    store_tensor(np.random.default_rng(5).standard_normal((8, 4, 4)).astype(np.float32), path)
+    assert path.read_bytes()[4] == 1
+    # a dead slice that version 2 would not make smaller: 4 + 2 * (4 + 4) > 12
+    store_tensor(np.array([1.0, 0.0, 1.0], dtype=np.float32), path)
+    assert path.read_bytes()[4] == 1
+    assert load_tensor(path, with_slices=True)[1] is None
+    # one word saved: 4 + 1 * (4 + 4) < 16
+    store_tensor(np.array([0.0, 0.0, 0.0, 1.0], dtype=np.float32), path)
+    assert path.read_bytes() == sparse_file((4,), [3], [1.0])
+
+
+def test_version_1_file_with_zero_slices_loads(tmp_path):
+    blob = (
+        MAGIC
+        + struct.pack("<BI", 1, 2)
+        + struct.pack("<II", 3, 2)
+        + struct.pack("<6f", 0.0, 0.0, 1.0, 2.0, 0.0, 0.0)
+    )
+    path = tmp_path / "v1.cpnt"
+    path.write_bytes(blob)
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices is None
+    assert back.tolist() == [[0, 0], [1, 2], [0, 0]]
+
+
+def test_sparse_file_from_hand_assembled_bytes(tmp_path):
+    path = tmp_path / "t.cpnt"
+    path.write_bytes(sparse_file((4, 2), [1, 3], [1.0, 2.0, -0.0, 4.0]))
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices.tolist() == [1, 3]
+    assert back.tobytes() == np.array([[0, 0], [1, 2], [0, 0], [-0.0, 4]], dtype=np.float32).tobytes()
+
+
+V2_FAULTS = [
+    ("count above extent 0", sparse_file((2, 2), [0], [1, 1], count=3), r"slice count 3 exceeds extent 0 \(2\)", 17),
+    ("truncated count", sparse_file((2, 2), [], [])[:-2], "truncated before slice count", 17),
+    ("truncated index list", sparse_file((4, 2), [0, 1], [])[:-2], "truncated slice index list, need 2", 27),
+    ("duplicate index", sparse_file((4, 2), [1, 1], [1] * 4), "slice index 1 does not ascend from 1", 25),
+    ("descending index", sparse_file((4, 2), [2, 1], [1] * 4), "slice index 1 does not ascend from 2", 25),
+    ("index at extent 0", sparse_file((4, 2), [0, 4], [1] * 4), r"slice index 4 is not below extent 0 \(4\)", 25),
+    ("short payload", sparse_file((4, 2), [0, 1], [1] * 3), "truncated payload, expected 45 bytes", 41),
+    ("long payload", sparse_file((4, 2), [0, 1], [1] * 5), "4 trailing bytes after payload", 45),
+]
+
+
+@pytest.mark.parametrize("blob, message, offset", [f[1:] for f in V2_FAULTS], ids=[f[0] for f in V2_FAULTS])
+def test_sparse_header_faults(tmp_path, blob, message, offset):
+    path = tmp_path / "bad.cpnt"
+    path.write_bytes(blob)
+    with pytest.raises(TensorFormatError, match=message) as err:
+        load_tensor(path)
+    assert err.value.offset == offset
+
+
+def test_version_1_file_relabelled_as_version_2(tmp_path):
+    # the payload's first word, read as the slice count, exceeds extent 0;
+    # an all-zero first word reads as no slice and leaves trailing bytes
+    for payload, message in (([1.0, 2.0], "slice count 1065353216 exceeds"), ([0.0, 2.0], "4 trailing bytes")):
+        path = tmp_path / "relabelled.cpnt"
+        path.write_bytes(MAGIC + struct.pack("<BII2f", 2, 1, 2, *payload))
+        with pytest.raises(TensorFormatError, match=message):
+            load_tensor(path)
