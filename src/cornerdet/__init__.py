@@ -5,9 +5,10 @@ The package is organized around the stages of the pipeline:
 - :mod:`cornerdet.tensorio` -- dense float32 tensors and the CPNT file format
 - :mod:`cornerdet.geometry` -- boxes, ground truths, IoU
 - :mod:`cornerdet.corners` -- heatmap decoding and training-target rendering
-- :mod:`cornerdet.proposals` -- corner pairing, RoIAlign, classifier heads
+- :mod:`cornerdet.proposals` -- corner pairing, RoIAlign and classifier heads over
+  each feature map's listed channels
 - :mod:`cornerdet.losses` -- focal-style losses with analytic gradients
-- :mod:`cornerdet.postprocess` -- filtering, score fusion, soft-NMS, top-k
+- :mod:`cornerdet.postprocess` -- filtering, score fusion, soft-NMS to the top k
 - :mod:`cornerdet.evaluation` -- AP / AR / AF detection metrics
 - :mod:`cornerdet.synth` -- synthetic scenes with planted, decodable features
 - :mod:`cornerdet.pipeline` -- end-to-end detection over tensor bundles

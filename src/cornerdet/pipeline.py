@@ -25,7 +25,6 @@ from cornerdet.postprocess import (
     filter_by_objectness,
     label_detections,
     soft_nms,
-    top_k_truncate,
 )
 from cornerdet.proposals import (
     HeadWeights,
@@ -46,7 +45,6 @@ class PipelineConfig:
     soft_nms_sigma: float = SOFT_NMS_SIGMA
     soft_nms_prune: float = SOFT_NMS_PRUNE
     top_k: int = TOP_K
-    num_classes: int | None = None
     use_binary_head: bool = True
 
     def __post_init__(self):
@@ -84,12 +82,6 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     tensor; finite features whose pooling overflows float32 give such
     scores too.
     """
-    if config.num_classes is not None and bundle.heatmaps.num_classes != config.num_classes:
-        raise ValueError(
-            f"config expects {config.num_classes} classes, "
-            f"bundle has {bundle.heatmaps.num_classes}"
-        )
-
     for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
         if not np.isfinite(getattr(bundle.heatmaps, name)).all():
             raise ValueError(f"{name} holds NaN or infinity")
@@ -99,10 +91,8 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     feats, weights = bundle.features, bundle.weights
     survivors = proposals
     if config.use_binary_head:
-        pooled_box = roi_align_batch(
-            feats.box_feat, proposals["box"], candidates=feats.box_channels
-        )
-        p_scores = binary_scores(*pooled_box, weights)
+        pooled_box = roi_align_batch(feats.box_feat, proposals["box"], feats.box_channels)
+        p_scores = binary_scores(pooled_box, feats.box_channels, weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
         if not np.isfinite(p_scores).all():
@@ -111,8 +101,8 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             )
         survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
 
-    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], candidates=feats.cat_channels)
-    q = class_scores(*pooled_cat, weights)
+    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], feats.cat_channels)
+    q = class_scores(pooled_cat, feats.cat_channels, weights)
     # likewise for cat_feat: a bad value under a survivor gives a NaN class score
     if not np.isfinite(q).all():
         raise ValueError(
@@ -122,7 +112,6 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     dets = soft_nms(
         dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune, limit=config.top_k
     )
-    dets = top_k_truncate(dets, config.top_k)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))
 
 
@@ -143,16 +132,16 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
-    if config.num_classes is not None and manifest["num_classes"] != config.num_classes:
-        raise ValueError(
-            f"config expects {config.num_classes} classes, "
-            f"corpus has {manifest['num_classes']}"
-        )
     weights_dir = corpus_dir / "weights"
     try:
         weights = HeadWeights.load_bundle(weights_dir)
     except ValueError as exc:
         raise ValueError(f"{weights_dir}: {exc}") from None
+    if weights.num_classes != manifest["num_classes"]:
+        raise ValueError(
+            f"{corpus_dir / 'manifest.json'}: num_classes is {manifest['num_classes']} "
+            f"but the class head in {weights_dir} scores {weights.num_classes}"
+        )
 
     def process(entry):
         start = time.perf_counter()

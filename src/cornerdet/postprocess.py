@@ -3,8 +3,8 @@
 The stages, in pipeline order: keep proposals whose objectness clears a low
 threshold (0.2 operating default), assign each survivor up to two class
 labels (corner class and the class head's argmax), fuse corner and head
-scores into one normalized confidence, decay overlapping same-class boxes
-with Gaussian soft-NMS, and keep the top 100.
+scores into one normalized confidence, and decay overlapping same-class
+boxes with Gaussian soft-NMS, which stops after the top 100.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def soft_nms(
     score by exp(-iou^2 / sigma); boxes whose running score drops below
     `prune` are discarded. Scores never increase and geometry never changes.
     The result is ordered by descending final score, ties by original index,
-    and holds at most `limit` rows (all of them when None): exactly
-    top_k_truncate(soft_nms(dets, sigma, prune), limit).
+    and holds at most `limit` rows (all of them when None): the first
+    `limit` rows of the unlimited result, so the `limit` highest final
+    scores.
 
     Decay never raises a score, so a class's picks come out in that order,
     and each class's next pick, the argmax of its scores, is known before it
@@ -172,13 +173,6 @@ def _decay(col: np.ndarray, b: int, sigma: float, prune: float) -> np.ndarray:
     keep = col[5] >= prune
     keep[b] = False
     return col.compress(keep, axis=1)
-
-
-def top_k_truncate(dets: np.ndarray, k: int = TOP_K) -> np.ndarray:
-    """The k highest-scoring detections, descending; ties by original index."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return dets[np.argsort(-dets["score"], kind="stable")[:k]]
 
 
 # one dump record: image id, COCO-style [x, y, w, h] box, class id and score

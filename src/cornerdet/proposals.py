@@ -35,15 +35,15 @@ BOX_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64), ("score
 class FeatureMaps:
     """Box (32ch) and category (256ch) feature maps for one image.
 
-    `box_channels` and `cat_channels`, when given, list ascending channels
-    of each map outside which every channel is all zeros; RoIAlign then
-    looks at those channels only. None means any channel may hold data.
+    `box_channels` and `cat_channels` list the ascending channels of each
+    map that may hold data; every other channel is all zeros, and RoIAlign
+    and the heads look at the listed channels alone.
     """
 
     box_feat: np.ndarray
     cat_feat: np.ndarray
-    box_channels: np.ndarray | None = None
-    cat_channels: np.ndarray | None = None
+    box_channels: np.ndarray
+    cat_channels: np.ndarray
 
     def __post_init__(self):
         if self.box_feat.ndim != 3 or self.box_feat.shape[0] != BOX_CHANNELS:
@@ -53,10 +53,8 @@ class FeatureMaps:
                 f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
                 f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
             )
-        for name, depth in (("box_channels", BOX_CHANNELS), ("cat_channels", CAT_CHANNELS)):
-            channels = getattr(self, name)
-            if channels is not None:
-                _check_channels(name, np.asarray(channels), depth)
+        _check_channels("box_channels", np.asarray(self.box_channels), BOX_CHANNELS)
+        _check_channels("cat_channels", np.asarray(self.cat_channels), CAT_CHANNELS)
 
 
 def _check_channels(name: str, channels: np.ndarray, depth: int) -> None:
@@ -154,21 +152,13 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
 
 
 def roi_align_batch(
-    feat: np.ndarray,
-    boxes: np.ndarray,
-    out_size: int = POOL_SIZE,
-    chunk: int = 512,
-    candidates: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RoIAlign a (D, H, W) feature map over N boxes, on its live channels only.
+    feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray, chunk: int = 512
+) -> np.ndarray:
+    """RoIAlign a (D, H, W) feature map over N boxes, on the listed channels only.
 
-    Returns `(pooled, channels)`: `pooled` is (N, L, out, out) float32 over
-    the L channels that hold a nonzero (or NaN) cell where the boxes'
-    bilinear taps can reach, and `channels` holds their indices in ascending
-    order. Every other channel would pool to exact zeros. `candidates`, the
-    ascending channels outside which `feat` is known to be all zeros (as
-    `FeatureMaps` carries them), limits the search to those channels; None
-    searches all D.
+    Returns (N, L, 7, 7) float32 pooled over the L ascending `channels`:
+    those of the map that may hold data, as `FeatureMaps` lists them. Every
+    other channel is all zeros and would pool to exact zeros.
 
     Box coordinates are image pixels and get divided by `STRIDE` into
     feature coordinates, where cell (r, c) sits at continuous position
@@ -179,63 +169,55 @@ def roi_align_batch(
     feat = np.asarray(feat, dtype=np.float32)
     _, h, w = feat.shape
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    n = boxes.shape[0]
+    channels = np.asarray(channels, dtype=np.intp)
+    n, nch = boxes.shape[0], channels.size
     live = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
     idx_live = np.flatnonzero(live)
-    if idx_live.size == 0:
-        return np.zeros((n, 0, out_size, out_size), dtype=np.float32), np.zeros(0, dtype=np.intp)
+    out = np.zeros((n, nch, POOL_SIZE, POOL_SIZE), dtype=np.float32)
+    if idx_live.size == 0 or nch == 0:
+        return out
 
     # A box's taps lie in feature rows floor(y1) .. floor(y2) + 1 and columns
     # floor(x1) .. floor(x2) + 1, and a tap outside the map reads the clipped
     # edge cell (with weight 0), so the band between the clipped extremes
-    # holds every cell any tap reads. Channels all zero there pool to zeros.
+    # holds every cell any tap reads.
     fb = boxes[idx_live] / STRIDE
     lo = np.floor(fb[:, :2].min(axis=0))
     hi = np.floor(fb[:, 2:].max(axis=0)) + 1.0
     top = np.array([w - 1, h - 1])
     c0, r0 = np.clip(lo, 0, top).astype(np.intp)
     c1, r1 = np.clip(hi, 0, top).astype(np.intp)
-    band = feat[:, r0 : r1 + 1, c0 : c1 + 1]
-    if candidates is None:
-        channels = np.flatnonzero((band != 0).any(axis=(1, 2)))
-    else:
-        candidates = np.asarray(candidates, dtype=np.intp)
-        channels = candidates[(band[candidates] != 0).any(axis=(1, 2))]
-    out = np.zeros((n, channels.size, out_size, out_size), dtype=np.float32)
-    if channels.size == 0:
-        return out, channels
 
-    # The band's live channels with their edge cells repeated one step
+    # The band of the listed channels with its edge cells repeated one step
     # outward. A sample's four taps are then the padded cells i, i + 1,
     # i + pw and i + pw + 1, where i is the sample's floor(y), floor(x)
     # clipped into the padded band: each tap reads the cell that clipping
     # the tap itself into the band would read.
-    nlive = channels.size
     pw = c1 - c0 + 3
-    padded = np.empty((nlive, r1 - r0 + 3, pw), dtype=np.float32)
-    padded[:, 1:-1, 1:-1] = band[channels]
+    padded = np.empty((nch, r1 - r0 + 3, pw), dtype=np.float32)
+    padded[:, 1:-1, 1:-1] = feat[channels, r0 : r1 + 1, c0 : c1 + 1]
     padded[:, 0] = padded[:, 1]
     padded[:, -1] = padded[:, -2]
     padded[:, :, 0] = padded[:, :, 1]
     padded[:, :, -1] = padded[:, :, -2]
-    flat = padded.reshape(nlive, -1)
+    flat = padded.reshape(nch, -1)
 
     # sample positions within a bin: quarter and three-quarter points
-    frac = (np.arange(out_size * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
+    frac = (np.arange(POOL_SIZE * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
 
-    grid = out_size * 2
+    grid = POOL_SIZE * 2
     most = min(chunk, idx_live.size)
     weights = np.empty((4, most, grid, grid), dtype=np.float32)
-    acc = np.empty((nlive, most, grid, grid), dtype=np.float32)
+    acc = np.empty((nch, most, grid, grid), dtype=np.float32)
     tap = np.empty_like(acc)
     for start in range(0, idx_live.size, chunk):
         sel = idx_live[start : start + chunk]
         m = sel.size
         cb = fb[start : start + chunk]
-        bw = (cb[:, 2] - cb[:, 0]) / out_size
-        bh = (cb[:, 3] - cb[:, 1]) / out_size
-        sx = cb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2*out)
+        bw = (cb[:, 2] - cb[:, 0]) / POOL_SIZE
+        bh = (cb[:, 3] - cb[:, 1]) / POOL_SIZE
+        sx = cb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2 * POOL_SIZE)
         sy = cb[:, 1:2] + frac[None, :] * bh[:, None]
 
         x0 = np.floor(sx).astype(np.int64)
@@ -258,7 +240,7 @@ def roi_align_batch(
             vals = chunk_tap if t else chunk_acc
             # indices are in range by construction; mode="raise" would
             # stage out= through a copy
-            for c in range(nlive):
+            for c in range(nch):
                 np.take(flat[c, dy * pw + dx :], lin, out=vals[c], mode="clip")
             vals *= chunk_weights[t]
             if t:
@@ -267,13 +249,13 @@ def roi_align_batch(
         # Average each bin's 2x2 samples, added to +0 in row order for any
         # channel count, so a box pools the same bits whatever else its batch
         # holds.
-        samples = chunk_acc.reshape(nlive, m, out_size, 2, out_size, 2)
-        pooled = np.zeros((nlive, m, out_size, out_size), dtype=np.float32)
+        samples = chunk_acc.reshape(nch, m, POOL_SIZE, 2, POOL_SIZE, 2)
+        pooled = np.zeros((nch, m, POOL_SIZE, POOL_SIZE), dtype=np.float32)
         for i, j in quad:
             pooled += samples[:, :, :, i, :, j]
         pooled /= 4
         out[sel] = pooled.transpose(1, 0, 2, 3)
-    return out, channels
+    return out
 
 
 def sigmoid(z):
@@ -284,13 +266,15 @@ def sigmoid(z):
 
 
 def _logits(pooled: np.ndarray, channels: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Bias-free head logits, (N, C), of pooled live channels under a (C, D, 7, 7) kernel.
+    """Bias-free head logits, (N, C), of pooled channels under a (C, D, 7, 7) kernel.
 
     Each channel's 49 products are taken in float64 and summed by
     np.add.reduce, and the channel sums are added in index order: an order
     numpy fixes, not a BLAS build. A float32 x float32 product is exact in
-    float64, so a channel left out of `channels` (all zeros) would only have
-    added an exact 0.
+    float64, so a channel that pools to zeros adds only +-0 products under
+    a finite kernel, and adding +-0 to a sum that starts at +0 never changes
+    its bits: listing an all-zero channel or leaving it out gives the same
+    logits.
     """
     pooled = np.asarray(pooled, dtype=np.float64)
     channels = np.asarray(channels)
@@ -313,8 +297,8 @@ def _logits(pooled: np.ndarray, channels: np.ndarray, kernel: np.ndarray) -> np.
 def binary_scores(pooled: np.ndarray, channels: np.ndarray, weights: HeadWeights) -> np.ndarray:
     """Objectness probabilities, shape (N,), for pooled box features.
 
-    Takes `roi_align_batch`'s output: (N, L, 7, 7) pooled over the ascending
-    box-feature channels `channels`.
+    Takes `roi_align_batch`'s output: (N, L, 7, 7) pooled over the L
+    ascending box-feature channels `channels`.
     """
     return sigmoid(_logits(pooled, channels, weights.binary_kernel)[:, 0] + weights.binary_bias)
 

@@ -416,12 +416,9 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     feats, weights = bundle.features, bundle.weights
     boxes = [gt.box for gt in scene.gts]
     coords = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
-    p_true = binary_scores(
-        *roi_align_batch(feats.box_feat, coords, candidates=feats.box_channels), weights
-    )
-    heads = class_scores(
-        *roi_align_batch(feats.cat_feat, coords, candidates=feats.cat_channels), weights
-    ).argmax(axis=1)
+    box_ch, cat_ch = feats.box_channels, feats.cat_channels
+    p_true = binary_scores(roi_align_batch(feats.box_feat, coords, box_ch), box_ch, weights)
+    heads = class_scores(roi_align_batch(feats.cat_feat, coords, cat_ch), cat_ch, weights).argmax(axis=1)
     problems = []
     for i, gt in enumerate(scene.gts):
         if p_true[i] < TRUE_SCORE_FLOOR:
@@ -442,9 +439,7 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
             pairs.append((i, j))
             cross_boxes.append((cross.x1, cross.y1, cross.x2, cross.y2))
     cross_coords = np.array(cross_boxes, dtype=np.float64)
-    p_cross = binary_scores(
-        *roi_align_batch(feats.box_feat, cross_coords, candidates=feats.box_channels), weights
-    )
+    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross_coords, box_ch), box_ch, weights)
     for (i, j), p in zip(pairs, p_cross):
         if p > FALSE_SCORE_CEIL:
             problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")
@@ -572,6 +567,7 @@ def read_manifest(corpus_dir) -> dict:
             raise ValueError("unrecognized corpus format")
         _require(manifest, "num_classes", lambda v: type(v) is int and v >= 1, "a positive integer")
         _require(manifest, "scenes", lambda v: type(v) is list, "an array")
+        seen = {"id": set(), "dir": set()}
         for i, entry in enumerate(manifest["scenes"]):
             where = f"scene {i}: "
             if not isinstance(entry, dict):
@@ -579,6 +575,10 @@ def read_manifest(corpus_dir) -> dict:
             _require(entry, "id", lambda v: type(v) is int, "an integer", where)
             _require(entry, "id", lambda v: -(2**63) <= v < 2**63, "within the int64 range", where)
             _require(entry, "dir", _is_dir_name, "a directory name", where)
+            # a repeated id merges two scenes in the dumps; a repeated dir detects one twice
+            for key, values in seen.items():
+                _require(entry, key, lambda v: v not in values, "unique", where)
+                values.add(entry[key])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return manifest
@@ -587,7 +587,7 @@ def read_manifest(corpus_dir) -> dict:
 def load_scene_bundle(scene_dir, weights: HeadWeights) -> OracleBundle:
     """One scene's six tensors, scored by the corpus's head weights.
 
-    Each feature map's candidate channels are the slices its file stores.
+    Each feature map's channel list is the slices its file stores.
     """
     tensors, stored = {}, {}
     for name in SCENE_TENSORS:

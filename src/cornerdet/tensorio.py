@@ -156,8 +156,8 @@ def load_tensor(path, with_slices: bool = False):
     until written.
 
     With `with_slices`, returns `(array, slices)`: the ascending indices of
-    the axis-0 slices the file stores, every other slice being all zeros,
-    or None for a version-1 file, which stores every slice.
+    the axis-0 slices the file stores, every other slice being all zeros;
+    a version-1 file stores every slice.
     """
     path = Path(path)
     try:
@@ -200,7 +200,7 @@ def load_tensor(path, with_slices: bool = False):
     if version == VERSION:
         _check_size(path, blob, extents_end + 4 * count)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=extents_end).reshape(shape)
-        return (arr, None) if with_slices else arr
+        return (arr, np.arange(shape[0])) if with_slices else arr
 
     slices = _slice_list(path, blob, extents_end, shape[0])
     per_slice = count // shape[0]

@@ -116,10 +116,11 @@ def frozen_roi_align_batch(
 ) -> np.ndarray:
     """Frozen copy of the library's dense batched RoIAlign, (N, D, out, out).
 
-    The library pools only live channels; on those it must equal this
-    kernel bit for bit whenever this kernel pools two or more channels (with
-    one, its mean adds a bin's samples pairwise), and this kernel must be
-    zero on every other channel.
+    The library pools the channels it is given; on finite boxes it must
+    equal this kernel bit for bit on every channel whenever this kernel
+    pools two or more channels (with one, its mean adds a bin's samples
+    pairwise). This kernel skips all-zero channels, which the library pools
+    to zeros.
 
     Box coordinates are image pixels and get divided by `stride` into
     feature coordinates, where cell (r, c) sits at continuous position

@@ -9,6 +9,7 @@ import re
 import shutil
 import tempfile
 import struct
+import subprocess
 import sys
 import time
 import typing
@@ -55,9 +56,9 @@ class TestPipelineConfig:
 
     def test_json_types_that_fit(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"soft_nms_sigma": 1, "num_classes": None, "k": 9}))
+        path.write_text(json.dumps({"soft_nms_sigma": 1, "use_binary_head": False, "k": 9}))
         cfg = load_config(PipelineConfig, path)
-        assert (cfg.soft_nms_sigma, cfg.num_classes, cfg.k) == (1, None, 9)
+        assert (cfg.soft_nms_sigma, cfg.use_binary_head, cfg.k) == (1, False, 9)
         path.write_text(json.dumps({"num_boxes": [2, 3], "area_range": [900, 2500.5], "extreme_area_period": 0}))
         cfg = load_config(SynthConfig, path)
         assert (cfg.num_boxes, cfg.area_range) == ((2, 3), (900, 2500.5))
@@ -270,7 +271,7 @@ BAD_CONFIGS = [
     ("detect", {"k": "70"}, 'k must be int, got "70"'),
     ("detect", {"k": 70.5}, "k must be int, got 70.5"),
     ("detect", {"k": True}, "k must be int, got true"),
-    ("detect", {"num_classes": "2"}, "num_classes must be int | None"),
+    ("detect", {"num_classes": 2}, "unknown config keys ['num_classes']"),
     ("detect", {"k": 0}, "k must be >= 1"),
     ("detect", {"soft_nms_sigma": float("nan")}, "soft_nms_sigma must be float, got NaN"),
     ("detect", {"iou_threshold": 0.7, "alpha": 2, "beta": 2}, "unknown config keys"),
@@ -378,7 +379,10 @@ OUT_OF_RANGE = {
 # retired keys, with the values they used to reject and their last default:
 # a config that still sets one exits 3 as an unknown key, not ignored
 RETIRED = {
-    "detect": [("stride", value) for value in [*NOT_AN_INT, "0", "4"]],
+    "detect": [
+        *[("stride", value) for value in [*NOT_AN_INT, "0", "4"]],
+        *[("num_classes", value) for value in NOT_AN_INT],
+    ],
     "synth": [],
 }
 WHOLE_FILE = [
@@ -569,6 +573,7 @@ def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
     assert bench.layer_checks(values, untraced, tracer.absent) == []
     assert tracer.absent == [
         "cornerdet.pipeline.assign_labels",
+        "cornerdet.pipeline.top_k_truncate",
         "cornerdet.evaluation.average_false_discovery",
     ]
     assert {(d.dets, d.props, d.n_dets, d.n_props) for d in dumps} == {
@@ -670,13 +675,15 @@ def test_detect_subnormal_sigma_is_silent(small_corpus, tmp_path, capsys):
 
 
 def class_count(count):
-    """Resize the corpus's class head to `count` classes."""
+    """Resize the corpus's class head, and the manifest's class count, to
+    `count` classes; the heatmaps keep theirs."""
 
     def mutate(corpus):
         for name in ("class_kernel", "class_bias"):
             path = corpus / "weights" / name
             tensor = load_tensor(path)
             store_tensor(np.resize(tensor, (count,) + tensor.shape[1:]), path)
+        manifest_edit(lambda doc: {**doc, "num_classes": count})(corpus)
 
     return mutate
 
@@ -709,6 +716,16 @@ def manifest_edit(edit):
 
 def first_scene(**entry):
     return manifest_edit(lambda doc: {**doc, "scenes": [entry] + doc["scenes"][1:]})
+
+
+def second_scene_like_first(key):
+    """Give scene 1 the `key` of scene 0."""
+
+    def edit(doc):
+        first, second, *rest = doc["scenes"]
+        return {**doc, "scenes": [first, {**second, key: first[key]}, *rest]}
+
+    return manifest_edit(edit)
 
 
 SCENE, MANIFEST, WEIGHTS = "scene_00000", "manifest.json", "weights"
@@ -770,6 +787,19 @@ BAD_CORPORA = [
         MANIFEST,
         "num_classes must be a positive integer, got true",
         id="bool-num-classes",
+    ),
+    pytest.param(
+        manifest_edit(lambda doc: {**doc, "num_classes": 7}),
+        MANIFEST,
+        "num_classes is 7 but the class head in ",
+        id="num-classes-off-the-weights",
+    ),
+    pytest.param(second_scene_like_first("id"), MANIFEST, "scene 1: id must be unique, got 0", id="repeated-id"),
+    pytest.param(
+        second_scene_like_first("dir"),
+        MANIFEST,
+        'scene 1: dir must be unique, got "scene_00000"',
+        id="repeated-dir",
     ),
     pytest.param(first_scene(id=0), MANIFEST, "scene 0: missing dir", id="no-dir"),
     pytest.param(
@@ -1114,3 +1144,21 @@ def test_eval_fuzzed_input_exit_3(mutation):
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not paths["report"].exists()
         assert not paths["report"].with_suffix(".json.txt").exists()
+
+
+@pytest.mark.parametrize("script", ["closed_loop_demo.py", "filtering_ablation.py"])
+def test_example_script_runs(script, tmp_path):
+    """The example scripts, the only callers of the k and use_binary_head
+    keys outside the tests, run end to end on a 2-scene corpus."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--scenes", "2", "--workdir", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"== artifacts kept in {tmp_path}"

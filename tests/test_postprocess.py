@@ -15,7 +15,6 @@ from cornerdet.postprocess import (
     label_detections,
     read_detections,
     soft_nms,
-    top_k_truncate,
     write_detections,
 )
 from cornerdet.geometry import iou_matrix
@@ -222,7 +221,7 @@ class TestSoftNms:
             for k in sorted({0, 1, 5, n, len(want) + 3}):
                 got = soft_nms(dets, sigma=0.5, prune=1e-3, limit=k)
                 assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want[:k]]
-                assert got.tobytes() == top_k_truncate(full, k).tobytes()
+                assert got.tobytes() == full[np.argsort(-full["score"], kind="stable")[:k]].tobytes()
 
     def test_equal_scores_across_classes_straddle_the_cut(self):
         # disjoint boxes decay nothing; the three 0.5 scores go by row, not class
@@ -293,15 +292,23 @@ class TestSoftNms:
             assert soft_nms(boxes()[:0], limit=k).dtype == BOX_DTYPE
 
 
+def disjoint(scores, classes=None):
+    """One unit box per score, each clear of the others, so soft-NMS decays nothing."""
+    classes = classes or [0] * len(scores)
+    rows = [det(2 * i, 0, 2 * i + 1, 1, cls=c, score=s) for i, (s, c) in enumerate(zip(scores, classes))]
+    return boxes(*rows)
+
+
 class TestTopK:
+    """soft_nms's `limit`, the pipeline's top-k cut, over boxes that do not decay."""
+
     def test_under_limit(self):
-        dets = boxes(*[det(0, 0, 1, 1, score=s) for s in (0.5, 0.9, 0.1)])
-        assert len(top_k_truncate(dets, 100)) == 3
+        assert len(soft_nms(disjoint([0.5, 0.9, 0.1]), limit=100)) == 3
 
     def test_truncation_matches_sort_oracle(self):
         rng = np.random.default_rng(23)
-        dets = boxes(*[det(0, 0, 1, 1, score=float(rng.random())) for _ in range(150)])
-        out = top_k_truncate(dets, 100)
+        dets = disjoint(rng.random(150).tolist())
+        out = soft_nms(dets, prune=0.0, limit=100)
         assert len(out) == 100
         kept = sorted(out["score"].tolist(), reverse=True)
         dropped = sorted(dets["score"].tolist(), reverse=True)[100:]
@@ -309,11 +316,10 @@ class TestTopK:
         assert kept == out["score"].tolist()  # descending order
 
     def test_zero_k(self):
-        assert len(top_k_truncate(boxes(det(0, 0, 1, 1)), 0)) == 0
+        assert len(soft_nms(disjoint([0.5]), limit=0)) == 0
 
     def test_ties_by_original_index(self):
-        dets = boxes(*[det(0, 0, 1, 1, cls=i, score=0.5) for i in range(5)])
-        out = top_k_truncate(dets, 3)
+        out = soft_nms(disjoint([0.5] * 5, classes=list(range(5))), limit=3)
         assert out["class_id"].tolist() == [0, 1, 2]
 
 

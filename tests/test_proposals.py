@@ -106,19 +106,15 @@ class TestEnumerateProposals:
 
 
 def dense_roi_align(feat, boxes):
-    """roi_align_batch scattered back onto every channel, (N, D, 7, 7)."""
-    pooled, channels = roi_align_batch(feat, boxes)
-    out = np.zeros((pooled.shape[0], feat.shape[0]) + pooled.shape[2:], dtype=np.float32)
-    out[:, channels] = pooled
-    return out
+    """roi_align_batch over every channel of the map, (N, D, 7, 7)."""
+    return roi_align_batch(feat, boxes, np.arange(len(feat)))
 
 
 class TestRoiAlign:
     def test_constant_map(self):
         feat = np.full((3, 20, 20), 2.5, dtype=np.float32)
-        pooled, channels = roi_align_batch(feat, np.array([8.0, 8, 60, 44])[None])
-        assert channels.tolist() == [0, 1, 2]
-        assert pooled.shape == (1, 3, 7, 7) and pooled.dtype == np.float32
+        pooled = roi_align_batch(feat, np.array([8.0, 8, 60, 44])[None], np.array([0, 2]))
+        assert pooled.shape == (1, 2, 7, 7) and pooled.dtype == np.float32
         assert np.allclose(pooled, 2.5, atol=1e-6)
 
     def test_horizontal_ramp_matches_oracle(self):
@@ -153,8 +149,8 @@ class TestRoiAlign:
             assert np.allclose(lhs, rhs, atol=1e-4)
 
     def test_batch_matches_single(self):
-        # the second map has channels live in patches, so a box alone pools
-        # fewer channels than the batch it came from
+        # the second map has channels live in patches, so a box alone reads
+        # a smaller band of the map than the batch it came from
         rng = np.random.default_rng(37)
         dense = rng.standard_normal((4, 16, 16)).astype(np.float32)
         patchy = np.zeros((4, 16, 16), dtype=np.float32)
@@ -192,23 +188,23 @@ class TestRoiAlign:
                 feat[-1] = 0.0
                 feat[-1, 0, :] = np.nan  # read, with weight 0, by a box above the map
                 boxes[0] = (8.0, -90.0, 40.0, -20.0)
-            pooled, channels = roi_align_batch(feat, boxes)
+            pooled = dense_roi_align(feat, boxes)
             want = frozen_roi_align_batch(feat, boxes)
-            assert pooled.dtype == np.float32 and channels.dtype.kind == "i"
-            assert pooled.shape == (n, channels.size, 7, 7)
-            assert (np.diff(channels) > 0).all()
-            assert not want[:, np.setdiff1d(np.arange(d), channels)].any()
-            if np.count_nonzero(feat.reshape(d, -1).any(axis=1)) == 1:
+            assert pooled.dtype == np.float32 and pooled.shape == (n, d, 7, 7)
+            data = np.flatnonzero(feat.reshape(d, -1).any(axis=1))
+            if data.size == 1:
                 # pooling a single channel, the frozen kernel adds a bin's
                 # samples pairwise; one more live channel puts it on the
                 # row order the library keeps for any channel count
                 pilot = np.ones((1, h, w), dtype=np.float32)
-                want = frozen_roi_align_batch(np.concatenate([feat, pilot]), boxes)
-            assert pooled.tobytes() == want[:, channels].tobytes()
+                want = frozen_roi_align_batch(np.concatenate([feat, pilot]), boxes)[:, :d]
+            assert pooled.tobytes() == want.tobytes()
+            # a channel pools the same bits whatever else is listed
+            assert roi_align_batch(feat, boxes, data).tobytes() == pooled[:, data].tobytes()
             if trial % 3 == 0:
-                assert 0 not in channels
+                assert not pooled[:, 0].any()
             if trial % 5 == 0:
-                assert np.isnan(pooled[0, -1]).all() and channels[-1] == d - 1
+                assert np.isnan(pooled[0, -1]).all()
 
     @pytest.mark.parametrize("chunk", [512, 7])
     def test_many_boxes_across_chunks_match_frozen_kernel(self, chunk):
@@ -220,11 +216,10 @@ class TestRoiAlign:
         feat[6, :, :20] = 0.0  # live only on the right
         boxes = rng.uniform(-40, 180, (1100, 4))
         boxes[:, 2:] = boxes[:, :2] + rng.uniform(-3, 90, (1100, 2))
-        pooled, channels = roi_align_batch(feat, boxes, chunk=chunk)
+        pooled = roi_align_batch(feat, boxes, np.arange(8), chunk=chunk)
         want = frozen_roi_align_batch(feat, boxes)
-        assert channels.tolist() == [0, 2, 3, 5, 6, 7]
         assert (~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))).sum() > 10
-        assert pooled.tobytes() == want[:, channels].tobytes()
+        assert pooled.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_infinite_edge_cells_read_with_weight_zero_give_nan(self):
@@ -243,9 +238,8 @@ class TestRoiAlign:
                 [8.0, 8.0, 30.0, 30.0],  # inside, away from both edges
             ]
         )
-        pooled, channels = roi_align_batch(feat, boxes)
+        pooled = dense_roi_align(feat, boxes)
         want = frozen_roi_align_batch(feat, boxes)
-        assert channels.tolist() == [0, 1, 2]
         assert pooled.tobytes() == want.tobytes()
         assert np.isnan(pooled[:2, 0]).all() and np.isnan(pooled[2:4, 1]).all()
         assert np.isfinite(pooled[4]).all() and np.isfinite(pooled[:, 2]).all()
@@ -266,51 +260,34 @@ class TestRoiAlign:
                 [0.0, 0.0, np.inf, 20.0],
             ]
         )
-        pooled, channels = roi_align_batch(feat, boxes)
+        # the channels with data, as FeatureMaps lists them: the infinite
+        # box's taps have NaN weights, which the all-zero channel 2 would
+        # pool as NaN where the frozen kernel skips it
+        channels = np.array([0, 1, 3, 4])
+        pooled = roi_align_batch(feat, boxes, channels)
         want = frozen_roi_align_batch(feat, boxes)
-        assert channels.tolist() == [0, 1, 3, 4]
         assert pooled.tobytes() == want[:, channels].tobytes()
 
     def test_no_live_box_pools_nothing(self):
         feat = np.ones((3, 8, 8), dtype=np.float32)
         for boxes in (np.zeros((0, 4)), np.array([[4.0, 4, 4, 20]])):
-            pooled, channels = roi_align_batch(feat, boxes)
-            assert pooled.shape == (len(boxes), 0, 7, 7) and channels.size == 0
-
-
-    def test_candidates_give_the_same_bits(self):
-        # any candidate list that holds every channel with data pools the
-        # same channels and bits as searching them all, NaN channels included
-        rng = np.random.default_rng(53)
-        for trial in range(100):
-            d = int(rng.integers(1, 12))
-            h, w = (int(v) for v in rng.integers(4, 20, 2))
-            feat = rng.standard_normal((d, h, w)).astype(np.float32)
-            feat[rng.random(d) < 0.6] = 0.0
-            if trial % 4 == 0:
-                feat[int(rng.integers(d))] = np.nan
-            if trial % 7 == 0:
-                feat[0] = -0.0
-            data = np.flatnonzero(feat.reshape(d, -1).view(np.uint32).any(axis=1))
-            extra = np.flatnonzero(rng.random(d) < 0.3)
-            n = int(rng.integers(1, 9))
-            boxes = rng.uniform(-30, 4 * max(h, w) + 30, (n, 4))
-            boxes[:, 2:] = boxes[:, :2] + rng.uniform(-5, 60, (n, 2))
-            with np.errstate(invalid="ignore"):
-                want, want_channels = roi_align_batch(feat, boxes)
-                for candidates in (data, np.union1d(data, extra), np.arange(d)):
-                    got, channels = roi_align_batch(feat, boxes, candidates=candidates)
-                    assert channels.tolist() == want_channels.tolist()
-                    assert got.tobytes() == want.tobytes()
+            pooled = dense_roi_align(feat, boxes)
+            assert pooled.shape == (len(boxes), 3, 7, 7) and not pooled.any()
+        none = np.zeros(0, dtype=np.intp)
+        assert roi_align_batch(feat, np.array([[4.0, 4, 20, 20]]), none).shape == (1, 0, 7, 7)
 
     def test_feature_maps_check_candidate_channels(self):
         box, cat = np.zeros((32, 4, 4), np.float32), np.zeros((256, 4, 4), np.float32)
-        FeatureMaps(box, cat, box_channels=np.array([0, 5]), cat_channels=np.zeros(0, np.intp))
+        none = np.zeros(0, np.intp)
+        FeatureMaps(box, cat, box_channels=np.array([0, 5]), cat_channels=none)
         for bad in ([3, 1], [1, 1], [-1], [32], [0.0], [[0]]):
             with pytest.raises(ValueError, match="box_channels must be ascending integers"):
-                FeatureMaps(box, cat, box_channels=np.array(bad))
+                FeatureMaps(box, cat, box_channels=np.array(bad), cat_channels=none)
         with pytest.raises(ValueError, match=r"cat_channels must be ascending integers in \[0, 256\)"):
-            FeatureMaps(box, cat, cat_channels=np.array([256]))
+            FeatureMaps(box, cat, box_channels=none, cat_channels=np.array([256]))
+        with pytest.raises(TypeError, match="cat_channels"):
+            FeatureMaps(box, cat, box_channels=none)  # no default: every map lists its channels
+
 
 ALL_BOX = np.arange(32)
 ALL_CAT = np.arange(256)
@@ -384,6 +361,35 @@ class TestHeads:
                 dense[:, live] = rng.standard_normal((5, live.size, 7, 7))
                 got = head(dense[:, live], live, w)
                 assert got.tobytes() == head(dense, full, w).tobytes()
+
+    def test_listed_zero_channels_give_the_same_bits(self):
+        # a listed channel of +0 or -0 pools to zeros, whose products with a
+        # finite kernel, negative weights included, are +-0 and leave a sum
+        # that starts at +0 as it is: listing it moves no bit of a score
+        rng = np.random.default_rng(53)
+        w = initial_weights(3, rng)
+        assert (w.binary_kernel < 0).any() and (w.class_kernel < 0).any()
+        for depth, head in ((BOX_CHANNELS, binary_scores), (CAT_CHANNELS, class_scores)):
+            for trial in range(40):
+                h, wd = (int(v) for v in rng.integers(4, 20, 2))
+                feat = np.zeros((depth, h, wd), dtype=np.float32)
+                data = np.flatnonzero(rng.random(depth) < 0.1)
+                feat[data] = rng.standard_normal((data.size, h, wd))
+                extra = np.setdiff1d(np.flatnonzero(rng.random(depth) < 0.2), data)
+                neg_zero = extra[::2]
+                feat[neg_zero] = -0.0
+                listed = np.union1d(data, extra)
+                n = int(rng.integers(1, 9))
+                boxes = rng.uniform(-30, 4 * max(h, wd) + 30, (n, 4))
+                boxes[:, 2:] = boxes[:, :2] + rng.uniform(-5, 60, (n, 2))
+                want = head(roi_align_batch(feat, boxes, data), data, w)
+                got = head(roi_align_batch(feat, boxes, listed), listed, w)
+                assert got.tobytes() == want.tobytes()
+                # -0.0 pooled straight into the heads
+                pooled = np.zeros((n, listed.size, 7, 7), dtype=np.float32)
+                pooled[:, np.isin(listed, data)] = roi_align_batch(feat, boxes, data)
+                pooled[:, np.isin(listed, neg_zero)] = -0.0
+                assert head(pooled, listed, w).tobytes() == want.tobytes()
 
     def test_single_class_reduces_to_binary_semantics(self):
         rng = np.random.default_rng(21)
