@@ -19,6 +19,8 @@ import numpy as np
 from cornerdet.geometry import GroundTruth
 
 STRIDE = 4
+# least IoU a Gaussian target's radius keeps between a box and its displaced corners
+MIN_OVERLAP = 0.7
 
 TOP_LEFT = "top-left"
 BOTTOM_RIGHT = "bottom-right"
@@ -58,33 +60,19 @@ class HeatmapSet:
         return self.tl_heat.shape[1], self.tl_heat.shape[2]
 
 
-def local_max_suppress(heat: np.ndarray, window: int = 3) -> np.ndarray:
-    """Zero every cell that is not a maximum of its window x window patch.
+def local_max_suppress(heat: np.ndarray) -> np.ndarray:
+    """Zero every cell that is not a maximum of its 3x3 patch.
 
     Ties keep the value, so plateau cells all survive. The neighborhood is
-    clipped at map borders. window must be odd.
+    clipped at map borders.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be a positive odd integer, got {window}")
     heat = np.asarray(heat, dtype=np.float32)
-    if window == 1:
-        return heat.copy()
-    pad = window // 2
-    padded = np.pad(
-        heat,
-        ((0, 0), (pad, pad), (pad, pad)),
-        mode="constant",
-        constant_values=-np.inf,
-    )
-    # separable max: over each row's window, then over each column's; max is
-    # exact, so this equals the max over the full window x window patch
+    padded = np.pad(heat, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)
+    # separable max: over each row's three cells, then over each column's;
+    # max is exact, so this equals the max over the full 3x3 patch
     h, w = heat.shape[1:]
-    row_max = padded[:, :, :w].copy()
-    for d in range(1, window):
-        np.maximum(row_max, padded[:, :, d : d + w], out=row_max)
-    neighborhood_max = row_max[:, :h].copy()
-    for d in range(1, window):
-        np.maximum(neighborhood_max, row_max[:, d : d + h], out=neighborhood_max)
+    row_max = np.maximum(np.maximum(padded[:, :, :w], padded[:, :, 1 : w + 1]), padded[:, :, 2:])
+    neighborhood_max = np.maximum(np.maximum(row_max[:, :h], row_max[:, 1 : h + 1]), row_max[:, 2:])
     return np.where(heat == neighborhood_max, heat, np.float32(0.0))
 
 
@@ -112,7 +100,7 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     if not 1 <= k <= c * h * w:
         raise ValueError(f"k must be in [1, {c * h * w}], got {k}")
 
-    suppressed = local_max_suppress(heat, window=3)
+    suppressed = local_max_suppress(heat)
     flat = suppressed.ravel()
     kth = np.partition(flat, flat.size - k)[flat.size - k]
     above = np.flatnonzero(flat > kth)
@@ -134,29 +122,29 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     return kps
 
 
-def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> float:
-    """Largest corner displacement radius keeping box IoU >= min_overlap.
+def gaussian_radius(height: float, width: float) -> float:
+    """Largest corner displacement radius keeping box IoU >= MIN_OVERLAP.
 
     Solves the three quadratic worst cases (both corners shifted inward,
     outward, or across) for a height x width box and returns the smallest
     root, so any displacement within the radius still yields IoU >=
-    min_overlap with the original box.
+    MIN_OVERLAP with the original box.
     """
     a1 = 1.0
     b1 = height + width
-    c1 = width * height * (1 - min_overlap) / (1 + min_overlap)
+    c1 = width * height * (1 - MIN_OVERLAP) / (1 + MIN_OVERLAP)
     sq1 = math.sqrt(b1 * b1 - 4 * a1 * c1)
     r1 = (b1 - sq1) / (2 * a1)
 
     a2 = 4.0
     b2 = 2 * (height + width)
-    c2 = (1 - min_overlap) * width * height
+    c2 = (1 - MIN_OVERLAP) * width * height
     sq2 = math.sqrt(b2 * b2 - 4 * a2 * c2)
     r2 = (b2 - sq2) / (2 * a2)
 
-    a3 = 4.0 * min_overlap
-    b3 = -2 * min_overlap * (height + width)
-    c3 = (min_overlap - 1) * width * height
+    a3 = 4.0 * MIN_OVERLAP
+    b3 = -2 * MIN_OVERLAP * (height + width)
+    c3 = (MIN_OVERLAP - 1) * width * height
     sq3 = math.sqrt(b3 * b3 - 4 * a3 * c3)
     r3 = (b3 + sq3) / (2 * a3)
 
@@ -179,13 +167,7 @@ def _splat(channel: np.ndarray, row: int, col: int, radius: int) -> None:
     np.maximum(region, patch.astype(np.float32), out=region)
 
 
-def gaussian_targets(
-    gts: list[GroundTruth],
-    num_classes: int,
-    height: int,
-    width: int,
-    min_overlap: float = 0.7,
-) -> HeatmapSet:
+def gaussian_targets(gts: list[GroundTruth], num_classes: int, height: int, width: int) -> HeatmapSet:
     """Render training-target heatmaps and offset planes for a scene.
 
     Each ground-truth corner splats an unnormalized 2-D Gaussian with peak
@@ -202,7 +184,7 @@ def gaussian_targets(
         if gt.class_id >= num_classes:
             raise ValueError(f"class_id {gt.class_id} outside [0, {num_classes})")
         box = gt.box
-        radius = max(0, int(gaussian_radius(box.height / STRIDE, box.width / STRIDE, min_overlap)))
+        radius = max(0, int(gaussian_radius(box.height / STRIDE, box.width / STRIDE)))
         for heat, off, cx, cy in (
             (tl_heat, tl_off, box.x1, box.y1),
             (br_heat, br_off, box.x2, box.y2),

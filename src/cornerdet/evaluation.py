@@ -140,12 +140,12 @@ def _scale_views(boxes: np.ndarray) -> np.ndarray:
     return np.array([np.ones(len(boxes), dtype=bool)] + masks)
 
 
-def _top_per_image(dets: np.ndarray, limit: int) -> np.ndarray:
-    """Ascending indices of each image's `limit` highest-scoring rows, ties by index."""
+def _top_per_image(dets: np.ndarray) -> np.ndarray:
+    """Ascending indices of each image's MAX_DETS_PER_IMAGE highest-scoring rows, ties by index."""
     order = np.lexsort((-dets["score"], dets["image_id"]))
     images = dets["image_id"][order]
     rank = np.arange(len(order)) - np.searchsorted(images, images)
-    return np.sort(order[rank < limit])
+    return np.sort(order[rank < MAX_DETS_PER_IMAGE])
 
 
 def average_precision(dets: np.ndarray, truth: np.ndarray) -> list[list[float] | None]:
@@ -274,7 +274,7 @@ def build_report(dets: np.ndarray, proposals: np.ndarray, gts: GroundTruthSet) -
             f"records reference image ids absent from the ground truth: {offenders.tolist()}"
         )
 
-    dets = dets[_top_per_image(dets, MAX_DETS_PER_IMAGE)]
+    dets = dets[_top_per_image(dets)]
     grids = average_precision(dets, gts.records)
     n = len(AP_IOU_GRID)
     ap = [None if g is None else math.fsum(g[:n]) / n for g in grids]

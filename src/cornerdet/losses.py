@@ -6,9 +6,9 @@ Conventions shared by every loss here:
 - predictions are probabilities strictly inside (0, 1); values outside are
   an argument error, and survivors are clamped to [1e-7, 1 - 1e-7] before
   any logarithm purely for numerical safety;
-- positives are decided by max-IoU against ground truth at threshold tau
-  (0.7 operating default), and the positive-count normalizer is clamped to
-  1 when a batch has no positives;
+- positives are decided by max-IoU against ground truth at threshold TAU
+  (0.7), and the positive-count normalizer is clamped to 1 when a batch
+  has no positives;
 - scalar reductions use exactly rounded summation, so every loss value is
   invariant under permutation of its inputs.
 
@@ -26,9 +26,10 @@ import numpy as np
 from cornerdet.geometry import BBox, GroundTruth, iou
 
 EPS = 1e-7
-DEFAULT_TAU = 0.7
-DEFAULT_ALPHA = 2.0
-DEFAULT_BETA = 2.0
+# positive IoU threshold, and the focal exponents of the objectness and class losses
+TAU = 0.7
+ALPHA = 2.0
+BETA = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,85 +66,65 @@ def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
     return np.clip(p, EPS, 1.0 - EPS)
 
 
-def loss_prop(
-    p,
-    labels: list[ProposalLabel],
-    tau: float = DEFAULT_TAU,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
+def loss_prop(p, labels: list[ProposalLabel]) -> float:
     """Focal objectness loss over M proposals.
 
-    Positives (max IoU >= tau) contribute (1-p)^alpha * log(p), negatives
-    p^alpha * log(1-p); the sum is negated and divided by the positive
+    Positives (max IoU >= TAU) contribute (1-p)^ALPHA * log(p), negatives
+    p^ALPHA * log(1-p); the sum is negated and divided by the positive
     count (at least 1).
     """
     p = _check_probs(p, "p")
     if p.shape != (len(labels),):
         raise ValueError("p and labels must have matching length")
-    pos = np.array([lab.iou_max >= tau for lab in labels])
+    pos = np.array([lab.iou_max >= TAU for lab in labels])
     n = max(1, int(pos.sum()))
     terms = np.where(
         pos,
-        (1.0 - p) ** alpha * np.log(p),
-        p**alpha * np.log(1.0 - p),
+        (1.0 - p) ** ALPHA * np.log(p),
+        p**ALPHA * np.log(1.0 - p),
     )
     return -math.fsum(terms.tolist()) / n
 
 
-def loss_prop_grad(
-    p,
-    labels: list[ProposalLabel],
-    tau: float = DEFAULT_TAU,
-    alpha: float = DEFAULT_ALPHA,
-) -> np.ndarray:
+def loss_prop_grad(p, labels: list[ProposalLabel]) -> np.ndarray:
     """d(loss_prop)/dp, elementwise over the M proposals."""
     p = _check_probs(p, "p")
-    pos = np.array([lab.iou_max >= tau for lab in labels])
+    pos = np.array([lab.iou_max >= TAU for lab in labels])
     n = max(1, int(pos.sum()))
-    grad_pos = -alpha * (1.0 - p) ** (alpha - 1.0) * np.log(p) + (1.0 - p) ** alpha / p
-    grad_neg = alpha * p ** (alpha - 1.0) * np.log(1.0 - p) - p**alpha / (1.0 - p)
+    grad_pos = -ALPHA * (1.0 - p) ** (ALPHA - 1.0) * np.log(p) + (1.0 - p) ** ALPHA / p
+    grad_neg = ALPHA * p ** (ALPHA - 1.0) * np.log(1.0 - p) - p**ALPHA / (1.0 - p)
     return -np.where(pos, grad_pos, grad_neg) / n
 
 
-def loss_class(
-    q,
-    labels: list[ProposalLabel],
-    tau: float = DEFAULT_TAU,
-    beta: float = DEFAULT_BETA,
-) -> float:
+def loss_class(q, labels: list[ProposalLabel]) -> float:
     """Per-class focal loss over survived proposals, an (M, C) matrix.
 
     Element (m, c) is positive when the proposal's max IoU against class-c
-    ground truths reaches tau. Normalized by the positive element count
+    ground truths reaches TAU. Normalized by the positive element count
     (at least 1).
     """
     q = _check_probs(q, "q")
     if q.ndim != 2 or q.shape[0] != len(labels):
         raise ValueError("q must be (M, C) with one row per label")
-    pos = np.stack([np.asarray(lab.per_class) >= tau for lab in labels])
+    pos = np.stack([np.asarray(lab.per_class) >= TAU for lab in labels])
     if pos.shape != q.shape:
         raise ValueError("per-class label width must match C")
     n = max(1, int(pos.sum()))
     terms = np.where(
         pos,
-        (1.0 - q) ** beta * np.log(q),
-        q**beta * np.log(1.0 - q),
+        (1.0 - q) ** BETA * np.log(q),
+        q**BETA * np.log(1.0 - q),
     )
     return -math.fsum(terms.ravel().tolist()) / n
 
 
-def loss_class_grad(
-    q,
-    labels: list[ProposalLabel],
-    tau: float = DEFAULT_TAU,
-    beta: float = DEFAULT_BETA,
-) -> np.ndarray:
+def loss_class_grad(q, labels: list[ProposalLabel]) -> np.ndarray:
     """d(loss_class)/dq, elementwise over the (M, C) matrix."""
     q = _check_probs(q, "q")
-    pos = np.stack([np.asarray(lab.per_class) >= tau for lab in labels])
+    pos = np.stack([np.asarray(lab.per_class) >= TAU for lab in labels])
     n = max(1, int(pos.sum()))
-    grad_pos = -beta * (1.0 - q) ** (beta - 1.0) * np.log(q) + (1.0 - q) ** beta / q
-    grad_neg = beta * q ** (beta - 1.0) * np.log(1.0 - q) - q**beta / (1.0 - q)
+    grad_pos = -BETA * (1.0 - q) ** (BETA - 1.0) * np.log(q) + (1.0 - q) ** BETA / q
+    grad_neg = BETA * q ** (BETA - 1.0) * np.log(1.0 - q) - q**BETA / (1.0 - q)
     return -np.where(pos, grad_pos, grad_neg) / n
 
 

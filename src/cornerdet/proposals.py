@@ -22,6 +22,8 @@ from cornerdet.tensorio import load_tensor, store_tensor
 BOX_CHANNELS = 32
 CAT_CHANNELS = 256
 POOL_SIZE = 7
+# boxes RoIAlign pools at a time, which bounds the size of its temporaries
+ROI_CHUNK = 512
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
@@ -151,9 +153,7 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
     return out
 
 
-def roi_align_batch(
-    feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray, chunk: int = 512
-) -> np.ndarray:
+def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """RoIAlign a (D, H, W) feature map over N boxes, on the listed channels only.
 
     Returns (N, L, 7, 7) float32 pooled over the L ascending `channels`:
@@ -207,14 +207,14 @@ def roi_align_batch(
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
 
     grid = POOL_SIZE * 2
-    most = min(chunk, idx_live.size)
+    most = min(ROI_CHUNK, idx_live.size)
     weights = np.empty((4, most, grid, grid), dtype=np.float32)
     acc = np.empty((nch, most, grid, grid), dtype=np.float32)
     tap = np.empty_like(acc)
-    for start in range(0, idx_live.size, chunk):
-        sel = idx_live[start : start + chunk]
+    for start in range(0, idx_live.size, ROI_CHUNK):
+        sel = idx_live[start : start + ROI_CHUNK]
         m = sel.size
-        cb = fb[start : start + chunk]
+        cb = fb[start : start + ROI_CHUNK]
         bw = (cb[:, 2] - cb[:, 0]) / POOL_SIZE
         bh = (cb[:, 3] - cb[:, 1]) / POOL_SIZE
         sx = cb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2 * POOL_SIZE)

@@ -52,6 +52,10 @@ BINARY_THRESHOLD = 0.8
 CLASS_GAIN = 200.0
 CLASS_THRESHOLD = 0.25
 PAINT_PAD_CELLS = 1.0
+# least gap in pixels between two boxes of a random scene
+BOX_GAP = 10.0
+# render attempts per scene before build_scene gives up
+RENDER_BUDGET = 50
 
 TRUE_SCORE_FLOOR = 0.9
 FALSE_SCORE_CEIL = 0.1
@@ -89,8 +93,9 @@ class SynthConfig:
             raise ValueError(f"num_classes must be in [1, {CAT_CHANNELS}]")
         if self.arrangement not in ("random", "cross"):
             raise ValueError(f"unknown arrangement {self.arrangement!r}")
-        if not self.noise >= 0.0:
-            raise ValueError("noise must be >= 0")
+        # uniform(-noise, noise) draws from a span of 2 * noise, which must be finite
+        if not (self.noise >= 0.0 and math.isfinite(2.0 * self.noise)):
+            raise ValueError(f"noise must be >= 0 with 2 * noise finite, got {self.noise}")
         if min(self.image_size) < 1:
             raise ValueError(f"image_size extents must be >= 1, got {list(self.image_size)}")
         if not 0 <= self.num_boxes[0] <= self.num_boxes[1]:
@@ -205,17 +210,17 @@ def _cells_isolated(cells: list[tuple[int, int]]) -> bool:
     return all(abs(a[0] - b[0]) > 1 or abs(a[1] - b[1]) > 1 for a, b in combinations(cells, 2))
 
 
-def _boxes_separated(a: BBox, b: BBox, gap: float) -> bool:
+def _boxes_separated(a: BBox, b: BBox) -> bool:
     return (
-        a.x2 + gap <= b.x1
-        or b.x2 + gap <= a.x1
-        or a.y2 + gap <= b.y1
-        or b.y2 + gap <= a.y1
+        a.x2 + BOX_GAP <= b.x1
+        or b.x2 + BOX_GAP <= a.x1
+        or a.y2 + BOX_GAP <= b.y1
+        or b.y2 + BOX_GAP <= a.y1
     )
 
 
-def _scene_geometry_ok(boxes: list[BBox], gap: float = 10.0) -> bool:
-    if not all(_boxes_separated(a, b, gap) for a, b in combinations(boxes, 2)):
+def _scene_geometry_ok(boxes: list[BBox]) -> bool:
+    if not all(_boxes_separated(a, b) for a, b in combinations(boxes, 2)):
         return False
     tl_cells = _corner_cells(boxes, lambda b: (b.x1, b.y1))
     br_cells = _corner_cells(boxes, lambda b: (b.x2, b.y2))
@@ -340,15 +345,15 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
     raise RenderBudgetError(f"cannot place a cross arrangement (seed {seed})")
 
 
-def _paint_coverage(channel: np.ndarray, box: BBox, pad: float = PAINT_PAD_CELLS) -> None:
-    """Max-combine the cell-coverage fraction of a dilated box into channel.
+def _paint_coverage(channel: np.ndarray, box: BBox) -> None:
+    """Max-combine the cell-coverage fraction of the box dilated by PAINT_PAD_CELLS into channel.
 
     Cell (r, c) spans feature coordinates [c - 0.5, c + 0.5] x
     [r - 0.5, r + 0.5], matching the bilinear sampling convention.
     """
     h, w = channel.shape
-    fx1, fx2 = box.x1 / STRIDE - pad, box.x2 / STRIDE + pad
-    fy1, fy2 = box.y1 / STRIDE - pad, box.y2 / STRIDE + pad
+    fx1, fx2 = box.x1 / STRIDE - PAINT_PAD_CELLS, box.x2 / STRIDE + PAINT_PAD_CELLS
+    fy1, fy2 = box.y1 / STRIDE - PAINT_PAD_CELLS, box.y2 / STRIDE + PAINT_PAD_CELLS
     cols = np.arange(w, dtype=np.float64)
     rows = np.arange(h, dtype=np.float64)
     cov_x = np.clip(np.minimum(fx2, cols + 0.5) - np.maximum(fx1, cols - 0.5), 0.0, 1.0)
@@ -451,10 +456,9 @@ def build_scene(
     seed: int,
     force_aspect: tuple[float, float] | None = None,
     force_area: tuple[float, float] | None = None,
-    budget: int = 50,
 ) -> tuple[Scene, OracleBundle]:
     """Generate and render a scene, resampling until verification passes."""
-    for attempt in range(budget):
+    for attempt in range(RENDER_BUDGET):
         scene_seed = _subseed(seed, attempt)
         if cfg.arrangement == "cross":
             scene = generate_cross_scene(cfg, scene_seed)
@@ -464,7 +468,7 @@ def build_scene(
         if not verify_bundle(scene, bundle):
             return scene, bundle
     raise RenderBudgetError(
-        f"verification kept failing after {budget} attempts (seed {seed})"
+        f"verification kept failing after {RENDER_BUDGET} attempts (seed {seed})"
     )
 
 
@@ -490,6 +494,8 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
         raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an old manifest would vouch for whatever mix of files a failed run leaves
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     planted_weights(cfg.num_classes).save_bundle(out_dir / "weights")
 
     annotations = []

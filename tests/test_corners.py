@@ -26,22 +26,17 @@ def make_heatmaps(tl_heat, tl_off=None, br_heat=None, br_off=None):
 
 
 class TestLocalMaxSuppress:
-    def test_window_one_is_identity(self):
-        rng = np.random.default_rng(0)
-        heat = rng.random((2, 5, 5)).astype(np.float32)
-        assert np.array_equal(local_max_suppress(heat, 1), heat)
-
     def test_isolated_peak_unchanged(self):
         heat = np.zeros((1, 5, 5), dtype=np.float32)
         heat[0, 2, 3] = 0.7
-        out = local_max_suppress(heat, 3)
+        out = local_max_suppress(heat)
         assert out[0, 2, 3] == np.float32(0.7)
 
     def test_adjacent_cells(self):
         heat = np.zeros((1, 4, 4), dtype=np.float32)
         heat[0, 1, 1] = 0.9
         heat[0, 1, 2] = 0.8
-        out = local_max_suppress(heat, 3)
+        out = local_max_suppress(heat)
         assert out[0, 1, 1] == np.float32(0.9)
         assert out[0, 1, 2] == 0.0
         assert np.array_equal(out, naive_local_max(heat, 3))
@@ -50,29 +45,23 @@ class TestLocalMaxSuppress:
         rng = np.random.default_rng(7)
         for _ in range(20):
             heat = (rng.random((2, 6, 6)) * rng.integers(1, 4, (2, 6, 6))).astype(np.float32)
-            assert np.array_equal(local_max_suppress(heat, 3), naive_local_max(heat, 3))
-        # non-square maps, quantized so that neighbors tie, and other windows
+            assert np.array_equal(local_max_suppress(heat), naive_local_max(heat, 3))
+        # non-square maps, quantized so that neighbors tie
         for c, h, w in [(1, 1, 7), (2, 3, 9), (3, 8, 5), (1, 11, 2)]:
             heat = (rng.integers(0, 4, (c, h, w)) / 4).astype(np.float32)
-            for window in (1, 3, 5):
-                got = local_max_suppress(heat, window)
-                assert got.tobytes() == naive_local_max(heat, window).tobytes()
+            assert local_max_suppress(heat).tobytes() == naive_local_max(heat, 3).tobytes()
 
     def test_ties_keep_both(self):
         heat = np.zeros((1, 3, 3), dtype=np.float32)
         heat[0, 0, 0] = heat[0, 0, 1] = 0.5
-        out = local_max_suppress(heat, 3)
+        out = local_max_suppress(heat)
         assert out[0, 0, 0] == out[0, 0, 1] == np.float32(0.5)
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         heat = rng.random((3, 8, 8)).astype(np.float32)
-        once = local_max_suppress(heat, 3)
-        assert np.array_equal(local_max_suppress(once, 3), once)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            local_max_suppress(np.zeros((1, 3, 3), dtype=np.float32), 2)
+        once = local_max_suppress(heat)
+        assert np.array_equal(local_max_suppress(once), once)
 
 
 class TestDecodeCorners:
@@ -177,7 +166,7 @@ class TestGaussianTargets:
 def test_gaussian_radius_keeps_overlap():
     # a corner shifted by the radius must still give IoU >= 0.7
     for h, w in [(10.0, 10.0), (30.0, 8.0), (100.0, 40.0), (5.0, 40.0)]:
-        r = gaussian_radius(h, w, 0.7)
+        r = gaussian_radius(h, w)
         assert r > 0
         shifted = (r, 0.0, w, h)  # top-left corner moved diagonally inward in x
         assert iou_xyxy((0, 0, w, h), shifted) >= 0.7 - 1e-9

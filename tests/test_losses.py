@@ -35,7 +35,7 @@ class TestLossProp:
 
     def test_single_positive_half(self):
         labels = [plabel(0.9)]
-        got = loss_prop(np.array([0.5]), labels, tau=0.7, alpha=2.0)
+        got = loss_prop(np.array([0.5]), labels)
         assert got == pytest.approx(0.25 * math.log(2.0), rel=1e-12)
 
     def test_negative_term(self):
@@ -82,7 +82,7 @@ class TestLossClass:
     def test_hand_example(self):
         labels = [plabel(0.9, per_class=[0.9, 0.0])]
         q = np.array([[0.5, 0.5]])
-        got = loss_class(q, labels, tau=0.7, beta=2.0)
+        got = loss_class(q, labels)
         assert got == pytest.approx(2 * 0.25 * math.log(2.0), rel=1e-12)
 
     def test_perfect_predictions(self):

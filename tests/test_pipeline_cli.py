@@ -207,6 +207,36 @@ class TestCliFlow:
         root = sorted(p.name for p in corpus.iterdir())
         assert root == ["ground_truth.json", "manifest.json", scene_dir.name, "weights"]
 
+    def test_eval_reads_explicit_proposals(self, small_corpus, tmp_path):
+        gt = str(small_corpus / "ground_truth.json")
+        dump = tmp_path / "dets.json"
+        assert main(["detect", "--corpus", str(small_corpus), "--out", str(dump)]) == 0
+        assert main(["eval", "--dets", str(dump), "--gt", gt, "--report", str(tmp_path / "a.json")]) == 0
+        # a dump without a sibling, its proposals named by the flag
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(dump, lone / "dets.json")
+        shutil.copy(proposals_sibling(dump), lone / "props.json")
+        argv = ["eval", "--dets", str(lone / "dets.json"), "--gt", gt, "--report", str(tmp_path / "b.json")]
+        assert main(argv + ["--proposals", str(lone / "props.json")]) == 0
+        for suffix in ("", ".txt"):
+            assert (tmp_path / f"a.json{suffix}").read_bytes() == (tmp_path / f"b.json{suffix}").read_bytes()
+
+    def test_eval_without_proposals_recalls_the_detections(self, small_corpus, tmp_path, capsys):
+        gt = small_corpus / "ground_truth.json"
+        dump = tmp_path / "dets.json"
+        assert main(["detect", "--corpus", str(small_corpus), "--out", str(dump)]) == 0
+        proposals_sibling(dump).unlink()
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--dets", str(dump), "--gt", str(gt), "--report", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("no proposal dump found; recall metrics use the detections\n")
+        dets = records_to_dets(read_detections(dump))
+        want = report_to_dict(build_report(dets, dets, load_ground_truth(gt)))
+        assert json.loads(report_path.read_text())["ar_1000"] == want["ar_1000"]
+        assert report_path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
+
 
 class TestCliErrors:
     def test_usage_error_exit_2(self):
@@ -217,6 +247,23 @@ class TestCliErrors:
     def test_missing_corpus_exit_3(self, tmp_path):
         code = main(["detect", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "d.json")])
         assert code == 3
+
+    def test_failed_synth_leaves_no_manifest(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert main(["synth", "--out", str(corpus), "--count", "3", "--seed", "1"]) == 0
+        first_truth = (corpus / "ground_truth.json").read_bytes()
+        (corpus / "ground_truth.json").unlink()
+        (corpus / "ground_truth.json").mkdir()  # the rerun cannot write it
+        capsys.readouterr()
+        assert main(["synth", "--out", str(corpus), "--count", "3", "--seed", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the seed-1 truth beside seed-2 scenes: no manifest vouches for the mix
+        (corpus / "ground_truth.json").rmdir()
+        (corpus / "ground_truth.json").write_bytes(first_truth)
+        assert main(["detect", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus} has no manifest.json; not a corpus?\n"
 
     def test_unknown_config_key_exit_3(self, small_corpus, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -373,6 +420,7 @@ OUT_OF_RANGE = {
         ("num_classes", "0"),
         ("num_classes", "257"),
         ("noise", "-0.1"),
+        ("noise", "1e308"),  # uniform(-noise, noise) spans more than the float range
         ("arrangement", '"diagonal"'),
     ],
 }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cornerdet import proposals
 from cornerdet.corners import KEYPOINT_DTYPE
 from cornerdet.proposals import (
     BOX_CHANNELS,
@@ -207,16 +208,17 @@ class TestRoiAlign:
                 assert np.isnan(pooled[0, -1]).all()
 
     @pytest.mark.parametrize("chunk", [512, 7])
-    def test_many_boxes_across_chunks_match_frozen_kernel(self, chunk):
+    def test_many_boxes_across_chunks_match_frozen_kernel(self, chunk, monkeypatch):
         # ~1,100 boxes, some zero-area, so chunks hold non-adjacent rows and
         # the default chunk's last one is short
+        monkeypatch.setattr(proposals, "ROI_CHUNK", chunk)
         rng = np.random.default_rng(43)
         feat = rng.standard_normal((8, 30, 41)).astype(np.float32)
         feat[[1, 4]] = 0.0
         feat[6, :, :20] = 0.0  # live only on the right
         boxes = rng.uniform(-40, 180, (1100, 4))
         boxes[:, 2:] = boxes[:, :2] + rng.uniform(-3, 90, (1100, 2))
-        pooled = roi_align_batch(feat, boxes, np.arange(8), chunk=chunk)
+        pooled = roi_align_batch(feat, boxes, np.arange(8))
         want = frozen_roi_align_batch(feat, boxes)
         assert (~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))).sum() > 10
         assert pooled.tobytes() == want.tobytes()

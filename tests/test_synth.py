@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cornerdet.synth import (
     RenderBudgetError,
     Scene,
     SynthConfig,
+    _paint_coverage,
     build_scene,
     generate_cross_scene,
     generate_scene,
@@ -240,6 +243,31 @@ class TestRenderOracle:
         cfg = SynthConfig(num_boxes=(2, 5))
         scene, bundle = build_scene(cfg, seed=21)
         assert verify_bundle(scene, bundle) == []
+
+    def test_verification_names_a_weak_true_box(self):
+        scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
+        bundle.features.box_feat[0] = 0.0
+        (problem,) = verify_bundle(scene, bundle)
+        assert problem.startswith("true box 0: binary score ")
+
+    def test_verification_names_a_wrong_class_argmax(self):
+        scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
+        cls = scene.gts[0].class_id
+        other = 1 - cls
+        f = bundle.features
+        f.cat_feat[other] = f.cat_feat[cls]
+        f.cat_feat[cls] = 0.0
+        features = dataclasses.replace(f, cat_channels=np.array([other]))
+        (problem,) = verify_bundle(scene, dataclasses.replace(bundle, features=features))
+        assert problem == f"true box 0: class argmax {other} != {cls}"
+
+    def test_verification_names_a_strong_cross_pairing(self):
+        scene, bundle = build_scene(SynthConfig(arrangement="cross"), seed=5)
+        assert verify_bundle(scene, bundle) == []
+        a, b = (gt.box for gt in scene.gts)
+        _paint_coverage(bundle.features.box_feat[0], BBox(a.x1, a.y1, b.x2, b.y2))
+        (problem,) = verify_bundle(scene, bundle)
+        assert problem.startswith("cross pairing 0->1: binary score ")
 
     def test_bundle_deterministic(self):
         cfg = SynthConfig(num_boxes=(2, 4), noise=0.03)
