@@ -67,12 +67,15 @@ def local_max_suppress(heat: np.ndarray) -> np.ndarray:
     clipped at map borders.
     """
     heat = np.asarray(heat, dtype=np.float32)
-    padded = np.pad(heat, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)
     # separable max: over each row's three cells, then over each column's;
-    # max is exact, so this equals the max over the full 3x3 patch
-    h, w = heat.shape[1:]
-    row_max = np.maximum(np.maximum(padded[:, :, :w], padded[:, :, 1 : w + 1]), padded[:, :, 2:])
-    neighborhood_max = np.maximum(np.maximum(row_max[:, :h], row_max[:, 1 : h + 1]), row_max[:, 2:])
+    # max is exact, so this equals the max over the full 3x3 patch; shifted
+    # slices stop at the border, so no padded copy is needed
+    row_max = heat.copy()
+    np.maximum(row_max[:, :, 1:], heat[:, :, :-1], out=row_max[:, :, 1:])
+    np.maximum(row_max[:, :, :-1], heat[:, :, 1:], out=row_max[:, :, :-1])
+    neighborhood_max = row_max.copy()
+    np.maximum(neighborhood_max[:, 1:], row_max[:, :-1], out=neighborhood_max[:, 1:])
+    np.maximum(neighborhood_max[:, :-1], row_max[:, 1:], out=neighborhood_max[:, :-1])
     return np.where(heat == neighborhood_max, heat, np.float32(0.0))
 
 
@@ -85,14 +88,19 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     index order.
 
     The selection equals ``np.argsort(-flat, kind="stable")[:k]`` without
-    sorting every cell: a partition finds the k-th largest score, the cells
-    above it are stable-sorted, and the first cells equal to it, in index
-    order, fill the remaining places.
+    a stable argsort of every cell: ``np.sort`` finds the k-th largest
+    score, the cells above it are stable-sorted, and the first cells equal
+    to it, in index order, fill the remaining places. It is a sort, not
+    ``np.partition``, because numpy's introselect stalls on runs of equal
+    values, and suppression leaves nearly every cell at 0.
+
+    A decoded x or y that overflows float32 (a finite but huge offset)
+    raises a ValueError naming the offset tensor.
     """
     if kind == TOP_LEFT:
-        heat, off = hm.tl_heat, hm.tl_off
+        heat, off, off_name = hm.tl_heat, hm.tl_off, "tl_off"
     elif kind == BOTTOM_RIGHT:
-        heat, off = hm.br_heat, hm.br_off
+        heat, off, off_name = hm.br_heat, hm.br_off, "br_off"
     else:
         raise ValueError(f"unknown corner kind: {kind!r}")
 
@@ -102,7 +110,7 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
 
     suppressed = local_max_suppress(heat)
     flat = suppressed.ravel()
-    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    kth = np.sort(flat)[flat.size - k]
     above = np.flatnonzero(flat > kth)
     above = above[np.argsort(-flat[above], kind="stable")]
     ties = np.flatnonzero(flat == kth)[: k - above.size]
@@ -113,6 +121,8 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     oy = off[1, rows, cols].astype(np.float32)
     xs = (cols.astype(np.float32) + ox) * np.float32(STRIDE)
     ys = (rows.astype(np.float32) + oy) * np.float32(STRIDE)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"{off_name} puts a corner at a position that overflows float32")
 
     kps = np.empty(k, dtype=KEYPOINT_DTYPE)
     kps["class_id"] = cls

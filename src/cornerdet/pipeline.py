@@ -69,9 +69,9 @@ class SceneResult:
     num_survivors: int
 
 
-# NaN, infinity or a float32 overflow in the features turns into NaN or
-# infinite scores, which raise below; numpy's "invalid value" and "overflow"
-# warnings would only add lines to the error
+# NaN, infinity or a float32 overflow in the features or the decoded corner
+# positions turns into NaN or infinite values, which raise; numpy's "invalid
+# value" and "overflow" warnings would only add lines to the error
 @np.errstate(invalid="ignore", over="ignore")
 def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     """Run the full pipeline on one image's tensors.
@@ -80,7 +80,8 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     (from box_feat or the binary head weights) and non-finite class scores
     (from cat_feat or the class head weights) raise a ValueError naming the
     tensor; finite features whose pooling overflows float32 give such
-    scores too.
+    scores too. So does a finite offset that puts a decoded corner's x or y
+    beyond float32 (``decode_corners`` names tl_off or br_off).
     """
     for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
         if not np.isfinite(getattr(bundle.heatmaps, name)).all():

@@ -63,6 +63,69 @@ class TestLocalMaxSuppress:
         once = local_max_suppress(heat)
         assert np.array_equal(local_max_suppress(once), once)
 
+    # The neighborhood stops at the border, as if the map were padded with
+    # -inf: a border cell competes only with the cells inside the map, so a
+    # -inf cell whose neighbors are all -inf is its patch's maximum and keeps
+    # its value, and +inf beats every neighbor.
+    def test_infinite_borders_match_exhaustive_scan(self):
+        rng = np.random.default_rng(19)
+        heat = rng.random((2, 9, 7)).astype(np.float32)
+        heat[:, 0, :] = heat[:, -1, :] = -np.inf
+        heat[:, :, 0] = heat[:, :, -1] = -np.inf
+        heat[0, :3, :3] = -np.inf  # a corner block with no finite neighbor
+        heat[1, 4, 0] = np.inf
+        heat[1, 8, 6] = np.inf
+        out = local_max_suppress(heat)
+        assert out.tobytes() == naive_local_max(heat, 3).tobytes()
+        assert out[0, 0, 0] == out[0, 1, 1] == -np.inf
+        assert out[1, 4, 0] == out[1, 8, 6] == np.inf
+        assert out[1, 3, 0] == out[1, 4, 1] == 0.0  # beside +inf
+
+    def test_all_minus_inf_map_is_kept(self):
+        heat = np.full((2, 5, 4), -np.inf, dtype=np.float32)
+        out = local_max_suppress(heat)
+        assert out.tobytes() == heat.tobytes() == naive_local_max(heat, 3).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 1, 9), (2, 9, 1), (1, 1, 1)])
+    def test_single_row_and_column_maps(self, shape):
+        rng = np.random.default_rng(23)
+        values = np.array([-np.inf, np.inf, -1.0, -0.0, 0.0, 0.5], dtype=np.float32)
+        for _ in range(30):
+            heat = rng.choice(values, shape).astype(np.float32)
+            assert local_max_suppress(heat).tobytes() == naive_local_max(heat, 3).tobytes()
+
+
+@pytest.fixture(scope="module")
+def benchmark_maps():
+    """Heatmaps of benchmark size, each with its suppressed map from the
+    exhaustive oracle (about 0.3 s a map)."""
+    rng = np.random.default_rng(29)
+    shape = (2, 128, 128)
+    gts = [
+        GroundTruth(box=BBox(20.25, 30.5, 140.75, 90.0), class_id=0),
+        GroundTruth(box=BBox(200.0, 210.0, 380.5, 460.25), class_id=1),
+        GroundTruth(box=BBox(60.0, 300.0, 160.0, 420.0), class_id=1),
+    ]
+    # constant -0.75 with 7 isolated cells raised to -0.25: their 56
+    # neighbors suppress to +0, so the 70th score falls into the -0.75 run
+    negative_plateau = np.full(shape, -0.75, dtype=np.float32)
+    for i in range(7):
+        negative_plateau[i % 2, 10 + 15 * i, 20 + 12 * i] = -0.25
+    # random +-0 with a few positive peaks and negative cells
+    signed_zeros = rng.choice(np.array([-0.0, 0.0], dtype=np.float32), shape)
+    signed_zeros[rng.random(shape) < 0.01] = -0.5
+    for i in range(5):
+        signed_zeros[0, 20 * i + 5, 17 * i + 3] = 0.9 - 0.1 * i
+    maps = {
+        "all-zero": np.zeros(shape, dtype=np.float32),
+        "peaks": gaussian_targets(gts, 2, 128, 128).tl_heat,
+        "uniform": rng.random(shape, dtype=np.float32),
+        "negative-plateau": negative_plateau,
+        "negative-uniform": -rng.random(shape, dtype=np.float32),
+        "signed-zeros": signed_zeros,
+    }
+    return {name: (heat, naive_local_max(heat, 3)) for name, heat in maps.items()}
+
 
 class TestDecodeCorners:
     def test_all_zero_tiebreak(self):
@@ -105,6 +168,40 @@ class TestDecodeCorners:
                 cut_ties += k < ranked.size and ranked[k - 1] == ranked[k]
         assert cut_ties > 100
 
+    def test_benchmark_size_maps_match_naive_topk(self, benchmark_maps):
+        # (2, 128, 128) like a 511-pixel synth scene; k = 70 is the default
+        # and k = C*H*W ranks every cell. Score bits are compared, so the
+        # sign of a zero counts.
+        for heat, suppressed in benchmark_maps.values():
+            c, h, w = heat.shape
+            hm = make_heatmaps(heat)
+            for k in (70, c * h * w):
+                want = naive_topk(suppressed, k)
+                kps = decode_corners(hm, TOP_LEFT, k)
+                cls, rows, cols = np.unravel_index(want, (c, h, w))
+                assert kps["class_id"].tolist() == cls.tolist()
+                assert kps["x"].tolist() == (4.0 * cols).tolist()
+                assert kps["y"].tolist() == (4.0 * rows).tolist()
+                expected = suppressed.ravel()[want].astype(np.float64)
+                assert kps["score"].tobytes() == expected.tobytes()
+
+    def test_benchmark_size_maps_cut_where_intended(self, benchmark_maps):
+        # each map's k-th score is the case the map is there for
+        def kth(name, k=70):
+            suppressed = benchmark_maps[name][1]
+            return suppressed.ravel()[naive_topk(suppressed, k)[-1]]
+
+        assert kth("all-zero") == 0.0
+        assert kth("peaks") == 0.0  # k cuts into the zero plateau
+        assert 0.0 < kth("uniform") < 1.0
+        assert kth("negative-plateau") == np.float32(-0.75)
+        assert kth("negative-uniform", 2 * 128 * 128) < 0.0
+        assert kth("signed-zeros") == 0.0
+        # and the top 70 take both +0 and -0 cells from that run
+        signed = benchmark_maps["signed-zeros"][1].ravel()
+        top = signed[naive_topk(signed, 70)]
+        assert np.signbit(top[top == 0.0]).any() and not np.signbit(top[top == 0.0]).all()
+
     def test_k_too_large(self):
         hm = make_heatmaps(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):
@@ -121,6 +218,23 @@ class TestDecodeCorners:
             assert scores == sorted(scores, reverse=True)
             assert np.all((0.0 <= kps["x"]) & (kps["x"] < 4 * 12))
             assert np.all((0.0 <= kps["y"]) & (kps["y"] < 4 * 12))
+
+    @pytest.mark.parametrize("kind, name", [(TOP_LEFT, "tl_off"), (BOTTOM_RIGHT, "br_off")])
+    @pytest.mark.parametrize("plane, value", [(0, 1e38), (1, 1e38), (0, -1e38)])
+    def test_offset_overflowing_position_names_the_tensor(self, kind, name, plane, value):
+        # 1e38 is finite, but (col + 1e38) * 4 is not in float32
+        heat = np.zeros((1, 6, 6), dtype=np.float32)
+        heat[0, 2, 3] = 0.9
+        off = np.zeros((2, 6, 6), dtype=np.float32)
+        off[plane, 2, 3] = value
+        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{name} puts a corner"):
+            decode_corners(hm, kind, 1)
+        # offsets are read only under decoded cells: with the peak gone,
+        # the top cell is (0, 0, 0), whose offsets are 0
+        heat[0, 2, 3] = 0.0
+        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
+        assert np.isfinite(decode_corners(hm, kind, 1)["x"]).all()
 
 
 class TestGaussianTargets:

@@ -693,6 +693,26 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("name", ["tl_off", "br_off"])
+def test_detect_offset_overflowing_position_exit_3(name, small_corpus, tmp_path, capsys):
+    # 1e38 is finite and passes the tensor check, but every decoded x,
+    # (col + 1e38) * 4, overflows float32; such a corner would pair with
+    # nothing and its box would go missing without an error
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    scene = corpus / "scene_00000"
+    path = scene / f"{name}.cpnt"
+    tensor = load_tensor(path)
+    tensor[0] = 1e38
+    store_tensor(tensor, path)
+    out = tmp_path / "out"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {scene}: {name} puts a corner at a position that overflows float32\n"
+    assert not out.exists() and not proposals_sibling(out).exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, index", [("class_kernel", (1, 255, 3, 3)), ("binary_bias", (0,))])
 def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, capsys):

@@ -205,6 +205,25 @@ class TestRenderOracle:
         assert det["class_id"] == gt.class_id
         assert iou(BBox(*det["box"]), gt.box) > 0.99
 
+    @pytest.mark.filterwarnings("error")  # detect_bundle keeps the overflow silent
+    @pytest.mark.parametrize("kind, name", [("tl", "tl_off"), ("br", "br_off")])
+    @pytest.mark.parametrize("plane, value", [(0, 1e38), (1, 1e38), (0, -1e38), (1, -1e38)])
+    def test_offset_overflowing_corner_raises(self, kind, name, plane, value):
+        # a finite offset under the true corner's cell: the corner decodes to
+        # an infinite x or y, which would pair with nothing and lose the box
+        cfg = SynthConfig(num_boxes=(1, 1))
+        _, bundle = build_scene(cfg, seed=2)
+        heat = getattr(bundle.heatmaps, f"{kind}_heat")
+        _, row, col = np.unravel_index(np.argmax(heat), heat.shape)
+        off = getattr(bundle.heatmaps, name).copy()
+        off[plane, row, col] = value
+        heatmaps = dataclasses.replace(bundle.heatmaps, **{name: off})
+        bad = dataclasses.replace(bundle, heatmaps=heatmaps)
+        message = f"^{name} puts a corner at a position that overflows float32$"
+        with pytest.raises(ValueError, match=message):
+            detect_bundle(bad, PipelineConfig(k=2))
+        assert len(detect_bundle(bundle, PipelineConfig(k=2)).detections) == 1
+
     def test_extreme_aspect_recovered(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=4, force_aspect=(7.5, 8.0))
