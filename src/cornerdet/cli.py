@@ -21,6 +21,7 @@ from cornerdet.evaluation import (
     records_to_dets,
     render_tables,
     report_to_dict,
+    require_known_images,
 )
 from cornerdet.geometry import InvariantError
 from cornerdet.pipeline import PipelineConfig, run_corpus
@@ -43,15 +44,12 @@ def proposals_sibling(out_path) -> Path:
 def _fits(value, hint) -> bool:
     """Whether a decoded JSON value fits a field annotation.
 
-    bool is not an int, an int is a float but NaN and infinity are not, a
-    tuple takes a list of its length, and a union such as int | None takes
-    any of its members.
+    bool is not an int, an int is a float but NaN and infinity are not, and
+    a tuple takes a list of its length.
     """
-    args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
         return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
-    if args:
-        return any(_fits(value, arm) for arm in args)
     if hint is float:
         return type(value) is int or (type(value) is float and math.isfinite(value))
     return type(value) is hint
@@ -126,24 +124,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def read_dump(path):
-    """The detection records of a dump file; a malformed record names the file."""
+def read_dump(path, gts):
+    """The detection records of a dump file; a malformed record, or one whose
+    image the ground truth lacks, names the file and the record."""
     records = read_detections(path)
     try:
-        return records_to_dets(records)
+        dets = records_to_dets(records)
+        require_known_images(dets["image_id"], gts.image_ids, "record")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return dets
 
 
 def cmd_eval(args) -> int:
-    dets = read_dump(args.dets)
     gts = load_ground_truth(args.gt)
+    dets = read_dump(args.dets, gts)
     if args.proposals:
-        proposals = read_dump(args.proposals)
+        proposals = read_dump(args.proposals, gts)
     else:
         sibling = proposals_sibling(args.dets)
         if sibling.exists():
-            proposals = read_dump(sibling)
+            proposals = read_dump(sibling, gts)
         else:
             print("no proposal dump found; recall metrics use the detections")
             proposals = dets

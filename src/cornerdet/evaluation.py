@@ -484,13 +484,16 @@ def _ground_truth(doc) -> GroundTruthSet:
     _ints(category_ids, "category", "id")
     if len(np.unique(image_ids)) != len(image_ids):
         raise ValueError("duplicate image ids")
-    unknown = ~np.isin(records["image_id"], image_ids)
+    require_known_images(records["image_id"], image_ids, "annotation")
+    return GroundTruthSet(image_ids=image_ids, records=records)
+
+
+def require_known_images(ids: np.ndarray, image_ids: np.ndarray, label: str) -> None:
+    """Raise a ValueError naming the first `label` whose image id is not in image_ids."""
+    unknown = ~np.isin(ids, image_ids)
     if unknown.any():
         i = int(np.argmax(unknown))
-        raise ValueError(
-            f"annotation {i}: image_id {records['image_id'][i]} is not among the images"
-        )
-    return GroundTruthSet(image_ids=image_ids, records=records)
+        raise ValueError(f"{label} {i}: image_id {ids[i]} is not among the images")
 
 
 def records_to_dets(records: list) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
 from cornerdet.postprocess import (
+    OBJECTNESS_THRESHOLD,
     RECORD_DTYPE,
     SOFT_NMS_PRUNE,
     SOFT_NMS_SIGMA,
@@ -38,26 +39,17 @@ from cornerdet.synth import OracleBundle, load_scene_bundle, read_manifest
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Operating constants; the defaults are the published operating points."""
+    """Corners decoded per heatmap, and whether the binary head filters pairs.
+
+    The thresholds after the heads are the postprocess constants.
+    """
 
     k: int = 70
-    objectness_threshold: float = 0.2
-    soft_nms_sigma: float = SOFT_NMS_SIGMA
-    soft_nms_prune: float = SOFT_NMS_PRUNE
-    top_k: int = TOP_K
     use_binary_head: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 < self.objectness_threshold < 1.0:
-            raise ValueError("objectness_threshold must lie in (0, 1)")
-        if self.soft_nms_sigma <= 0.0:
-            raise ValueError("soft_nms_sigma must be positive")
-        if self.soft_nms_prune < 0.0:
-            raise ValueError("soft_nms_prune must be >= 0")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             raise ValueError(
                 "box_feat or the binary head weights hold NaN, infinity or values that overflow"
             )
-        survivors = filter_by_objectness(proposals, p_scores, config.objectness_threshold)
+        survivors = filter_by_objectness(proposals, p_scores, OBJECTNESS_THRESHOLD)
 
     pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], feats.cat_channels)
     q = class_scores(pooled_cat, feats.cat_channels, weights)
@@ -110,9 +102,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             "cat_feat or the class head weights hold NaN, infinity or values that overflow"
         )
     dets = label_detections(survivors, q)
-    dets = soft_nms(
-        dets, sigma=config.soft_nms_sigma, prune=config.soft_nms_prune, limit=config.top_k
-    )
+    dets = soft_nms(dets, sigma=SOFT_NMS_SIGMA, prune=SOFT_NMS_PRUNE, limit=TOP_K)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))
 
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+OBJECTNESS_THRESHOLD = 0.2
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
 TOP_K = 100

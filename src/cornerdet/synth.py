@@ -1,6 +1,6 @@
 """Synthetic scenes with analytically controllable pipeline inputs.
 
-A scene is a set of labeled boxes inside a (default 511 x 511) image.
+A scene is a set of labeled boxes inside a 511 x 511 image.
 Rendering a scene produces exactly the tensors the detection pipeline
 consumes, constructed so the pipeline's behavior is predictable:
 
@@ -62,7 +62,13 @@ FALSE_SCORE_CEIL = 0.1
 
 SCENE_TENSORS = ("tl_heat", "br_heat", "tl_off", "br_off", "box_feat", "cat_feat")
 
-
+# every image is IMAGE_SIZE (height, width); a random box's aspect ratio is
+# drawn log-uniformly from ASPECT_RANGE and its area from AREA_RANGE, at
+# least MARGIN pixels inside each image edge
+IMAGE_SIZE = (511, 511)
+ASPECT_RANGE = (1.0, 8.0)
+AREA_RANGE = (24.0**2, 490.0**2)
+MARGIN = 12.0
 # the least aspect ratio of the forced first box of an extreme-aspect scene
 EXTREME_ASPECT = 5.0
 # the forced first box of an extreme-area scene is larger than this
@@ -77,12 +83,8 @@ class RenderBudgetError(RuntimeError):
 class SynthConfig:
     """Knobs for scene generation and rendering."""
 
-    image_size: tuple[int, int] = (511, 511)  # (height, width)
     num_classes: int = 2
     num_boxes: tuple[int, int] = (1, 6)
-    aspect_range: tuple[float, float] = (1.0, 8.0)
-    area_range: tuple[float, float] = (24.0**2, 490.0**2)
-    margin: float = 12.0
     noise: float = 0.0
     arrangement: str = "random"  # or "cross"
     extreme_aspect_period: int = 5  # every n-th scene gets a >=5:1 box; 0 disables
@@ -96,70 +98,20 @@ class SynthConfig:
         # uniform(-noise, noise) draws from a span of 2 * noise, which must be finite
         if not (self.noise >= 0.0 and math.isfinite(2.0 * self.noise)):
             raise ValueError(f"noise must be >= 0 with 2 * noise finite, got {self.noise}")
-        if min(self.image_size) < 1:
-            raise ValueError(f"image_size extents must be >= 1, got {list(self.image_size)}")
-        if not 0 <= self.num_boxes[0] <= self.num_boxes[1]:
-            raise ValueError(f"num_boxes must satisfy 0 <= lo <= hi, got {list(self.num_boxes)}")
-        # an infinite or NaN margin fails the comparisons too
-        if not (0.0 <= self.margin and 2.0 * self.margin < min(self.image_size)):
+        # the box count is drawn as an int64
+        if not 0 <= self.num_boxes[0] <= self.num_boxes[1] < 2**63:
             raise ValueError(
-                f"margin must be >= 0 and below half of each image extent, got {self.margin}"
+                f"num_boxes must satisfy 0 <= lo <= hi < 2**63, got {list(self.num_boxes)}"
             )
-        lo, hi = self.area_range
-        if not (0.0 < lo <= hi < math.inf):
-            raise ValueError(f"area_range must satisfy 0 < lo <= hi, got {list(self.area_range)}")
-        lo, hi = self.aspect_range
-        if not (1.0 <= lo <= hi < math.inf):
-            raise ValueError(f"aspect_range must satisfy 1 <= lo <= hi, got {list(self.aspect_range)}")
         for name in ("extreme_aspect_period", "extreme_area_period"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.arrangement != "random":
-            return
-        # the forced aspect ratios are drawn from [max(5, lo), hi], and the
-        # area from area_range up to the largest box the margins fit at that ratio
-        if self.extreme_aspect_period:
-            if hi < EXTREME_ASPECT:
-                raise ValueError(
-                    f"aspect_range must reach {EXTREME_ASPECT} when extreme_aspect_period "
-                    f"is set, got {list(self.aspect_range)}"
-                )
-            largest = self._largest_box(max(EXTREME_ASPECT, lo), hi)
-            if self.area_range[0] >= largest:
-                raise ValueError(
-                    f"area_range {list(self.area_range)} and aspect_range {list(self.aspect_range)} "
-                    f"allow no box of aspect ratio {EXTREME_ASPECT:g} or more within the margins "
-                    f"(which fit at most {largest:g}) when extreme_aspect_period is set"
-                )
-        # the forced areas are drawn from above EXTREME_AREA, up to area_range[1]
-        # and the largest box the margins fit at some ratio of aspect_range
-        if self.extreme_area_period:
-            least = max(self.area_range[0], EXTREME_AREA)
-            largest = self._largest_box(lo, hi)
-            if min(self.area_range[1], largest) <= least:
-                raise ValueError(
-                    f"area_range {list(self.area_range)} and aspect_range {list(self.aspect_range)} "
-                    f"allow no box above area {least:g} within the margins (which fit at most "
-                    f"{largest:g}) when extreme_area_period is set"
-                )
-
-    def _largest_box(self, ratio_lo: float, ratio_hi: float) -> float:
-        """The largest area the margins fit at some aspect ratio in [ratio_lo, ratio_hi]."""
-        avail = [extent - 2.0 * self.margin for extent in self.image_size]
-        largest = 0.0
-        for along, across in (avail, avail[::-1]):
-            # a box whose side along is r times its side across fits at most
-            # min(along^2 / r, across^2 * r), most at the r nearest along / across
-            r = min(max(along / across, ratio_lo), ratio_hi)
-            largest = max(largest, min(along * along / r, across * across * r))
-        return largest
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground-truth boxes for one synthetic image."""
+    """Ground-truth boxes for one IMAGE_SIZE synthetic image."""
 
-    image_size: tuple[int, int]
     gts: tuple[GroundTruth, ...]
     seed: int
 
@@ -233,13 +185,13 @@ def _sample_box(
     force_aspect: tuple[float, float] | None = None,
     force_area: tuple[float, float] | None = None,
 ) -> BBox | None:
-    img_h, img_w = cfg.image_size
-    avail_w = img_w - 2 * cfg.margin
-    avail_h = img_h - 2 * cfg.margin
+    img_h, img_w = IMAGE_SIZE
+    avail_w = img_w - 2 * MARGIN
+    avail_h = img_h - 2 * MARGIN
     if force_aspect is not None:
         ratio = float(rng.uniform(*force_aspect))
     else:
-        ratio = float(np.exp(rng.uniform(*map(math.log, cfg.aspect_range))))
+        ratio = float(np.exp(rng.uniform(*map(math.log, ASPECT_RANGE))))
     wide = bool(rng.random() < 0.5)
 
     # ratio applies as w/h when wide, h/w otherwise
@@ -247,7 +199,7 @@ def _sample_box(
         fit = min(avail_w**2 / ratio, avail_h**2 * ratio)
     else:
         fit = min(avail_h**2 / ratio, avail_w**2 * ratio)
-    lo, hi = cfg.area_range
+    lo, hi = AREA_RANGE
     if force_area is not None:
         lo, hi = max(lo, force_area[0]), min(hi, force_area[1])
     hi = min(hi, fit)
@@ -258,8 +210,8 @@ def _sample_box(
         w, h = math.sqrt(area * ratio), math.sqrt(area / ratio)
     else:
         w, h = math.sqrt(area / ratio), math.sqrt(area * ratio)
-    x1 = float(rng.uniform(cfg.margin, img_w - cfg.margin - w))
-    y1 = float(rng.uniform(cfg.margin, img_h - cfg.margin - h))
+    x1 = float(rng.uniform(MARGIN, img_w - MARGIN - w))
+    y1 = float(rng.uniform(MARGIN, img_h - MARGIN - h))
     return BBox(x1, y1, x1 + w, y1 + h)
 
 
@@ -301,7 +253,7 @@ def generate_scene(
                 break
         if len(boxes) == target:
             gts = tuple(GroundTruth(box=b, class_id=c) for b, c in zip(boxes, classes))
-            return Scene(image_size=cfg.image_size, gts=gts, seed=seed)
+            return Scene(gts=gts, seed=seed)
     raise RenderBudgetError(
         f"cannot place {cfg.num_boxes} boxes within the image (seed {seed})"
     )
@@ -316,7 +268,7 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
     reject.
     """
     rng = np.random.default_rng(seed)
-    img_h, img_w = cfg.image_size
+    img_h, img_w = IMAGE_SIZE
     for _ in range(300):
         cx = float(rng.uniform(0.38, 0.62) * img_w)
         cy = float(rng.uniform(0.38, 0.62) * img_h)
@@ -328,8 +280,8 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
         horiz = BBox(cx - long_h / 2, cy - thin_h / 2 + jy, cx + long_h / 2, cy + thin_h / 2 + jy)
         vert = BBox(cx - thin_v / 2 + jx, cy - long_v / 2, cx + thin_v / 2 + jx, cy + long_v / 2)
         inside = all(
-            cfg.margin <= b.x1 and b.x2 <= img_w - cfg.margin
-            and cfg.margin <= b.y1 and b.y2 <= img_h - cfg.margin
+            MARGIN <= b.x1 and b.x2 <= img_w - MARGIN
+            and MARGIN <= b.y1 and b.y2 <= img_h - MARGIN
             for b in (horiz, vert)
         )
         cells_ok = _cells_isolated(
@@ -341,7 +293,7 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
                 GroundTruth(box=horiz, class_id=cls),
                 GroundTruth(box=vert, class_id=cls),
             )
-            return Scene(image_size=cfg.image_size, gts=gts, seed=seed)
+            return Scene(gts=gts, seed=seed)
     raise RenderBudgetError(f"cannot place a cross arrangement (seed {seed})")
 
 
@@ -380,8 +332,7 @@ def planted_weights(num_classes: int) -> HeadWeights:
 
 def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
     """Render heatmaps, indicator features, and planted weights for a scene."""
-    img_h, img_w = scene.image_size
-    h, w = map_size(img_h), map_size(img_w)
+    h, w = map(map_size, IMAGE_SIZE)
     hm = gaussian_targets(list(scene.gts), cfg.num_classes, h, w)
 
     if cfg.noise > 0.0:
@@ -480,9 +431,9 @@ def scene_forces(cfg: SynthConfig, index: int):
     force_aspect = force_area = None
     if cfg.arrangement == "random":
         if cfg.extreme_aspect_period and index % cfg.extreme_aspect_period == 0:
-            force_aspect = (max(EXTREME_ASPECT, cfg.aspect_range[0]), cfg.aspect_range[1])
+            force_aspect = (EXTREME_ASPECT, ASPECT_RANGE[1])
         elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1 % cfg.extreme_area_period:
-            force_area = (EXTREME_AREA, cfg.area_range[1])
+            force_area = (EXTREME_AREA, AREA_RANGE[1])
     return force_aspect, force_area
 
 
@@ -520,7 +471,7 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
             )
         scenes_meta.append({"id": i, "dir": name, "seed": scene.seed})
 
-    img_h, img_w = cfg.image_size
+    img_h, img_w = IMAGE_SIZE
     ground_truth = {
         "images": [{"id": i, "width": img_w, "height": img_h} for i in range(count)],
         "annotations": annotations,

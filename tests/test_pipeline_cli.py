@@ -14,6 +14,7 @@ import sys
 import time
 import typing
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,24 @@ from hypothesis import strategies as st
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
 from cornerdet.pipeline import PipelineConfig, run_corpus
-from cornerdet.postprocess import RECORD_DTYPE, read_detections
+from cornerdet.postprocess import (
+    OBJECTNESS_THRESHOLD,
+    RECORD_DTYPE,
+    SOFT_NMS_PRUNE,
+    SOFT_NMS_SIGMA,
+    TOP_K,
+    read_detections,
+)
 from cornerdet.proposals import HeadWeights
-from cornerdet.synth import SynthConfig, load_scene_bundle, write_corpus
+from cornerdet.synth import (
+    AREA_RANGE,
+    ASPECT_RANGE,
+    IMAGE_SIZE,
+    MARGIN,
+    SynthConfig,
+    load_scene_bundle,
+    write_corpus,
+)
 from cornerdet.tensorio import load_tensor, store_tensor
 
 
@@ -34,19 +50,30 @@ class TestPipelineConfig:
     def test_defaults_are_operating_constants(self):
         cfg = PipelineConfig()
         assert cfg.k == 70
-        assert cfg.objectness_threshold == 0.2
-        assert cfg.top_k == 100
-        assert cfg.soft_nms_sigma == 0.5
-        assert cfg.soft_nms_prune == 0.001
         assert cfg.use_binary_head is True
+        assert (OBJECTNESS_THRESHOLD, SOFT_NMS_SIGMA, SOFT_NMS_PRUNE, TOP_K) == (0.2, 0.5, 0.001, 100)
+        assert (IMAGE_SIZE, ASPECT_RANGE, AREA_RANGE, MARGIN) == (
+            (511, 511),
+            (1.0, 8.0),
+            (24.0**2, 490.0**2),
+            12.0,
+        )
+        assert [f.name for f in fields(PipelineConfig)] == ["k", "use_binary_head"]
+        assert [f.name for f in fields(SynthConfig)] == [
+            "num_classes",
+            "num_boxes",
+            "noise",
+            "arrangement",
+            "extreme_aspect_period",
+            "extreme_area_period",
+        ]
 
     def test_from_json_partial(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"k": 12, "objectness_threshold": 0.3}))
+        path.write_text(json.dumps({"k": 12}))
         cfg = load_config(PipelineConfig, path)
         assert cfg.k == 12
-        assert cfg.objectness_threshold == 0.3
-        assert cfg.top_k == 100
+        assert cfg.use_binary_head is True
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -56,18 +83,15 @@ class TestPipelineConfig:
 
     def test_json_types_that_fit(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"soft_nms_sigma": 1, "use_binary_head": False, "k": 9}))
+        path.write_text(json.dumps({"use_binary_head": False, "k": 9}))
         cfg = load_config(PipelineConfig, path)
-        assert (cfg.soft_nms_sigma, cfg.use_binary_head, cfg.k) == (1, False, 9)
-        path.write_text(json.dumps({"num_boxes": [2, 3], "area_range": [900, 2500.5], "extreme_area_period": 0}))
+        assert (cfg.use_binary_head, cfg.k) == (False, 9)
+        # an integer is a float: noise 1 fits
+        path.write_text(json.dumps({"num_boxes": [2, 3], "noise": 1, "extreme_area_period": 0}))
         cfg = load_config(SynthConfig, path)
-        assert (cfg.num_boxes, cfg.area_range) == ((2, 3), (900, 2500.5))
+        assert (cfg.num_boxes, cfg.noise, cfg.extreme_area_period) == ((2, 3), 1, 0)
 
     def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(objectness_threshold=0.0)
-        with pytest.raises(ValueError):
-            PipelineConfig(objectness_threshold=1.0)
         with pytest.raises(ValueError):
             PipelineConfig(k=0)
 
@@ -283,24 +307,29 @@ class TestCliErrors:
 
     def test_eval_id_mismatch_exit_3(self, small_corpus, tmp_path, capsys):
         dump = tmp_path / "bad.json"
-        dump.write_text(
-            json.dumps(
-                [{"image_id": 999, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}]
-            )
-        )
-        code = main(
-            [
-                "eval",
-                "--dets",
-                str(dump),
-                "--gt",
-                str(small_corpus / "ground_truth.json"),
-                "--report",
-                str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 3
-        assert "999" in capsys.readouterr().err
+        record = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
+        dump.write_text(json.dumps([record, {**record, "image_id": 999}]))
+        report = tmp_path / "r.json"
+        argv = ["eval", "--dets", str(dump), "--gt", str(small_corpus / "ground_truth.json")]
+        assert main(argv + ["--report", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {dump}: record 1: image_id 999 is not among the images\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_eval_proposal_id_mismatch_exit_3(self, explicit, small_corpus, tmp_path, capsys):
+        record = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
+        dump = tmp_path / "dets.json"
+        dump.write_text(json.dumps([record]))
+        proposals = tmp_path / "props.json" if explicit else proposals_sibling(dump)
+        proposals.write_text(json.dumps([record, record, {**record, "image_id": 999}]))
+        report = tmp_path / "r.json"
+        argv = ["eval", "--dets", str(dump), "--gt", str(small_corpus / "ground_truth.json")]
+        argv += ["--report", str(report)] + (["--proposals", str(proposals)] if explicit else [])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {proposals}: record 2: image_id 999 is not among the images\n"
+        assert not report.exists()
 
     def test_corrupt_tensor_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corrupt"
@@ -320,31 +349,13 @@ BAD_CONFIGS = [
     ("detect", {"k": True}, "k must be int, got true"),
     ("detect", {"num_classes": 2}, "unknown config keys ['num_classes']"),
     ("detect", {"k": 0}, "k must be >= 1"),
-    ("detect", {"soft_nms_sigma": float("nan")}, "soft_nms_sigma must be float, got NaN"),
+    ("synth", {"noise": float("nan")}, "noise must be float, got NaN"),
     ("detect", {"iou_threshold": 0.7, "alpha": 2, "beta": 2}, "unknown config keys"),
     ("synth", {"num_boxes": 3}, "num_boxes must be tuple[int, int], got 3"),
     ("synth", {"num_boxes": [1, 2, 3]}, "num_boxes must be tuple[int, int]"),
     ("synth", {"num_boxes": [1, 2.5]}, "num_boxes must be tuple[int, int]"),
     ("synth", {"noise": "0.3"}, "noise must be float"),
     ("synth", {"num_classes": 0}, "num_classes must be in [1, 256]"),
-    (
-        "synth",
-        {"area_range": [100, 10000]},
-        "area_range [100, 10000] and aspect_range [1.0, 8.0] allow no box above area 160001 "
-        "within the margins (which fit at most 237169) when extreme_area_period is set",
-    ),
-    (
-        "synth",
-        {"aspect_range": [4, 8], "extreme_aspect_period": 0},
-        "area_range [576.0, 240100.0] and aspect_range [4, 8] allow no box above area 160001 "
-        "within the margins (which fit at most 59292.2) when extreme_area_period is set",
-    ),
-    (
-        "synth",
-        {"area_range": [50000, 240100]},
-        "area_range [50000, 240100] and aspect_range [1.0, 8.0] allow no box of aspect ratio 5 "
-        "or more within the margins (which fit at most 47433.8) when extreme_aspect_period is set",
-    ),
     ("detect", '{"k": 70, "k": 71}', "duplicate config key 'k'"),
 ]
 
@@ -376,10 +387,7 @@ def field_mutants(cls):
     """(name, JSON text) for every field of a config class and every value
     of the wrong JSON kind for it."""
     for name, hint in typing.get_type_hints(cls).items():
-        if typing.get_origin(hint) is tuple:
-            bad = NOT_A_PAIR
-        else:  # int | None takes what an int takes, and null
-            bad = NOT_OF_KIND.get(hint, [v for v in NOT_AN_INT if v != "null"])
+        bad = NOT_A_PAIR if typing.get_origin(hint) is tuple else NOT_OF_KIND[hint]
         for value in bad:
             yield name, value
 
@@ -388,33 +396,11 @@ def field_mutants(cls):
 OUT_OF_RANGE = {
     "detect": [
         ("k", "0"),
-        ("objectness_threshold", "0"),
-        ("objectness_threshold", "1"),
-        ("soft_nms_sigma", "0"),
-        ("soft_nms_sigma", "-1e-320"),
-        ("soft_nms_prune", "-0.001"),
-        ("top_k", "-1"),
     ],
     "synth": [
-        ("margin", "1e308"),
-        ("margin", "-1e9"),
-        ("margin", "255.5"),
-        ("aspect_range", "[0, 0]"),
-        ("aspect_range", "[0.5, 8]"),
-        ("aspect_range", "[6, 5]"),
-        ("aspect_range", "[1, 3]"),  # never reaches the forced 5:1
-        ("area_range", "[100, 10000]"),  # never reaches the forced area above 400^2
-        ("area_range", "[50000, 240100]"),  # no box of ratio 5 or more fits above 487^2 / 5
-        # no ratio of [4, 8] fits an area above 400^2 in 487 x 487; the second
-        # key keeps the forced 5:1 out of it
-        ("aspect_range", '[4, 8], "extreme_aspect_period": 0'),
-        ("area_range", "[0, 100]"),
-        ("area_range", "[-1, 1e6]"),
-        ("area_range", "[1e6, 1e5]"),
-        ("image_size", "[0, 511]"),
-        ("image_size", "[511, -3]"),
         ("num_boxes", "[3, 1]"),
         ("num_boxes", "[-1, 2]"),
+        ("num_boxes", "[0, 9223372036854775808]"),  # 2**63: the count is drawn as an int64
         ("extreme_aspect_period", "-1"),
         ("extreme_area_period", "-5"),
         ("num_classes", "0"),
@@ -430,8 +416,39 @@ RETIRED = {
     "detect": [
         *[("stride", value) for value in [*NOT_AN_INT, "0", "4"]],
         *[("num_classes", value) for value in NOT_AN_INT],
+        *[("objectness_threshold", value) for value in [*NOT_A_FLOAT, "0", "1", "0.2"]],
+        *[("soft_nms_sigma", value) for value in [*NOT_A_FLOAT, "0", "-1e-320", "0.5"]],
+        *[("soft_nms_prune", value) for value in [*NOT_A_FLOAT, "-0.001", "0.001"]],
+        *[("top_k", value) for value in [*NOT_AN_INT, "-1", "100"]],
     ],
-    "synth": [],
+    "synth": [
+        *[("image_size", value) for value in [*NOT_A_PAIR, "[0, 511]", "[511, -3]", "[511, 511]"]],
+        *[
+            ("aspect_range", value)
+            for value in [
+                *NOT_A_PAIR,
+                "[0, 0]",
+                "[0.5, 8]",
+                "[6, 5]",
+                "[1, 3]",
+                '[4, 8], "extreme_aspect_period": 0',
+                "[1, 8]",
+            ]
+        ],
+        *[
+            ("area_range", value)
+            for value in [
+                *NOT_A_PAIR,
+                "[100, 10000]",
+                "[50000, 240100]",
+                "[0, 100]",
+                "[-1, 1e6]",
+                "[1e6, 1e5]",
+                "[576, 240100]",
+            ]
+        ],
+        *[("margin", value) for value in [*NOT_A_FLOAT, "1e308", "-1e9", "255.5", "12"]],
+    ],
 }
 WHOLE_FILE = [
     ("bad-utf8", b'{"k": \xff}'),
@@ -447,19 +464,22 @@ WHOLE_FILE = [
     ("duplicate-key", b'{"noise": 0.1, "noise": 0.2}'),
 ]
 CONFIG_FUZZ = [
-    pytest.param(command, text, id=f"{command}-{case}")
+    pytest.param(command, text, "", id=f"{command}-{case}")
     for command in ("detect", "synth")
     for case, text in WHOLE_FILE
 ] + [
-    pytest.param(command, f'{{"{name}": {value}}}'.encode(), id=f"{command}-{name}={value}")
+    pytest.param(command, f'{{"{name}": {value}}}'.encode(), message, id=f"{command}-{name}={value}")
     for command, cls in (("detect", PipelineConfig), ("synth", SynthConfig))
-    for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command], *RETIRED[command]]
+    for name, value, message in [
+        *[(name, value, "") for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command]]],
+        *[(name, value, f"unknown config keys ['{name}']") for name, value in RETIRED[command]],
+    ]
 ]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command, text", CONFIG_FUZZ)
-def test_config_fuzzed_input_exit_3(command, text, small_corpus, tmp_path, capsys):
+@pytest.mark.parametrize("command, text, message", CONFIG_FUZZ)
+def test_config_fuzzed_input_exit_3(command, text, message, small_corpus, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(text)
     out = tmp_path / "out"
@@ -469,7 +489,7 @@ def test_config_fuzzed_input_exit_3(command, text, small_corpus, tmp_path, capsy
         argv = ["synth", "--out", str(out), "--count", "2", "--seed", "1"]
     assert main(argv + ["--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg_path}: ")
+    assert err.startswith(f"error: {cfg_path}: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists() and not proposals_sibling(out).exists()
 
@@ -646,6 +666,38 @@ def test_noisy_dumps_pinned(tmp_path):
     assert got == NOISY_DUMP_SHA256
 
 
+# sha256 of the ground truth and manifest of two fixed corpora: the noisy one
+# above, and a cross one. A change that moves a random draw of scene
+# generation, or the image size the files record, moves these.
+CORPUS_SHA256 = {
+    "noisy": {
+        "ground_truth.json": "924412c516d9accfaadb2424684d41853f41f8df91c667cef70357a82b601036",
+        "manifest.json": "06db1d2e926c933f1ef88df8f559790db7f099ae043859283c055a03c3b56838",
+    },
+    "cross": {
+        "ground_truth.json": "31c4fd0e3f564bd63ae887c9e640644e14e604c6d52acfcafc1b48a02100e752",
+        "manifest.json": "85ed2d5cd6cfe4fcf54d10e8d3f48699e866cf8c76004228294efb10013c5110",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, cfg, count",
+    [("noisy", SynthConfig(noise=0.3), 3), ("cross", SynthConfig(arrangement="cross"), 2)],
+)
+def test_corpus_files_pinned(name, cfg, count, tmp_path):
+    write_corpus(tmp_path, cfg, count=count, seed=61)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in CORPUS_SHA256[name]}
+    assert got == CORPUS_SHA256[name]
+    truth = json.loads((tmp_path / "ground_truth.json").read_text())
+    assert {(image["width"], image["height"]) for image in truth["images"]} == {(511, 511)}
+    if name == "noisy":
+        # scene 0 is forced extreme-aspect, scene 1 extreme-area
+        boxes = [(a["image_id"], *a["bbox"][2:]) for a in truth["annotations"]]
+        assert any(i == 0 and max(w / h, h / w) >= 5.0 for i, w, h in boxes)
+        assert any(i == 1 and w * h > 400.0**2 for i, w, h in boxes)
+
+
 def plant_non_finite(scene, name, value):
     """Store `value` into one tensor of scene_00000 (image 0): one cell of a
     small tensor, or box_feat or cat_feat over the image's first ground-truth
@@ -728,18 +780,6 @@ def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, c
     err = capsys.readouterr().err
     assert err == f"error: {corpus / 'weights'}: {path} holds NaN or infinity\n"
     assert not out.exists() and not proposals_sibling(out).exists()
-
-
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
-def test_detect_subnormal_sigma_is_silent(small_corpus, tmp_path, capsys):
-    # ov^2 / sigma overflows to infinity, and the decay factor is exp(-inf) = 0
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"soft_nms_sigma": 1e-320}))
-    out = tmp_path / "out"
-    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--config", str(cfg_path)]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    assert out.exists()
 
 
 def class_count(count):
