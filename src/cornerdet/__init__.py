@@ -3,7 +3,7 @@
 The package is organized around the stages of the pipeline:
 
 - :mod:`cornerdet.tensorio` -- dense float32 tensors and the CPNT file format
-- :mod:`cornerdet.geometry` -- boxes, ground truths, IoU
+- :mod:`cornerdet.geometry` -- boxes, the ground-truth row type, IoU
 - :mod:`cornerdet.corners` -- heatmap decoding and training-target rendering
 - :mod:`cornerdet.proposals` -- corner pairing, RoIAlign and classifier heads over
   each feature map's listed channels
@@ -15,12 +15,12 @@ The package is organized around the stages of the pipeline:
 - :mod:`cornerdet.cli` -- ``detect`` / ``synth`` / ``eval`` subcommands
 """
 
-from cornerdet.geometry import BBox, GroundTruth, iou
+from cornerdet.geometry import TRUTH_DTYPE, BBox, iou
 from cornerdet.tensorio import TensorFormatError, load_tensor, store_tensor
 
 __all__ = [
     "BBox",
-    "GroundTruth",
+    "TRUTH_DTYPE",
     "iou",
     "TensorFormatError",
     "load_tensor",

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cornerdet.geometry import GroundTruth
-
 STRIDE = 4
 # least IoU a Gaussian target's radius keeps between a box and its displaced corners
 MIN_OVERLAP = 0.7
@@ -177,28 +175,25 @@ def _splat(channel: np.ndarray, row: int, col: int, radius: int) -> None:
     np.maximum(region, patch.astype(np.float32), out=region)
 
 
-def gaussian_targets(gts: list[GroundTruth], num_classes: int, height: int, width: int) -> HeatmapSet:
+def gaussian_targets(truth: np.ndarray, num_classes: int, height: int, width: int) -> HeatmapSet:
     """Render training-target heatmaps and offset planes for a scene.
 
-    Each ground-truth corner splats an unnormalized 2-D Gaussian with peak
-    exactly 1 at its stride-reduced cell onto its class channel; overlapping
-    splats combine by element-wise max. The offset planes record the
-    fractional parts of the downscaled corner coordinates at the peak cells.
+    Each corner of the TRUTH_DTYPE rows splats an unnormalized 2-D Gaussian
+    with peak exactly 1 at its stride-reduced cell onto its class channel;
+    overlapping splats combine by element-wise max. The offset planes
+    record the fractional parts of the downscaled corner coordinates at the
+    peak cells.
     """
     tl_heat = np.zeros((num_classes, height, width), dtype=np.float32)
     br_heat = np.zeros((num_classes, height, width), dtype=np.float32)
     tl_off = np.zeros((2, height, width), dtype=np.float32)
     br_off = np.zeros((2, height, width), dtype=np.float32)
 
-    for gt in gts:
-        if gt.class_id >= num_classes:
-            raise ValueError(f"class_id {gt.class_id} outside [0, {num_classes})")
-        box = gt.box
-        radius = max(0, int(gaussian_radius(box.height / STRIDE, box.width / STRIDE)))
-        for heat, off, cx, cy in (
-            (tl_heat, tl_off, box.x1, box.y1),
-            (br_heat, br_off, box.x2, box.y2),
-        ):
+    for (x1, y1, x2, y2), class_id in zip(truth["box"].tolist(), truth["class_id"].tolist()):
+        if not 0 <= class_id < num_classes:
+            raise ValueError(f"class_id {class_id} outside [0, {num_classes})")
+        radius = max(0, int(gaussian_radius((y2 - y1) / STRIDE, (x2 - x1) / STRIDE)))
+        for heat, off, cx, cy in ((tl_heat, tl_off, x1, y1), (br_heat, br_off, x2, y2)):
             fx, fy = cx / STRIDE, cy / STRIDE
             col, row = int(math.floor(fx)), int(math.floor(fy))
             if not (0 <= col < width and 0 <= row < height):
@@ -206,7 +201,7 @@ def gaussian_targets(gts: list[GroundTruth], num_classes: int, height: int, widt
                     f"corner ({cx}, {cy}) maps to cell ({row}, {col}) "
                     f"outside the {height}x{width} grid"
                 )
-            _splat(heat[gt.class_id], row, col, radius)
+            _splat(heat[class_id], row, col, radius)
             off[0, row, col] = np.float32(fx - col)
             off[1, row, col] = np.float32(fy - row)
 

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ground-truth rows: an x1y1x2y2 box and its class in [0, C)
+TRUTH_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64)])
+
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed."""
@@ -32,31 +35,8 @@ class BBox:
             )
 
     @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_xywh(self) -> tuple[float, float, float, float]:
-        return self.x1, self.y1, self.width, self.height
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """A labeled ground-truth box; class_id lies in [0, C)."""
-
-    box: BBox
-    class_id: int
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cornerdet.geometry import BBox, GroundTruth, iou
+from cornerdet.geometry import iou_matrix
 
 EPS = 1e-7
 # positive IoU threshold, and the focal exponents of the objectness and class losses
@@ -32,31 +32,15 @@ ALPHA = 2.0
 BETA = 2.0
 
 
-@dataclass(frozen=True)
-class ProposalLabel:
-    """Max-IoU labels for one proposal: overall and per class."""
+def label_proposals(boxes: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarray:
+    """Max IoU of each x1y1x2y2 proposal row with the TRUTH_DTYPE rows of
+    each class, as (M, C); 0 where a class has no ground truth.
 
-    iou_max: float
-    per_class: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.per_class) > self.iou_max):
-            raise ValueError("per-class IoU maxima cannot exceed the overall maximum")
-
-
-def label_proposals(
-    boxes: list[BBox], gts: list[GroundTruth], num_classes: int
-) -> list[ProposalLabel]:
-    """Compute ProposalLabel entries for proposal boxes against ground truth."""
-    labels = []
-    for box in boxes:
-        per_class = np.zeros(num_classes, dtype=np.float64)
-        for gt in gts:
-            v = iou(box, gt.box)
-            if v > per_class[gt.class_id]:
-                per_class[gt.class_id] = v
-        labels.append(ProposalLabel(iou_max=float(per_class.max(initial=0.0)), per_class=per_class))
-    return labels
+    A row's maximum is the proposal's max IoU over all ground truth.
+    """
+    ious = iou_matrix(np.asarray(boxes, dtype=np.float64).reshape(-1, 4), truth["box"])
+    of_class = truth["class_id"] == np.arange(num_classes)[:, None]
+    return np.where(of_class, ious[:, None, :], 0.0).max(axis=2, initial=0.0)
 
 
 def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
@@ -66,66 +50,57 @@ def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
     return np.clip(p, EPS, 1.0 - EPS)
 
 
-def loss_prop(p, labels: list[ProposalLabel]) -> float:
-    """Focal objectness loss over M proposals.
+def _positives(p, name: str, ious, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped predictions and the mask of those whose IoU label reaches TAU."""
+    p = _check_probs(p, name)
+    ious = np.asarray(ious, dtype=np.float64)
+    if p.ndim != ndim or p.shape != ious.shape:
+        raise ValueError(
+            f"{name} must be {ndim}-D with the shape of its IoU labels, got {p.shape} and {ious.shape}"
+        )
+    return p, ious >= TAU
 
-    Positives (max IoU >= TAU) contribute (1-p)^ALPHA * log(p), negatives
-    p^ALPHA * log(1-p); the sum is negated and divided by the positive
-    count (at least 1).
+
+def _focal(p: np.ndarray, pos: np.ndarray, gamma: float) -> float:
+    """Positives contribute (1-p)^gamma * log(p), the rest p^gamma * log(1-p);
+    the sum is negated and divided by the positive count (at least 1)."""
+    terms = np.where(pos, (1.0 - p) ** gamma * np.log(p), p**gamma * np.log(1.0 - p))
+    return -math.fsum(terms.ravel().tolist()) / max(1, int(pos.sum()))
+
+
+def _focal_grad(p: np.ndarray, pos: np.ndarray, gamma: float) -> np.ndarray:
+    """d(_focal)/dp, elementwise."""
+    grad_pos = -gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) + (1.0 - p) ** gamma / p
+    grad_neg = gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
+    return -np.where(pos, grad_pos, grad_neg) / max(1, int(pos.sum()))
+
+
+def loss_prop(p, iou_max) -> float:
+    """Focal objectness loss over M proposals with exponent ALPHA.
+
+    `iou_max` holds each proposal's max IoU with the ground truth, the row
+    maxima of label_proposals; a proposal is positive at TAU or more.
     """
-    p = _check_probs(p, "p")
-    if p.shape != (len(labels),):
-        raise ValueError("p and labels must have matching length")
-    pos = np.array([lab.iou_max >= TAU for lab in labels])
-    n = max(1, int(pos.sum()))
-    terms = np.where(
-        pos,
-        (1.0 - p) ** ALPHA * np.log(p),
-        p**ALPHA * np.log(1.0 - p),
-    )
-    return -math.fsum(terms.tolist()) / n
+    return _focal(*_positives(p, "p", iou_max, 1), ALPHA)
 
 
-def loss_prop_grad(p, labels: list[ProposalLabel]) -> np.ndarray:
+def loss_prop_grad(p, iou_max) -> np.ndarray:
     """d(loss_prop)/dp, elementwise over the M proposals."""
-    p = _check_probs(p, "p")
-    pos = np.array([lab.iou_max >= TAU for lab in labels])
-    n = max(1, int(pos.sum()))
-    grad_pos = -ALPHA * (1.0 - p) ** (ALPHA - 1.0) * np.log(p) + (1.0 - p) ** ALPHA / p
-    grad_neg = ALPHA * p ** (ALPHA - 1.0) * np.log(1.0 - p) - p**ALPHA / (1.0 - p)
-    return -np.where(pos, grad_pos, grad_neg) / n
+    return _focal_grad(*_positives(p, "p", iou_max, 1), ALPHA)
 
 
-def loss_class(q, labels: list[ProposalLabel]) -> float:
-    """Per-class focal loss over survived proposals, an (M, C) matrix.
+def loss_class(q, per_class) -> float:
+    """Per-class focal loss over survived proposals, an (M, C) matrix, with exponent BETA.
 
-    Element (m, c) is positive when the proposal's max IoU against class-c
-    ground truths reaches TAU. Normalized by the positive element count
-    (at least 1).
+    Element (m, c) is positive when `per_class[m, c]`, the proposal's max
+    IoU with class-c ground truth from label_proposals, reaches TAU.
     """
-    q = _check_probs(q, "q")
-    if q.ndim != 2 or q.shape[0] != len(labels):
-        raise ValueError("q must be (M, C) with one row per label")
-    pos = np.stack([np.asarray(lab.per_class) >= TAU for lab in labels])
-    if pos.shape != q.shape:
-        raise ValueError("per-class label width must match C")
-    n = max(1, int(pos.sum()))
-    terms = np.where(
-        pos,
-        (1.0 - q) ** BETA * np.log(q),
-        q**BETA * np.log(1.0 - q),
-    )
-    return -math.fsum(terms.ravel().tolist()) / n
+    return _focal(*_positives(q, "q", per_class, 2), BETA)
 
 
-def loss_class_grad(q, labels: list[ProposalLabel]) -> np.ndarray:
+def loss_class_grad(q, per_class) -> np.ndarray:
     """d(loss_class)/dq, elementwise over the (M, C) matrix."""
-    q = _check_probs(q, "q")
-    pos = np.stack([np.asarray(lab.per_class) >= TAU for lab in labels])
-    n = max(1, int(pos.sum()))
-    grad_pos = -BETA * (1.0 - q) ** (BETA - 1.0) * np.log(q) + (1.0 - q) ** BETA / q
-    grad_neg = BETA * q ** (BETA - 1.0) * np.log(1.0 - q) - q**BETA / (1.0 - q)
-    return -np.where(pos, grad_pos, grad_neg) / n
+    return _focal_grad(*_positives(q, "q", per_class, 2), BETA)
 
 
 def loss_corner_det(pred: np.ndarray, target: np.ndarray) -> float:

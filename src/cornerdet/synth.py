@@ -5,8 +5,9 @@ Rendering a scene produces exactly the tensors the detection pipeline
 consumes, constructed so the pipeline's behavior is predictable:
 
 - corner heatmaps and offsets come from the Gaussian target renderer, so
-  decoding recovers every corner exactly (scenes are rejection-sampled
-  until corner cells are pairwise non-adjacent on the stride-4 grid);
+  decoding recovers every corner exactly (boxes are rejection-sampled
+  until they lie at least BOX_GAP apart, which keeps corner cells pairwise
+  non-adjacent on the stride-4 grid);
 - the box feature map holds one support-indicator channel per box and the
   category feature map one per class, each painted as the cell-coverage
   fraction of the box dilated by one cell;
@@ -27,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from cornerdet.corners import STRIDE, HeatmapSet, gaussian_targets
-from cornerdet.geometry import BBox, GroundTruth
+from cornerdet.geometry import TRUTH_DTYPE
 from cornerdet.proposals import (
     BOX_CHANNELS,
     CAT_CHANNELS,
@@ -52,7 +52,8 @@ BINARY_THRESHOLD = 0.8
 CLASS_GAIN = 200.0
 CLASS_THRESHOLD = 0.25
 PAINT_PAD_CELLS = 1.0
-# least gap in pixels between two boxes of a random scene
+# least gap in pixels between two boxes of a random scene, on some axis; at
+# 2 * STRIDE or more it also puts their corners two or more cells apart
 BOX_GAP = 10.0
 # render attempts per scene before build_scene gives up
 RENDER_BUDGET = 50
@@ -73,6 +74,14 @@ MARGIN = 12.0
 EXTREME_ASPECT = 5.0
 # the forced first box of an extreme-area scene is larger than this
 EXTREME_AREA = 400.0**2 + 1.0
+# boxes BOX_GAP apart, each grown by BOX_GAP right and down, are disjoint
+# inside the margins grown the same way, and each covers at least
+# (sqrt(least area) + BOX_GAP)^2 px: this many at most fit in an image
+MAX_BOXES = int(
+    (IMAGE_SIZE[0] - 2 * MARGIN + BOX_GAP)
+    * (IMAGE_SIZE[1] - 2 * MARGIN + BOX_GAP)
+    // (math.sqrt(AREA_RANGE[0]) + BOX_GAP) ** 2
+)
 
 
 class RenderBudgetError(RuntimeError):
@@ -103,6 +112,11 @@ class SynthConfig:
             raise ValueError(
                 f"num_boxes must satisfy 0 <= lo <= hi < 2**63, got {list(self.num_boxes)}"
             )
+        if self.num_boxes[0] > MAX_BOXES:
+            raise ValueError(
+                f"num_boxes lo must be at most {MAX_BOXES}, the most boxes an image "
+                f"holds, got {list(self.num_boxes)}"
+            )
         for name in ("extreme_aspect_period", "extreme_area_period"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -110,9 +124,9 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground-truth boxes for one IMAGE_SIZE synthetic image."""
+    """Ground truth, as TRUTH_DTYPE rows, for one IMAGE_SIZE synthetic image."""
 
-    gts: tuple[GroundTruth, ...]
+    truth: np.ndarray
     seed: int
 
 
@@ -150,33 +164,13 @@ def _subseed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def _corner_cells(boxes: list[BBox], pick) -> list[tuple[int, int]]:
-    return [
-        (int(math.floor(pick(b)[1] / STRIDE)), int(math.floor(pick(b)[0] / STRIDE)))
-        for b in boxes
-    ]
-
-
-def _cells_isolated(cells: list[tuple[int, int]]) -> bool:
-    """No two cells are equal or adjacent, diagonally included."""
-    return all(abs(a[0] - b[0]) > 1 or abs(a[1] - b[1]) > 1 for a, b in combinations(cells, 2))
-
-
-def _boxes_separated(a: BBox, b: BBox) -> bool:
-    return (
-        a.x2 + BOX_GAP <= b.x1
-        or b.x2 + BOX_GAP <= a.x1
-        or a.y2 + BOX_GAP <= b.y1
-        or b.y2 + BOX_GAP <= a.y1
+def _separated(box: tuple, placed: list[tuple]) -> bool:
+    """Whether x1y1x2y2 `box` lies BOX_GAP or more from every placed box on some axis."""
+    x1, y1, x2, y2 = box
+    return all(
+        p[2] + BOX_GAP <= x1 or x2 + BOX_GAP <= p[0] or p[3] + BOX_GAP <= y1 or y2 + BOX_GAP <= p[1]
+        for p in placed
     )
-
-
-def _scene_geometry_ok(boxes: list[BBox]) -> bool:
-    if not all(_boxes_separated(a, b) for a, b in combinations(boxes, 2)):
-        return False
-    tl_cells = _corner_cells(boxes, lambda b: (b.x1, b.y1))
-    br_cells = _corner_cells(boxes, lambda b: (b.x2, b.y2))
-    return _cells_isolated(tl_cells) and _cells_isolated(br_cells)
 
 
 def _sample_box(
@@ -184,7 +178,7 @@ def _sample_box(
     cfg: SynthConfig,
     force_aspect: tuple[float, float] | None = None,
     force_area: tuple[float, float] | None = None,
-) -> BBox | None:
+) -> tuple[float, float, float, float] | None:
     img_h, img_w = IMAGE_SIZE
     avail_w = img_w - 2 * MARGIN
     avail_h = img_h - 2 * MARGIN
@@ -212,7 +206,7 @@ def _sample_box(
         w, h = math.sqrt(area / ratio), math.sqrt(area * ratio)
     x1 = float(rng.uniform(MARGIN, img_w - MARGIN - w))
     y1 = float(rng.uniform(MARGIN, img_h - MARGIN - h))
-    return BBox(x1, y1, x1 + w, y1 + h)
+    return x1, y1, x1 + w, y1 + h
 
 
 def generate_scene(
@@ -223,9 +217,9 @@ def generate_scene(
 ) -> Scene:
     """Sample a random scene, deterministic in (cfg, seed).
 
-    Boxes are placed greedily: each new box is resampled until it keeps all
-    pairwise separations and corner-cell isolation, and the whole scene is
-    redrawn when placement jams (a huge early box can leave no room).
+    Boxes are placed greedily: each new box is resampled until it lies
+    BOX_GAP from every box placed before it, and the whole scene is redrawn
+    when placement jams (a huge early box can leave no room).
     Forced aspect/area constraints apply to the first box only.
     """
     rng = np.random.default_rng(seed)
@@ -233,7 +227,7 @@ def generate_scene(
 
     for _ in range(60):  # whole-scene restarts when placement jams
         target = int(rng.integers(lo, hi + 1))
-        boxes: list[BBox] = []
+        boxes: list[tuple] = []
         classes: list[int] = []
         for k in range(target):
             for _ in range(200):
@@ -245,15 +239,14 @@ def generate_scene(
                 )
                 if box is None:
                     continue
-                if _scene_geometry_ok(boxes + [box]):
+                if _separated(box, boxes):
                     boxes.append(box)
                     classes.append(int(rng.integers(cfg.num_classes)))
                     break
             else:
                 break
         if len(boxes) == target:
-            gts = tuple(GroundTruth(box=b, class_id=c) for b, c in zip(boxes, classes))
-            return Scene(gts=gts, seed=seed)
+            return Scene(truth=np.array(list(zip(boxes, classes)), dtype=TRUTH_DTYPE), seed=seed)
     raise RenderBudgetError(
         f"cannot place {cfg.num_boxes} boxes within the image (seed {seed})"
     )
@@ -265,7 +258,8 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
     All four corner pairings are geometrically valid, so corner pairing
     alone yields twice as many proposals as objects; the two cross
     pairings span mostly empty space and are what the binary head must
-    reject.
+    reject. A half long side outreaches a half thin side plus the jitter by
+    at least 76 px, so the two boxes' like corners lie many cells apart.
     """
     rng = np.random.default_rng(seed)
     img_h, img_w = IMAGE_SIZE
@@ -277,35 +271,28 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
         long_v = float(rng.uniform(240.0, 360.0))
         thin_v = float(rng.uniform(44.0, 68.0))
         jx, jy = rng.uniform(-10.0, 10.0, 2)
-        horiz = BBox(cx - long_h / 2, cy - thin_h / 2 + jy, cx + long_h / 2, cy + thin_h / 2 + jy)
-        vert = BBox(cx - thin_v / 2 + jx, cy - long_v / 2, cx + thin_v / 2 + jx, cy + long_v / 2)
-        inside = all(
-            MARGIN <= b.x1 and b.x2 <= img_w - MARGIN
-            and MARGIN <= b.y1 and b.y2 <= img_h - MARGIN
-            for b in (horiz, vert)
-        )
-        cells_ok = _cells_isolated(
-            _corner_cells([horiz, vert], lambda b: (b.x1, b.y1))
-        ) and _cells_isolated(_corner_cells([horiz, vert], lambda b: (b.x2, b.y2)))
-        if inside and cells_ok:
+        horiz = (cx - long_h / 2, cy - thin_h / 2 + jy, cx + long_h / 2, cy + thin_h / 2 + jy)
+        vert = (cx - thin_v / 2 + jx, cy - long_v / 2, cx + thin_v / 2 + jx, cy + long_v / 2)
+        if all(
+            MARGIN <= x1 and x2 <= img_w - MARGIN and MARGIN <= y1 and y2 <= img_h - MARGIN
+            for x1, y1, x2, y2 in (horiz, vert)
+        ):
             cls = int(rng.integers(cfg.num_classes))
-            gts = (
-                GroundTruth(box=horiz, class_id=cls),
-                GroundTruth(box=vert, class_id=cls),
-            )
-            return Scene(gts=gts, seed=seed)
+            return Scene(truth=np.array([(horiz, cls), (vert, cls)], dtype=TRUTH_DTYPE), seed=seed)
     raise RenderBudgetError(f"cannot place a cross arrangement (seed {seed})")
 
 
-def _paint_coverage(channel: np.ndarray, box: BBox) -> None:
-    """Max-combine the cell-coverage fraction of the box dilated by PAINT_PAD_CELLS into channel.
+def _paint_coverage(channel: np.ndarray, box) -> None:
+    """Max-combine the cell-coverage fraction of the x1y1x2y2 `box`, dilated
+    by PAINT_PAD_CELLS, into channel.
 
     Cell (r, c) spans feature coordinates [c - 0.5, c + 0.5] x
     [r - 0.5, r + 0.5], matching the bilinear sampling convention.
     """
     h, w = channel.shape
-    fx1, fx2 = box.x1 / STRIDE - PAINT_PAD_CELLS, box.x2 / STRIDE + PAINT_PAD_CELLS
-    fy1, fy2 = box.y1 / STRIDE - PAINT_PAD_CELLS, box.y2 / STRIDE + PAINT_PAD_CELLS
+    x1, y1, x2, y2 = box
+    fx1, fx2 = x1 / STRIDE - PAINT_PAD_CELLS, x2 / STRIDE + PAINT_PAD_CELLS
+    fy1, fy2 = y1 / STRIDE - PAINT_PAD_CELLS, y2 / STRIDE + PAINT_PAD_CELLS
     cols = np.arange(w, dtype=np.float64)
     rows = np.arange(h, dtype=np.float64)
     cov_x = np.clip(np.minimum(fx2, cols + 0.5) - np.maximum(fx1, cols - 0.5), 0.0, 1.0)
@@ -333,7 +320,7 @@ def planted_weights(num_classes: int) -> HeadWeights:
 def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
     """Render heatmaps, indicator features, and planted weights for a scene."""
     h, w = map(map_size, IMAGE_SIZE)
-    hm = gaussian_targets(list(scene.gts), cfg.num_classes, h, w)
+    hm = gaussian_targets(scene.truth, cfg.num_classes, h, w)
 
     if cfg.noise > 0.0:
         rng = np.random.default_rng(_subseed(scene.seed, 1000))
@@ -348,16 +335,17 @@ def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
 
     box_feat = np.zeros((BOX_CHANNELS, h, w), dtype=np.float32)
     cat_feat = np.zeros((CAT_CHANNELS, h, w), dtype=np.float32)
-    for i, gt in enumerate(scene.gts):
-        _paint_coverage(box_feat[i % BOX_CHANNELS], gt.box)
-        _paint_coverage(cat_feat[gt.class_id], gt.box)
+    classes = scene.truth["class_id"]
+    for i, (box, class_id) in enumerate(zip(scene.truth["box"], classes)):
+        _paint_coverage(box_feat[i % BOX_CHANNELS], box)
+        _paint_coverage(cat_feat[class_id], box)
 
     # every channel left unpainted is all zeros
     features = FeatureMaps(
         box_feat=box_feat,
         cat_feat=cat_feat,
-        box_channels=np.unique(np.arange(len(scene.gts)) % BOX_CHANNELS),
-        cat_channels=np.unique(np.array([gt.class_id for gt in scene.gts], dtype=np.intp)),
+        box_channels=np.unique(np.arange(len(classes)) % BOX_CHANNELS),
+        cat_channels=np.unique(classes),
     )
     return OracleBundle(heatmaps=hm, features=features, weights=planted_weights(cfg.num_classes))
 
@@ -370,32 +358,27 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     <= 0.1.
     """
     feats, weights = bundle.features, bundle.weights
-    boxes = [gt.box for gt in scene.gts]
-    coords = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
+    boxes, classes = scene.truth["box"], scene.truth["class_id"]
     box_ch, cat_ch = feats.box_channels, feats.cat_channels
-    p_true = binary_scores(roi_align_batch(feats.box_feat, coords, box_ch), box_ch, weights)
-    heads = class_scores(roi_align_batch(feats.cat_feat, coords, cat_ch), cat_ch, weights).argmax(axis=1)
+    p_true = binary_scores(roi_align_batch(feats.box_feat, boxes, box_ch), box_ch, weights)
+    heads = class_scores(roi_align_batch(feats.cat_feat, boxes, cat_ch), cat_ch, weights).argmax(axis=1)
     problems = []
-    for i, gt in enumerate(scene.gts):
+    for i, class_id in enumerate(classes):
         if p_true[i] < TRUE_SCORE_FLOOR:
             problems.append(f"true box {i}: binary score {p_true[i]:.4f} < {TRUE_SCORE_FLOOR}")
-        if heads[i] != gt.class_id:
-            problems.append(f"true box {i}: class argmax {heads[i]} != {gt.class_id}")
-    pairs, cross_boxes = [], []
-    for i, gi in enumerate(scene.gts):
-        for j, gj in enumerate(scene.gts):
-            if i == j or gi.class_id != gj.class_id:
-                continue
-            a, b = boxes[i], boxes[j]
-            if not (a.x1 < b.x2 and a.y1 < b.y2):
-                continue
-            cross = BBox(a.x1, a.y1, b.x2, b.y2)
-            if any(cross == t for t in boxes):
-                continue
-            pairs.append((i, j))
-            cross_boxes.append((cross.x1, cross.y1, cross.x2, cross.y2))
-    cross_coords = np.array(cross_boxes, dtype=np.float64)
-    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross_coords, box_ch), box_ch, weights)
+        if heads[i] != class_id:
+            problems.append(f"true box {i}: class argmax {heads[i]} != {class_id}")
+    # box i's top-left corner paired with box j's bottom-right, unless the
+    # pairing is invalid or gives back a true box, as i == j does
+    cross = np.concatenate(np.broadcast_arrays(boxes[:, None, :2], boxes[None, :, 2:]), axis=2)
+    valid = (
+        (classes[:, None] == classes[None, :])
+        & (cross[..., 0] < cross[..., 2])
+        & (cross[..., 1] < cross[..., 3])
+        & ~(cross[:, :, None] == boxes).all(axis=3).any(axis=2)
+    )
+    pairs = np.argwhere(valid)  # row-major: ascending (i, j)
+    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross[valid], box_ch), box_ch, weights)
     for (i, j), p in zip(pairs, p_cross):
         if p > FALSE_SCORE_CEIL:
             problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")
@@ -464,10 +447,12 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
             SCENE_TENSORS, (hm.tl_heat, hm.br_heat, hm.tl_off, hm.br_off, fm.box_feat, fm.cat_feat)
         ):
             store_tensor(tensor, scene_dir / f"{tensor_name}.cpnt")
-        for gt in scene.gts:
-            x, y, w, h = gt.box.as_xywh()
+        for (x1, y1, x2, y2), class_id in zip(
+            scene.truth["box"].tolist(), scene.truth["class_id"].tolist()
+        ):
+            bbox = [x1, y1, x2 - x1, y2 - y1]
             annotations.append(
-                {"id": len(annotations), "image_id": i, "category_id": gt.class_id, "bbox": [x, y, w, h]}
+                {"id": len(annotations), "image_id": i, "category_id": class_id, "bbox": bbox}
             )
         scenes_meta.append({"id": i, "dir": name, "seed": scene.seed})
 

@@ -10,8 +10,13 @@ from cornerdet.corners import (
     gaussian_targets,
     local_max_suppress,
 )
-from cornerdet.geometry import BBox, GroundTruth
+from cornerdet.geometry import TRUTH_DTYPE
 from oracles import iou_xyxy, naive_local_max, naive_topk
+
+
+def truth(*rows) -> np.ndarray:
+    """TRUTH_DTYPE rows from ((x1, y1, x2, y2), class_id) pairs."""
+    return np.array(list(rows), dtype=TRUTH_DTYPE)
 
 
 def make_heatmaps(tl_heat, tl_off=None, br_heat=None, br_off=None):
@@ -101,11 +106,11 @@ def benchmark_maps():
     exhaustive oracle (about 0.3 s a map)."""
     rng = np.random.default_rng(29)
     shape = (2, 128, 128)
-    gts = [
-        GroundTruth(box=BBox(20.25, 30.5, 140.75, 90.0), class_id=0),
-        GroundTruth(box=BBox(200.0, 210.0, 380.5, 460.25), class_id=1),
-        GroundTruth(box=BBox(60.0, 300.0, 160.0, 420.0), class_id=1),
-    ]
+    gts = truth(
+        ((20.25, 30.5, 140.75, 90.0), 0),
+        ((200.0, 210.0, 380.5, 460.25), 1),
+        ((60.0, 300.0, 160.0, 420.0), 1),
+    )
     # constant -0.75 with 7 isolated cells raised to -0.25: their 56
     # neighbors suppress to +0, so the 70th score falls into the -0.75 run
     negative_plateau = np.full(shape, -0.75, dtype=np.float32)
@@ -239,32 +244,28 @@ class TestDecodeCorners:
 
 class TestGaussianTargets:
     def test_empty_scene(self):
-        hm = gaussian_targets([], 2, 8, 8)
+        hm = gaussian_targets(truth(), 2, 8, 8)
         assert not hm.tl_heat.any() and not hm.br_heat.any()
         assert not hm.tl_off.any() and not hm.br_off.any()
 
     def test_grid_aligned_corners(self):
-        gt = GroundTruth(box=BBox(8.0, 4.0, 40.0, 44.0), class_id=1)
-        hm = gaussian_targets([gt], 2, 16, 16)
+        hm = gaussian_targets(truth(((8.0, 4.0, 40.0, 44.0), 1)), 2, 16, 16)
         assert hm.tl_heat[1, 1, 2] == 1.0
         assert hm.br_heat[1, 11, 10] == 1.0
         assert hm.tl_off[0, 1, 2] == 0.0 and hm.tl_off[1, 1, 2] == 0.0
 
     def test_fractional_offsets(self):
-        gt = GroundTruth(box=BBox(9.0, 6.0, 41.0, 45.0), class_id=0)
-        hm = gaussian_targets([gt], 1, 16, 16)
+        hm = gaussian_targets(truth(((9.0, 6.0, 41.0, 45.0), 0)), 1, 16, 16)
         assert hm.tl_off[0, 1, 2] == np.float32(0.25)
         assert hm.tl_off[1, 1, 2] == np.float32(0.5)
 
     def test_shared_cell_takes_max(self):
-        a = GroundTruth(box=BBox(8.0, 8.0, 60.0, 60.0), class_id=0)
-        b = GroundTruth(box=BBox(8.5, 8.5, 100.0, 100.0), class_id=0)
-        hm = gaussian_targets([a, b], 1, 32, 32)
+        gts = truth(((8.0, 8.0, 60.0, 60.0), 0), ((8.5, 8.5, 100.0, 100.0), 0))
+        hm = gaussian_targets(gts, 1, 32, 32)
         assert hm.tl_heat[0, 2, 2] == 1.0
 
     def test_peak_is_strict_max(self):
-        gt = GroundTruth(box=BBox(20.0, 20.0, 100.0, 100.0), class_id=0)
-        hm = gaussian_targets([gt], 1, 32, 32)
+        hm = gaussian_targets(truth(((20.0, 20.0, 100.0, 100.0), 0)), 1, 32, 32)
         heat = hm.tl_heat[0]
         assert heat[5, 5] == 1.0
         masked = heat.copy()
@@ -272,9 +273,13 @@ class TestGaussianTargets:
         assert masked.max() < 1.0
 
     def test_out_of_grid_rejected(self):
-        gt = GroundTruth(box=BBox(0.0, 0.0, 70.0, 20.0), class_id=0)
         with pytest.raises(ValueError, match="outside"):
-            gaussian_targets([gt], 1, 8, 8)
+            gaussian_targets(truth(((0.0, 0.0, 70.0, 20.0), 0)), 1, 8, 8)
+
+    @pytest.mark.parametrize("class_id", [-1, 2])
+    def test_class_outside_the_heatmaps_rejected(self, class_id):
+        with pytest.raises(ValueError, match=rf"^class_id {class_id} outside \[0, 2\)$"):
+            gaussian_targets(truth(((8.0, 4.0, 40.0, 44.0), class_id)), 2, 16, 16)
 
 
 def test_gaussian_radius_keeps_overlap():
@@ -289,17 +294,17 @@ def test_gaussian_radius_keeps_overlap():
 
 
 def test_decode_roundtrip_recovers_corners():
-    gts = [
-        GroundTruth(box=BBox(20.25, 30.5, 140.75, 90.0), class_id=0),
-        GroundTruth(box=BBox(200.0, 210.0, 380.5, 460.25), class_id=2),
-        GroundTruth(box=BBox(60.0, 300.0, 160.0, 420.0), class_id=1),
-    ]
+    gts = truth(
+        ((20.25, 30.5, 140.75, 90.0), 0),
+        ((200.0, 210.0, 380.5, 460.25), 2),
+        ((60.0, 300.0, 160.0, 420.0), 1),
+    )
     hm = gaussian_targets(gts, 3, 128, 128)
     tls = decode_corners(hm, TOP_LEFT, len(gts))
     brs = decode_corners(hm, BOTTOM_RIGHT, len(gts))
     got_tl = {(c, round(x, 3), round(y, 3)) for c, x, y in tls[["class_id", "x", "y"]].tolist()}
-    want_tl = {(g.class_id, round(g.box.x1, 3), round(g.box.y1, 3)) for g in gts}
+    want_tl = {(c, round(x1, 3), round(y1, 3)) for (x1, y1, _, _), c in gts.tolist()}
     assert got_tl == want_tl
     got_br = {(c, round(x, 3), round(y, 3)) for c, x, y in brs[["class_id", "x", "y"]].tolist()}
-    want_br = {(g.class_id, round(g.box.x2, 3), round(g.box.y2, 3)) for g in gts}
+    want_br = {(c, round(x2, 3), round(y2, 3)) for (_, _, x2, y2), c in gts.tolist()}
     assert got_br == want_br

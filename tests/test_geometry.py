@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cornerdet.geometry import BBox, GroundTruth, iou, iou_matrix
+from cornerdet.geometry import BBox, iou, iou_matrix
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -60,13 +60,7 @@ def test_invalid_box_rejected():
 
 def test_box_helpers():
     b = BBox(1, 2, 4, 8)
-    assert b.width == 3 and b.height == 6 and b.area == 18
-    assert b.as_xywh() == (1, 2, 3, 6)
-
-
-def test_ground_truth_class_gate():
-    with pytest.raises(ValueError):
-        GroundTruth(box=BBox(0, 0, 1, 1), class_id=-1)
+    assert b.area == 18
 
 
 def scalar_and_matrix(rows, cols):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cornerdet.geometry import BBox, GroundTruth
+from cornerdet.geometry import TRUTH_DTYPE, BBox, iou
 from cornerdet.losses import (
     LossBreakdown,
-    ProposalLabel,
     label_proposals,
     loss_class,
     loss_class_grad,
@@ -20,39 +19,33 @@ from cornerdet.losses import (
 from oracles import central_difference, relative_gradient_error
 
 
-def plabel(iou_max, per_class=None, c=2):
-    if per_class is None:
-        per_class = np.full(c, iou_max)
-    return ProposalLabel(iou_max=iou_max, per_class=np.asarray(per_class, dtype=float))
-
-
 class TestLossProp:
     def test_perfect_confidence_limit(self):
-        labels = [plabel(0.9)]
+        labels = np.array([0.9])
         values = [loss_prop(np.array([1.0 - eps]), labels) for eps in (1e-2, 1e-4, 1e-6)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-5
 
     def test_single_positive_half(self):
-        labels = [plabel(0.9)]
+        labels = np.array([0.9])
         got = loss_prop(np.array([0.5]), labels)
         assert got == pytest.approx(0.25 * math.log(2.0), rel=1e-12)
 
     def test_negative_term(self):
-        labels = [plabel(0.1)]
+        labels = np.array([0.1])
         got = loss_prop(np.array([0.5]), labels)
         # no positives: normalizer clamps to 1
         assert got == pytest.approx(0.25 * math.log(2.0), rel=1e-12)
 
     def test_out_of_range_rejected(self):
-        labels = [plabel(0.9)]
+        labels = np.array([0.9])
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 loss_prop(np.array([bad]), labels)
 
     def test_monotone_in_predictions(self):
-        pos = [plabel(0.8)]
-        neg = [plabel(0.2)]
+        pos = np.array([0.8])
+        neg = np.array([0.2])
         grid = np.linspace(0.05, 0.95, 30)
         pos_losses = [loss_prop(np.array([p]), pos) for p in grid]
         neg_losses = [loss_prop(np.array([p]), neg) for p in grid]
@@ -62,17 +55,17 @@ class TestLossProp:
     def test_permutation_invariant_exactly(self):
         rng = np.random.default_rng(4)
         p = rng.uniform(0.05, 0.95, 12)
-        labels = [plabel(float(v)) for v in rng.uniform(0, 1, 12)]
+        labels = rng.uniform(0, 1, 12)
         base = loss_prop(p, labels)
         perm = rng.permutation(12)
-        assert loss_prop(p[perm], [labels[i] for i in perm]) == base
+        assert loss_prop(p[perm], labels[perm]) == base
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             m = int(rng.integers(1, 9))
             p = rng.uniform(0.1, 0.9, m)
-            labels = [plabel(float(v)) for v in rng.uniform(0, 1, m)]
+            labels = rng.uniform(0, 1, m)
             analytic = loss_prop_grad(p, labels)
             numeric = central_difference(lambda x: loss_prop(x, labels), p.copy())
             assert relative_gradient_error(analytic, numeric) < 1e-4
@@ -80,18 +73,18 @@ class TestLossProp:
 
 class TestLossClass:
     def test_hand_example(self):
-        labels = [plabel(0.9, per_class=[0.9, 0.0])]
+        labels = np.array([[0.9, 0.0]])
         q = np.array([[0.5, 0.5]])
         got = loss_class(q, labels)
         assert got == pytest.approx(2 * 0.25 * math.log(2.0), rel=1e-12)
 
     def test_perfect_predictions(self):
-        labels = [plabel(0.9, per_class=[0.9, 0.0])]
+        labels = np.array([[0.9, 0.0]])
         q = np.array([[1.0 - 1e-7, 1e-7]])
         assert loss_class(q, labels) < 1e-10
 
     def test_out_of_range_rejected(self):
-        labels = [plabel(0.9, per_class=[0.9, 0.0])]
+        labels = np.array([[0.9, 0.0]])
         with pytest.raises(ValueError):
             loss_class(np.array([[1.2, 0.5]]), labels)
 
@@ -101,9 +94,7 @@ class TestLossClass:
             m = int(rng.integers(1, 9))
             c = int(rng.integers(1, 5))
             q = rng.uniform(0.1, 0.9, (m, c))
-            labels = [
-                ProposalLabel(iou_max=1.0, per_class=rng.uniform(0, 1, c)) for _ in range(m)
-            ]
+            labels = rng.uniform(0, 1, (m, c))
             analytic = loss_class_grad(q, labels)
             numeric = central_difference(lambda x: loss_class(x, labels), q.copy())
             assert relative_gradient_error(analytic, numeric) < 1e-4
@@ -111,10 +102,10 @@ class TestLossClass:
     def test_permutation_invariant_exactly(self):
         rng = np.random.default_rng(6)
         q = rng.uniform(0.05, 0.95, (9, 3))
-        labels = [ProposalLabel(iou_max=1.0, per_class=rng.uniform(0, 1, 3)) for _ in range(9)]
+        labels = rng.uniform(0, 1, (9, 3))
         base = loss_class(q, labels)
         perm = rng.permutation(9)
-        assert loss_class(q[perm], [labels[i] for i in perm]) == base
+        assert loss_class(q[perm], labels[perm]) == base
 
 
 class TestLossCornerDet:
@@ -217,27 +208,50 @@ class TestLossTotal:
 
 
 def test_label_proposals():
-    gts = [
-        GroundTruth(box=BBox(0, 0, 10, 10), class_id=0),
-        GroundTruth(box=BBox(20, 20, 30, 30), class_id=1),
-    ]
-    labels = label_proposals([BBox(0, 0, 10, 10), BBox(21, 21, 30, 30)], gts, 3)
-    assert labels[0].iou_max == 1.0
-    assert labels[0].per_class[0] == 1.0 and labels[0].per_class[1] == 0.0
-    assert labels[1].per_class[1] > 0.7
-    assert labels[1].per_class.max() == labels[1].iou_max
+    truth = np.array([((0, 0, 10, 10), 0), ((20, 20, 30, 30), 1)], dtype=TRUTH_DTYPE)
+    labels = label_proposals(np.array([[0, 0, 10, 10], [21, 21, 30, 30]]), truth, 3)
+    assert labels.shape == (2, 3)
+    assert labels.max(axis=1)[0] == 1.0
+    assert labels[0, 0] == 1.0 and labels[0, 1] == 0.0
+    assert labels[1, 1] == pytest.approx(81 / 100) and labels[1, 0] == 0.0
+    assert not labels[:, 2].any()
 
 
-def test_proposal_label_invariant():
-    with pytest.raises(ValueError):
-        ProposalLabel(iou_max=0.5, per_class=np.array([0.9, 0.1]))
+def test_label_proposals_matches_scalar_iou():
+    rng = np.random.default_rng(21)
+    corners = rng.uniform(0, 50, (12, 2))
+    sizes = rng.uniform(1, 30, (12, 2))
+    boxes = np.hstack([corners, corners + sizes])
+    truth = np.zeros(5, dtype=TRUTH_DTYPE)
+    truth["box"], truth["class_id"] = boxes[7:], [0, 2, 2, 0, 2]
+    labels = label_proposals(boxes[:7], truth, 3)
+    for m, box in enumerate(boxes[:7]):
+        for c in range(3):
+            ious = [iou(BBox(*box), BBox(*t)) for t, k in truth.tolist() if k == c]
+            assert labels[m, c] == max(ious, default=0.0)
 
 
 def test_losses_nonnegative_random():
     rng = np.random.default_rng(55)
     for _ in range(30):
         m = int(rng.integers(1, 8))
-        labels = [plabel(float(v)) for v in rng.uniform(0, 1, m)]
-        assert loss_prop(rng.uniform(0.01, 0.99, m), labels) >= 0.0
+        iou_max = rng.uniform(0, 1, m)
+        assert loss_prop(rng.uniform(0.01, 0.99, m), iou_max) >= 0.0
         q = rng.uniform(0.01, 0.99, (m, 2))
-        assert loss_class(q, labels) >= 0.0
+        assert loss_class(q, np.column_stack([iou_max, iou_max])) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "loss, pred, ious",
+    [
+        (loss_prop, np.full(3, 0.5), np.zeros(2)),
+        (loss_prop_grad, np.full(3, 0.5), np.zeros(2)),
+        (loss_prop, np.full((3, 1), 0.5), np.zeros((3, 1))),
+        (loss_class, np.full((3, 2), 0.5), np.zeros((3, 3))),
+        (loss_class_grad, np.full((3, 2), 0.5), np.zeros((3, 3))),
+        (loss_class, np.full(3, 0.5), np.zeros(3)),
+    ],
+)
+def test_label_shape_mismatch_rejected(loss, pred, ious):
+    with pytest.raises(ValueError, match="with the shape of its IoU labels"):
+        loss(pred, ious)

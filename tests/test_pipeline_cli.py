@@ -401,6 +401,7 @@ OUT_OF_RANGE = {
         ("num_boxes", "[3, 1]"),
         ("num_boxes", "[-1, 2]"),
         ("num_boxes", "[0, 9223372036854775808]"),  # 2**63: the count is drawn as an int64
+        ("num_boxes", "[214, 214]"),  # more boxes than an image holds
         ("extreme_aspect_period", "-1"),
         ("extreme_area_period", "-5"),
         ("num_classes", "0"),
@@ -669,14 +670,54 @@ def test_noisy_dumps_pinned(tmp_path):
 # sha256 of the ground truth and manifest of two fixed corpora: the noisy one
 # above, and a cross one. A change that moves a random draw of scene
 # generation, or the image size the files record, moves these.
+# every file of each pinned corpus, the head weights included; both corpora
+# have 2 classes, so they share the weights
+WEIGHTS_SHA256 = {
+    "weights/binary_bias": "7018ddcc09c5c4c9335755b05ce550568b921bb0c8a63277b568f45bd6194ada",
+    "weights/binary_kernel": "4eb000e42f0c592d4e76d10c913945db45a65e0de88a7a8d83de0b8b55f9bbf2",
+    "weights/class_bias": "5ae319b350bce49715fe0195ccfd4f6f27cca0ae14c5ddc67cb63f84909f4326",
+    "weights/class_kernel": "fb46db3893a44e6682a36de050ce7699339388c9ab3f80dee974ec769412a5e7",
+}
 CORPUS_SHA256 = {
     "noisy": {
         "ground_truth.json": "924412c516d9accfaadb2424684d41853f41f8df91c667cef70357a82b601036",
         "manifest.json": "06db1d2e926c933f1ef88df8f559790db7f099ae043859283c055a03c3b56838",
+        "scene_00000/box_feat.cpnt": "8596acd4420cfee037f4b4c46860028f365715e0d77ce640c02b63e8fed2c217",
+        "scene_00000/br_heat.cpnt": "557c144b40cc8343c7cc8508c48a8dd5192751b9c62ec7fde2435e621ea8fd20",
+        "scene_00000/br_off.cpnt": "76805da6aff71c78eb27d533f4a03784d72d89d57573d7a8f88fd7b566abef8a",
+        "scene_00000/cat_feat.cpnt": "c95fab95c13aff2d198c00727244ce52a6be58088c4f5a9aaf3a112377b06ce5",
+        "scene_00000/tl_heat.cpnt": "ee96df3715c1925f83f719645fd9e7205df588df544319d906ce6035b04e8883",
+        "scene_00000/tl_off.cpnt": "37a77bf2328da4b778e427bf4572b082bb2f5df7972680a8fb28e883e196d773",
+        "scene_00001/box_feat.cpnt": "60b846721eccfa57d17c4cf988bc375c0cee0349b357ba7390cd20438e3b5ecf",
+        "scene_00001/br_heat.cpnt": "c72abccb877a811a5428349ca03f69ffecf5d531a66d3fe2d8fc5f3cc0980ac4",
+        "scene_00001/br_off.cpnt": "43b82fadd554cb0303618410452ca554bdf543e0c66c9972965a78a478caf2f3",
+        "scene_00001/cat_feat.cpnt": "d0deae54250f61bd9f4dde76b0d6cf03b292bc06d48cdefd44955fa365d2172f",
+        "scene_00001/tl_heat.cpnt": "e4459a51db9de58f49813f151b59a82573d9964eb5d670420d2d1b01b2ee42c9",
+        "scene_00001/tl_off.cpnt": "3e73b015909eb6a6c6ad5a6ec55ce5ed4339dc408b58c66606de5b998c7a418c",
+        "scene_00002/box_feat.cpnt": "59ed3c8fbbf1a811918c0c71f7b551690daa71aef54ce4e67a45d2113234e5c1",
+        "scene_00002/br_heat.cpnt": "427b325a3f60fb5bffb2acd45fef9830d78d66a6f639472b5bfc3f792c3cc4ef",
+        "scene_00002/br_off.cpnt": "dac9b382de504e46d049d30f9bc2dc72a05def06f6cd39bd2359a121ca4b316b",
+        "scene_00002/cat_feat.cpnt": "4e39ed1ed3232d4bfac0a566bc593a23801df99155c3350b4aad04b255c95601",
+        "scene_00002/tl_heat.cpnt": "c680540db00fab92a88e8ba92b5dba465689c4ff847e914561330f972e27ce6e",
+        "scene_00002/tl_off.cpnt": "19dc4cffcc57918bd89966d31dde1fb4d2c724b3133d7bf88106572f34b83ecf",
+        **WEIGHTS_SHA256,
     },
     "cross": {
         "ground_truth.json": "31c4fd0e3f564bd63ae887c9e640644e14e604c6d52acfcafc1b48a02100e752",
         "manifest.json": "85ed2d5cd6cfe4fcf54d10e8d3f48699e866cf8c76004228294efb10013c5110",
+        "scene_00000/box_feat.cpnt": "362b4df8fc14a7573e59d190956fb82c6b3b9fff8dcf8115d6b2313edcec8d1a",
+        "scene_00000/br_heat.cpnt": "e3826066ff44b702a3b4fda18ed9b62f0963c794af0484adf227ec11392dbb4b",
+        "scene_00000/br_off.cpnt": "aa219a212e96ab3a7a3a3d6c2e920176fb2b37559cc4efdba775a4f36ccf70c5",
+        "scene_00000/cat_feat.cpnt": "8938034db821d250598a971ae3c3734b55b38e8a60b1276a7a8756cd1d43387e",
+        "scene_00000/tl_heat.cpnt": "dce4ec4de6e3e4d08f5c0cb168a6d19f99234d25cca1ab3e9c0b98d6546b9fcb",
+        "scene_00000/tl_off.cpnt": "752a2bdd7a972aafa9816191595a4b685bf8ef3a521d62370dd8dfa72f71ef1d",
+        "scene_00001/box_feat.cpnt": "38ecfaa762d5d6d0d62c2b4513ab3d385844f44504d20edd0610d11d84ff1ffa",
+        "scene_00001/br_heat.cpnt": "44fe20456b633dcf501679386409061b4e104da2cee79570d0560ab63a0c66de",
+        "scene_00001/br_off.cpnt": "277b9f970d0a033903e2e13b0e6102fe3f5555fb7b8d8324186cc1620892dd0c",
+        "scene_00001/cat_feat.cpnt": "1b82b70bfa393f1f5e30a9795fc56d332679775a8a5c14b1022a2776e5cb6132",
+        "scene_00001/tl_heat.cpnt": "842d09054fe4daa9abe5d1ccbf5ef0990c428bd15a73d59d9ab93758088d243d",
+        "scene_00001/tl_off.cpnt": "5d4dff64837fa6f0caeb44afbcd95793a809022b4abc106bff50242da38fbe48",
+        **WEIGHTS_SHA256,
     },
 }
 
@@ -687,7 +728,11 @@ CORPUS_SHA256 = {
 )
 def test_corpus_files_pinned(name, cfg, count, tmp_path):
     write_corpus(tmp_path, cfg, count=count, seed=61)
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in CORPUS_SHA256[name]}
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
     assert got == CORPUS_SHA256[name]
     truth = json.loads((tmp_path / "ground_truth.json").read_text())
     assert {(image["width"], image["height"]) for image in truth["images"]} == {(511, 511)}

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
-from cornerdet.geometry import BBox, iou
+from cornerdet.corners import BOTTOM_RIGHT, STRIDE, TOP_LEFT, decode_corners
+from cornerdet.geometry import TRUTH_DTYPE, iou_matrix
 from cornerdet.pipeline import PipelineConfig, detect_bundle
 from cornerdet.synth import (
+    BOX_GAP,
     IMAGE_SIZE,
+    MAX_BOXES,
     RenderBudgetError,
     SynthConfig,
     _paint_coverage,
@@ -25,30 +27,54 @@ def test_map_size_matches_convention():
     assert map_size(511) == 128
 
 
+def best_ious(dets, truth) -> np.ndarray:
+    """Each detection's best IoU with the truth rows."""
+    return iou_matrix(dets["box"], truth["box"]).max(axis=1)
+
+
+def corner_cells(box) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (row, col) heatmap cells of a box's top-left and bottom-right corners."""
+    x1, y1, x2, y2 = (int(v // STRIDE) for v in box)
+    return (y1, x1), (y2, x2)
+
+
+def cells_touch(a, b) -> bool:
+    return abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1
+
+
 class TestGenerateScene:
     def test_empty_scene(self):
         cfg = SynthConfig(num_boxes=(0, 0))
         scene = generate_scene(cfg, seed=1)
-        assert scene.gts == ()
+        assert scene.truth.shape == (0,) and scene.truth.dtype == TRUTH_DTYPE
 
     def test_deterministic(self):
         cfg = SynthConfig(num_boxes=(2, 5))
-        assert generate_scene(cfg, seed=9) == generate_scene(cfg, seed=9)
+        a, b = generate_scene(cfg, seed=9), generate_scene(cfg, seed=9)
+        assert len(a.truth) >= 2 and np.array_equal(a.truth, b.truth) and a.seed == b.seed
 
     def test_boxes_inside_and_separated(self):
         cfg = SynthConfig(num_boxes=(3, 6))
         for seed in range(10):
             scene = generate_scene(cfg, seed=seed)
             h, w = IMAGE_SIZE
-            assert 1 <= len(scene.gts) <= 6
-            for gt in scene.gts:
-                assert 0 <= gt.box.x1 < gt.box.x2 <= w
-                assert 0 <= gt.box.y1 < gt.box.y2 <= h
-                assert 0 <= gt.class_id < cfg.num_classes
-            boxes = [gt.box for gt in scene.gts]
+            assert 1 <= len(scene.truth) <= 6
+            for (x1, y1, x2, y2), class_id in scene.truth.tolist():
+                assert 0 <= x1 < x2 <= w
+                assert 0 <= y1 < y2 <= h
+                assert 0 <= class_id < cfg.num_classes
+            boxes = scene.truth["box"].tolist()
             for i in range(len(boxes)):
                 for j in range(i + 1, len(boxes)):
-                    assert iou(boxes[i], boxes[j]) == 0.0
+                    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = boxes[i], boxes[j]
+                    assert (
+                        ax2 + BOX_GAP <= bx1
+                        or bx2 + BOX_GAP <= ax1
+                        or ay2 + BOX_GAP <= by1
+                        or by2 + BOX_GAP <= ay1
+                    )
+                    for a, b in zip(corner_cells(boxes[i]), corner_cells(boxes[j])):
+                        assert not cells_touch(a, b)
 
     def test_aspect_ratios_cover_all_buckets(self):
         cfg = SynthConfig(num_boxes=(2, 6))
@@ -57,9 +83,9 @@ class TestGenerateScene:
         seed = 0
         while sampled < 10000:
             scene = generate_scene(cfg, seed=seed)
-            for gt in scene.gts:
-                ratio = max(gt.box.width / gt.box.height, gt.box.height / gt.box.width)
-                buckets.add(round(ratio))
+            for x1, y1, x2, y2 in scene.truth["box"].tolist():
+                w, h = x2 - x1, y2 - y1
+                buckets.add(round(max(w / h, h / w)))
                 sampled += 1
             seed += 1
         assert {5, 6, 7, 8} <= buckets
@@ -67,13 +93,15 @@ class TestGenerateScene:
     def test_forced_aspect(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene = generate_scene(cfg, seed=3, force_aspect=(5.0, 8.0))
-        gt = scene.gts[0]
-        assert max(gt.box.width / gt.box.height, gt.box.height / gt.box.width) >= 5.0
+        x1, y1, x2, y2 = scene.truth["box"][0]
+        w, h = x2 - x1, y2 - y1
+        assert max(w / h, h / w) >= 5.0
 
     def test_forced_area(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene = generate_scene(cfg, seed=3, force_area=(400.0**2 + 1, 490.0**2))
-        assert scene.gts[0].box.area > 400.0**2
+        x1, y1, x2, y2 = scene.truth["box"][0]
+        assert (x2 - x1) * (y2 - y1) > 400.0**2
 
     def test_area_period_one_forces_every_scene(self):
         cfg = SynthConfig(extreme_aspect_period=0, extreme_area_period=1)
@@ -86,30 +114,35 @@ class TestGenerateScene:
         assert [i for i, (_, area) in enumerate(forces) if area] == [1, 6]
 
     def test_infeasible_range(self):
-        # each box covers at least 24^2 px, so 500 of them need more than
-        # the 487^2 px inside the margins
-        cfg = SynthConfig(num_boxes=(500, 500))
+        # the forced area lies above AREA_RANGE, so no first box can be drawn
+        cfg = SynthConfig(num_boxes=(1, 1))
         with pytest.raises(RenderBudgetError):
-            generate_scene(cfg, seed=0)
+            generate_scene(cfg, seed=0, force_area=(250000.0, 260000.0))
+
+    def test_box_count_beyond_the_image_rejected(self):
+        # a box plus its gap covers at least 34 x 34 px of the 497 x 497 px
+        assert MAX_BOXES == 213
+        SynthConfig(num_boxes=(MAX_BOXES, MAX_BOXES + 1))
+        with pytest.raises(ValueError, match=f"at most {MAX_BOXES}"):
+            SynthConfig(num_boxes=(MAX_BOXES + 1, MAX_BOXES + 1))
 
 
 class TestCrossScene:
     def test_four_valid_pairs_two_survive(self):
         cfg = SynthConfig(arrangement="cross", num_classes=3)
         scene, bundle = build_scene(cfg, seed=5)
-        a, b = (gt.box for gt in scene.gts)
-        assert scene.gts[0].class_id == scene.gts[1].class_id
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = scene.truth["box"].tolist()
+        assert scene.truth["class_id"][0] == scene.truth["class_id"][1]
         # both cross pairings valid: corners interleave in both axes
-        assert a.x1 < b.x2 and a.y1 < b.y2 and b.x1 < a.x2 and b.y1 < a.y2
+        assert ax1 < bx2 and ay1 < by2 and bx1 < ax2 and by1 < ay2
+        for a, b in zip(*map(corner_cells, scene.truth["box"].tolist())):
+            assert not cells_touch(a, b)
 
         res = detect_bundle(bundle, PipelineConfig(k=2))
         assert len(res.proposals) == 4
         assert res.num_survivors == 2
         assert len(res.detections) == 2
-        matched = sorted(
-            max(iou(BBox(*d["box"]), gt.box) for gt in scene.gts) for d in res.detections
-        )
-        assert matched[0] > 0.99
+        assert best_ious(res.detections, scene.truth).min() > 0.99
 
     def test_bypass_leaks_false_pairings(self):
         cfg = SynthConfig(arrangement="cross", num_classes=3)
@@ -118,32 +151,26 @@ class TestCrossScene:
         bypassed = detect_bundle(bundle, PipelineConfig(k=2, use_binary_head=False))
         assert len(enabled.detections) == 2
         assert len(bypassed.detections) >= 4  # cross pairings leak into the output
-        true_boxes = [gt.box for gt in scene.gts]
-        leaked = [
-            det
-            for det in bypassed.detections
-            if all(iou(BBox(*det["box"]), tb) < 0.9 for tb in true_boxes)
-        ]
-        assert leaked, "expected cross pairings in the bypassed output"
+        leaked = best_ious(bypassed.detections, scene.truth) < 0.9
+        assert leaked.any(), "expected cross pairings in the bypassed output"
 
 
 class TestRenderOracle:
     def test_single_box_closed_loop(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=2)
-        (gt,) = scene.gts
+        (((x1, y1, x2, y2), class_id),) = scene.truth.tolist()
         tls = decode_corners(bundle.heatmaps, TOP_LEFT, 2)
         brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, 2)
-        assert tls[0]["x"] == pytest.approx(gt.box.x1, abs=1e-3)
-        assert tls[0]["y"] == pytest.approx(gt.box.y1, abs=1e-3)
-        assert brs[0]["x"] == pytest.approx(gt.box.x2, abs=1e-3)
-        assert brs[0]["y"] == pytest.approx(gt.box.y2, abs=1e-3)
+        assert tls[0]["x"] == pytest.approx(x1, abs=1e-3)
+        assert tls[0]["y"] == pytest.approx(y1, abs=1e-3)
+        assert brs[0]["x"] == pytest.approx(x2, abs=1e-3)
+        assert brs[0]["y"] == pytest.approx(y2, abs=1e-3)
 
         res = detect_bundle(bundle, PipelineConfig(k=2))
         assert len(res.detections) == 1
-        det = res.detections[0]
-        assert det["class_id"] == gt.class_id
-        assert iou(BBox(*det["box"]), gt.box) > 0.99
+        assert res.detections["class_id"][0] == class_id
+        assert best_ious(res.detections, scene.truth)[0] > 0.99
 
     @pytest.mark.filterwarnings("error")  # detect_bundle keeps the overflow silent
     @pytest.mark.parametrize("kind, name", [("tl", "tl_off"), ("br", "br_off")])
@@ -168,23 +195,21 @@ class TestRenderOracle:
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=4, force_aspect=(7.5, 8.0))
         res = detect_bundle(bundle, PipelineConfig(k=4))
-        (gt,) = scene.gts
-        best = max(iou(BBox(*d["box"]), gt.box) for d in res.detections)
-        assert best >= 0.99
+        assert len(scene.truth) == 1
+        assert best_ious(res.detections, scene.truth).max() >= 0.99
 
     def test_closed_loop_multi_scene(self):
         cfg = SynthConfig(num_boxes=(2, 6))
         for seed in (11, 12, 13):
             scene, bundle = build_scene(cfg, seed=seed)
             res = detect_bundle(bundle, PipelineConfig(k=16))
+            ious = iou_matrix(res.detections["box"], scene.truth["box"])
             used = set()
-            for gt in scene.gts:
+            for g, class_id in enumerate(scene.truth["class_id"]):
                 candidates = [
                     i
                     for i, det in enumerate(res.detections)
-                    if i not in used
-                    and det["class_id"] == gt.class_id
-                    and iou(BBox(*det["box"]), gt.box) >= 0.99
+                    if i not in used and det["class_id"] == class_id and ious[i, g] >= 0.99
                 ]
                 assert candidates, f"ground truth not recovered (seed {seed})"
                 used.add(candidates[0])
@@ -211,7 +236,7 @@ class TestRenderOracle:
 
     def test_verification_names_a_wrong_class_argmax(self):
         scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
-        cls = scene.gts[0].class_id
+        cls = int(scene.truth["class_id"][0])
         other = 1 - cls
         f = bundle.features
         f.cat_feat[other] = f.cat_feat[cls]
@@ -223,8 +248,8 @@ class TestRenderOracle:
     def test_verification_names_a_strong_cross_pairing(self):
         scene, bundle = build_scene(SynthConfig(arrangement="cross"), seed=5)
         assert verify_bundle(scene, bundle) == []
-        a, b = (gt.box for gt in scene.gts)
-        _paint_coverage(bundle.features.box_feat[0], BBox(a.x1, a.y1, b.x2, b.y2))
+        a, b = scene.truth["box"]
+        _paint_coverage(bundle.features.box_feat[0], (*a[:2], *b[2:]))
         (problem,) = verify_bundle(scene, bundle)
         assert problem.startswith("cross pairing 0->1: binary score ")
 
@@ -232,7 +257,7 @@ class TestRenderOracle:
         cfg = SynthConfig(num_boxes=(2, 4), noise=0.03)
         s1, b1 = build_scene(cfg, seed=6)
         s2, b2 = build_scene(cfg, seed=6)
-        assert s1 == s2
+        assert np.array_equal(s1.truth, s2.truth) and s1.seed == s2.seed
         assert np.array_equal(b1.heatmaps.tl_heat, b2.heatmaps.tl_heat)
         assert np.array_equal(b1.heatmaps.br_off, b2.heatmaps.br_off)
         assert np.array_equal(b1.features.box_feat, b2.features.box_feat)
