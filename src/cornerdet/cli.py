@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--corpus", required=True, help="corpus directory")
     p_detect.add_argument("--config", default=None, help="pipeline config JSON")
     p_detect.add_argument("--out", required=True, help="detection dump path")
-    p_detect.add_argument("--workers", type=int_at_least(1), default=1, help="worker pool size")
+    p_detect.add_argument(
+        "--workers", type=int_at_least(1), default=1, help="worker processes, at most one per scene"
+    )
     p_detect.set_defaults(func=cmd_detect)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")

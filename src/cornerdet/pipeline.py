@@ -8,8 +8,9 @@ head, fuse scores, run per-class soft-NMS, and keep the top 100.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,11 +116,39 @@ class CorpusRun:
     timings: list[tuple[int, float]]  # (image id, seconds)
 
 
+def _detect_scene(corpus_dir: Path, weights: HeadWeights, config: PipelineConfig, entry):
+    """One manifest entry's (image id, SceneResult, seconds); a ValueError names the scene."""
+    start = time.perf_counter()
+    scene_dir = corpus_dir / entry["dir"]
+    try:
+        result = detect_bundle(load_scene_bundle(scene_dir, weights), config)
+    except ValueError as exc:
+        raise ValueError(f"{scene_dir}: {exc}") from None
+    return entry["id"], result, time.perf_counter() - start
+
+
+# what every scene of a worker process shares, set once by _start_worker
+_worker_args: tuple = ()
+
+
+def _start_worker(corpus_dir: Path, weights: HeadWeights, config: PipelineConfig):
+    global _worker_args
+    _worker_args = (corpus_dir, weights, config)
+
+
+def _detect_in_worker(entry):
+    return _detect_scene(*_worker_args, entry)
+
+
 def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRun:
     """Detect over every scene of a corpus, all scored by its one weights bundle.
 
-    Scenes are processed by a bounded worker pool; results are collected in
+    With ``workers > 1`` the scenes are detected by up to that many worker
+    processes, never more than there are scenes; results are collected in
     manifest order, so the output is identical regardless of worker count.
+    The workers are forked, so calling this with ``workers > 1`` while other
+    threads of the caller hold locks is unsafe: a worker inherits each lock
+    held, with no thread to release it.
     """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
@@ -134,21 +163,21 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
             f"but the class head in {weights_dir} scores {weights.num_classes}"
         )
 
-    def process(entry):
-        start = time.perf_counter()
-        scene_dir = corpus_dir / entry["dir"]
-        try:
-            result = detect_bundle(load_scene_bundle(scene_dir, weights), config)
-        except ValueError as exc:
-            raise ValueError(f"{scene_dir}: {exc}") from None
-        return entry["id"], result, time.perf_counter() - start
-
     entries = manifest["scenes"]
+    workers = min(workers, len(entries))
     if workers <= 1:
-        outcomes = [process(e) for e in entries]
+        outcomes = [_detect_scene(corpus_dir, weights, config, e) for e in entries]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(process, entries))
+        # fork, not spawn or forkserver: a forked worker starts with numpy,
+        # cornerdet and the weights already loaded, where a fresh interpreter
+        # would import them again on every call and eat the gain
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(corpus_dir, weights, config),
+        ) as pool:
+            outcomes = list(pool.map(_detect_in_worker, entries))
 
     empty = np.empty(0, RECORD_DTYPE)
     dets = [detection_records(i, result.detections) for i, result, _ in outcomes]

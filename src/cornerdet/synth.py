@@ -107,14 +107,12 @@ class SynthConfig:
         # uniform(-noise, noise) draws from a span of 2 * noise, which must be finite
         if not (self.noise >= 0.0 and math.isfinite(2.0 * self.noise)):
             raise ValueError(f"noise must be >= 0 with 2 * noise finite, got {self.noise}")
-        # the box count is drawn as an int64
-        if not 0 <= self.num_boxes[0] <= self.num_boxes[1] < 2**63:
+        if not 0 <= self.num_boxes[0] <= self.num_boxes[1]:
+            raise ValueError(f"num_boxes must satisfy 0 <= lo <= hi, got {list(self.num_boxes)}")
+        # a drawn count above MAX_BOXES never fits, and its scene is drawn again
+        if self.num_boxes[1] > MAX_BOXES:
             raise ValueError(
-                f"num_boxes must satisfy 0 <= lo <= hi < 2**63, got {list(self.num_boxes)}"
-            )
-        if self.num_boxes[0] > MAX_BOXES:
-            raise ValueError(
-                f"num_boxes lo must be at most {MAX_BOXES}, the most boxes an image "
+                f"num_boxes hi must be at most {MAX_BOXES}, the most boxes an image "
                 f"holds, got {list(self.num_boxes)}"
             )
         for name in ("extreme_aspect_period", "extreme_area_period"):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornerdet import pipeline
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
 from cornerdet.pipeline import PipelineConfig, run_corpus
@@ -157,9 +159,10 @@ class TestCliFlow:
         dump = tmp_path / "dets.json"
         assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
         assert dump.read_text() == proposals_sibling(dump).read_text() == "[]\n"
-        run = run_corpus(corpus, PipelineConfig())
-        assert run.detection_records.dtype == run.proposal_records.dtype == RECORD_DTYPE
-        assert len(run.detection_records) == len(run.proposal_records) == 0
+        for workers in (1, 2):
+            run = run_corpus(corpus, PipelineConfig(), workers=workers)
+            assert run.detection_records.dtype == run.proposal_records.dtype == RECORD_DTYPE
+            assert len(run.detection_records) == len(run.proposal_records) == 0
 
     def test_k_override_limits_proposals(self, tmp_path):
         corpus = tmp_path / "two_box"
@@ -262,6 +265,21 @@ class TestCliFlow:
         assert report_path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
 
 
+def detect_exit_3(corpus, out, capsys, *extra) -> str:
+    """Run detect in-process and through a pool of two workers; both must
+    exit 3 with the same stderr, write no dump and leave no worker process
+    running. Returns the stderr."""
+    errs = []
+    for workers in ("1", "2"):
+        argv = ["detect", "--corpus", str(corpus), "--out", str(out), "--workers", workers, *extra]
+        assert main(argv) == 3
+        errs.append(capsys.readouterr().err)
+        assert not out.exists() and not proposals_sibling(out).exists()
+        assert not multiprocessing.active_children()
+    assert errs[0] == errs[1]
+    return errs[0]
+
+
 class TestCliErrors:
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -336,9 +354,7 @@ class TestCliErrors:
         write_corpus(corpus, SynthConfig(num_boxes=(1, 1)), count=1, seed=9)
         victim = corpus / "scene_00000" / "tl_heat.cpnt"
         victim.write_bytes(b"JUNKJUNKJUNK")
-        code = main(["detect", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")])
-        assert code == 3
-        err = capsys.readouterr().err
+        err = detect_exit_3(corpus, tmp_path / "d.json", capsys)
         assert err.startswith(f"error: {victim.parent}: {victim}: bad magic")
         assert err.count("\n") == 1
 
@@ -400,8 +416,9 @@ OUT_OF_RANGE = {
     "synth": [
         ("num_boxes", "[3, 1]"),
         ("num_boxes", "[-1, 2]"),
-        ("num_boxes", "[0, 9223372036854775808]"),  # 2**63: the count is drawn as an int64
+        ("num_boxes", "[0, 9223372036854775808]"),  # 2**63, far beyond what an image holds
         ("num_boxes", "[214, 214]"),  # more boxes than an image holds
+        ("num_boxes", "[0, 214]"),  # a draw of 214 boxes could never be placed
         ("extreme_aspect_period", "-1"),
         ("extreme_area_period", "-5"),
         ("num_classes", "0"),
@@ -499,12 +516,9 @@ def test_detect_error_names_scene(small_corpus, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": 1000000}))
     out = tmp_path / "out"
-    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--config", str(cfg_path)]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(small_corpus, out, capsys, "--config", str(cfg_path))
     assert err.startswith(f"error: {small_corpus / 'scene_00000'}: k must be in [1, ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 @pytest.mark.parametrize(
@@ -607,6 +621,36 @@ def test_run_corpus_records_equal_across_workers(small_corpus):
     assert len(one.proposal_records) > len(one.detection_records) > 0
     # manifest order: image ids never decrease along either dump
     assert (np.diff(one.proposal_records["image_id"]) >= 0).all()
+
+
+def test_pool_never_larger_than_the_corpus(small_corpus, tmp_path, monkeypatch):
+    # a fork pool starts all its workers at once: --workers 1000000 must
+    # ask for one per scene, not a million processes
+    asked = []
+
+    class Recorder:
+        """Stands in for the pool: records its size and runs the scenes here."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(pipeline, "_worker_args", ())  # the initializer sets it here
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    assert main(["detect", "--corpus", str(small_corpus), "--out", str(one)]) == 0
+    argv = ["detect", "--corpus", str(small_corpus), "--out", str(many), "--workers", "1000000"]
+    assert main(argv) == 0
+    assert asked == [4]
+    assert one.read_bytes() == many.read_bytes()
 
 
 @pytest.fixture
@@ -784,10 +828,8 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     scene = corpus / "scene_00000"
     plant_non_finite(scene, name, value)
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     assert err == f"error: {scene}: {message}\n"
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -804,10 +846,8 @@ def test_detect_offset_overflowing_position_exit_3(name, small_corpus, tmp_path,
     tensor[0] = 1e38
     store_tensor(tensor, path)
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     assert err == f"error: {scene}: {name} puts a corner at a position that overflows float32\n"
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -821,10 +861,8 @@ def test_detect_non_finite_weights_exit_3(name, index, small_corpus, tmp_path, c
     tensor[index] = np.nan
     store_tensor(tensor, path)
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     assert err == f"error: {corpus / 'weights'}: {path} holds NaN or infinity\n"
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 def class_count(count):
@@ -999,11 +1037,9 @@ def test_detect_bad_corpus_exit_3(mutate, where, message, small_corpus, tmp_path
     shutil.copytree(small_corpus, corpus, copy_function=os.link)
     mutate(corpus)
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     assert err.startswith(f"error: {corpus / where}: ") and message in err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 def test_detect_old_layout_exit_3(small_corpus, tmp_path, capsys):
@@ -1014,11 +1050,9 @@ def test_detect_old_layout_exit_3(small_corpus, tmp_path, capsys):
         shutil.copytree(corpus / "weights", scene / "weights", copy_function=os.link)
     shutil.rmtree(corpus / "weights")
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     missing = ["binary_kernel", "binary_bias", "class_kernel", "class_bias"]
     assert err == f"error: weights bundle {corpus / 'weights'} is missing {missing}\n"
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 def malformed_cpnt(blob: bytes) -> list[tuple[str, bytes]]:
@@ -1107,11 +1141,9 @@ def test_cpnt_header_fuzzed_exit_3(name, index, small_corpus, tmp_path, capsys):
     victim.unlink()  # a hard link into the shared corpus
     victim.write_bytes(blob)
     out = tmp_path / "out"
-    assert main(["detect", "--corpus", str(corpus), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
+    err = detect_exit_3(corpus, out, capsys)
     assert err.startswith(f"error: {victim.parent}: {victim}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists() and not proposals_sibling(out).exists()
 
 
 BAD_IDS = [

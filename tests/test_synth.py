@@ -122,9 +122,10 @@ class TestGenerateScene:
     def test_box_count_beyond_the_image_rejected(self):
         # a box plus its gap covers at least 34 x 34 px of the 497 x 497 px
         assert MAX_BOXES == 213
-        SynthConfig(num_boxes=(MAX_BOXES, MAX_BOXES + 1))
-        with pytest.raises(ValueError, match=f"at most {MAX_BOXES}"):
-            SynthConfig(num_boxes=(MAX_BOXES + 1, MAX_BOXES + 1))
+        SynthConfig(num_boxes=(MAX_BOXES, MAX_BOXES))
+        for num_boxes in [(MAX_BOXES, MAX_BOXES + 1), (0, 2**63 - 1), (MAX_BOXES + 1, MAX_BOXES + 1)]:
+            with pytest.raises(ValueError, match=f"hi must be at most {MAX_BOXES}"):
+                SynthConfig(num_boxes=num_boxes)
 
 
 class TestCrossScene:
