@@ -3,7 +3,7 @@
 The package is organized around the stages of the pipeline:
 
 - :mod:`cornerdet.tensorio` -- dense float32 tensors and the CPNT file format
-- :mod:`cornerdet.geometry` -- boxes, the ground-truth row type, IoU
+- :mod:`cornerdet.geometry` -- boxes, the ground-truth and detection row types, IoU
 - :mod:`cornerdet.corners` -- heatmap decoding and training-target rendering
 - :mod:`cornerdet.proposals` -- corner pairing, RoIAlign and classifier heads over
   each feature map's listed channels

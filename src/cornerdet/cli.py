@@ -20,7 +20,6 @@ from cornerdet.evaluation import (
     load_ground_truth,
     records_to_dets,
     render_tables,
-    report_to_dict,
     require_known_images,
 )
 from cornerdet.geometry import InvariantError
@@ -150,10 +149,9 @@ def cmd_eval(args) -> int:
             proposals = dets
 
     report = build_report(dets, proposals, gts)
-    doc = report_to_dict(report)
     report_path = Path(args.report)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
     table = render_tables(report)
     table_path = report_path.with_suffix(report_path.suffix + ".txt")

@@ -18,26 +18,27 @@ Protocol summary:
   in the scale range (small < 32^2, medium in [32^2, 96^2), large >= 96^2).
 
 Metrics with no eligible ground truth are undefined: they are excluded
-from averages, reported as 0.0, and named in ``EvalReport.undefined``.
-All accumulation runs in float64.
+from averages, reported as 0.0, and named in the report's ``undefined``
+list. All accumulation runs in float64.
 
-Records are structured arrays (DET_DTYPE, GT_DTYPE). Each image and class
-gets one IoU matrix between its detections and ground truths, and the
-greedy match runs every AP and AF threshold over it, each scale view over a
-row and column subset. Each image gets one IoU matrix between its
-score-sorted proposals and ground truths, whose column maxima over the
-first 100 and 1000 rows give every AR value.
+Detections and proposals are geometry.DET_DTYPE rows, ground truths
+GT_DTYPE rows. Each image and class gets one IoU matrix between its
+detections and ground truths, and the greedy match runs every AP and AF
+threshold over it, each scale view over a row and column subset. Each
+image gets one IoU matrix between its score-sorted proposals and ground
+truths, whose column maxima over the first 100 and 1000 rows give every
+AR value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from cornerdet.geometry import InvariantError, iou_matrix
+from cornerdet.geometry import DET_DTYPE, InvariantError, iou_matrix
 
 AP_IOU_GRID = tuple((10 + i) / 20 for i in range(10))  # 0.50 .. 0.95
 AF_IOU_GRID = tuple((i + 1) / 20 for i in range(10))  # 0.05 .. 0.50
@@ -59,12 +60,28 @@ AR_AREA_BUCKETS = (
     (400.0**2, math.inf),
 )
 AR_ASPECT_BUCKETS = (5, 6, 7, 8)
+AR_AREA_NAMES = tuple(f"ar_area_bucket_{i + 1}" for i in range(len(AR_AREA_BUCKETS)))
+AR_ASPECT_NAMES = tuple(f"ar_aspect_{r}_1" for r in AR_ASPECT_BUCKETS)
 
-# ground truths and detections (or proposals), one row each; box is x1y1x2y2
-GT_DTYPE = np.dtype([("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
-DET_DTYPE = np.dtype(
-    [("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,)), ("score", np.float64)]
+# the report's three tables, each a (heading, metric name) per column
+TABLES = (
+    (
+        ("AP", "ap"), ("AP50", "ap50"), ("AP75", "ap75"),
+        ("AP_S", "ap_small"), ("AP_M", "ap_medium"), ("AP_L", "ap_large"),
+    ),
+    (
+        ("AR", "ar_1000"),
+        *((f"AR_{i + 1}+", name) for i, name in enumerate(AR_AREA_NAMES)),
+        *((f"AR_{r}:1", name) for r, name in zip(AR_ASPECT_BUCKETS, AR_ASPECT_NAMES)),
+    ),
+    (
+        ("AF", "af"), ("AF_5", "af5"), ("AF_25", "af25"), ("AF_50", "af50"),
+        ("AF_S", "af_small"), ("AF_M", "af_medium"), ("AF_L", "af_large"),
+    ),
 )
+
+# ground truths, one row each; box is x1y1x2y2
+GT_DTYPE = np.dtype([("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
 
 
 @dataclass(frozen=True)
@@ -226,54 +243,27 @@ def average_recall(proposals: np.ndarray, truth: np.ndarray) -> dict[str, float 
         "ar_100": _recall(best[0], everything),
         "ar_1000": _recall(best[1], everything),
         **{
-            f"ar_area_bucket_{i + 1}": _recall(best[1], (lo < area) & (area <= hi))
-            for i, (lo, hi) in enumerate(AR_AREA_BUCKETS)
+            name: _recall(best[1], (lo < area) & (area <= hi))
+            for name, (lo, hi) in zip(AR_AREA_NAMES, AR_AREA_BUCKETS)
         },
-        **{f"ar_aspect_{r}_1": _recall(best[1], aspect == r) for r in AR_ASPECT_BUCKETS},
+        **{name: _recall(best[1], aspect == r) for name, r in zip(AR_ASPECT_NAMES, AR_ASPECT_BUCKETS)},
     }
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Every headline metric plus geometry breakdowns.
-
-    Undefined metrics hold 0.0 and are listed by name in `undefined`.
-    `af_grid` stores the low-IoU AP values so AF stays recomputable.
-    """
-
-    ap: float
-    ap50: float
-    ap75: float
-    ap_small: float
-    ap_medium: float
-    ap_large: float
-    ar_100: float
-    ar_1000: float
-    ar_area_buckets: tuple[float, float, float, float]
-    ar_aspect_buckets: tuple[float, float, float, float]
-    af: float
-    af5: float
-    af25: float
-    af50: float
-    af_small: float
-    af_medium: float
-    af_large: float
-    af_grid: tuple[float, ...]
-    undefined: tuple[str, ...]
 
 
 # two areas near the float limit overflow in the union; that IoU is 0 (a
 # finite intersection over infinity) and numpy's warning would only add output
 @np.errstate(over="ignore")
-def build_report(dets: np.ndarray, proposals: np.ndarray, gts: GroundTruthSet) -> EvalReport:
-    """Assemble the full report from detections, raw proposals, and truth."""
-    ids = np.concatenate([dets["image_id"], proposals["image_id"]])
-    offenders = np.setdiff1d(ids, gts.image_ids)
-    if offenders.size:
-        raise ValueError(
-            f"records reference image ids absent from the ground truth: {offenders.tolist()}"
-        )
+def build_report(dets: np.ndarray, proposals: np.ndarray, gts: GroundTruthSet) -> dict:
+    """The report document of detections, raw proposals and truth, as eval writes it.
 
+    It holds every metric by name, except the AR buckets, which are listed
+    in AR_AREA_NAMES and AR_ASPECT_NAMES order as "ar_area_buckets" and
+    "ar_aspect_buckets"; "af_grid", the low-IoU AP values, so AF stays
+    recomputable; and "undefined", the names of the metrics without
+    eligible ground truth, which hold 0.0.
+    """
+    require_known_images(dets["image_id"], gts.image_ids, "detection")
+    require_known_images(proposals["image_id"], gts.image_ids, "proposal")
     dets = dets[_top_per_image(dets)]
     grids = average_precision(dets, gts.records)
     n = len(AP_IOU_GRID)
@@ -301,65 +291,31 @@ def build_report(dets: np.ndarray, proposals: np.ndarray, gts: GroundTruthSet) -
         "af_medium": af[2],
         "af_large": af[3],
     }
-    undefined = tuple(name for name, value in metrics.items() if value is None)
-    values = {name: 0.0 if value is None else value for name, value in metrics.items()}
-    area = tuple(values.pop(f"ar_area_bucket_{i + 1}") for i in range(len(AR_AREA_BUCKETS)))
-    aspect = tuple(values.pop(f"ar_aspect_{r}_1") for r in AR_ASPECT_BUCKETS)
-    return EvalReport(
-        **values,
-        ar_area_buckets=area,
-        ar_aspect_buckets=aspect,
-        af_grid=tuple(0.0 if v is None else v for v in full[n:]),
-        undefined=undefined,
-    )
+    report = {name: 0.0 if value is None else value for name, value in metrics.items()}
+    report["ar_area_buckets"] = [report.pop(name) for name in AR_AREA_NAMES]
+    report["ar_aspect_buckets"] = [report.pop(name) for name in AR_ASPECT_NAMES]
+    report["af_grid"] = [0.0 if v is None else v for v in full[n:]]
+    report["undefined"] = [name for name, value in metrics.items() if value is None]
+    return report
 
 
-def render_tables(report: EvalReport) -> str:
-    """Aligned plain-text tables in the AR and AF column orders."""
-
-    def fmt(name: str, value: float) -> str:
-        return "  n/a" if name in report.undefined else f"{100.0 * value:5.1f}"
-
-    ap_head = ["AP", "AP50", "AP75", "AP_S", "AP_M", "AP_L"]
-    ap_vals = [
-        fmt("ap", report.ap),
-        fmt("ap50", report.ap50),
-        fmt("ap75", report.ap75),
-        fmt("ap_small", report.ap_small),
-        fmt("ap_medium", report.ap_medium),
-        fmt("ap_large", report.ap_large),
-    ]
-    ar_head = ["AR", "AR_1+", "AR_2+", "AR_3+", "AR_4+", "AR_5:1", "AR_6:1", "AR_7:1", "AR_8:1"]
-    ar_vals = [fmt("ar_1000", report.ar_1000)]
-    ar_vals += [
-        fmt(f"ar_area_bucket_{i + 1}", v) for i, v in enumerate(report.ar_area_buckets)
-    ]
-    ar_vals += [
-        fmt(f"ar_aspect_{r}_1", v)
-        for r, v in zip(AR_ASPECT_BUCKETS, report.ar_aspect_buckets)
-    ]
-    af_head = ["AF", "AF_5", "AF_25", "AF_50", "AF_S", "AF_M", "AF_L"]
-    af_vals = [
-        fmt("af", report.af),
-        fmt("af5", report.af5),
-        fmt("af25", report.af25),
-        fmt("af50", report.af50),
-        fmt("af_small", report.af_small),
-        fmt("af_medium", report.af_medium),
-        fmt("af_large", report.af_large),
-    ]
-
+def render_tables(report: dict) -> str:
+    """Aligned plain-text tables of a build_report document, one per TABLES entry."""
+    values = {
+        **report,
+        **dict(zip(AR_AREA_NAMES, report["ar_area_buckets"])),
+        **dict(zip(AR_ASPECT_NAMES, report["ar_aspect_buckets"])),
+    }
     lines = []
-    for head, vals in ((ap_head, ap_vals), (ar_head, ar_vals), (af_head, af_vals)):
-        lines.append(" | ".join(f"{h:>7}" for h in head))
-        lines.append(" | ".join(f"{v:>7}" for v in vals))
+    for table in TABLES:
+        cells = [
+            "n/a" if name in report["undefined"] else f"{100.0 * values[name]:.1f}"
+            for _, name in table
+        ]
+        lines.append(" | ".join(f"{head:>7}" for head, _ in table))
+        lines.append(" | ".join(f"{cell:>7}" for cell in cells))
         lines.append("")
     return "\n".join(lines)
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """The report's fields by name; json writes the tuples as arrays."""
-    return asdict(report)
 
 
 # -- parsing -------------------------------------------------------------------

@@ -13,6 +13,10 @@ import numpy as np
 
 # ground-truth rows: an x1y1x2y2 box and its class in [0, C)
 TRUTH_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64)])
+# detections or proposals across images, as detect dumps them and eval reads them
+DET_DTYPE = np.dtype(
+    [("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,)), ("score", np.float64)]
+)
 
 
 class InvariantError(RuntimeError):

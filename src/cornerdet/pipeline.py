@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
+from cornerdet.geometry import DET_DTYPE
 from cornerdet.postprocess import (
     OBJECTNESS_THRESHOLD,
-    RECORD_DTYPE,
     SOFT_NMS_PRUNE,
     SOFT_NMS_SIGMA,
     TOP_K,
@@ -109,7 +109,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
 
 @dataclass(frozen=True)
 class CorpusRun:
-    """Both dumps' RECORD_DTYPE rows in manifest order, and each scene's time."""
+    """Both dumps' DET_DTYPE rows in manifest order, and each scene's time."""
 
     detection_records: np.ndarray
     proposal_records: np.ndarray
@@ -179,7 +179,7 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
         ) as pool:
             outcomes = list(pool.map(_detect_in_worker, entries))
 
-    empty = np.empty(0, RECORD_DTYPE)
+    empty = np.empty(0, DET_DTYPE)
     dets = [detection_records(i, result.detections) for i, result, _ in outcomes]
     props = [detection_records(i, result.proposals) for i, result, _ in outcomes]
     return CorpusRun(

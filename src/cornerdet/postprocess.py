@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from cornerdet.geometry import DET_DTYPE
+
 OBJECTNESS_THRESHOLD = 0.2
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
@@ -176,28 +178,15 @@ def _decay(col: np.ndarray, b: int, sigma: float, prune: float) -> np.ndarray:
     return col.compress(keep, axis=1)
 
 
-# one dump record: image id, COCO-style [x, y, w, h] box, class id and score
-RECORD_DTYPE = np.dtype(
-    [
-        ("image_id", np.int64),
-        ("box", np.float64, (4,)),
-        ("class_id", np.int64),
-        ("score", np.float64),
-    ]
-)
-
-
 def detection_records(image_id: int, dets: np.ndarray) -> np.ndarray:
-    """Dump records of one image, as RECORD_DTYPE rows in the order of `dets`.
+    """One image's DET_DTYPE rows, in the order of its BOX_DTYPE `dets`.
 
     Serves both dumps: detections, and proposals scored by corner score.
     """
-    records = np.empty(len(dets), RECORD_DTYPE)
+    records = np.empty(len(dets), DET_DTYPE)
     records["image_id"] = image_id
-    records["box"] = dets["box"]
-    records["box"][:, 2:] -= dets["box"][:, :2]
-    records["class_id"] = dets["class_id"]
-    records["score"] = dets["score"]
+    for name in ("class_id", "box", "score"):
+        records[name] = dets[name]
     return records
 
 
@@ -226,23 +215,27 @@ def _spelled(column: np.ndarray) -> list[str]:
     return text[where].tolist()
 
 
+# the dump spells NaN and Infinity itself, so a width or height that
+# overflows, or is NaN, needs no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def write_detections(path, records: np.ndarray) -> None:
-    """Write a dump of RECORD_DTYPE rows as one JSON array of objects.
+    """Write a dump of DET_DTYPE rows as one JSON array of objects.
 
     The bytes are those of json.dump(dicts, fh, sort_keys=True, indent=1)
     followed by a newline, where each dict holds a row's "image_id",
-    "category_id" (class_id), "bbox" (box as a list) and "score". Anything
-    but a 1-D RECORD_DTYPE array raises a ValueError before the file is
-    opened.
+    "category_id" (class_id), "bbox" ([x1, y1, x2 - x1, y2 - y1] of its box)
+    and "score". Anything but a 1-D DET_DTYPE array raises a ValueError
+    before the file is opened.
     """
-    want = "records must be a 1-D RECORD_DTYPE array"
+    want = "records must be a 1-D DET_DTYPE array"
     if not isinstance(records, np.ndarray):
         raise ValueError(f"{want}, got {type(records).__name__}")
-    if records.dtype != RECORD_DTYPE or records.ndim != 1:
+    if records.dtype != DET_DTYPE or records.ndim != 1:
         raise ValueError(f"{want}, got a {records.ndim}-D array of {records.dtype}")
     stride = len(_LAYOUT)
     parts = list(_LAYOUT) * len(records)
-    columns = (*records["box"].T, records["class_id"], records["image_id"], records["score"])
+    x1, y1, x2, y2 = records["box"].T
+    columns = (x1, y1, x2 - x1, y2 - y1, records["class_id"], records["image_id"], records["score"])
     for at, column in zip(range(1, stride, 2), columns):
         parts[at::stride] = _spelled(column)
     if parts:

@@ -173,7 +173,6 @@ def _separated(box: tuple, placed: list[tuple]) -> bool:
 
 def _sample_box(
     rng: np.random.Generator,
-    cfg: SynthConfig,
     force_aspect: tuple[float, float] | None = None,
     force_area: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float] | None:
@@ -231,7 +230,6 @@ def generate_scene(
             for _ in range(200):
                 box = _sample_box(
                     rng,
-                    cfg,
                     force_aspect=force_aspect if k == 0 else None,
                     force_area=force_area if k == 0 else None,
                 )

@@ -1,4 +1,4 @@
-"""Brute-force detection-metrics evaluator for cross-checking EvalReport.
+"""Brute-force detection-metrics evaluator for cross-checking evaluation.build_report.
 
 Re-implements the documented evaluation protocol with plain dictionaries,
 lists, and quadratic scans; shares nothing with cornerdet.evaluation except
@@ -144,7 +144,7 @@ AREA_BUCKETS = [
 
 
 def brute_report(dets, proposals, gts):
-    """Every EvalReport field, as a dict; undefined values become 0.0."""
+    """Every key of build_report's document; undefined values become 0.0."""
     dets = _truncate(dets)
     undefined = []
 

@@ -8,7 +8,6 @@ import brute_eval
 from cornerdet.evaluation import (
     AF_IOU_GRID,
     AP_IOU_GRID,
-    DET_DTYPE,
     GT_DTYPE,
     THRESHOLDS,
     GroundTruthSet,
@@ -19,9 +18,8 @@ from cornerdet.evaluation import (
     load_ground_truth,
     records_to_dets,
     render_tables,
-    report_to_dict,
 )
-from cornerdet.geometry import BBox, InvariantError, iou, iou_matrix
+from cornerdet.geometry import DET_DTYPE, BBox, InvariantError, iou, iou_matrix
 
 
 def d(img, cls, box, score):
@@ -192,22 +190,22 @@ class TestAverageFalseDiscovery:
         dets = dets_of([d(0, 0, (0, 0, 10, 10), 0.9)])
         gts = gts_of([g(0, 0, (0, 0, 10, 10))])
         report = build_report(dets, dets, gt_set(gts))
-        assert report.af == 0.0 and report.af5 == 0.0 and report.af50 == 0.0
+        assert report["af"] == 0.0 and report["af5"] == 0.0 and report["af50"] == 0.0
 
     def test_no_detections(self):
         gts = gts_of([g(0, 0, (0, 0, 10, 10))])
         report = build_report(dets_of([]), dets_of([]), gt_set(gts))
-        assert report.af == 1.0
+        assert report["af"] == 1.0
 
     def test_identity_with_grid(self):
         rng = np.random.default_rng(31)
         dets, gts = random_instance(rng)
         report = build_report(dets, dets, gt_set(gts, n_images=2))
-        grid = report.af_grid
-        assert report.af == 1.0 - math.fsum(grid) / len(grid)
-        assert report.af5 == 1.0 - grid[0]
-        assert report.af25 == 1.0 - grid[4]
-        assert report.af50 == 1.0 - grid[9]
+        grid = report["af_grid"]
+        assert report["af"] == 1.0 - math.fsum(grid) / len(grid)
+        assert report["af5"] == 1.0 - grid[0]
+        assert report["af25"] == 1.0 - grid[4]
+        assert report["af50"] == 1.0 - grid[9]
         assert AF_IOU_GRID[0] == 0.05 and AF_IOU_GRID[9] == 0.5
 
 
@@ -290,7 +288,7 @@ def to_brute(records):
 
 def assert_matches_brute(dets, props, gts):
     """The report of one instance against brute_eval at 1e-9; returns the report."""
-    report = report_to_dict(build_report(dets, props, gt_set(gts, n_images=2)))
+    report = build_report(dets, props, gt_set(gts, n_images=2))
     brute = brute_eval.brute_report(to_brute(dets), to_brute(props), to_brute(gts))
     for key, want in brute.items():
         got = report[key]
@@ -306,30 +304,32 @@ def assert_matches_brute(dets, props, gts):
 class TestBuildReport:
     def test_empty_everything_flagged(self):
         report = build_report(dets_of([]), dets_of([]), gt_set(gts_of([]), n_images=1))
-        doc = report_to_dict(report)
-        assert "ap" in report.undefined and "af" in report.undefined
+        assert "ap" in report["undefined"] and "af" in report["undefined"]
         for key in ("ap", "ap50", "af", "ar_100"):
-            assert doc[key] == 0.0
+            assert report[key] == 0.0
 
     def test_perfect_pipeline(self):
         gts = gts_of([g(0, 0, (0, 0, 50, 50)), g(1, 1, (10, 10, 200, 150))])
         dets = dets_of([d(0, 0, (0, 0, 50, 50), 1.0), d(1, 1, (10, 10, 200, 150), 0.9)])
         report = build_report(dets, dets, gt_set(gts))
-        assert report.ap == 1.0
-        assert report.ar_100 == 1.0 and report.ar_1000 == 1.0
-        assert report.af == 0.0
+        assert report["ap"] == 1.0
+        assert report["ar_100"] == 1.0 and report["ar_1000"] == 1.0
+        assert report["af"] == 0.0
 
     def test_id_mismatch_lists_offenders(self):
         gts = gts_of([g(0, 0, (0, 0, 50, 50))])
-        dets = dets_of([d(5, 0, (0, 0, 50, 50), 1.0), d(9, 0, (0, 0, 50, 50), 1.0)])
-        with pytest.raises(ValueError, match=r"\[5, 9\]"):
-            build_report(dets, dets_of([]), gt_set(gts, n_images=1))
+        dets = dets_of([d(img, 0, (0, 0, 50, 50), 1.0) for img in (0, 5, 9)])
+        # detections first, then proposals, each naming its first offender
+        with pytest.raises(ValueError, match=r"^detection 1: image_id 5 is not among the images$"):
+            build_report(dets, dets, gt_set(gts, n_images=1))
+        with pytest.raises(ValueError, match=r"^proposal 1: image_id 5 is not among the images$"):
+            build_report(dets[:1], dets, gt_set(gts, n_images=1))
 
     def test_af_recomputable_from_grid(self):
         rng = np.random.default_rng(77)
         dets, gts = random_instance(rng)
         report = build_report(dets, dets, gt_set(gts, n_images=2))
-        assert report.af == 1.0 - math.fsum(report.af_grid) / len(report.af_grid)
+        assert report["af"] == 1.0 - math.fsum(report["af_grid"]) / len(report["af_grid"])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1234)
@@ -381,6 +381,33 @@ def test_render_tables_layout():
     assert ar_header == "AR|AR_1+|AR_2+|AR_3+|AR_4+|AR_5:1|AR_6:1|AR_7:1|AR_8:1"
     af_header = lines[6].replace(" ", "")
     assert af_header == "AF|AF_5|AF_25|AF_50|AF_S|AF_M|AF_L"
+
+
+def test_render_tables_cells_follow_their_headings():
+    # every cell a distinct value, so a cell under another heading shows
+    columns = {
+        "AP": "ap", "AP50": "ap50", "AP75": "ap75",
+        "AP_S": "ap_small", "AP_M": "ap_medium", "AP_L": "ap_large",
+        "AR": "ar_1000", "AR_1+": 0, "AR_2+": 1, "AR_3+": 2, "AR_4+": 3,
+        "AR_5:1": 4, "AR_6:1": 5, "AR_7:1": 6, "AR_8:1": 7,
+        "AF": "af", "AF_5": "af5", "AF_25": "af25", "AF_50": "af50",
+        "AF_S": "af_small", "AF_M": "af_medium", "AF_L": "af_large",
+    }
+    report = {name: i / 100 for i, name in enumerate(columns.values()) if isinstance(name, str)}
+    report["ar_area_buckets"] = [0.51, 0.52, 0.53, 0.54]
+    report["ar_aspect_buckets"] = [0.55, 0.56, 0.57, 0.58]
+    report["undefined"] = ["ap75", "ar_area_bucket_2", "ar_aspect_8_1"]
+    lines = render_tables(report).splitlines()
+    cells = {}
+    for head, row in ((lines[0], lines[1]), (lines[3], lines[4]), (lines[6], lines[7])):
+        cells.update(zip(head.replace(" ", "").split("|"), row.replace(" ", "").split("|")))
+    buckets = report["ar_area_buckets"] + report["ar_aspect_buckets"]
+    want = {
+        head: f"{100.0 * (report[name] if isinstance(name, str) else buckets[name]):.1f}"
+        for head, name in columns.items()
+    }
+    want.update({"AP75": "n/a", "AR_2+": "n/a", "AR_8:1": "n/a"})
+    assert cells == want
 
 
 def test_ground_truth_roundtrip(tmp_path):

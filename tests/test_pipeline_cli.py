@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 
 from cornerdet import pipeline
 from cornerdet.cli import load_config, main, proposals_sibling
-from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets, report_to_dict
+from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets
+from cornerdet.geometry import DET_DTYPE
 from cornerdet.pipeline import PipelineConfig, run_corpus
 from cornerdet.postprocess import (
     OBJECTNESS_THRESHOLD,
-    RECORD_DTYPE,
     SOFT_NMS_PRUNE,
     SOFT_NMS_SIGMA,
     TOP_K,
@@ -149,7 +149,7 @@ class TestCliFlow:
         dets = records_to_dets(read_detections(dump))
         props = records_to_dets(read_detections(proposals_sibling(dump)))
         gts = load_ground_truth(small_corpus / "ground_truth.json")
-        doc = report_to_dict(build_report(dets, props, gts))
+        doc = build_report(dets, props, gts)
         expected = json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert report_path.read_text() == expected
 
@@ -161,7 +161,7 @@ class TestCliFlow:
         assert dump.read_text() == proposals_sibling(dump).read_text() == "[]\n"
         for workers in (1, 2):
             run = run_corpus(corpus, PipelineConfig(), workers=workers)
-            assert run.detection_records.dtype == run.proposal_records.dtype == RECORD_DTYPE
+            assert run.detection_records.dtype == run.proposal_records.dtype == DET_DTYPE
             assert len(run.detection_records) == len(run.proposal_records) == 0
 
     def test_k_override_limits_proposals(self, tmp_path):
@@ -260,7 +260,7 @@ class TestCliFlow:
         out = capsys.readouterr().out
         assert out.startswith("no proposal dump found; recall metrics use the detections\n")
         dets = records_to_dets(read_detections(dump))
-        want = report_to_dict(build_report(dets, dets, load_ground_truth(gt)))
+        want = build_report(dets, dets, load_ground_truth(gt))
         assert json.loads(report_path.read_text())["ar_1000"] == want["ar_1000"]
         assert report_path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
 
@@ -616,7 +616,7 @@ def test_run_corpus_records_equal_across_workers(small_corpus):
     two = run_corpus(small_corpus, PipelineConfig(), workers=2)
     for field in ("detection_records", "proposal_records"):
         a, b = getattr(one, field), getattr(two, field)
-        assert a.dtype == b.dtype == RECORD_DTYPE
+        assert a.dtype == b.dtype == DET_DTYPE
         assert a.tobytes() == b.tobytes()
     assert len(one.proposal_records) > len(one.detection_records) > 0
     # manifest order: image ids never decrease along either dump
@@ -709,6 +709,30 @@ def test_noisy_dumps_pinned(tmp_path):
     assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (dump, proposals_sibling(dump))}
     assert got == NOISY_DUMP_SHA256
+
+
+# sha256 of the report and its tables for the same noisy corpus; its
+# undefined metrics put n/a cells in both AR bucket groups
+NOISY_REPORT_SHA256 = {
+    "report.json": "8bea6dd31e7db81e5173489aa92eb1cf1cf214fe5e7ae594addb0efa09910dcc",
+    "report.json.txt": "94c92ba03c2be8432fd7d2102833049c5a2c49ff1b39f128ac188cf9d6d3f2bb",
+}
+
+
+def test_noisy_report_pinned(tmp_path):
+    corpus = tmp_path / "noisy"
+    write_corpus(corpus, SynthConfig(noise=0.3), count=3, seed=61)
+    dump, report = tmp_path / "dets.json", tmp_path / "report.json"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(dump)]) == 0
+    gt = corpus / "ground_truth.json"
+    assert main(["eval", "--dets", str(dump), "--gt", str(gt), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["undefined"] == [
+        "ar_area_bucket_2",
+        "ar_area_bucket_3",
+        "ar_aspect_6_1",
+    ]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, tmp_path / "report.json.txt")}
+    assert got == NOISY_REPORT_SHA256
 
 
 # sha256 of the ground truth and manifest of two fixed corpora: the noisy one

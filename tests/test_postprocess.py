@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cornerdet.postprocess import (
-    RECORD_DTYPE,
     detection_records,
     filter_by_objectness,
     fuse_scores,
@@ -17,7 +17,7 @@ from cornerdet.postprocess import (
     soft_nms,
     write_detections,
 )
-from cornerdet.geometry import iou_matrix
+from cornerdet.geometry import DET_DTYPE, iou_matrix
 from cornerdet.proposals import BOX_DTYPE
 from oracles import naive_soft_nms
 
@@ -326,9 +326,9 @@ class TestTopK:
 def test_detection_dump_roundtrip(tmp_path):
     dets = boxes(det(1.5, 2.5, 11.5, 22.5, cls=4, score=0.25))
     records = detection_records(7, dets)
-    assert records.dtype == RECORD_DTYPE
+    assert records.dtype == DET_DTYPE
     assert records["image_id"].tolist() == [7]
-    assert records["box"].tolist() == [[1.5, 2.5, 10.0, 20.0]]
+    assert records["box"].tolist() == [[1.5, 2.5, 11.5, 22.5]]
     assert records["class_id"].tolist() == [4] and records["score"].tolist() == [0.25]
     path = tmp_path / "dets.json"
     write_detections(path, records)
@@ -345,7 +345,7 @@ def test_detection_records_keep_row_order():
     dets = boxes(det(0, 0, 4, 4, cls=2, score=0.9), det(-1.0, 3.0, 2.0, 3.5, cls=0, score=0.1))
     records = detection_records(-3, dets)
     assert records["image_id"].tolist() == [-3, -3]
-    assert records["box"].tolist() == [[0.0, 0.0, 4.0, 4.0], [-1.0, 3.0, 3.0, 0.5]]
+    assert records["box"].tolist() == [[0.0, 0.0, 4.0, 4.0], [-1.0, 3.0, 2.0, 3.5]]
     assert records["class_id"].tolist() == [2, 0]
     assert records["score"].tolist() == [0.9, 0.1]
     assert len(detection_records(0, dets[:0])) == 0
@@ -378,34 +378,40 @@ EDGE_FLOATS = [
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
-rows = st.tuples(int64s, st.tuples(*[st.floats()] * 4), int64s, st.floats())
+rows = st.tuples(int64s, int64s, st.tuples(*[st.floats()] * 4), st.floats())
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(rows, max_size=6))
 @example([])
-@example([(7, (1.5, 2.5, 10.0, 20.0), 4, 0.25)])
-@example([(INT64_MIN, (0.0, -0.0, 5e-324, -5e-324), INT64_MAX, -0.0)])
-@example([(0, (0.0, -0.0, 0.0, -0.0), 0, 0.0), (0, (-0.0, 0.0, -0.0, 0.0), 0, -0.0)])
+@example([(7, 4, (1.5, 2.5, 11.5, 22.5), 0.25)])
+@example([(INT64_MIN, INT64_MAX, (0.0, -0.0, 5e-324, -5e-324), -0.0)])
+@example([(0, 0, (0.0, -0.0, -0.0, 0.0), 0.0), (0, 0, (-0.0, 0.0, 0.0, -0.0), -0.0)])
+@example([(0, 0, (-1e308, -1e308, 1e308, 1e308), 0.5)])  # width and height overflow
 @example(
     [
-        (INT64_MAX - i, tuple(EDGE_FLOATS[i : i + 4]), INT64_MIN + i, EDGE_FLOATS[i - 1])
+        (INT64_MAX - i, INT64_MIN + i, tuple(EDGE_FLOATS[i : i + 4]), EDGE_FLOATS[i - 1])
         for i in range(len(EDGE_FLOATS) - 3)
     ]
 )
+@example([(i, -i, (0.0, 0.0, w, EDGE_FLOATS[-1 - i]), 0.5) for i, w in enumerate(EDGE_FLOATS)])
 def test_write_detections_matches_json_dump(tmp_path, recs):
-    # the oracle sees the drawn Python numbers, never the array
+    # the oracle sees the drawn Python numbers, never the array, and takes
+    # the bbox width and height as Python float differences of the corners
     dicts = [
-        {"image_id": i, "category_id": c, "bbox": list(box), "score": s} for i, box, c, s in recs
+        {"image_id": i, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1], "score": s}
+        for i, c, (x1, y1, x2, y2), s in recs
     ]
     path = tmp_path / "dets.json"
-    write_detections(path, np.array(recs, dtype=RECORD_DTYPE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing or NaN width warns nothing
+        write_detections(path, np.array(recs, dtype=DET_DTYPE))
     assert path.read_bytes() == json_dump_bytes(dicts)
 
 
 def record_fields(**changes):
-    """RECORD_DTYPE's fields with some retyped, dropped (None) or added."""
-    fields = {name: RECORD_DTYPE.fields[name][0] for name in RECORD_DTYPE.names}
+    """DET_DTYPE's fields with some retyped, dropped (None) or added."""
+    fields = {name: DET_DTYPE.fields[name][0] for name in DET_DTYPE.names}
     fields.update(changes)
     return np.zeros(2, dtype=[(name, t) for name, t in fields.items() if t is not None])
 
@@ -429,9 +435,9 @@ BAD_RECORDS = [
         "must be an object, got list",
     ),
     (np.zeros(2, dtype=BOX_DTYPE), "detections, not records"),
-    (np.zeros((2, 1), dtype=RECORD_DTYPE), "a 2-D array"),
-    (np.zeros((), dtype=RECORD_DTYPE), "a 0-D array"),
-    (np.zeros(2, dtype=RECORD_DTYPE.descr[::-1]), "fields in another order"),
+    (np.zeros((2, 1), dtype=DET_DTYPE), "a 2-D array"),
+    (np.zeros((), dtype=DET_DTYPE), "a 0-D array"),
+    (np.zeros(2, dtype=DET_DTYPE.descr[::-1]), "fields in another order"),
     (None, "no records"),
 ]
 
@@ -439,7 +445,7 @@ BAD_RECORDS = [
 @pytest.mark.parametrize("bad, message", BAD_RECORDS)
 def test_write_detections_rejects_other_shapes(tmp_path, bad, message):
     path = tmp_path / "dets.json"
-    with pytest.raises(ValueError, match="^records must be a 1-D RECORD_DTYPE array, got "):
+    with pytest.raises(ValueError, match="^records must be a 1-D DET_DTYPE array, got "):
         write_detections(path, bad)
     assert not path.exists(), message
 
