@@ -15,11 +15,12 @@ The package is organized around the stages of the pipeline:
 - :mod:`cornerdet.cli` -- ``detect`` / ``synth`` / ``eval`` subcommands
 """
 
-from cornerdet.geometry import TRUTH_DTYPE, BBox, iou
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, BBox, iou
 from cornerdet.tensorio import TensorFormatError, load_tensor, store_tensor
 
 __all__ = [
     "BBox",
+    "DET_DTYPE",
     "TRUTH_DTYPE",
     "iou",
     "TensorFormatError",

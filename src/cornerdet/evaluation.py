@@ -22,12 +22,12 @@ from averages, reported as 0.0, and named in the report's ``undefined``
 list. All accumulation runs in float64.
 
 Detections and proposals are geometry.DET_DTYPE rows, ground truths
-GT_DTYPE rows. Each image and class gets one IoU matrix between its
-detections and ground truths, and the greedy match runs every AP and AF
-threshold over it, each scale view over a row and column subset. Each
-image gets one IoU matrix between its score-sorted proposals and ground
-truths, whose column maxima over the first 100 and 1000 rows give every
-AR value.
+geometry.TRUTH_DTYPE rows. Each image and class gets one IoU matrix
+between its detections and ground truths, and the greedy match runs every
+AP and AF threshold over it, each scale view over a row and column
+subset. Each image gets one IoU matrix between its score-sorted proposals
+and ground truths, whose column maxima over the first 100 and 1000 rows
+give every AR value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cornerdet.geometry import DET_DTYPE, InvariantError, iou_matrix
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, InvariantError, iou_matrix
 
 AP_IOU_GRID = tuple((10 + i) / 20 for i in range(10))  # 0.50 .. 0.95
 AF_IOU_GRID = tuple((i + 1) / 20 for i in range(10))  # 0.05 .. 0.50
@@ -80,14 +80,10 @@ TABLES = (
     ),
 )
 
-# ground truths, one row each; box is x1y1x2y2
-GT_DTYPE = np.dtype([("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
-
-
 @dataclass(frozen=True)
 class GroundTruthSet:
     image_ids: np.ndarray  # int64, distinct
-    records: np.ndarray  # GT_DTYPE
+    records: np.ndarray  # TRUTH_DTYPE
 
 
 def greedy_match(ious: np.ndarray, thresholds) -> np.ndarray:
@@ -403,9 +399,9 @@ def load_ground_truth(path) -> GroundTruthSet:
 
     The document must be an object whose three keys hold arrays of objects.
     Every id must be a JSON integer, every annotation bbox 4 finite numbers
-    [x, y, w, h] with w, h >= 0, and every annotation's image_id among the
-    images. Anything else raises a ValueError naming the file and, for an
-    entry, its index.
+    [x, y, w, h] with w, h >= 0, and every annotation's image_id and
+    category_id among the images and the categories. Anything else raises
+    a ValueError naming the file and, for an entry, its index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -432,12 +428,15 @@ def _ground_truth(doc) -> GroundTruthSet:
         doc["annotations"], "annotation", ("id", "image_id", "category_id", "bbox")
     )
     _ints(ann_ids, "annotation", "id")
-    records = np.zeros(len(ann_ids), dtype=GT_DTYPE)
+    records = np.zeros(len(ann_ids), dtype=TRUTH_DTYPE)
     records["image_id"] = _ints(images, "annotation", "image_id")
     records["class_id"] = _ints(classes, "annotation", "category_id")
     records["box"] = _boxes(bboxes, "annotation")
     (category_ids,) = _columns(doc["categories"], "category", ("id",))
-    _ints(category_ids, "category", "id")
+    unknown = ~np.isin(records["class_id"], _ints(category_ids, "category", "id"))
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ValueError(f"annotation {i}: category_id {records['class_id'][i]} is not among the categories")
     if len(np.unique(image_ids)) != len(image_ids):
         raise ValueError("duplicate image ids")
     require_known_images(records["image_id"], image_ids, "annotation")

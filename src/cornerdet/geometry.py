@@ -1,8 +1,13 @@
-"""Bounding boxes and overlap geometry.
+"""Bounding boxes, the two box-row types, and overlap geometry.
 
 Boxes use continuous corner coordinates (x1, y1, x2, y2) in image pixels;
 width is x2 - x1 with no "+1" pixel convention, which matches the sub-pixel
 corner positions produced by offset decoding.
+
+Every box row of the package is one of two structured dtypes defined here:
+TRUTH_DTYPE for ground truth and DET_DTYPE, the same fields plus a score,
+for proposals and detections. A row of a single image carries image_id 0
+until run_corpus or write_corpus assigns the manifest id.
 """
 
 from __future__ import annotations
@@ -11,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ground-truth rows: an x1y1x2y2 box and its class in [0, C)
-TRUTH_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64)])
-# detections or proposals across images, as detect dumps them and eval reads them
-DET_DTYPE = np.dtype(
-    [("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,)), ("score", np.float64)]
-)
+# ground-truth rows: image, class in [0, C) and an x1y1x2y2 box
+TRUTH_DTYPE = np.dtype([("image_id", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
+# proposals (scored by mean corner score) and detections (by fused score),
+# from pair enumeration through soft-NMS and the dumps to the evaluator
+DET_DTYPE = np.dtype(TRUTH_DTYPE.descr + [("score", np.float64)])
 
 
 class InvariantError(RuntimeError):

@@ -23,7 +23,6 @@ from cornerdet.postprocess import (
     SOFT_NMS_PRUNE,
     SOFT_NMS_SIGMA,
     TOP_K,
-    detection_records,
     filter_by_objectness,
     label_detections,
     soft_nms,
@@ -55,7 +54,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class SceneResult:
-    """Detections plus the raw proposals of one image, as BOX_DTYPE rows."""
+    """Detections plus the raw proposals of one image, as DET_DTYPE rows.
+
+    detect_bundle leaves their image_id 0; run_corpus's scenes carry the manifest id.
+    """
 
     detections: np.ndarray
     proposals: np.ndarray
@@ -117,13 +119,17 @@ class CorpusRun:
 
 
 def _detect_scene(corpus_dir: Path, weights: HeadWeights, config: PipelineConfig, entry):
-    """One manifest entry's (image id, SceneResult, seconds); a ValueError names the scene."""
+    """One manifest entry's (image id, SceneResult, seconds); a ValueError names the scene.
+
+    Both arrays of the SceneResult carry the entry's id as their image_id.
+    """
     start = time.perf_counter()
     scene_dir = corpus_dir / entry["dir"]
     try:
         result = detect_bundle(load_scene_bundle(scene_dir, weights), config)
     except ValueError as exc:
         raise ValueError(f"{scene_dir}: {exc}") from None
+    result.detections["image_id"] = result.proposals["image_id"] = entry["id"]
     return entry["id"], result, time.perf_counter() - start
 
 
@@ -180,10 +186,8 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
             outcomes = list(pool.map(_detect_in_worker, entries))
 
     empty = np.empty(0, DET_DTYPE)
-    dets = [detection_records(i, result.detections) for i, result, _ in outcomes]
-    props = [detection_records(i, result.proposals) for i, result, _ in outcomes]
     return CorpusRun(
-        detection_records=np.concatenate([empty, *dets]),
-        proposal_records=np.concatenate([empty, *props]),
+        detection_records=np.concatenate([empty, *(result.detections for _, result, _ in outcomes)]),
+        proposal_records=np.concatenate([empty, *(result.proposals for _, result, _ in outcomes)]),
         timings=[(image_id, elapsed) for image_id, _, elapsed in outcomes],
     )

@@ -4,7 +4,8 @@ The stages, in pipeline order: keep proposals whose objectness clears a low
 threshold (0.2 operating default), assign each survivor up to two class
 labels (corner class and the class head's argmax), fuse corner and head
 scores into one normalized confidence, and decay overlapping same-class
-boxes with Gaussian soft-NMS, which stops after the top 100.
+boxes with Gaussian soft-NMS, which stops after the top 100. Every stage
+takes and returns geometry.DET_DTYPE rows, and write_detections dumps them.
 """
 
 from __future__ import annotations
@@ -176,18 +177,6 @@ def _decay(col: np.ndarray, b: int, sigma: float, prune: float) -> np.ndarray:
     keep = col[5] >= prune
     keep[b] = False
     return col.compress(keep, axis=1)
-
-
-def detection_records(image_id: int, dets: np.ndarray) -> np.ndarray:
-    """One image's DET_DTYPE rows, in the order of its BOX_DTYPE `dets`.
-
-    Serves both dumps: detections, and proposals scored by corner score.
-    """
-    records = np.empty(len(dets), DET_DTYPE)
-    records["image_id"] = image_id
-    for name in ("class_id", "box", "score"):
-        records[name] = dets[name]
-    return records
 
 
 # json.dump(records, fh, sort_keys=True, indent=1) lays a record out as these

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from cornerdet.corners import STRIDE
+from cornerdet.geometry import DET_DTYPE
 from cornerdet.tensorio import load_tensor, store_tensor
 
 BOX_CHANNELS = 32
@@ -26,11 +27,6 @@ POOL_SIZE = 7
 ROI_CHUNK = 512
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
-
-# proposals, survivors and detections, one row per box: corners (x1, y1,
-# x2, y2) in image pixels, class, and score (the mean corner score of a
-# proposal, the fused score of a detection)
-BOX_DTYPE = np.dtype([("box", np.float64, (4,)), ("class_id", np.int64), ("score", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,7 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
     Takes the top-left and bottom-right keypoints as KEYPOINT_DTYPE arrays.
     A pair is valid when both corners share a class and the top-left corner
     lies strictly above and to the left of the bottom-right one. Returns
-    BOX_DTYPE rows scored by the mean of the two corner scores.
+    DET_DTYPE rows of image_id 0 scored by the mean of the two corner scores.
     """
     valid = (
         (tls["class_id"][:, None] == brs["class_id"][None, :])
@@ -146,7 +142,7 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
         & (tls["y"][:, None] < brs["y"][None, :])
     )
     ti, bj = np.nonzero(valid)  # row-major, so (tl index, br index) order
-    out = np.empty(ti.size, dtype=BOX_DTYPE)
+    out = np.zeros(ti.size, dtype=DET_DTYPE)
     out["box"] = np.column_stack([tls["x"][ti], tls["y"][ti], brs["x"][bj], brs["y"][bj]])
     out["class_id"] = tls["class_id"][ti]
     out["score"] = (tls["score"][ti] + brs["score"][bj]) / 2.0

@@ -122,7 +122,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground truth, as TRUTH_DTYPE rows, for one IMAGE_SIZE synthetic image."""
+    """Ground truth, as TRUTH_DTYPE rows of image_id 0, for one IMAGE_SIZE synthetic image."""
 
     truth: np.ndarray
     seed: int
@@ -242,7 +242,8 @@ def generate_scene(
             else:
                 break
         if len(boxes) == target:
-            return Scene(truth=np.array(list(zip(boxes, classes)), dtype=TRUTH_DTYPE), seed=seed)
+            truth = [(0, c, box) for box, c in zip(boxes, classes)]
+            return Scene(truth=np.array(truth, dtype=TRUTH_DTYPE), seed=seed)
     raise RenderBudgetError(
         f"cannot place {cfg.num_boxes} boxes within the image (seed {seed})"
     )
@@ -274,7 +275,7 @@ def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:
             for x1, y1, x2, y2 in (horiz, vert)
         ):
             cls = int(rng.integers(cfg.num_classes))
-            return Scene(truth=np.array([(horiz, cls), (vert, cls)], dtype=TRUTH_DTYPE), seed=seed)
+            return Scene(truth=np.array([(0, cls, horiz), (0, cls, vert)], dtype=TRUTH_DTYPE), seed=seed)
     raise RenderBudgetError(f"cannot place a cross arrangement (seed {seed})")
 
 

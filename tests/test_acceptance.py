@@ -16,6 +16,7 @@ import brute_eval
 from cornerdet.cli import main, proposals_sibling
 from cornerdet.corners import TOP_LEFT, decode_corners
 from cornerdet.evaluation import build_report
+from cornerdet.geometry import DET_DTYPE
 from cornerdet.losses import (
     loss_class,
     loss_class_grad,
@@ -30,7 +31,7 @@ from cornerdet.postprocess import (
     read_detections,
     soft_nms,
 )
-from cornerdet.proposals import BOX_DTYPE, enumerate_proposals, roi_align_batch
+from cornerdet.proposals import enumerate_proposals, roi_align_batch
 from cornerdet.synth import SynthConfig, write_corpus
 from oracles import (
     central_difference,
@@ -270,7 +271,7 @@ def test_criterion_5_soft_nms_oracle():
             boxes.append((float(x), float(y), float(x + bw), float(y + bh)))
             classes.append(int(rng.integers(4)))
             scores.append(float(rng.random()))
-        dets = np.array(list(zip(boxes, classes, scores)), dtype=BOX_DTYPE)
+        dets = np.array([(0, *row) for row in zip(classes, boxes, scores)], dtype=DET_DTYPE)
         got = soft_nms(dets, sigma=0.5, prune=1e-3)
         want = naive_soft_nms(boxes, scores, classes, sigma=0.5, prune=1e-3)
         got_rows = list(zip(got["box"].tolist(), got["class_id"].tolist(), got["score"].tolist()))
@@ -362,8 +363,8 @@ def test_criterion_8_monotonicity_and_ranges():
             x, y = rng.uniform(0, 60, 2)
             bw, bh = rng.uniform(2, 40, 2)
             box = (float(x), float(y), float(x + bw), float(y + bh))
-            rows.append((box, int(rng.integers(3)), float(rng.random())))
-        dets = np.array(rows, dtype=BOX_DTYPE)
+            rows.append((0, int(rng.integers(3)), box, float(rng.random())))
+        dets = np.array(rows, dtype=DET_DTYPE)
         for o in soft_nms(dets):
             same = np.all(dets["box"] == o["box"], axis=1) & (dets["class_id"] == o["class_id"])
             inputs = dets["score"][same]

@@ -15,8 +15,8 @@ from oracles import iou_xyxy, naive_local_max, naive_topk
 
 
 def truth(*rows) -> np.ndarray:
-    """TRUTH_DTYPE rows from ((x1, y1, x2, y2), class_id) pairs."""
-    return np.array(list(rows), dtype=TRUTH_DTYPE)
+    """TRUTH_DTYPE rows of image 0 from ((x1, y1, x2, y2), class_id) pairs."""
+    return np.array([(0, c, box) for box, c in rows], dtype=TRUTH_DTYPE)
 
 
 def make_heatmaps(tl_heat, tl_off=None, br_heat=None, br_off=None):
@@ -303,8 +303,8 @@ def test_decode_roundtrip_recovers_corners():
     tls = decode_corners(hm, TOP_LEFT, len(gts))
     brs = decode_corners(hm, BOTTOM_RIGHT, len(gts))
     got_tl = {(c, round(x, 3), round(y, 3)) for c, x, y in tls[["class_id", "x", "y"]].tolist()}
-    want_tl = {(c, round(x1, 3), round(y1, 3)) for (x1, y1, _, _), c in gts.tolist()}
+    want_tl = {(c, round(x1, 3), round(y1, 3)) for _, c, (x1, y1, _, _) in gts.tolist()}
     assert got_tl == want_tl
     got_br = {(c, round(x, 3), round(y, 3)) for c, x, y in brs[["class_id", "x", "y"]].tolist()}
-    want_br = {(c, round(x2, 3), round(y2, 3)) for (_, _, x2, y2), c in gts.tolist()}
+    want_br = {(c, round(x2, 3), round(y2, 3)) for _, c, (_, _, x2, y2) in gts.tolist()}
     assert got_br == want_br

@@ -8,7 +8,6 @@ import brute_eval
 from cornerdet.evaluation import (
     AF_IOU_GRID,
     AP_IOU_GRID,
-    GT_DTYPE,
     THRESHOLDS,
     GroundTruthSet,
     average_precision,
@@ -19,7 +18,7 @@ from cornerdet.evaluation import (
     records_to_dets,
     render_tables,
 )
-from cornerdet.geometry import DET_DTYPE, BBox, InvariantError, iou, iou_matrix
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, BBox, InvariantError, iou, iou_matrix
 
 
 def d(img, cls, box, score):
@@ -35,7 +34,7 @@ def dets_of(rows):
 
 
 def gts_of(rows):
-    return np.array(rows, dtype=GT_DTYPE)
+    return np.array(rows, dtype=TRUTH_DTYPE)
 
 
 def gt_set(gts, n_images=None):
@@ -219,7 +218,7 @@ def random_instance(
     span=80.0,
     sizes=(2.0, 60.0),
 ):
-    """Detections and ground truths as DET_DTYPE and GT_DTYPE arrays.
+    """Detections and ground truths as DET_DTYPE and TRUTH_DTYPE arrays.
 
     About 60% of the detections jitter a ground truth, mostly keeping its
     class; the rest are random boxes.

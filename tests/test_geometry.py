@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cornerdet
+from cornerdet import corners, geometry
 from cornerdet.geometry import BBox, iou, iou_matrix
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -95,3 +100,26 @@ def test_iou_matrix_bit_exact_random(rows, cols):
     got, want = scalar_and_matrix(rows, cols)
     assert got.shape == (len(rows), len(cols))
     assert got.tobytes() == want.tobytes()
+
+
+def test_box_rows_come_in_two_types():
+    # every structured dtype a cornerdet module binds is one of these three
+    # objects: a module may re-import one, but never spell a box row anew
+    allowed = {
+        "geometry.TRUTH_DTYPE": geometry.TRUTH_DTYPE,
+        "geometry.DET_DTYPE": geometry.DET_DTYPE,
+        "corners.KEYPOINT_DTYPE": corners.KEYPOINT_DTYPE,
+    }
+    modules = [cornerdet] + [
+        importlib.import_module(f"cornerdet.{info.name}") for info in pkgutil.iter_modules(cornerdet.__path__)
+    ]
+    seen, strays = set(), []
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, np.dtype) and value.names is not None:
+                match = [key for key, dtype in allowed.items() if value is dtype]
+                seen.update(match)
+                if not match:
+                    strays.append(f"{module.__name__}.{name}")
+    assert strays == []
+    assert seen == set(allowed)

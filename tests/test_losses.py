@@ -208,7 +208,7 @@ class TestLossTotal:
 
 
 def test_label_proposals():
-    truth = np.array([((0, 0, 10, 10), 0), ((20, 20, 30, 30), 1)], dtype=TRUTH_DTYPE)
+    truth = np.array([(0, 0, (0, 0, 10, 10)), (0, 1, (20, 20, 30, 30))], dtype=TRUTH_DTYPE)
     labels = label_proposals(np.array([[0, 0, 10, 10], [21, 21, 30, 30]]), truth, 3)
     assert labels.shape == (2, 3)
     assert labels.max(axis=1)[0] == 1.0
@@ -227,7 +227,7 @@ def test_label_proposals_matches_scalar_iou():
     labels = label_proposals(boxes[:7], truth, 3)
     for m, box in enumerate(boxes[:7]):
         for c in range(3):
-            ious = [iou(BBox(*box), BBox(*t)) for t, k in truth.tolist() if k == c]
+            ious = [iou(BBox(*box), BBox(*t)) for _, k, t in truth.tolist() if k == c]
             assert labels[m, c] == max(ious, default=0.0)
 
 

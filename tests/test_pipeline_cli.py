@@ -623,6 +623,31 @@ def test_run_corpus_records_equal_across_workers(small_corpus):
     assert (np.diff(one.proposal_records["image_id"]) >= 0).all()
 
 
+def test_run_corpus_rows_are_each_scenes_rows_stamped(small_corpus):
+    # each image's slice of both dumps is its scene's detect_bundle rows, row
+    # for row, with image_id turned from 0 into the manifest id
+    weights = HeadWeights.load_bundle(small_corpus / "weights")
+    scenes = json.loads((small_corpus / "manifest.json").read_text())["scenes"]
+    wants = []
+    for entry in scenes:
+        bundle = load_scene_bundle(small_corpus / entry["dir"], weights)
+        result = pipeline.detect_bundle(bundle, PipelineConfig())
+        rows = {"detection_records": result.detections.copy(), "proposal_records": result.proposals.copy()}
+        for want in rows.values():
+            assert not want["image_id"].any()
+            want["image_id"] = entry["id"]
+        wants.append((entry["id"], rows))
+    assert len({entry["id"] for entry in scenes}) == len(scenes) > 1
+    for workers in (1, 2):
+        run = run_corpus(small_corpus, PipelineConfig(), workers=workers)
+        for field in ("detection_records", "proposal_records"):
+            got = getattr(run, field)
+            assert len(got) == sum(len(rows[field]) for _, rows in wants)
+            for image_id, rows in wants:
+                mine = got[got["image_id"] == image_id]
+                assert mine.tobytes() == rows[field].tobytes(), (workers, field, image_id)
+
+
 def test_pool_never_larger_than_the_corpus(small_corpus, tmp_path, monkeypatch):
     # a fork pool starts all its workers at once: --workers 1000000 must
     # ask for one per scene, not a million processes
@@ -678,7 +703,7 @@ def test_perfbench_detect_pass_smoke(bench, small_corpus, tmp_path):
 
 def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
     """A traced benchmark round on 3 noisy scenes: every layer check runs and
-    passes, only the two retired stages are absent, and tracing moves no dump."""
+    passes, only the four retired stages are absent, and tracing moves no dump."""
     monkeypatch.setattr(bench, "SCENES", 3)
     tracer, _, walls, _, _, dumps = bench.traced_round(SynthConfig(noise=0.3), 1, tmp_path)
     values, _ = bench.round_metrics(tracer, walls)
@@ -687,6 +712,7 @@ def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
     assert tracer.absent == [
         "cornerdet.pipeline.assign_labels",
         "cornerdet.pipeline.top_k_truncate",
+        "cornerdet.pipeline.detection_records",
         "cornerdet.evaluation.average_false_discovery",
     ]
     assert {(d.dets, d.props, d.n_dets, d.n_props) for d in dumps} == {
@@ -1175,6 +1201,7 @@ BAD_IDS = [
     ("dets", 1, "image_id", True, "record 1: image_id must be an integer, got true"),
     ("annotations", 0, "category_id", 0.5, "annotation 0: category_id must be an integer, got 0.5"),
     ("annotations", 0, "category_id", True, "annotation 0: category_id must be an integer, got true"),
+    ("annotations", 0, "category_id", 99, "annotation 0: category_id 99 is not among the categories"),
     ("annotations", 0, "id", 0.0, "annotation 0: id must be an integer, got 0.0"),
     ("images", 1, "id", 1.0, "image 1: id must be an integer, got 1.0"),
     ("categories", 1, "id", True, "category 1: id must be an integer, got true"),

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cornerdet.postprocess import (
-    detection_records,
     filter_by_objectness,
     fuse_scores,
     label_detections,
@@ -17,14 +16,13 @@ from cornerdet.postprocess import (
     soft_nms,
     write_detections,
 )
-from cornerdet.geometry import DET_DTYPE, iou_matrix
-from cornerdet.proposals import BOX_DTYPE
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, iou_matrix
 from oracles import naive_soft_nms
 
 
 def boxes(*rows):
-    """Scored boxes from (x1, y1, x2, y2, class_id, score) rows."""
-    return np.array([(r[:4], r[4], r[5]) for r in rows], dtype=BOX_DTYPE)
+    """DET_DTYPE rows of image 0 from (x1, y1, x2, y2, class_id, score) rows."""
+    return np.array([(0, r[4], r[:4], r[5]) for r in rows], dtype=DET_DTYPE)
 
 
 def det(x1, y1, x2, y2, cls=0, score=0.5):
@@ -289,7 +287,7 @@ class TestSoftNms:
 
     def test_empty_input(self):
         for k in (None, 0, 3):
-            assert soft_nms(boxes()[:0], limit=k).dtype == BOX_DTYPE
+            assert soft_nms(boxes()[:0], limit=k).dtype == DET_DTYPE
 
 
 def disjoint(scores, classes=None):
@@ -324,12 +322,8 @@ class TestTopK:
 
 
 def test_detection_dump_roundtrip(tmp_path):
-    dets = boxes(det(1.5, 2.5, 11.5, 22.5, cls=4, score=0.25))
-    records = detection_records(7, dets)
-    assert records.dtype == DET_DTYPE
-    assert records["image_id"].tolist() == [7]
-    assert records["box"].tolist() == [[1.5, 2.5, 11.5, 22.5]]
-    assert records["class_id"].tolist() == [4] and records["score"].tolist() == [0.25]
+    records = boxes(det(1.5, 2.5, 11.5, 22.5, cls=4, score=0.25))
+    records["image_id"] = 7
     path = tmp_path / "dets.json"
     write_detections(path, records)
     assert read_detections(path) == [
@@ -339,16 +333,6 @@ def test_detection_dump_roundtrip(tmp_path):
     blob = path.read_bytes()
     write_detections(path, records)
     assert path.read_bytes() == blob
-
-
-def test_detection_records_keep_row_order():
-    dets = boxes(det(0, 0, 4, 4, cls=2, score=0.9), det(-1.0, 3.0, 2.0, 3.5, cls=0, score=0.1))
-    records = detection_records(-3, dets)
-    assert records["image_id"].tolist() == [-3, -3]
-    assert records["box"].tolist() == [[0.0, 0.0, 4.0, 4.0], [-1.0, 3.0, 2.0, 3.5]]
-    assert records["class_id"].tolist() == [2, 0]
-    assert records["score"].tolist() == [0.9, 0.1]
-    assert len(detection_records(0, dets[:0])) == 0
 
 
 def json_dump_bytes(records) -> bytes:
@@ -434,7 +418,7 @@ BAD_RECORDS = [
         [{"image_id": 7, "category_id": 4, "bbox": [1.5, 2.5, 10.0, 20.0], "score": 0.25}],
         "must be an object, got list",
     ),
-    (np.zeros(2, dtype=BOX_DTYPE), "detections, not records"),
+    (np.zeros(2, dtype=TRUTH_DTYPE), "truth rows, not detections"),
     (np.zeros((2, 1), dtype=DET_DTYPE), "a 2-D array"),
     (np.zeros((), dtype=DET_DTYPE), "a 0-D array"),
     (np.zeros(2, dtype=DET_DTYPE.descr[::-1]), "fields in another order"),

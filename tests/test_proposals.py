@@ -5,9 +5,9 @@ import pytest
 
 from cornerdet import proposals
 from cornerdet.corners import KEYPOINT_DTYPE
+from cornerdet.geometry import DET_DTYPE
 from cornerdet.proposals import (
     BOX_CHANNELS,
-    BOX_DTYPE,
     CAT_CHANNELS,
     POOL_SIZE,
     FeatureMaps,
@@ -66,7 +66,7 @@ def pair_indices(tls, brs, props) -> list[tuple[int, int]]:
 class TestEnumerateProposals:
     def test_empty(self):
         props = enumerate_proposals(keypoints(), keypoints())
-        assert len(props) == 0 and props.dtype == BOX_DTYPE
+        assert len(props) == 0 and props.dtype == DET_DTYPE
 
     def test_two_by_two_example(self):
         tls = keypoints((0, 0, 0, 0.9), (1, 10, 10, 0.8))
@@ -74,7 +74,7 @@ class TestEnumerateProposals:
         props = enumerate_proposals(tls, brs)
         assert len(props) == 1
         (p,) = props
-        assert p["class_id"] == 0
+        assert p["image_id"] == 0 and p["class_id"] == 0
         assert tuple(p["box"]) == (0, 0, 50, 50)
         assert p["score"] == pytest.approx(0.75)
 

@@ -59,7 +59,8 @@ class TestGenerateScene:
             scene = generate_scene(cfg, seed=seed)
             h, w = IMAGE_SIZE
             assert 1 <= len(scene.truth) <= 6
-            for (x1, y1, x2, y2), class_id in scene.truth.tolist():
+            for image_id, class_id, (x1, y1, x2, y2) in scene.truth.tolist():
+                assert image_id == 0
                 assert 0 <= x1 < x2 <= w
                 assert 0 <= y1 < y2 <= h
                 assert 0 <= class_id < cfg.num_classes
@@ -160,7 +161,7 @@ class TestRenderOracle:
     def test_single_box_closed_loop(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=2)
-        (((x1, y1, x2, y2), class_id),) = scene.truth.tolist()
+        ((_, class_id, (x1, y1, x2, y2)),) = scene.truth.tolist()
         tls = decode_corners(bundle.heatmaps, TOP_LEFT, 2)
         brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, 2)
         assert tls[0]["x"] == pytest.approx(x1, abs=1e-3)
