@@ -3,7 +3,7 @@
 The package is organized around the stages of the pipeline:
 
 - :mod:`cornerdet.tensorio` -- dense float32 tensors and the CPNT file format
-- :mod:`cornerdet.geometry` -- boxes, the ground-truth and detection row types, IoU
+- :mod:`cornerdet.geometry` -- the ground-truth and detection row types, IoU
 - :mod:`cornerdet.corners` -- heatmap decoding and training-target rendering
 - :mod:`cornerdet.proposals` -- corner pairing, RoIAlign and classifier heads over
   each feature map's listed channels
@@ -15,14 +15,12 @@ The package is organized around the stages of the pipeline:
 - :mod:`cornerdet.cli` -- ``detect`` / ``synth`` / ``eval`` subcommands
 """
 
-from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, BBox, iou
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE
 from cornerdet.tensorio import TensorFormatError, load_tensor, store_tensor
 
 __all__ = [
-    "BBox",
     "DET_DTYPE",
     "TRUTH_DTYPE",
-    "iou",
     "TensorFormatError",
     "load_tensor",
     "store_tensor",

@@ -74,7 +74,9 @@ def local_max_suppress(heat: np.ndarray) -> np.ndarray:
     neighborhood_max = row_max.copy()
     np.maximum(neighborhood_max[:, 1:], row_max[:, :-1], out=neighborhood_max[:, 1:])
     np.maximum(neighborhood_max[:, :-1], row_max[:, 1:], out=neighborhood_max[:, :-1])
-    return np.where(heat == neighborhood_max, heat, np.float32(0.0))
+    # keep a maximum's bits and zero the rest: an integer multiply by the
+    # mask gives np.where's bytes at about half its cost on noisy maps
+    return (heat.view(np.uint32) * (heat == neighborhood_max)).view(np.float32)
 
 
 def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bounding boxes, the two box-row types, and overlap geometry.
+"""The two box-row types and overlap geometry.
 
 Boxes use continuous corner coordinates (x1, y1, x2, y2) in image pixels;
 width is x2 - x1 with no "+1" pixel convention, which matches the sub-pixel
@@ -11,8 +11,6 @@ until run_corpus or write_corpus assigns the manifest id.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,50 +25,14 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed."""
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box; x1 <= x2 and y1 <= y2 always hold."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ValueError(
-                f"invalid box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes, in [0, 1].
-
-    Symmetric; 1.0 exactly for identical boxes of positive area. Pairs with
-    empty intersection give 0.0, as does any pair of zero-area boxes (the
-    0/0 case is defined to be 0).
-    """
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every x1y1x2y2 row of `a` (N, 4) with every row of `b` (M, 4), as (N, M).
 
-    Each entry follows iou's operation order, so it equals iou of the two
-    boxes bit for bit, except where areas overflow to infinity and the
-    union is NaN: iou then gives NaN, this 0.0.
+    Each entry follows the operation order of the scalar reference
+    ``tests/oracles.py::iou_xyxy``, so it equals that of the two boxes bit
+    for bit, except where areas overflow to infinity and the union is NaN:
+    the reference then gives NaN, this 0.0. Pairs with empty intersection
+    give 0.0, as do zero-area boxes (the 0/0 case is defined to be 0).
     """
     ax1, ay1, ax2, ay2 = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
     bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]

@@ -11,6 +11,8 @@ feature map.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,13 +20,18 @@ import numpy as np
 
 from cornerdet.corners import STRIDE
 from cornerdet.geometry import DET_DTYPE
-from cornerdet.tensorio import load_tensor, store_tensor
+from cornerdet.tensorio import check_slices, load_tensor, store_tensor
 
 BOX_CHANNELS = 32
 CAT_CHANNELS = 256
 POOL_SIZE = 7
-# boxes RoIAlign pools at a time, which bounds the size of its temporaries
-ROI_CHUNK = 512
+# RoIAlign samples each box on a GRID x GRID lattice, 2 x 2 per bin
+GRID = 2 * POOL_SIZE
+# (box, channel) pairs RoIAlign pools per chunk, which bounds each thread's
+# scratch: about 4.8 MB at most (1,024 boxes of one channel), whatever the
+# number of boxes; a chunk holds at least one box, so only a map listing
+# more than ROI_CHUNK channels goes beyond it
+ROI_CHUNK = 1024
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
@@ -51,22 +58,8 @@ class FeatureMaps:
                 f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
                 f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
             )
-        _check_channels("box_channels", np.asarray(self.box_channels), BOX_CHANNELS)
-        _check_channels("cat_channels", np.asarray(self.cat_channels), CAT_CHANNELS)
-
-
-def _check_channels(name: str, channels: np.ndarray, depth: int) -> None:
-    """Raise unless `channels` is a 1-D ascending integer array within [0, depth)."""
-    if channels.ndim != 1 or (
-        channels.size
-        and (
-            channels.dtype.kind not in "iu"
-            or channels[0] < 0
-            or channels[-1] >= depth
-            or (np.diff(channels) <= 0).any()
-        )
-    ):
-        raise ValueError(f"{name} must be ascending integers in [0, {depth}), got {channels.tolist()}")
+        check_slices("box_channels", np.asarray(self.box_channels), BOX_CHANNELS)
+        check_slices("cat_channels", np.asarray(self.cat_channels), CAT_CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,30 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Scratch(threading.local):
+    """One thread's RoIAlign working arrays, kept from call to call.
+
+    Allocated afresh on every call, arrays this large go back to the system
+    when freed and fault their pages in again on the next call: glibc keeps
+    them only after it has freed some larger buffer, as a fresh process has
+    not.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float32) -> np.ndarray:
+        """A contiguous `shape` array of the buffer `name`, grown to fit; its values are stale."""
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+_scratch = _Scratch()
+
+
 def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """RoIAlign a (D, H, W) feature map over N boxes, on the listed channels only.
 
@@ -191,7 +208,8 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     # the tap itself into the band would read.
     pw = c1 - c0 + 3
     padded = np.empty((nch, r1 - r0 + 3, pw), dtype=np.float32)
-    padded[:, 1:-1, 1:-1] = feat[channels, r0 : r1 + 1, c0 : c1 + 1]
+    for band, c in zip(padded, channels):
+        band[1:-1, 1:-1] = feat[c, r0 : r1 + 1, c0 : c1 + 1]
     padded[:, 0] = padded[:, 1]
     padded[:, -1] = padded[:, -2]
     padded[:, :, 0] = padded[:, :, 1]
@@ -199,54 +217,64 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     flat = padded.reshape(nch, -1)
 
     # sample positions within a bin: quarter and three-quarter points
-    frac = (np.arange(POOL_SIZE * 2, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
+    frac = (np.arange(GRID, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
+    # per axis (x, then y): the map's extent and the band's first and last
+    # padded cells, each shaped to broadcast over (axis, box, sample)
+    extent = np.array([w, h]).reshape(2, 1, 1)
+    first = np.array([c0 - 1, r0 - 1]).reshape(2, 1, 1)
+    last = np.array([c1, r1]).reshape(2, 1, 1)
 
-    grid = POOL_SIZE * 2
-    most = min(ROI_CHUNK, idx_live.size)
-    weights = np.empty((4, most, grid, grid), dtype=np.float32)
-    acc = np.empty((nch, most, grid, grid), dtype=np.float32)
-    tap = np.empty_like(acc)
-    for start in range(0, idx_live.size, ROI_CHUNK):
-        sel = idx_live[start : start + ROI_CHUNK]
+    step = max(1, ROI_CHUNK // nch)
+    for start in range(0, idx_live.size, step):
+        sel = idx_live[start : start + step]
         m = sel.size
-        cb = fb[start : start + ROI_CHUNK]
-        bw = (cb[:, 2] - cb[:, 0]) / POOL_SIZE
-        bh = (cb[:, 3] - cb[:, 1]) / POOL_SIZE
-        sx = cb[:, 0:1] + frac[None, :] * bw[:, None]  # (m, 2 * POOL_SIZE)
-        sy = cb[:, 1:2] + frac[None, :] * bh[:, None]
-
-        x0 = np.floor(sx).astype(np.int64)
-        y0 = np.floor(sy).astype(np.int64)
-        tx = sx - x0
-        ty = sy - y0
+        cb = fb[start : start + step].T.reshape(2, 2, m, 1)  # (x1, y1), (x2, y2)
+        # sample positions per axis, x1 + frac * (x2 - x1) / 7 and alike for y
+        pos = _scratch.take("pos", (2, m, GRID), np.float64)
+        np.multiply((cb[1] - cb[0]) / POOL_SIZE, frac, out=pos)
+        pos += cb[0]
+        # each sample's floor, and the fraction past it in pos
+        low = _scratch.take("low", (2, m, GRID), np.int64)
+        w0 = _scratch.take("w0", (2, m, GRID), np.float64)
+        np.copyto(low, np.floor(pos, out=w0), casting="unsafe")
+        pos -= low
         # tap weights in float64, zero outside the map; cast to float32 they
         # keep the tap products single-precision like the features
-        wy = ((1.0 - ty) * ((y0 >= 0) & (y0 < h)), ty * ((y0 + 1 >= 0) & (y0 + 1 < h)))
-        wx = ((1.0 - tx) * ((x0 >= 0) & (x0 < w)), tx * ((x0 + 1 >= 0) & (x0 + 1 < w)))
+        np.subtract(1.0, pos, out=w0)
+        w0 *= (low >= 0) & (low < extent)
+        w1 = pos
+        w1 *= (low >= -1) & (low < extent - 1)
         # clipped before the shift, so the cast of a non-finite sample cannot wrap
-        rows = np.clip(y0, r0 - 1, r1) - (r0 - 1)
-        cols = np.clip(x0, c0 - 1, c1) - (c0 - 1)
-        lin = rows[:, :, None] * pw + cols[:, None, :]
+        np.clip(low, first, last, out=low)
+        low -= first
+        lin = _scratch.take("lin", (m, GRID, GRID), np.intp)
+        np.multiply(low[1, :, :, None], pw, out=lin)
+        lin += low[0, :, None, :]
+        # each axis's weights of its low and high tap
+        wx, wy = zip(w0, w1)
 
         # each tap's float32 products, added to the first tap's in tap order
-        chunk_weights, chunk_acc, chunk_tap = weights[:, :m], acc[:, :m], tap[:, :m]
+        weights = _scratch.take("weights", (m, GRID, GRID))
+        acc = _scratch.take("acc", (nch, m, GRID, GRID))
+        tap = _scratch.take("tap", (nch, m, GRID, GRID))
         for t, (dy, dx) in enumerate(quad):
-            np.multiply(wy[dy][:, :, None], wx[dx][:, None, :], out=chunk_weights[t])
-            vals = chunk_tap if t else chunk_acc
+            np.multiply(wy[dy][:, :, None], wx[dx][:, None, :], out=weights)
+            vals = tap if t else acc
             # indices are in range by construction; mode="raise" would
             # stage out= through a copy
             for c in range(nch):
                 np.take(flat[c, dy * pw + dx :], lin, out=vals[c], mode="clip")
-            vals *= chunk_weights[t]
+            vals *= weights
             if t:
-                chunk_acc += vals
+                acc += vals
 
         # Average each bin's 2x2 samples, added to +0 in row order for any
         # channel count, so a box pools the same bits whatever else its batch
         # holds.
-        samples = chunk_acc.reshape(nch, m, POOL_SIZE, 2, POOL_SIZE, 2)
-        pooled = np.zeros((nch, m, POOL_SIZE, POOL_SIZE), dtype=np.float32)
+        samples = acc.reshape(nch, m, POOL_SIZE, 2, POOL_SIZE, 2)
+        pooled = _scratch.take("pooled", (nch, m, POOL_SIZE, POOL_SIZE))
+        pooled.fill(0.0)
         for i, j in quad:
             pooled += samples[:, :, :, i, :, j]
         pooled /= 4
@@ -281,7 +309,7 @@ def _logits(pooled: np.ndarray, channels: np.ndarray, kernel: np.ndarray) -> np.
         raise ValueError(
             f"channels must list the {pooled.shape[1]} pooled channels, got shape {channels.shape}"
         )
-    _check_channels("channels", channels, depth)
+    check_slices("channels", channels, depth)
     rows = pooled.reshape(pooled.shape[0], channels.size, 1, POOL_SIZE * POOL_SIZE)
     k = kernel.reshape(kernel.shape[0], depth, -1).astype(np.float64)
     z = np.zeros((pooled.shape[0], kernel.shape[0]))

@@ -44,7 +44,7 @@ from cornerdet.proposals import (
     class_scores,
     roi_align_batch,
 )
-from cornerdet.tensorio import load_tensor, store_tensor
+from cornerdet.tensorio import anonymous_zeros, load_tensor, store_tensor
 
 # planted-head response: sigmoid(gain * (mean indicator coverage - threshold))
 BINARY_GAIN = 50.0
@@ -330,8 +330,9 @@ def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
             br_off=hm.br_off,
         )
 
-    box_feat = np.zeros((BOX_CHANNELS, h, w), dtype=np.float32)
-    cat_feat = np.zeros((CAT_CHANNELS, h, w), dtype=np.float32)
+    # only the painted channels' pages are ever touched
+    box_feat = anonymous_zeros((BOX_CHANNELS, h, w))
+    cat_feat = anonymous_zeros((CAT_CHANNELS, h, w))
     classes = scene.truth["class_id"]
     for i, (box, class_id) in enumerate(zip(scene.truth["box"], classes)):
         _paint_coverage(box_feat[i % BOX_CHANNELS], box)
@@ -440,10 +441,11 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
         scene_dir = out_dir / name
         scene_dir.mkdir(exist_ok=True)
         hm, fm = bundle.heatmaps, bundle.features
-        for tensor_name, tensor in zip(
-            SCENE_TENSORS, (hm.tl_heat, hm.br_heat, hm.tl_off, hm.br_off, fm.box_feat, fm.cat_feat)
-        ):
-            store_tensor(tensor, scene_dir / f"{tensor_name}.cpnt")
+        for tensor_name in SCENE_TENSORS[:4]:
+            store_tensor(getattr(hm, tensor_name), scene_dir / f"{tensor_name}.cpnt")
+        # the feature maps' unlisted channels are zeros, and never read
+        store_tensor(fm.box_feat, scene_dir / "box_feat.cpnt", slices=fm.box_channels)
+        store_tensor(fm.cat_feat, scene_dir / "cat_feat.cpnt", slices=fm.cat_channels)
         for (x1, y1, x2, y2), class_id in zip(
             scene.truth["box"].tolist(), scene.truth["class_id"].tolist()
         ):

@@ -16,14 +16,19 @@ Layout, all little-endian, no padding and no footer:
 A version-2 file leaves out axis-0 slices whose every element has all bits
 zero (``-0.0`` and NaN are stored); they load as zeros. :func:`store_tensor`
 writes version 2 only when that saves bytes, so a dense tensor keeps its
-version-1 bytes.
+version-1 bytes. A caller that knows which slices may hold data passes
+them as `slices`, and the store then reads those slices alone.
 
 Tensors are plain ``numpy.float32`` arrays with rank >= 1 and every extent
 >= 1; :func:`as_tensor` is the construction gate that enforces this.
+:func:`anonymous_zeros` gives such a tensor whose pages take memory only
+once written: the feature maps are painted into them, and a version-2
+file loads into them, so the slices never written are never touched.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -63,6 +68,31 @@ def as_tensor(data) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def anonymous_zeros(shape) -> np.ndarray:
+    """A writable float32 array of zeros in private anonymous pages.
+
+    The pages read as zeros and cost nothing until written, and they go back
+    to the system when the array is freed, so a large map whose slices are
+    mostly never written holds only the pages of the slices that are.
+    """
+    zeros = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(zeros, dtype="<f4").reshape(shape)
+
+
+def check_slices(name: str, slices: np.ndarray, depth: int) -> None:
+    """Raise a ValueError unless `slices` is a 1-D ascending integer array within [0, depth)."""
+    if slices.ndim != 1 or (
+        slices.size
+        and (
+            slices.dtype.kind not in "iu"
+            or slices[0] < 0
+            or slices[-1] >= depth
+            or (np.diff(slices) <= 0).any()
+        )
+    ):
+        raise ValueError(f"{name} must be ascending integers in [0, {depth}), got {slices.tolist()}")
+
+
 def _stored_slices(arr: np.ndarray) -> np.ndarray | None:
     """Indices of the axis-0 slices with a nonzero bit, or None if every slice has one."""
     words = arr.view("<u4").reshape(arr.shape[0], -1)
@@ -74,7 +104,7 @@ def _stored_slices(arr: np.ndarray) -> np.ndarray | None:
     return None if live.size == arr.shape[0] else live
 
 
-def store_tensor(tensor, path) -> None:
+def store_tensor(tensor, path, slices=None) -> None:
     """Write `tensor` to `path` in CPNT format.
 
     Round-trips bit-exactly: ``load_tensor(store_tensor(t)) == t``. The file
@@ -82,10 +112,21 @@ def store_tensor(tensor, path) -> None:
     smaller, version 1 otherwise. The bytes go to a temporary file in the
     same directory, which then replaces `path`; the old file is never
     truncated in place, so a reader that still maps it keeps its values.
+
+    Without `slices`, the tensor is scanned for its all-zero slices. With
+    `slices`, the ascending axis-0 indices of the slices that may hold data,
+    every other slice is taken to be all zeros and is never read: the file
+    is version 2 storing exactly those slices when that saves bytes, and a
+    version-1 file of the whole tensor otherwise. Bad `slices` raise a
+    ValueError before any file is opened.
     """
     arr = as_tensor(tensor).astype("<f4", copy=False)
     extents = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    slices = _stored_slices(arr)
+    if slices is None:
+        slices = _stored_slices(arr)
+    else:
+        slices = np.asarray(slices)
+        check_slices("slices", slices, arr.shape[0])
     # version 2 adds a count and an index per stored slice
     if slices is not None and 4 + slices.size * (4 + arr[0].nbytes) < arr.nbytes:
         header = MAGIC + struct.pack("<BI", SPARSE_VERSION, arr.ndim) + extents
@@ -151,9 +192,9 @@ def load_tensor(path, with_slices: bool = False):
     file, so a load copies nothing: pages are read in when first touched,
     the array is writable, and writes to it never reach the file. Each live
     array keeps the mapping, and with it a duplicate file descriptor, open.
-    A version-2 array lives in private anonymous memory with the stored
-    slices copied in; the pages of the slices left out stay unallocated
-    until written.
+    A version-2 array is :func:`anonymous_zeros` with the stored slices
+    copied in; the pages of the slices left out stay unallocated until
+    written.
 
     With `with_slices`, returns `(array, slices)`: the ascending indices of
     the axis-0 slices the file stores, every other slice being all zeros;
@@ -207,11 +248,9 @@ def load_tensor(path, with_slices: bool = False):
     payload_at = extents_end + 4 + 4 * slices.size
     _check_size(path, blob, payload_at + 4 * per_slice * slices.size)
     try:
-        # private anonymous pages read as zeros and cost nothing until written
-        zeros = mmap.mmap(-1, 4 * count, flags=mmap.MAP_PRIVATE)
+        arr = anonymous_zeros(shape)
     except OSError as exc:
         raise OSError(f"cannot read tensor from {path}: {exc}") from exc
-    arr = np.frombuffer(zeros, dtype="<f4").reshape(shape)
     payload = np.frombuffer(blob, dtype="<f4", count=per_slice * slices.size, offset=payload_at)
     arr[slices] = payload.reshape((slices.size,) + shape[1:])
     return (arr, slices) if with_slices else arr

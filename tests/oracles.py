@@ -1,9 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written with plain loops and avoids importing any of the
-optimized library code paths; only value types (BBox) and the keypoint
-array layout (fields class_id, x, y, score) are shared so the comparisons
-line up. The one exception, `frozen_roi_align_batch`, is a verbatim copy of
+optimized library code paths; only the keypoint array layout (fields
+class_id, x, y, score) is shared so the comparisons line up. The one exception, `frozen_roi_align_batch`, is a verbatim copy of
 an earlier vectorized library kernel, kept so a rewrite can be held to its
 exact bits.
 """

@@ -18,7 +18,8 @@ from cornerdet.evaluation import (
     records_to_dets,
     render_tables,
 )
-from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, BBox, InvariantError, iou, iou_matrix
+from cornerdet.geometry import DET_DTYPE, TRUTH_DTYPE, InvariantError, iou_matrix
+from oracles import iou_xyxy
 
 
 def d(img, cls, box, score):
@@ -149,7 +150,7 @@ class TestAverageRecall:
         # aspect 5:1 ground truth covered only at IoU 0.50 and 0.55
         gts = [g(0, 0, (0, 0, 100, 20))]
         props = [d(0, 0, (0, 0, 55.6, 20), 0.9)]
-        v = iou(BBox(0, 0, 55.6, 20), BBox(0, 0, 100, 20))
+        v = iou_xyxy((0, 0, 55.6, 20), (0, 0, 100, 20))
         assert 0.55 < v < 0.6
         assert recall(props, gts)["ar_aspect_5_1"] == pytest.approx(0.2)
 

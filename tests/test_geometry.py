@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import cornerdet
 from cornerdet import corners, geometry
-from cornerdet.geometry import BBox, iou, iou_matrix
+from cornerdet.geometry import iou_matrix
+from oracles import iou_xyxy
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -18,75 +19,69 @@ sizes = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 def boxes(draw):
     x1 = draw(coords)
     y1 = draw(coords)
-    return BBox(x1, y1, x1 + draw(sizes), y1 + draw(sizes))
+    return (x1, y1, x1 + draw(sizes), y1 + draw(sizes))
 
 
 def test_identical_boxes():
-    a = BBox(0, 0, 10, 10)
-    assert iou(a, a) == 1.0
+    a = (0, 0, 10, 10)
+    assert iou_xyxy(a, a) == 1.0
 
 
 def test_disjoint_boxes():
-    assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
+    assert iou_xyxy((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
 
 def test_partial_overlap():
     # intersection 1, union 4 + 4 - 1 = 7
-    assert iou(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)) == pytest.approx(1 / 7)
+    assert iou_xyxy((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1 / 7)
 
 
 def test_zero_area_pairs():
-    point = BBox(1, 1, 1, 1)
-    assert iou(point, point) == 0.0
-    assert iou(point, BBox(0, 0, 5, 5)) == 0.0
+    point = (1, 1, 1, 1)
+    assert iou_xyxy(point, point) == 0.0
+    assert iou_xyxy(point, (0, 0, 5, 5)) == 0.0
 
 
 @given(boxes(), boxes())
 def test_symmetry_and_range(a, b):
-    v = iou(a, b)
-    assert v == iou(b, a)
+    v = iou_xyxy(a, b)
+    assert v == iou_xyxy(b, a)
     assert 0.0 <= v <= 1.0
 
 
 @given(boxes())
 def test_self_iou(a):
-    if a.area > 0:
-        assert iou(a, a) == 1.0
+    if (a[2] - a[0]) * (a[3] - a[1]) > 0:
+        assert iou_xyxy(a, a) == 1.0
     else:
-        assert iou(a, a) == 0.0
-
-
-def test_invalid_box_rejected():
-    with pytest.raises(ValueError):
-        BBox(2, 0, 1, 5)
-    with pytest.raises(ValueError):
-        BBox(0, 5, 1, 4)
+        assert iou_xyxy(a, a) == 0.0
 
 
 def test_box_helpers():
-    b = BBox(1, 2, 4, 8)
-    assert b.area == 18
+    # (1, 2, 4, 8) covers 18 px^2; its top half covers 9 of them
+    b, top = np.array([[1.0, 2, 4, 8]]), np.array([[1.0, 2, 4, 5]])
+    assert iou_matrix(b, top)[0, 0] == iou_xyxy(b[0], top[0]) == 0.5
 
 
 def scalar_and_matrix(rows, cols):
-    """iou over every pair, and iou_matrix over the same boxes."""
-    want = np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
-    as_array = lambda boxes: np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes]).reshape(-1, 4)
+    """iou_xyxy over every pair, and iou_matrix over the same boxes."""
+    want = np.array([[iou_xyxy(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+    as_array = lambda boxes: np.array(boxes, dtype=np.float64).reshape(-1, 4)
     return iou_matrix(as_array(rows), as_array(cols)), want
 
 
 def test_iou_matrix_bit_exact_cases():
     cases = [
-        BBox(0, 0, 10, 10),
-        BBox(0, 0, 10, 10),  # identical
-        BBox(20, 20, 30, 30),  # disjoint
-        BBox(10, 0, 20, 10),  # shares an edge
-        BBox(10, 10, 20, 20),  # shares a corner
-        BBox(5, 5, 5, 5),  # zero area, inside
-        BBox(3, 1, 3, 9),  # zero width
-        BBox(2, 2, 8, 8),  # nested
-        BBox(0.1, 0.2, 7.3, 9.9),
-        BBox(-3.75, 1.5, 6.125, 12.0),
+        (0, 0, 10, 10),
+        (0, 0, 10, 10),  # identical
+        (20, 20, 30, 30),  # disjoint
+        (10, 0, 20, 10),  # shares an edge
+        (10, 10, 20, 20),  # shares a corner
+        (5, 5, 5, 5),  # zero area, inside
+        (3, 1, 3, 9),  # zero width
+        (2, 2, 8, 8),  # nested
+        (0.1, 0.2, 7.3, 9.9),
+        (-3.75, 1.5, 6.125, 12.0),
     ]
     got, want = scalar_and_matrix(cases, cases)
     assert got.dtype == np.float64

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cornerdet.geometry import TRUTH_DTYPE, BBox, iou
+from cornerdet.geometry import TRUTH_DTYPE
 from cornerdet.losses import (
     LossBreakdown,
     label_proposals,
@@ -16,7 +16,7 @@ from cornerdet.losses import (
     loss_prop_grad,
     loss_total,
 )
-from oracles import central_difference, relative_gradient_error
+from oracles import central_difference, iou_xyxy, relative_gradient_error
 
 
 class TestLossProp:
@@ -227,7 +227,7 @@ def test_label_proposals_matches_scalar_iou():
     labels = label_proposals(boxes[:7], truth, 3)
     for m, box in enumerate(boxes[:7]):
         for c in range(3):
-            ious = [iou(BBox(*box), BBox(*t)) for _, k, t in truth.tolist() if k == c]
+            ious = [iou_xyxy(box, t) for _, k, t in truth.tolist() if k == c]
             assert labels[m, c] == max(ious, default=0.0)
 
 

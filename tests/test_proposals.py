@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,84 @@ class TestRoiAlign:
             assert pooled.shape == (len(boxes), 3, 7, 7) and not pooled.any()
         none = np.zeros(0, dtype=np.intp)
         assert roi_align_batch(feat, np.array([[4.0, 4, 20, 20]]), none).shape == (1, 0, 7, 7)
+
+    def test_threads_pool_the_serial_bytes(self):
+        # each thread has its own scratch: threads pooling different batches
+        # at once, more of them than cores, get the bytes each gets alone
+        rng = np.random.default_rng(53)
+        feat = rng.standard_normal((6, 40, 50)).astype(np.float32)
+        channels = np.array([0, 2, 3, 5])
+        batches = []
+        for n in (900, 700, 500, 300):  # more than one chunk each
+            xy = rng.uniform(-20, 180, (n, 2))
+            batches.append(np.hstack([xy, xy + rng.uniform(1, 60, (n, 2))]))
+        serial = [roi_align_batch(feat, boxes, channels).tobytes() for boxes in batches]
+        got = [[] for _ in batches]
+        start = threading.Barrier(len(batches))
+
+        def pool(i):
+            start.wait()
+            for _ in range(3):
+                got[i].append(roi_align_batch(feat, batches[i], channels).tobytes())
+
+        threads = [threading.Thread(target=pool, args=(i,)) for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 3 for want in serial]
+
+    def test_result_outlives_the_next_call(self):
+        rng = np.random.default_rng(59)
+        feat = rng.standard_normal((3, 20, 20)).astype(np.float32)
+        first = roi_align_batch(feat, np.array([[4.0, 4, 60, 50]]), np.arange(3))
+        kept = first.copy()
+        roi_align_batch(feat * 2, np.array([[4.0, 4, 60, 50], [1, 2, 30, 70]]), np.arange(3))
+        assert first.tobytes() == kept.tobytes()
+
+    def test_repeated_calls_fault_in_no_new_pages(self):
+        # in a fresh interpreter, whose allocator has freed no large buffer
+        # yet, a call reuses the previous call's working arrays instead of
+        # faulting in new pages; the input is the size of a seed-1 noisy
+        # scene's box RoIAlign: about 740 proposals over 5 listed channels.
+        # The returned array is fresh memory: glibc maps the first one larger
+        # than anything it has freed and puts the next on its heap, whose
+        # pages the later ones reuse, so that takes two warm-up calls.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("per-thread resource usage is not available here")
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from cornerdet.proposals import BOX_CHANNELS, roi_align_batch\n"
+            "rng = np.random.default_rng(1)\n"
+            "feat = np.zeros((BOX_CHANNELS, 128, 128), dtype=np.float32)\n"
+            "channels = np.arange(5)\n"
+            "feat[channels] = rng.uniform(0.0, 1.0, (5, 128, 128))\n"
+            "xy = rng.uniform(0.0, 400.0, (740, 2))\n"
+            "boxes = np.hstack([xy, xy + rng.uniform(4.0, 300.0, (740, 2))])\n"
+            "for _ in range(2):\n"
+            "    roi_align_batch(feat, boxes, channels)\n"
+            "before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt\n"
+            "for _ in range(3):\n"
+            "    roi_align_batch(feat, boxes, channels)\n"
+            "print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)\n"
+        )
+        src = str(Path(proposals.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            check=True,
+        )
+        assert int(done.stdout) < 100
 
     def test_feature_maps_check_candidate_channels(self):
         box, cat = np.zeros((32, 4, 4), np.float32), np.zeros((256, 4, 4), np.float32)

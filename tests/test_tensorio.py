@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cornerdet.tensorio import (
     MAGIC,
     TensorFormatError,
+    anonymous_zeros,
     as_tensor,
     load_tensor,
     store_tensor,
@@ -267,6 +268,54 @@ def test_dense_tensor_writes_version_1(tmp_path):
     # one word saved: 4 + 1 * (4 + 4) < 16
     store_tensor(np.array([0.0, 0.0, 0.0, 1.0], dtype=np.float32), path)
     assert path.read_bytes() == sparse_file((4,), [3], [1.0])
+
+
+LISTED_CASES = [
+    ((6, 3, 4), [0, 2, 5]),
+    ((6, 3, 4), []),
+    ((6, 3, 4), [0, 1, 2, 3, 4, 5]),  # every slice: version 1
+    ((3,), [0, 2]),  # version 2 would not be smaller
+    ((4,), [3]),
+    ((256, 8, 8), [7, 200]),
+]
+
+
+@pytest.mark.parametrize("shape, live", LISTED_CASES)
+def test_listed_slices_write_the_scan_bytes(tmp_path, shape, live):
+    arr = np.zeros(shape, dtype=np.float32)
+    arr[live] = np.random.default_rng(len(live)).uniform(0.5, 1.0, (len(live),) + shape[1:])
+    store_tensor(arr, tmp_path / "scanned.cpnt")
+    store_tensor(arr, tmp_path / "listed.cpnt", slices=np.array(live, dtype=np.intp))
+    assert (tmp_path / "listed.cpnt").read_bytes() == (tmp_path / "scanned.cpnt").read_bytes()
+
+
+def test_unlisted_slices_are_never_stored(tmp_path):
+    # the caller vouches that unlisted slices are zeros; what they hold
+    # instead never reaches a version-2 file
+    arr = np.full((5, 2, 3), np.nan, dtype=np.float32)
+    arr[1] = 2.0
+    arr[3] = -0.0
+    path = tmp_path / "t.cpnt"
+    store_tensor(arr, path, slices=[1, 3])
+    back, slices = load_tensor(path, with_slices=True)
+    assert slices.tolist() == [1, 3]
+    want = np.zeros_like(arr)
+    want[[1, 3]] = arr[[1, 3]]
+    assert back.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[3, 1], [1, 1], [-1], [6], [0.0, 2.0], [[0]], [0, 9]])
+def test_bad_slices_rejected_before_any_file_is_opened(tmp_path, bad):
+    with pytest.raises(ValueError, match=r"slices must be ascending integers in \[0, 6\)"):
+        store_tensor(np.ones((6, 2), dtype=np.float32), tmp_path / "t.cpnt", slices=np.array(bad))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_anonymous_zeros_are_writable_private_zeros():
+    a, b = anonymous_zeros((3, 4)), anonymous_zeros((3, 4))
+    assert a.shape == (3, 4) and a.dtype == np.float32 and not a.any()
+    a[1, 2] = 5.0
+    assert a.sum() == 5.0 and not b.any()
 
 
 def test_version_1_file_with_zero_slices_loads(tmp_path):
