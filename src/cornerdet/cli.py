@@ -26,10 +26,8 @@ from cornerdet.geometry import InvariantError
 from cornerdet.pipeline import PipelineConfig, run_corpus
 from cornerdet.postprocess import read_detections, write_detections
 from cornerdet.synth import RenderBudgetError, SynthConfig, write_corpus
-from cornerdet.tensorio import TensorFormatError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
@@ -213,14 +211,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        TensorFormatError,
-        RenderBudgetError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (RenderBudgetError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -4,13 +4,16 @@ The stages, in pipeline order: keep proposals whose objectness clears a low
 threshold (0.2 operating default), assign each survivor up to two class
 labels (corner class and the class head's argmax), fuse corner and head
 scores into one normalized confidence, and decay overlapping same-class
-boxes with Gaussian soft-NMS, which stops after the top 100. Every stage
-takes and returns geometry.DET_DTYPE rows, and write_detections dumps them.
+boxes with Gaussian soft-NMS, which merges the classes' pick streams in
+final score order and stops after the top 100. Every stage takes and
+returns geometry.DET_DTYPE rows, and write_detections dumps them, a piece
+of records at a time.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 
@@ -22,6 +25,8 @@ OBJECTNESS_THRESHOLD = 0.2
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
 TOP_K = 100
+# records joined into one string per write, so that no dump is one multi-MB string
+DUMP_PIECE = 1024
 
 
 def filter_by_objectness(proposals: np.ndarray, scores, threshold: float) -> np.ndarray:
@@ -95,9 +100,11 @@ def soft_nms(
 
     Decay never raises a score, so a class's picks come out in that order,
     and each class's next pick, the argmax of its scores, is known before it
-    decays anything. A heap over the classes' next picks therefore yields
-    the final order directly and stops after `limit` picks; a NaN score,
-    which it cannot order, raises.
+    decays anything. Each class is therefore a generator of its picks, keyed
+    by (-score, original index), that decays the rest of its class only when
+    resumed for the next pick; heapq.merge of those streams yields the final
+    order, and islice stops it after `limit` picks, so no class decays for a
+    pick past the cut. A NaN score, which the merge cannot order, raises.
 
     The overlaps follow geometry.iou_matrix's operations on arrays of each
     class's corners and areas, computed once, and the decay uses math.exp
@@ -109,14 +116,35 @@ def soft_nms(
     # below zero, a decayed negative score would rise past earlier picks
     if not prune >= 0.0:
         raise ValueError(f"prune must be >= 0, got {prune}")
-    if limit is None:
-        limit = len(dets)
-    elif limit < 0:
+    if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if np.isnan(dets["score"]).any():
         raise ValueError("scores must not be NaN")
-    if not len(dets) or not limit:
-        return dets[:0]
+
+    def picks(col):
+        """(-score, original index) of each pick of a class, in pick order."""
+        while col.shape[1]:
+            b = int(col[5].argmax())  # first maximum: the lowest index
+            yield -float(col[5, b]), int(col[6, b])
+            wh = np.minimum(col[2:4], col[2:4, b, None])
+            wh -= np.maximum(col[:2], col[:2, b, None])
+            hit = np.minimum(wh[0], wh[1]) > 0.0
+            hit[b] = False  # the picked box leaves undecayed
+            hit = hit.nonzero()[0]
+            if hit.size:
+                iw, ih = wh.take(hit, axis=1)
+                inter = iw * ih
+                union = col[4, b] + col[4].take(hit)
+                union -= inter
+                # iou_matrix's overlap is 0 where the union is not positive
+                ov = np.divide(inter, union, out=np.zeros(hit.size), where=union > 0.0)
+                ov *= ov
+                ov /= -sigma  # -(ov * ov) / sigma, bit for bit
+                score = col[5]
+                score[hit] = score.take(hit) * np.fromiter(map(math.exp, ov.tolist()), np.float64, hit.size)
+            keep = col[5] >= prune
+            keep[b] = False
+            col = col.compress(keep, axis=1)
 
     # one column per box, grouped by class and each class in ascending
     # original index; rows x1, y1, x2, y2, area, running score and original
@@ -129,54 +157,11 @@ def soft_nms(
     cols[6] = order
     cls = dets["class_id"][order]
     edges = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
-    classes, heap = [], []  # heap: (-score, original index, class) of each next pick
-    for c, (lo, hi) in enumerate(zip([0, *edges], [*edges, len(dets)])):
-        col = cols[:, lo:hi]
-        b = int(col[5].argmax())  # first maximum: the lowest index
-        classes.append((col, b))
-        heap.append((-float(col[5, b]), int(col[6, b]), c))
-    heapq.heapify(heap)
-
-    picked, kept = [], []
-    while heap:
-        neg_score, i, c = heap[0]
-        picked.append(i)
-        kept.append(-neg_score)
-        if len(picked) == limit:
-            break
-        col = _decay(*classes[c], sigma, prune)
-        if col.shape[1]:
-            b = int(col[5].argmax())
-            classes[c] = col, b
-            heapq.heapreplace(heap, (-float(col[5, b]), int(col[6, b]), c))
-        else:
-            heapq.heappop(heap)
-    out = dets[np.array(picked, dtype=np.int64)]
-    out["score"] = kept
+    streams = [picks(cols[:, lo:hi]) for lo, hi in zip([0, *edges], [*edges, len(dets)])]
+    picked = list(itertools.islice(heapq.merge(*streams), limit))
+    out = dets[np.array([i for _, i in picked], dtype=np.int64)]
+    out["score"] = [-neg_score for neg_score, _ in picked]
     return out
-
-
-def _decay(col: np.ndarray, b: int, sigma: float, prune: float) -> np.ndarray:
-    """A class's columns after its pick `b` decays the others; `b` and pruned boxes leave."""
-    wh = np.minimum(col[2:4], col[2:4, b, None])
-    wh -= np.maximum(col[:2], col[:2, b, None])
-    hit = np.minimum(wh[0], wh[1]) > 0.0
-    hit[b] = False  # the picked box leaves undecayed
-    hit = hit.nonzero()[0]
-    if hit.size:
-        iw, ih = wh.take(hit, axis=1)
-        inter = iw * ih
-        union = col[4, b] + col[4].take(hit)
-        union -= inter
-        # iou_matrix's overlap is 0 where the union is not positive
-        ov = np.divide(inter, union, out=np.zeros(hit.size), where=union > 0.0)
-        ov *= ov
-        ov /= -sigma  # -(ov * ov) / sigma, bit for bit
-        score = col[5]
-        score[hit] = score.take(hit) * np.fromiter(map(math.exp, ov.tolist()), np.float64, hit.size)
-    keep = col[5] >= prune
-    keep[b] = False
-    return col.compress(keep, axis=1)
 
 
 # json.dump(records, fh, sort_keys=True, indent=1) lays a record out as these
@@ -213,8 +198,9 @@ def write_detections(path, records: np.ndarray) -> None:
     The bytes are those of json.dump(dicts, fh, sort_keys=True, indent=1)
     followed by a newline, where each dict holds a row's "image_id",
     "category_id" (class_id), "bbox" ([x1, y1, x2 - x1, y2 - y1] of its box)
-    and "score". Anything but a 1-D DET_DTYPE array raises a ValueError
-    before the file is opened.
+    and "score". Each column is spelled once over the whole dump, and the
+    records are joined and written DUMP_PIECE at a time. Anything but a 1-D
+    DET_DTYPE array raises a ValueError before the file is opened.
     """
     want = "records must be a 1-D DET_DTYPE array"
     if not isinstance(records, np.ndarray):
@@ -230,8 +216,12 @@ def write_detections(path, records: np.ndarray) -> None:
     if parts:
         parts[0] = "[" + parts[0][1:]
         parts.append("\n]\n")
+    else:
+        parts = ["[]\n"]
+    piece = DUMP_PIECE * stride
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts) or "[]\n")
+        for lo in range(0, len(parts), piece):
+            fh.write("".join(parts[lo : lo + piece]))
 
 
 def read_detections(path) -> list[dict]:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cornerdet import postprocess
 from cornerdet.postprocess import (
+    DUMP_PIECE,
     filter_by_objectness,
     fuse_scores,
     label_detections,
@@ -249,6 +252,21 @@ class TestSoftNms:
             out = soft_nms(dets, limit=k)
             assert out.tobytes() == full[:k].tobytes()
 
+    @pytest.mark.parametrize("limit, decays", [(0, 0), (1, 0), (2, 0), (3, 4), (None, 10)])
+    def test_no_class_decays_for_a_pick_past_the_cut(self, monkeypatch, limit, decays):
+        # the far class-1 box and class 0's first box are the first two
+        # picks, and each later class-0 pick decays every box left behind it
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(postprocess, "math", types.SimpleNamespace(exp=exp))
+        rows = [det(0, 0, 10, 10 + i, score=s) for i, s in enumerate([0.9, 0.8, 0.7, 0.6, 0.5])]
+        soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)), limit=limit)
+        assert len(calls) == decays
+
     @pytest.mark.parametrize("row", [0, 2, 3])
     def test_nan_score_raises(self, row):
         rows = [det(0, 0, 10, 10, cls=c, score=0.5) for c in (0, 0, 1, 1)]
@@ -365,6 +383,17 @@ int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
 rows = st.tuples(int64s, int64s, st.tuples(*[st.floats()] * 4), st.floats())
 
 
+def cycled_rows(n):
+    """n rows whose columns cycle through six values, NaN and both infinities
+    among them, so every six consecutive rows repeat each value in each column."""
+    pool = [math.nan, 0.5, math.inf, -0.0, -math.inf, 3.0]
+    return [
+        (i % 3, i % 2, tuple(pool[(i + j) % 6] for j in range(4)), pool[(i + 4) % 6])
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("piece", [1, 2, DUMP_PIECE], ids=["1", "2", "default"])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(rows, max_size=6))
 @example([])
@@ -379,9 +408,11 @@ rows = st.tuples(int64s, int64s, st.tuples(*[st.floats()] * 4), st.floats())
     ]
 )
 @example([(i, -i, (0.0, 0.0, w, EDGE_FLOATS[-1 - i]), 0.5) for i, w in enumerate(EDGE_FLOATS)])
-def test_write_detections_matches_json_dump(tmp_path, recs):
+@example(cycled_rows(2 * DUMP_PIECE + 5))  # crosses two edges of the default piece
+def test_write_detections_matches_json_dump(tmp_path, monkeypatch, piece, recs):
     # the oracle sees the drawn Python numbers, never the array, and takes
     # the bbox width and height as Python float differences of the corners
+    monkeypatch.setattr(postprocess, "DUMP_PIECE", piece)
     dicts = [
         {"image_id": i, "category_id": c, "bbox": [x1, y1, x2 - x1, y2 - y1], "score": s}
         for i, c, (x1, y1, x2, y2), s in recs
