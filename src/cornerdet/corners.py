@@ -79,6 +79,22 @@ def local_max_suppress(heat: np.ndarray) -> np.ndarray:
     return (heat.view(np.uint32) * (heat == neighborhood_max)).view(np.float32)
 
 
+def _first_ties(flat: np.ndarray, kth, need: int, every: bool) -> np.ndarray:
+    """The first `need` indices of `flat` whose value equals `kth`, in index order.
+
+    When `every` tied cell is needed, they are listed from the whole map.
+    Otherwise the scan doubles a prefix, starting at `need` cells, until it
+    holds `need` of them: on a map of zeros a handful of the tens of
+    thousands of tied cells are kept, and they are not all listed.
+    """
+    stop = flat.size if every else need
+    while True:
+        ties = np.flatnonzero(flat[:stop] == kth)
+        if ties.size >= need or stop >= flat.size:
+            return ties[:need]
+        stop *= 2
+
+
 def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     """Extract the k best corner keypoints of one kind from all heatmaps.
 
@@ -90,9 +106,10 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     The selection equals ``np.argsort(-flat, kind="stable")[:k]`` without
     a stable argsort of every cell: ``np.sort`` finds the k-th largest
     score, the cells above it are stable-sorted, and the first cells equal
-    to it, in index order, fill the remaining places. It is a sort, not
-    ``np.partition``, because numpy's introselect stalls on runs of equal
-    values, and suppression leaves nearly every cell at 0.
+    to it, in index order, fill the remaining places; ``_first_ties`` finds
+    them without listing every tied cell. It is a sort, not ``np.partition``,
+    because numpy's introselect stalls on runs of equal values, and
+    suppression leaves nearly every cell at 0.
 
     A decoded x or y that overflows float32 (a finite but huge offset)
     raises a ValueError naming the offset tensor.
@@ -110,11 +127,13 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
 
     suppressed = local_max_suppress(heat)
     flat = suppressed.ravel()
-    kth = np.sort(flat)[flat.size - k]
+    ranked = np.sort(flat)
+    kth = ranked[flat.size - k]
     above = np.flatnonzero(flat > kth)
     above = above[np.argsort(-flat[above], kind="stable")]
-    ties = np.flatnonzero(flat == kth)[: k - above.size]
-    order = np.concatenate([above, ties])
+    # every tied cell is needed unless one sorts below the k-th place
+    every = k == flat.size or ranked[flat.size - k - 1] != kth
+    order = np.concatenate([above, _first_ties(flat, kth, k - above.size, every)])
 
     cls, rows, cols = np.unravel_index(order, (c, h, w))
     ox = off[0, rows, cols].astype(np.float32)

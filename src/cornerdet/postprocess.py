@@ -106,10 +106,19 @@ def soft_nms(
     order, and islice stops it after `limit` picks, so no class decays for a
     pick past the cut. A NaN score, which the merge cannot order, raises.
 
+    A class's row count against `limit` picks its generator. A class of at
+    most `limit` rows computes each intersecting pair's decay factor once
+    into an n x n table, and a pick is then one argmax, one row multiply and
+    one prune. A longer class, or any class when `limit` is None, decays
+    lazily: each pick computes the overlaps of the picked box with the rows
+    still left, so a row pruned early never costs a factor.
+
     The overlaps follow geometry.iou_matrix's operations on arrays of each
-    class's corners and areas, computed once, and the decay uses math.exp
-    only where two boxes intersect (elsewhere the factor is exactly 1), so
-    the scores are bit-identical to the scalar algorithm.
+    class's corners and areas, computed once, and both generators take the
+    same operations in the same order, each symmetric in a pair bit for bit;
+    the decay uses math.exp only where two boxes intersect (elsewhere the
+    factor is exactly 1), so the scores are bit-identical to the scalar
+    algorithm.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -121,8 +130,20 @@ def soft_nms(
     if np.isnan(dets["score"]).any():
         raise ValueError("scores must not be NaN")
 
+    def factors(col, b, other, wh):
+        """exp(-iou^2 / sigma) of boxes b against boxes `other`, given their (iw, ih) rows."""
+        iw, ih = wh
+        inter = iw * ih
+        union = col[4, b] + col[4, other]
+        union -= inter
+        # iou_matrix's overlap is 0 where the union is not positive
+        ov = np.divide(inter, union, out=np.zeros(inter.size), where=union > 0.0)
+        ov *= ov
+        ov /= -sigma  # -(ov * ov) / sigma, bit for bit
+        return np.fromiter(map(math.exp, ov.tolist()), np.float64, ov.size)
+
     def picks(col):
-        """(-score, original index) of each pick of a class, in pick order."""
+        """(-score, original index) of each pick of a class, in pick order, decaying lazily."""
         while col.shape[1]:
             b = int(col[5].argmax())  # first maximum: the lowest index
             yield -float(col[5, b]), int(col[6, b])
@@ -132,19 +153,38 @@ def soft_nms(
             hit[b] = False  # the picked box leaves undecayed
             hit = hit.nonzero()[0]
             if hit.size:
-                iw, ih = wh.take(hit, axis=1)
-                inter = iw * ih
-                union = col[4, b] + col[4].take(hit)
-                union -= inter
-                # iou_matrix's overlap is 0 where the union is not positive
-                ov = np.divide(inter, union, out=np.zeros(hit.size), where=union > 0.0)
-                ov *= ov
-                ov /= -sigma  # -(ov * ov) / sigma, bit for bit
                 score = col[5]
-                score[hit] = score.take(hit) * np.fromiter(map(math.exp, ov.tolist()), np.float64, hit.size)
+                score[hit] = score.take(hit) * factors(col, b, hit, wh.take(hit, axis=1))
             keep = col[5] >= prune
             keep[b] = False
             col = col.compress(keep, axis=1)
+
+    def table_picks(col):
+        """The picks of `picks`, for a class that fits under the cut, from one n x n factor table."""
+        n = col.shape[1]
+        # each intersecting pair's factor once, from the upper triangle;
+        # every operation is symmetric in the pair bit for bit, and a miss
+        # keeps the factor 1, as the lazy stream leaves its score alone
+        wh = np.minimum(col[2:4, :, None], col[2:4, None])
+        wh -= np.maximum(col[:2, :, None], col[:2, None])
+        i, j = (np.minimum(wh[0], wh[1]) > 0.0).nonzero()
+        upper = i < j
+        i, j = i[upper], j[upper]
+        table = np.ones((n, n))
+        if i.size:
+            table[i, j] = table[j, i] = factors(col, i, j, wh[:, i, j])
+        score = col[5].copy()
+        alive = np.ones(n, dtype=bool)
+        for _ in range(n):  # each pick retires at least its own row
+            # dead rows read -inf, and a live one, after the first pick, is
+            # >= prune: the argmax is dead only when every row is
+            b = int(np.where(alive, score, -np.inf).argmax())
+            if not alive[b]:
+                return
+            yield -float(score[b]), int(col[6, b])
+            score *= table[b]
+            alive &= score >= prune
+            alive[b] = False
 
     # one column per box, grouped by class and each class in ascending
     # original index; rows x1, y1, x2, y2, area, running score and original
@@ -157,7 +197,12 @@ def soft_nms(
     cols[6] = order
     cls = dets["class_id"][order]
     edges = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
-    streams = [picks(cols[:, lo:hi]) for lo, hi in zip([0, *edges], [*edges, len(dets)])]
+    # a class of at most `limit` rows takes its factors from a table of at
+    # most limit x limit; a longer one may need only a few of its pairs
+    streams = [
+        (table_picks if limit is not None and hi - lo <= limit else picks)(cols[:, lo:hi])
+        for lo, hi in zip([0, *edges], [*edges, len(dets)])
+    ]
     picked = list(itertools.islice(heapq.merge(*streams), limit))
     out = dets[np.array([i for _, i in picked], dtype=np.int64)]
     out["score"] = [-neg_score for neg_score, _ in picked]

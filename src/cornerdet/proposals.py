@@ -28,7 +28,7 @@ POOL_SIZE = 7
 # RoIAlign samples each box on a GRID x GRID lattice, 2 x 2 per bin
 GRID = 2 * POOL_SIZE
 # (box, channel) pairs RoIAlign pools per chunk, which bounds each thread's
-# scratch: about 4.8 MB at most (1,024 boxes of one channel), whatever the
+# scratch: 4.90 MB at most (1,024 boxes of one channel), whatever the
 # number of boxes; a chunk holds at least one box, so only a map listing
 # more than ROI_CHUNK channels goes beyond it
 ROI_CHUNK = 1024
@@ -178,6 +178,13 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     (c, r). Every output bin averages 4 bilinear samples at the bin's
     quarter-points; bilinear taps outside the feature extent read 0.
     Degenerate (zero-area) boxes produce all-zero output.
+
+    The boxes are pooled in chunks of at most ROI_CHUNK (box, channel)
+    pairs, and every working array of a chunk keeps the box axis innermost:
+    sample positions, floors and tap weights are (2, 14, m), the tap index
+    and one tap's weights (14, 14, m), the samples (L, 14, 14, m) and the
+    bins (L, 7, 7, m), so each broadcast runs along the chunk's m boxes.
+    The arrays come from a per-thread scratch kept from call to call.
     """
     feat = np.asarray(feat, dtype=np.float32)
     _, h, w = feat.shape
@@ -217,10 +224,10 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     flat = padded.reshape(nch, -1)
 
     # sample positions within a bin: quarter and three-quarter points
-    frac = (np.arange(GRID, dtype=np.float64) + 0.5) / 2.0  # 0.25, 0.75, 1.25, ...
+    frac = ((np.arange(GRID, dtype=np.float64) + 0.5) / 2.0)[:, None]  # 0.25, 0.75, 1.25, ...
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
     # per axis (x, then y): the map's extent and the band's first and last
-    # padded cells, each shaped to broadcast over (axis, box, sample)
+    # padded cells, each shaped to broadcast over (axis, sample, box)
     extent = np.array([w, h]).reshape(2, 1, 1)
     first = np.array([c0 - 1, r0 - 1]).reshape(2, 1, 1)
     last = np.array([c1, r1]).reshape(2, 1, 1)
@@ -229,14 +236,14 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     for start in range(0, idx_live.size, step):
         sel = idx_live[start : start + step]
         m = sel.size
-        cb = fb[start : start + step].T.reshape(2, 2, m, 1)  # (x1, y1), (x2, y2)
+        cb = fb[start : start + step].T.reshape(2, 2, 1, m)  # (x1, y1), (x2, y2)
         # sample positions per axis, x1 + frac * (x2 - x1) / 7 and alike for y
-        pos = _scratch.take("pos", (2, m, GRID), np.float64)
+        pos = _scratch.take("pos", (2, GRID, m), np.float64)
         np.multiply((cb[1] - cb[0]) / POOL_SIZE, frac, out=pos)
         pos += cb[0]
         # each sample's floor, and the fraction past it in pos
-        low = _scratch.take("low", (2, m, GRID), np.int64)
-        w0 = _scratch.take("w0", (2, m, GRID), np.float64)
+        low = _scratch.take("low", (2, GRID, m), np.int64)
+        w0 = _scratch.take("w0", (2, GRID, m), np.float64)
         np.copyto(low, np.floor(pos, out=w0), casting="unsafe")
         pos -= low
         # tap weights in float64, zero outside the map; cast to float32 they
@@ -248,18 +255,19 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
         # clipped before the shift, so the cast of a non-finite sample cannot wrap
         np.clip(low, first, last, out=low)
         low -= first
-        lin = _scratch.take("lin", (m, GRID, GRID), np.intp)
-        np.multiply(low[1, :, :, None], pw, out=lin)
-        lin += low[0, :, None, :]
+        # (y sample, x sample, box)
+        lin = _scratch.take("lin", (GRID, GRID, m), np.intp)
+        np.multiply(low[1, :, None], pw, out=lin)
+        lin += low[0]
         # each axis's weights of its low and high tap
         wx, wy = zip(w0, w1)
 
         # each tap's float32 products, added to the first tap's in tap order
-        weights = _scratch.take("weights", (m, GRID, GRID))
-        acc = _scratch.take("acc", (nch, m, GRID, GRID))
-        tap = _scratch.take("tap", (nch, m, GRID, GRID))
+        weights = _scratch.take("weights", (GRID, GRID, m))
+        acc = _scratch.take("acc", (nch, GRID, GRID, m))
+        tap = _scratch.take("tap", (nch, GRID, GRID, m))
         for t, (dy, dx) in enumerate(quad):
-            np.multiply(wy[dy][:, :, None], wx[dx][:, None, :], out=weights)
+            np.multiply(wy[dy][:, None], wx[dx], out=weights)
             vals = tap if t else acc
             # indices are in range by construction; mode="raise" would
             # stage out= through a copy
@@ -272,13 +280,13 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
         # Average each bin's 2x2 samples, added to +0 in row order for any
         # channel count, so a box pools the same bits whatever else its batch
         # holds.
-        samples = acc.reshape(nch, m, POOL_SIZE, 2, POOL_SIZE, 2)
-        pooled = _scratch.take("pooled", (nch, m, POOL_SIZE, POOL_SIZE))
+        samples = acc.reshape(nch, POOL_SIZE, 2, POOL_SIZE, 2, m)
+        pooled = _scratch.take("pooled", (nch, POOL_SIZE, POOL_SIZE, m))
         pooled.fill(0.0)
         for i, j in quad:
-            pooled += samples[:, :, :, i, :, j]
+            pooled += samples[:, :, i, :, j]
         pooled /= 4
-        out[sel] = pooled.transpose(1, 0, 2, 3)
+        out[sel] = pooled.transpose(3, 0, 1, 2)
     return out
 
 

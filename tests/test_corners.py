@@ -5,6 +5,7 @@ from cornerdet.corners import (
     BOTTOM_RIGHT,
     TOP_LEFT,
     HeatmapSet,
+    _first_ties,
     decode_corners,
     gaussian_radius,
     gaussian_targets,
@@ -206,6 +207,24 @@ class TestDecodeCorners:
         signed = benchmark_maps["signed-zeros"][1].ravel()
         top = signed[naive_topk(signed, 70)]
         assert np.signbit(top[top == 0.0]).any() and not np.signbit(top[top == 0.0]).all()
+
+    def test_first_ties_match_listing_every_tie(self):
+        # ties dense, sparse, only near the end, or a single one; every
+        # `need` from none to all, so the prefix doubles up to the whole map
+        rng = np.random.default_rng(67)
+        for trial in range(60):
+            size = int(rng.integers(1, 3000))
+            flat = rng.integers(0, 3, size).astype(np.float32)
+            flat[rng.random(size) < [0.0, 0.9, 0.999][trial % 3]] = 5.0
+            if trial % 4 == 0:
+                flat[: int(rng.integers(size + 1))] = 5.0  # no tie before this point
+            kth = np.float32(rng.integers(0, 3))
+            tied = np.flatnonzero(flat == kth)
+            for need in sorted({0, 1, tied.size // 3, tied.size}):
+                if need > tied.size:
+                    continue
+                for every in {False, need == tied.size}:
+                    assert _first_ties(flat, kth, need, every).tolist() == tied[:need].tolist()
 
     def test_k_too_large(self):
         hm = make_heatmaps(np.zeros((1, 2, 2), dtype=np.float32))

@@ -267,6 +267,66 @@ class TestSoftNms:
         soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)), limit=limit)
         assert len(calls) == decays
 
+    @pytest.fixture
+    def exp_calls(self, monkeypatch):
+        """The arguments of every math.exp call soft_nms makes."""
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(postprocess, "math", types.SimpleNamespace(exp=exp))
+        return calls
+
+    @pytest.mark.parametrize("limit", [5, 6, 100])
+    def test_class_under_the_cut_takes_each_factor_once(self, exp_calls, limit):
+        # the five class-0 boxes overlap one another: a class that fits
+        # under the cut computes one factor per pair into its table
+        rows = [det(0, 0, 10, 10 + i, score=s) for i, s in enumerate([0.9, 0.8, 0.7, 0.6, 0.5])]
+        out = soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)), limit=limit)
+        assert len(exp_calls) == 10 and len(out) == min(limit, 6)
+
+    @pytest.mark.parametrize("limit, decays", [(None, 1), (2, 1), (3, 2), (4, 2)])
+    def test_class_size_against_the_limit_picks_the_stream(self, exp_calls, limit, decays):
+        # the first pick decays the middle box below prune, so the lazy
+        # stream never takes its factor with the last box; a table takes
+        # every intersecting pair's
+        rows = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 20, score=0.0011), det(0, 12, 10, 20, score=0.5)]
+        assert len(soft_nms(boxes(*rows), limit=limit)) == min(limit or 2, 2)
+        assert len(exp_calls) == decays
+
+    def test_classes_under_the_cut_match_the_naive_reference(self):
+        # a limit of at least the row count puts every class in its factor
+        # table, and the median class size splits them between both streams;
+        # scores on a grid of eighths tie within and across classes
+        rng = np.random.default_rng(43)
+        for trial in range(120):
+            n = int(rng.integers(1, 40))
+            boxes_, scores, classes = random_case(rng, n, ties=trial % 2 == 0)
+            dets = as_dets(boxes_, scores, classes)
+            want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
+            split = int(np.median(np.bincount(classes)))
+            for k in sorted({split, n, n + 5}):
+                got = soft_nms(dets, sigma=0.5, prune=1e-3, limit=k)
+                assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want[:k]]  # bit-exact
+
+    @pytest.mark.filterwarnings("error")  # as in test_subnormal_sigma_gives_factor_zero
+    @pytest.mark.parametrize("sigma, prune", [(0.5, 0.0), (1e-320, 0.0), (1e-320, 1e-3)])
+    def test_table_stream_keeps_zero_negative_and_zero_factor_scores(self, sigma, prune):
+        # scores of 0 and below, and a factor of exactly 0 (exp(-inf)), keep
+        # the scalar algorithm's picks and prunes in the table stream too
+        rng = np.random.default_rng(47)
+        grid = [-0.25, 0.0, 0.125, 0.5, 1.0]
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            boxes_, _, classes = random_case(rng, n)
+            scores = [grid[int(i)] for i in rng.integers(len(grid), size=n)]
+            dets = as_dets(boxes_, scores, classes)
+            want = naive_soft_nms(boxes_, scores, classes, sigma=sigma, prune=prune)
+            got = soft_nms(dets, sigma=sigma, prune=prune, limit=n)
+            assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want]
+
     @pytest.mark.parametrize("row", [0, 2, 3])
     def test_nan_score_raises(self, row):
         rows = [det(0, 0, 10, 10, cls=c, score=0.5) for c in (0, 0, 1, 1)]

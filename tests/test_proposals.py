@@ -360,6 +360,22 @@ class TestRoiAlign:
         )
         assert int(done.stdout) < 100
 
+    def test_scratch_stays_within_its_bound(self, monkeypatch):
+        # the README's bound, 4.90 MB per thread, is a chunk of 1,024 boxes
+        # of one channel: the per-box arrays (three float64 and one intp
+        # GRID x GRID, two float64 and one int64 2 x GRID) and the float32
+        # weights of one tap, acc, tap and pooled; keeping all four taps'
+        # weights at once would take 7.3 MB
+        monkeypatch.setattr(proposals, "_scratch", proposals._Scratch())
+        rng = np.random.default_rng(61)
+        feat = rng.standard_normal((BOX_CHANNELS, 60, 60)).astype(np.float32)
+        xy = rng.uniform(-20.0, 200.0, (3000, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(1.0, 80.0, (3000, 2))])
+        for nch in (1, 5, 32):
+            roi_align_batch(feat, boxes, np.arange(nch))
+        held = sum(buf.nbytes for buf in proposals._scratch.buffers.values())
+        assert held <= 4_902_912
+
     def test_feature_maps_check_candidate_channels(self):
         box, cat = np.zeros((32, 4, 4), np.float32), np.zeros((256, 4, 4), np.float32)
         none = np.zeros(0, np.intp)
