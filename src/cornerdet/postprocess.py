@@ -106,15 +106,16 @@ def soft_nms(
     order, and islice stops it after `limit` picks, so no class decays for a
     pick past the cut. A NaN score, which the merge cannot order, raises.
 
-    A class's row count against `limit` picks its generator. A class of at
-    most `limit` rows computes each intersecting pair's decay factor once
-    into an n x n table, and a pick is then one argmax, one row multiply and
-    one prune. A longer class, or any class when `limit` is None, decays
-    lazily: each pick computes the overlaps of the picked box with the rows
-    still left, so a row pruned early never costs a factor.
+    A pick is one argmax over the class's alive rows, a yield, a decay of
+    the rows still alive and a prune. The class's row count against `limit`
+    decides only where the picked row's factors come from. A class of at
+    most `limit` rows computes each intersecting pair's factor once into an
+    n x n table; a longer class, or any class when `limit` is None, computes
+    the overlaps of the picked box with the rows still alive, so a row
+    pruned early never costs a factor.
 
     The overlaps follow geometry.iou_matrix's operations on arrays of each
-    class's corners and areas, computed once, and both generators take the
+    class's corners and areas, computed once, and both sources take the
     same operations in the same order, each symmetric in a pair bit for bit;
     the decay uses math.exp only where two boxes intersect (elsewhere the
     factor is exactly 1), so the scores are bit-identical to the scalar
@@ -142,37 +143,26 @@ def soft_nms(
         ov /= -sigma  # -(ov * ov) / sigma, bit for bit
         return np.fromiter(map(math.exp, ov.tolist()), np.float64, ov.size)
 
-    def picks(col):
-        """(-score, original index) of each pick of a class, in pick order, decaying lazily."""
-        while col.shape[1]:
-            b = int(col[5].argmax())  # first maximum: the lowest index
-            yield -float(col[5, b]), int(col[6, b])
-            wh = np.minimum(col[2:4], col[2:4, b, None])
-            wh -= np.maximum(col[:2], col[:2, b, None])
-            hit = np.minimum(wh[0], wh[1]) > 0.0
-            hit[b] = False  # the picked box leaves undecayed
-            hit = hit.nonzero()[0]
-            if hit.size:
-                score = col[5]
-                score[hit] = score.take(hit) * factors(col, b, hit, wh.take(hit, axis=1))
-            keep = col[5] >= prune
-            keep[b] = False
-            col = col.compress(keep, axis=1)
+    def factor_table(col):
+        """n x n decay factors of a class, each intersecting pair's once from the upper triangle.
 
-    def table_picks(col):
-        """The picks of `picks`, for a class that fits under the cut, from one n x n factor table."""
-        n = col.shape[1]
-        # each intersecting pair's factor once, from the upper triangle;
-        # every operation is symmetric in the pair bit for bit, and a miss
-        # keeps the factor 1, as the lazy stream leaves its score alone
+        Every operation is symmetric in the pair bit for bit, and a miss
+        keeps the factor 1, as the on-demand source leaves its score alone.
+        """
         wh = np.minimum(col[2:4, :, None], col[2:4, None])
         wh -= np.maximum(col[:2, :, None], col[:2, None])
         i, j = (np.minimum(wh[0], wh[1]) > 0.0).nonzero()
         upper = i < j
         i, j = i[upper], j[upper]
-        table = np.ones((n, n))
+        table = np.ones((col.shape[1],) * 2)
         if i.size:
             table[i, j] = table[j, i] = factors(col, i, j, wh[:, i, j])
+        return table
+
+    def picks(col, tabled):
+        """(-score, original index) of each pick of a class, in pick order."""
+        n = col.shape[1]
+        table = factor_table(col) if tabled else None
         score = col[5].copy()
         alive = np.ones(n, dtype=bool)
         for _ in range(n):  # each pick retires at least its own row
@@ -182,9 +172,17 @@ def soft_nms(
             if not alive[b]:
                 return
             yield -float(score[b]), int(col[6, b])
-            score *= table[b]
+            alive[b] = False  # the picked box leaves undecayed
+            if tabled:
+                score *= table[b]
+            else:
+                wh = np.minimum(col[2:4], col[2:4, b, None])
+                wh -= np.maximum(col[:2], col[:2, b, None])
+                hit = np.minimum(wh[0], wh[1]) > 0.0
+                hit &= alive
+                hit = hit.nonzero()[0]
+                score[hit] *= factors(col, b, hit, wh.take(hit, axis=1))
             alive &= score >= prune
-            alive[b] = False
 
     # one column per box, grouped by class and each class in ascending
     # original index; rows x1, y1, x2, y2, area, running score and original
@@ -200,7 +198,7 @@ def soft_nms(
     # a class of at most `limit` rows takes its factors from a table of at
     # most limit x limit; a longer one may need only a few of its pairs
     streams = [
-        (table_picks if limit is not None and hi - lo <= limit else picks)(cols[:, lo:hi])
+        picks(cols[:, lo:hi], limit is not None and hi - lo <= limit)
         for lo, hi in zip([0, *edges], [*edges, len(dets)])
     ]
     picked = list(itertools.islice(heapq.merge(*streams), limit))

@@ -179,12 +179,15 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     quarter-points; bilinear taps outside the feature extent read 0.
     Degenerate (zero-area) boxes produce all-zero output.
 
-    The boxes are pooled in chunks of at most ROI_CHUNK (box, channel)
-    pairs, and every working array of a chunk keeps the box axis innermost:
-    sample positions, floors and tap weights are (2, 14, m), the tap index
-    and one tap's weights (14, 14, m), the samples (L, 14, 14, m) and the
-    bins (L, 7, 7, m), so each broadcast runs along the chunk's m boxes.
-    The arrays come from a per-thread scratch kept from call to call.
+    Each listed channel's whole map is copied once into an (L, H + 2, W + 2)
+    array whose edge cells repeat one step outward, so a sample's four taps
+    are four fixed offsets from one index into it. The boxes are pooled in
+    chunks of at most ROI_CHUNK (box, channel) pairs, and every working
+    array of a chunk keeps the box axis innermost: sample positions, floors
+    and tap weights are (2, 14, m), the tap index and one tap's weights
+    (14, 14, m), the samples (L, 14, 14, m) and the bins (L, 7, 7, m), so
+    each broadcast runs along the chunk's m boxes. The chunk arrays come
+    from a per-thread scratch kept from call to call.
     """
     feat = np.asarray(feat, dtype=np.float32)
     _, h, w = feat.shape
@@ -197,26 +200,15 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     if idx_live.size == 0 or nch == 0:
         return out
 
-    # A box's taps lie in feature rows floor(y1) .. floor(y2) + 1 and columns
-    # floor(x1) .. floor(x2) + 1, and a tap outside the map reads the clipped
-    # edge cell (with weight 0), so the band between the clipped extremes
-    # holds every cell any tap reads.
-    fb = boxes[idx_live] / STRIDE
-    lo = np.floor(fb[:, :2].min(axis=0))
-    hi = np.floor(fb[:, 2:].max(axis=0)) + 1.0
-    top = np.array([w - 1, h - 1])
-    c0, r0 = np.clip(lo, 0, top).astype(np.intp)
-    c1, r1 = np.clip(hi, 0, top).astype(np.intp)
-
-    # The band of the listed channels with its edge cells repeated one step
+    # The listed channels' maps with their edge cells repeated one step
     # outward. A sample's four taps are then the padded cells i, i + 1,
     # i + pw and i + pw + 1, where i is the sample's floor(y), floor(x)
-    # clipped into the padded band: each tap reads the cell that clipping
-    # the tap itself into the band would read.
-    pw = c1 - c0 + 3
-    padded = np.empty((nch, r1 - r0 + 3, pw), dtype=np.float32)
-    for band, c in zip(padded, channels):
-        band[1:-1, 1:-1] = feat[c, r0 : r1 + 1, c0 : c1 + 1]
+    # clipped to [-1, extent - 1] and shifted by one: each tap reads the
+    # cell that clipping the tap itself into the map would read.
+    pw = w + 2
+    padded = np.empty((nch, h + 2, pw), dtype=np.float32)
+    for plane, c in zip(padded, channels):
+        plane[1:-1, 1:-1] = feat[c]
     padded[:, 0] = padded[:, 1]
     padded[:, -1] = padded[:, -2]
     padded[:, :, 0] = padded[:, :, 1]
@@ -226,12 +218,11 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     # sample positions within a bin: quarter and three-quarter points
     frac = ((np.arange(GRID, dtype=np.float64) + 0.5) / 2.0)[:, None]  # 0.25, 0.75, 1.25, ...
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
-    # per axis (x, then y): the map's extent and the band's first and last
-    # padded cells, each shaped to broadcast over (axis, sample, box)
+    # the map's extent per axis (x, then y), shaped to broadcast over
+    # (axis, sample, box)
     extent = np.array([w, h]).reshape(2, 1, 1)
-    first = np.array([c0 - 1, r0 - 1]).reshape(2, 1, 1)
-    last = np.array([c1, r1]).reshape(2, 1, 1)
 
+    fb = boxes[idx_live] / STRIDE
     step = max(1, ROI_CHUNK // nch)
     for start in range(0, idx_live.size, step):
         sel = idx_live[start : start + step]
@@ -253,8 +244,8 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
         w1 = pos
         w1 *= (low >= -1) & (low < extent - 1)
         # clipped before the shift, so the cast of a non-finite sample cannot wrap
-        np.clip(low, first, last, out=low)
-        low -= first
+        np.clip(low, -1, extent - 1, out=low)
+        low += 1
         # (y sample, x sample, box)
         lin = _scratch.take("lin", (GRID, GRID, m), np.intp)
         np.multiply(low[1, :, None], pw, out=lin)

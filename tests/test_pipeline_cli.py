@@ -761,6 +761,44 @@ def test_noisy_report_pinned(tmp_path):
     assert got == NOISY_REPORT_SHA256
 
 
+# sha256 of both dumps and the report of each benchmark workload's corpus
+# (perfbench/run.py WORKLOADS, 30 scenes at seed 1), detected with 1 worker:
+# the bits a kernel rewrite must keep on the corpora the benchmark times
+BENCHMARK_CORPORA_SHA256 = {
+    "clean": (
+        {},
+        "b5f2a3290748de56bd8853d27d63e0a560ed4c1a46ca3160004e7629e633e707",
+        "0b634f7d4918ff324be2102d81c2a96a7c1610b3c1dfe0a8aeaa130c8763b516",
+        "0ef9c48b7326ff71f77c605fcee88f1a93e4cc984189c21956214ea56639aa9d",
+    ),
+    "noisy": (
+        {"noise": 0.3},
+        "08b7d1950640b3ac4b37d99cb6e20ad4845065977f1c282eb327f5043584725a",
+        "86184b79c10b5bbf7e956f3936a34f0da5328da8178a55233600be0389476997",
+        "34017539198a2694a2435aee3f9b0c517cfff53559019c0ac0d3ca20131404eb",
+    ),
+    "cross": (
+        {"arrangement": "cross", "noise": 0.3},
+        "075dbc12cd1d4dd122e65019052f205bbb7effe4d17649662032492a71af792a",
+        "ef62c152b709daa08f2286857cbb3134cfb3523b081e9f25dd037e9d052efd7f",
+        "2ccec6c7c7e3e38037a6c3526562f07de5689d3be07a24ef0280d587fbf42156",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_CORPORA_SHA256)
+def test_benchmark_corpora_dumps_pinned(name, tmp_path):
+    overrides, *want = BENCHMARK_CORPORA_SHA256[name]
+    corpus = tmp_path / name
+    write_corpus(corpus, SynthConfig(**overrides), count=30, seed=1)
+    dump, report = tmp_path / "dets.json", tmp_path / "report.json"
+    assert main(["detect", "--corpus", str(corpus), "--out", str(dump), "--workers", "1"]) == 0
+    gt = corpus / "ground_truth.json"
+    assert main(["eval", "--dets", str(dump), "--gt", str(gt), "--report", str(report)]) == 0
+    got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (dump, proposals_sibling(dump), report)]
+    assert got == want
+
+
 # sha256 of the ground truth and manifest of two fixed corpora: the noisy one
 # above, and a cross one. A change that moves a random draw of scene
 # generation, or the image size the files record, moves these.

@@ -154,8 +154,8 @@ class TestRoiAlign:
             assert np.allclose(lhs, rhs, atol=1e-4)
 
     def test_batch_matches_single(self):
-        # the second map has channels live in patches, so a box alone reads
-        # a smaller band of the map than the batch it came from
+        # the second map has channels live in patches, so a box alone reaches
+        # fewer live cells than the batch it came from
         rng = np.random.default_rng(37)
         dense = rng.standard_normal((4, 16, 16)).astype(np.float32)
         patchy = np.zeros((4, 16, 16), dtype=np.float32)
@@ -249,6 +249,20 @@ class TestRoiAlign:
         assert pooled.tobytes() == want.tobytes()
         assert np.isnan(pooled[:2, 0]).all() and np.isnan(pooled[2:4, 1]).all()
         assert np.isfinite(pooled[4]).all() and np.isfinite(pooled[:, 2]).all()
+
+    @pytest.mark.filterwarnings("error")  # 0 * inf or 0 * NaN would warn
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_beyond_every_tap_is_never_weighed(self, value):
+        # each listed channel's whole map is copied, the bottom-right cell
+        # too, but the boxes' taps all lie in feature rows and columns 0..16
+        rng = np.random.default_rng(67)
+        feat = rng.standard_normal((3, 20, 24)).astype(np.float32)
+        feat[:, -1, -1] = value
+        xy = rng.uniform(0.0, 30.0, (50, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(1.0, 30.0, (50, 2))])
+        pooled = dense_roi_align(feat, boxes)
+        assert np.isfinite(pooled).all()
+        assert pooled.tobytes() == frozen_roi_align_batch(feat, boxes).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_boxes_clipped_on_all_sides_match_frozen_kernel(self):
