@@ -3,12 +3,15 @@ detection and offset terms, and their unweighted total.
 
 Conventions shared by every loss here:
 
-- predictions are probabilities strictly inside (0, 1); values outside are
-  an argument error, and survivors are clamped to [1e-7, 1 - 1e-7] before
+- predictions are probabilities strictly inside (0, 1), and IoU labels and
+  corner targets lie in [0, 1]; values outside, NaN among them, are an
+  argument error, and predictions are clamped to [1e-7, 1 - 1e-7] before
   any logarithm purely for numerical safety;
-- positives are decided by max-IoU against ground truth at threshold TAU
-  (0.7), and the positive-count normalizer is clamped to 1 when a batch
-  has no positives;
+- the objectness, class and corner losses are one focal form: positives
+  are decided by max-IoU against ground truth at threshold TAU (0.7), or
+  by a corner target of exactly 1, and the positive-count normalizer is
+  clamped to 1 when a batch has no positives; the corner loss weighs its
+  negative terms by (1 - t)^4;
 - scalar reductions use exactly rounded summation, so every loss value is
   invariant under permutation of its inputs.
 
@@ -45,7 +48,7 @@ def label_proposals(boxes: np.ndarray, truth: np.ndarray, num_classes: int) -> n
 
 def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() <= 0.0 or p.max() >= 1.0):
+    if not ((0.0 < p) & (p < 1.0)).all():
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return np.clip(p, EPS, 1.0 - EPS)
 
@@ -58,20 +61,34 @@ def _positives(p, name: str, ious, ndim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{name} must be {ndim}-D with the shape of its IoU labels, got {p.shape} and {ious.shape}"
         )
+    if not ((0.0 <= ious) & (ious <= 1.0)).all():
+        raise ValueError("IoU labels must lie in [0, 1]")
     return p, ious >= TAU
 
 
-def _focal(p: np.ndarray, pos: np.ndarray, gamma: float) -> float:
-    """Positives contribute (1-p)^gamma * log(p), the rest p^gamma * log(1-p);
+def _corner_positives(pred, target) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The clamped predictions, the peak-cell mask, the exponent 2 and the
+    penalty reduction (1 - t)^4 of the negative terms."""
+    pred = _check_probs(pred, "pred")
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ValueError("pred and target shapes must match")
+    if not ((0.0 <= target) & (target <= 1.0)).all():
+        raise ValueError("target values must lie in [0, 1]")
+    return pred, target == 1.0, 2.0, (1.0 - target) ** 4
+
+
+def _focal(p: np.ndarray, pos: np.ndarray, gamma: float, weight=1.0) -> float:
+    """Positives contribute (1-p)^gamma * log(p), the rest weight * p^gamma * log(1-p);
     the sum is negated and divided by the positive count (at least 1)."""
-    terms = np.where(pos, (1.0 - p) ** gamma * np.log(p), p**gamma * np.log(1.0 - p))
+    terms = np.where(pos, (1.0 - p) ** gamma * np.log(p), weight * p**gamma * np.log(1.0 - p))
     return -math.fsum(terms.ravel().tolist()) / max(1, int(pos.sum()))
 
 
-def _focal_grad(p: np.ndarray, pos: np.ndarray, gamma: float) -> np.ndarray:
+def _focal_grad(p: np.ndarray, pos: np.ndarray, gamma: float, weight=1.0) -> np.ndarray:
     """d(_focal)/dp, elementwise."""
     grad_pos = -gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p) + (1.0 - p) ** gamma / p
-    grad_neg = gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)
+    grad_neg = weight * (gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p))
     return -np.where(pos, grad_pos, grad_neg) / max(1, int(pos.sum()))
 
 
@@ -110,33 +127,12 @@ def loss_corner_det(pred: np.ndarray, target: np.ndarray) -> float:
     other cells contribute (1-t)^4 * p^2 * log(1-p), so near-peak cells are
     down-weighted. Normalized by the positive count (at least 1).
     """
-    pred = _check_probs(pred, "pred")
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != pred.shape:
-        raise ValueError("pred and target shapes must match")
-    if target.min() < 0.0 or target.max() > 1.0:
-        raise ValueError("target values must lie in [0, 1]")
-    pos = target == 1.0
-    n = max(1, int(pos.sum()))
-    terms = np.where(
-        pos,
-        (1.0 - pred) ** 2 * np.log(pred),
-        (1.0 - target) ** 4 * pred**2 * np.log(1.0 - pred),
-    )
-    return -math.fsum(terms.ravel().tolist()) / n
+    return _focal(*_corner_positives(pred, target))
 
 
 def loss_corner_det_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(loss_corner_det)/dpred, elementwise."""
-    pred = _check_probs(pred, "pred")
-    target = np.asarray(target, dtype=np.float64)
-    pos = target == 1.0
-    n = max(1, int(pos.sum()))
-    grad_pos = -2.0 * (1.0 - pred) * np.log(pred) + (1.0 - pred) ** 2 / pred
-    grad_neg = (1.0 - target) ** 4 * (
-        2.0 * pred * np.log(1.0 - pred) - pred**2 / (1.0 - pred)
-    )
-    return -np.where(pos, grad_pos, grad_neg) / n
+    return _focal_grad(*_corner_positives(pred, target))
 
 
 def _smooth_l1(e: np.ndarray) -> np.ndarray:

@@ -358,14 +358,6 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     feats, weights = bundle.features, bundle.weights
     boxes, classes = scene.truth["box"], scene.truth["class_id"]
     box_ch, cat_ch = feats.box_channels, feats.cat_channels
-    p_true = binary_scores(roi_align_batch(feats.box_feat, boxes, box_ch), box_ch, weights)
-    heads = class_scores(roi_align_batch(feats.cat_feat, boxes, cat_ch), cat_ch, weights).argmax(axis=1)
-    problems = []
-    for i, class_id in enumerate(classes):
-        if p_true[i] < TRUE_SCORE_FLOOR:
-            problems.append(f"true box {i}: binary score {p_true[i]:.4f} < {TRUE_SCORE_FLOOR}")
-        if heads[i] != class_id:
-            problems.append(f"true box {i}: class argmax {heads[i]} != {class_id}")
     # box i's top-left corner paired with box j's bottom-right, unless the
     # pairing is invalid or gives back a true box, as i == j does
     cross = np.concatenate(np.broadcast_arrays(boxes[:, None, :2], boxes[None, :, 2:]), axis=2)
@@ -375,8 +367,19 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
         & (cross[..., 1] < cross[..., 3])
         & ~(cross[:, :, None] == boxes).all(axis=3).any(axis=2)
     )
+    # one pass scores the true boxes, then the pairings: RoIAlign pools and
+    # the head scores every box on its own, so the split keeps each score's bits
+    scored = np.concatenate([boxes, cross[valid]])
+    p_box = binary_scores(roi_align_batch(feats.box_feat, scored, box_ch), box_ch, weights)
+    p_true, p_cross = p_box[: len(boxes)], p_box[len(boxes) :]
+    heads = class_scores(roi_align_batch(feats.cat_feat, boxes, cat_ch), cat_ch, weights).argmax(axis=1)
+    problems = []
+    for i, class_id in enumerate(classes):
+        if p_true[i] < TRUE_SCORE_FLOOR:
+            problems.append(f"true box {i}: binary score {p_true[i]:.4f} < {TRUE_SCORE_FLOOR}")
+        if heads[i] != class_id:
+            problems.append(f"true box {i}: class argmax {heads[i]} != {class_id}")
     pairs = np.argwhere(valid)  # row-major: ascending (i, j)
-    p_cross = binary_scores(roi_align_batch(feats.box_feat, cross[valid], box_ch), box_ch, weights)
     for (i, j), p in zip(pairs, p_cross):
         if p > FALSE_SCORE_CEIL:
             problems.append(f"cross pairing {i}->{j}: binary score {p:.4f} > {FALSE_SCORE_CEIL}")

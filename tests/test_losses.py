@@ -39,7 +39,7 @@ class TestLossProp:
 
     def test_out_of_range_rejected(self):
         labels = np.array([0.9])
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 loss_prop(np.array([bad]), labels)
 
@@ -85,8 +85,9 @@ class TestLossClass:
 
     def test_out_of_range_rejected(self):
         labels = np.array([[0.9, 0.0]])
-        with pytest.raises(ValueError):
-            loss_class(np.array([[1.2, 0.5]]), labels)
+        for bad in (1.2, float("nan")):
+            with pytest.raises(ValueError):
+                loss_class(np.array([[bad, 0.5]]), labels)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -146,6 +147,25 @@ class TestLossCornerDet:
             analytic = loss_corner_det_grad(pred, target)
             numeric = central_difference(lambda x: loss_corner_det(x, target), pred.copy())
             assert relative_gradient_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize(
+        "pred, target, message",
+        [
+            (np.full((1, 2, 2), 0.5), np.zeros((1, 2, 1)), "pred and target shapes must match"),
+            (np.full((1, 2, 2), 0.5), np.full((1, 2, 2), 2.0), r"target values must lie in \[0, 1\]"),
+            (np.full((1, 2, 2), 0.5), np.full((1, 2, 2), np.nan), r"target values must lie in \[0, 1\]"),
+            (np.full((1, 2, 2), np.nan), np.zeros((1, 2, 2)), r"pred must lie strictly inside \(0, 1\)"),
+        ],
+        ids=["shape", "target-2", "target-nan", "pred-nan"],
+    )
+    def test_bad_input_rejected_by_loss_and_gradient(self, pred, target, message):
+        for loss in (loss_corner_det, loss_corner_det_grad):
+            with pytest.raises(ValueError, match=message):
+                loss(pred, target)
+
+    def test_empty_input(self):
+        empty = np.zeros((1, 0, 3))
+        assert loss_corner_det(empty, empty) == 0.0
 
 
 class TestLossCornerOffset:
@@ -255,3 +275,10 @@ def test_losses_nonnegative_random():
 def test_label_shape_mismatch_rejected(loss, pred, ious):
     with pytest.raises(ValueError, match="with the shape of its IoU labels"):
         loss(pred, ious)
+
+
+@pytest.mark.parametrize("loss", [loss_prop, loss_prop_grad])
+def test_nan_label_rejected(loss):
+    # a NaN label fails the TAU test, and would otherwise count as a negative
+    with pytest.raises(ValueError, match=r"IoU labels must lie in \[0, 1\]"):
+        loss(np.array([0.5, 0.5]), np.array([np.nan, 0.1]))

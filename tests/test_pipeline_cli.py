@@ -703,12 +703,16 @@ def test_perfbench_detect_pass_smoke(bench, small_corpus, tmp_path):
 
 def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
     """A traced benchmark round on 3 noisy scenes: every layer check runs and
-    passes, only the four retired stages are absent, and tracing moves no dump."""
+    passes, only the four retired stages are absent, and tracing moves no dump.
+    Soft-NMS keeps as many records as the dump holds, and every tensor load
+    runs through a traced name: 4 weight files and 6 tensors per scene."""
     monkeypatch.setattr(bench, "SCENES", 3)
     tracer, _, walls, _, _, dumps = bench.traced_round(SynthConfig(noise=0.3), 1, tmp_path)
     values, _ = bench.round_metrics(tracer, walls)
     untraced = dumps[0]
     assert bench.layer_checks(values, untraced, tracer.absent) == []
+    assert values["postprocess.soft_nms.out"] == untraced.n_dets == 211
+    assert values["tensorio.load_tensor.calls"] == 4 + 6 * 3
     assert tracer.absent == [
         "cornerdet.pipeline.assign_labels",
         "cornerdet.pipeline.top_k_truncate",

@@ -230,6 +230,15 @@ class TestRenderOracle:
         scene, bundle = build_scene(cfg, seed=21)
         assert verify_bundle(scene, bundle) == []
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_verification_without_cross_pairings(self, count):
+        # one box pairs only with itself, so the scored batch holds just the
+        # true boxes and the cross scores split off empty
+        cfg = SynthConfig(num_boxes=(count, count))
+        scene = generate_scene(cfg, seed=2)
+        assert len(scene.truth) == count
+        assert verify_bundle(scene, render_oracle(scene, cfg)) == []
+
     def test_verification_names_a_weak_true_box(self):
         scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
         bundle.features.box_feat[0] = 0.0
