@@ -28,9 +28,8 @@ POOL_SIZE = 7
 # RoIAlign samples each box on a GRID x GRID lattice, 2 x 2 per bin
 GRID = 2 * POOL_SIZE
 # (box, channel) pairs RoIAlign pools per chunk, which bounds each thread's
-# scratch: 4.90 MB at most (1,024 boxes of one channel), whatever the
-# number of boxes; a chunk holds at least one box, so only a map listing
-# more than ROI_CHUNK channels goes beyond it
+# scratch: 4.90 MB at most (a chunk of 1,024 pairs), whatever the number of
+# boxes or listed channels
 ROI_CHUNK = 1024
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
@@ -181,13 +180,19 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
 
     Each listed channel's whole map is copied once into an (L, H + 2, W + 2)
     array whose edge cells repeat one step outward, so a sample's four taps
-    are four fixed offsets from one index into it. The boxes are pooled in
-    chunks of at most ROI_CHUNK (box, channel) pairs, and every working
-    array of a chunk keeps the box axis innermost: sample positions, floors
-    and tap weights are (2, 14, m), the tap index and one tap's weights
-    (14, 14, m), the samples (L, 14, 14, m) and the bins (L, 7, 7, m), so
-    each broadcast runs along the chunk's m boxes. The chunk arrays come
-    from a per-thread scratch kept from call to call.
+    are four fixed offsets from one index into it, and scanned once for the
+    first and last rows and columns holding a cell with a nonzero bit. A box
+    reaches a channel when the cells its taps can read meet that rectangle;
+    only those (box, channel) pairs are pooled. Any other pair reads zero
+    cells with finite weights >= 0 and keeps its exact +0.0, but a box with
+    a non-finite feature coordinate, or one beyond int64, can weigh its taps
+    with NaN and reaches every listed channel. The pairs are pooled
+    channel-major in chunks of at most ROI_CHUNK, and every working array of
+    a chunk keeps the pair axis innermost: sample positions, floors and tap
+    weights are (2, 14, m), the tap index, one tap's weights and the samples
+    (14, 14, m) and the bins (7, 7, m), so each broadcast runs along the
+    chunk's m pairs and each tap is one gather from the flattened copy. The
+    chunk arrays come from a per-thread scratch kept from call to call.
     """
     feat = np.asarray(feat, dtype=np.float32)
     _, h, w = feat.shape
@@ -206,6 +211,7 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     # clipped to [-1, extent - 1] and shifted by one: each tap reads the
     # cell that clipping the tap itself into the map would read.
     pw = w + 2
+    cells = (h + 2) * pw
     padded = np.empty((nch, h + 2, pw), dtype=np.float32)
     for plane, c in zip(padded, channels):
         plane[1:-1, 1:-1] = feat[c]
@@ -213,21 +219,44 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     padded[:, -1] = padded[:, -2]
     padded[:, :, 0] = padded[:, :, 1]
     padded[:, :, -1] = padded[:, :, -2]
-    flat = padded.reshape(nch, -1)
+    flat = padded.reshape(-1)
+
+    # Each channel's first and last column and row holding a cell with a
+    # nonzero bit (NaN, +-inf and -0.0 count), (axis, channel, 1); an empty
+    # channel's run from past the map to before it, so no box meets them.
+    bits = padded[:, 1:-1, 1:-1].view(np.uint32)
+    first = np.empty((2, nch, 1), dtype=np.intp)
+    last = np.empty_like(first)
+    for axis, (size, across) in enumerate(((w, 1), (h, 2))):
+        nonzero = np.bitwise_or.reduce(bits, axis=across) != 0
+        index = np.arange(size)
+        first[axis] = np.where(nonzero, index, size).min(axis=1, keepdims=True)
+        last[axis] = np.where(nonzero, index, -1).max(axis=1, keepdims=True)
+    # A box reaches a channel when the cells its taps can read, floor(lo) to
+    # floor(hi) + 1 per axis clipped into the map, meet its rectangle:
+    # (channel, box). A box whose floors do not fit an int64 reaches every
+    # channel, since its tap weights can be NaN.
+    fb = boxes.T.take(idx_live, axis=1) / STRIDE  # x1, y1, x2, y2 rows
+    span = np.floor(fb)
+    span[2:] += 1
+    np.minimum(np.maximum(span, 0, out=span), np.array([w - 1, h - 1] * 2)[:, None], out=span)
+    reach = (span[:2, None] <= last) & (span[2:, None] >= first)
+    reach = reach[0] & reach[1]
+    reach |= ~(np.abs(fb) < 2.0**63).all(axis=0)
+    pair_ch, pair_box = np.nonzero(reach)
 
     # sample positions within a bin: quarter and three-quarter points
     frac = ((np.arange(GRID, dtype=np.float64) + 0.5) / 2.0)[:, None]  # 0.25, 0.75, 1.25, ...
     quad = ((0, 0), (0, 1), (1, 0), (1, 1))  # taps, and a bin's samples, in row order
     # the map's extent per axis (x, then y), shaped to broadcast over
-    # (axis, sample, box)
+    # (axis, sample, pair)
     extent = np.array([w, h]).reshape(2, 1, 1)
 
-    fb = boxes[idx_live] / STRIDE
-    step = max(1, ROI_CHUNK // nch)
-    for start in range(0, idx_live.size, step):
-        sel = idx_live[start : start + step]
-        m = sel.size
-        cb = fb[start : start + step].T.reshape(2, 2, 1, m)  # (x1, y1), (x2, y2)
+    for start in range(0, pair_box.size, ROI_CHUNK):
+        box = pair_box[start : start + ROI_CHUNK]
+        ch = pair_ch[start : start + ROI_CHUNK]
+        m = box.size
+        cb = fb[:, box].reshape(2, 2, 1, m)  # (x1, y1), (x2, y2)
         # sample positions per axis, x1 + frac * (x2 - x1) / 7 and alike for y
         pos = _scratch.take("pos", (2, GRID, m), np.float64)
         np.multiply((cb[1] - cb[0]) / POOL_SIZE, frac, out=pos)
@@ -246,7 +275,9 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
         # clipped before the shift, so the cast of a non-finite sample cannot wrap
         np.clip(low, -1, extent - 1, out=low)
         low += 1
-        # (y sample, x sample, box)
+        low[0] += ch * cells
+        # (y sample, x sample, pair): each sample's index into its pair's
+        # channel of flat
         lin = _scratch.take("lin", (GRID, GRID, m), np.intp)
         np.multiply(low[1, :, None], pw, out=lin)
         lin += low[0]
@@ -255,29 +286,27 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
 
         # each tap's float32 products, added to the first tap's in tap order
         weights = _scratch.take("weights", (GRID, GRID, m))
-        acc = _scratch.take("acc", (nch, GRID, GRID, m))
-        tap = _scratch.take("tap", (nch, GRID, GRID, m))
+        acc = _scratch.take("acc", (GRID, GRID, m))
+        tap = _scratch.take("tap", (GRID, GRID, m))
         for t, (dy, dx) in enumerate(quad):
             np.multiply(wy[dy][:, None], wx[dx], out=weights)
             vals = tap if t else acc
             # indices are in range by construction; mode="raise" would
             # stage out= through a copy
-            for c in range(nch):
-                np.take(flat[c, dy * pw + dx :], lin, out=vals[c], mode="clip")
+            np.take(flat[dy * pw + dx :], lin, out=vals, mode="clip")
             vals *= weights
             if t:
                 acc += vals
 
-        # Average each bin's 2x2 samples, added to +0 in row order for any
-        # channel count, so a box pools the same bits whatever else its batch
-        # holds.
-        samples = acc.reshape(nch, POOL_SIZE, 2, POOL_SIZE, 2, m)
-        pooled = _scratch.take("pooled", (nch, POOL_SIZE, POOL_SIZE, m))
+        # Average each bin's 2x2 samples, added to +0 in row order, so a
+        # pair pools the same bits whatever else its batch holds.
+        samples = acc.reshape(POOL_SIZE, 2, POOL_SIZE, 2, m)
+        pooled = _scratch.take("pooled", (POOL_SIZE, POOL_SIZE, m))
         pooled.fill(0.0)
         for i, j in quad:
-            pooled += samples[:, :, i, :, j]
+            pooled += samples[:, i, :, j]
         pooled /= 4
-        out[sel] = pooled.transpose(3, 0, 1, 2)
+        out[idx_live[box], ch] = pooled.transpose(2, 0, 1)
     return out
 
 

@@ -289,17 +289,18 @@ class TestSoftNms:
 
     @pytest.mark.parametrize("limit, decays", [(None, 1), (2, 1), (3, 2), (4, 2)])
     def test_class_size_against_the_limit_picks_the_stream(self, exp_calls, limit, decays):
-        # the first pick decays the middle box below prune, so the lazy
-        # stream never takes its factor with the last box; a table takes
-        # every intersecting pair's
+        # the first pick decays the middle box below prune, so a class
+        # longer than the limit, which computes the picked box's overlaps on
+        # demand, never takes the middle box's factor with the last box; a
+        # table takes every intersecting pair's
         rows = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 20, score=0.0011), det(0, 12, 10, 20, score=0.5)]
         assert len(soft_nms(boxes(*rows), limit=limit)) == min(limit or 2, 2)
         assert len(exp_calls) == decays
 
     def test_classes_under_the_cut_match_the_naive_reference(self):
         # a limit of at least the row count puts every class in its factor
-        # table, and the median class size splits them between both streams;
-        # scores on a grid of eighths tie within and across classes
+        # table, and the median class size splits them between both factor
+        # sources; scores on a grid of eighths tie within and across classes
         rng = np.random.default_rng(43)
         for trial in range(120):
             n = int(rng.integers(1, 40))
@@ -315,7 +316,8 @@ class TestSoftNms:
     @pytest.mark.parametrize("sigma, prune", [(0.5, 0.0), (1e-320, 0.0), (1e-320, 1e-3)])
     def test_table_stream_keeps_zero_negative_and_zero_factor_scores(self, sigma, prune):
         # scores of 0 and below, and a factor of exactly 0 (exp(-inf)), keep
-        # the scalar algorithm's picks and prunes in the table stream too
+        # the scalar algorithm's picks and prunes when a class's factors come
+        # from its table too
         rng = np.random.default_rng(47)
         grid = [-0.25, 0.0, 0.125, 0.5, 1.0]
         for _ in range(40):

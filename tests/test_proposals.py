@@ -170,7 +170,7 @@ class TestRoiAlign:
                 assert batch[i].tobytes() == single.tobytes()
 
     def test_live_channels_match_frozen_dense_kernel(self):
-        # random dead channels, channels live only outside the boxes' band,
+        # random dead channels, channels live only in a corner no tap reads,
         # boxes partly or wholly outside the map, and NaN in edge cells that
         # only the clipped taps of a box outside the map read
         rng = np.random.default_rng(41)
@@ -184,7 +184,7 @@ class TestRoiAlign:
             boxes[:, 2:] = boxes[:, :2] + rng.uniform(-5, 70, (n, 2))  # some zero-area
             if trial % 3 == 0:
                 # every tap within feature rows and columns 0..3; a channel
-                # live only in the far corner lies outside the band
+                # live only in the far corner lies beyond every tap
                 boxes[:, :2] = rng.uniform(0.0, 4.0, (n, 2))
                 boxes[:, 2:] = boxes[:, :2] + rng.uniform(0.5, 4.0, (n, 2))
                 feat[0] = 0.0
@@ -287,6 +287,126 @@ class TestRoiAlign:
         pooled = roi_align_batch(feat, boxes, channels)
         want = frozen_roi_align_batch(feat, boxes)
         assert pooled.tobytes() == want[:, channels].tobytes()
+
+    def test_boxes_touching_a_channels_rectangle_match_frozen_kernel(self):
+        # channel 0 holds data in rows 6..11 and columns 8..15 only, and
+        # channel 1 in a block that reaches the map's right edge. A box's
+        # taps read the cells floor(lo / 4) to floor(hi / 4) + 1 per axis:
+        # each touching box reads exactly one row or column of channel 0's
+        # block, and each short box stops one cell before it.
+        rng = np.random.default_rng(71)
+        feat = np.zeros((3, 20, 24), dtype=np.float32)
+        feat[0, 6:12, 8:16] = rng.uniform(0.5, 1.5, (6, 8))
+        feat[1, 2:5, 18:] = rng.uniform(0.5, 1.5, (3, 6))
+        feat[2] = rng.standard_normal((20, 24))
+        rows, cols = (4 * 6.5, 4 * 11.5), (4 * 8.5, 4 * 15.5)  # cell centres inside the block
+        touching = np.array(
+            [
+                [4 * 5.5 - 8, rows[0], 4 * 7.5, rows[1]],  # left: taps reach column 8
+                [4 * 15.5, rows[0], 4 * 15.5 + 8, rows[1]],  # right: floor lands on column 15
+                [cols[0], 4 * 3.5, cols[1], 4 * 5.5],  # above: taps reach row 6
+                [cols[0], 4 * 11.5, cols[1], 4 * 11.5 + 8],  # below: floor lands on row 11
+            ]
+        )
+        short = touching + 4.0 * np.array([[-1, 0, -1, 0], [1, 0, 1, 0], [0, -1, 0, -1], [0, 1, 0, 1]])
+        beyond = np.array([[120.0, 10.0, 150.0, 18.0], [-30.0, -20.0, -10.0, -4.0]])  # right of, above the map
+        boxes = np.vstack([touching, short, beyond])
+        channels = np.array([0, 1, 2])
+        pooled = roi_align_batch(feat, boxes, channels)
+        assert pooled.tobytes() == frozen_roi_align_batch(feat, boxes).tobytes()
+        assert (pooled[:4, 0] != 0).any(axis=(1, 2)).all()
+        assert not pooled[4:, 0].any()
+        # the box right of the map reads channel 1's edge column with weight 0
+        assert not pooled[8, 1].any() and not np.signbit(pooled[4:, :2]).any()
+
+    def test_negative_zero_and_all_zero_listed_channels_pool_positive_zeros(self):
+        # -0.0 has a nonzero bit, so its channel counts as reached; its
+        # samples add -0.0 to the bin's +0 and pool +0.0, as an unlisted or
+        # all-zero channel does
+        rng = np.random.default_rng(73)
+        feat = np.zeros((4, 16, 18), dtype=np.float32)
+        feat[0] = -0.0
+        feat[2:] = rng.standard_normal((2, 16, 18))
+        xy = rng.uniform(-10.0, 40.0, (40, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(1.0, 30.0, (40, 2))])
+        pooled = dense_roi_align(feat, boxes)
+        assert pooled.tobytes() == frozen_roi_align_batch(feat, boxes).tobytes()
+        assert not np.signbit(pooled[:, :2]).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_boxes_beyond_int64_or_infinite_reach_every_listed_channel(self):
+        # An infinite coordinate weighs every tap with NaN, and a feature
+        # coordinate beyond 2**63 casts to a floor outside the map whose
+        # clipped taps read column 0, the inf cell included, with weight 0.
+        # Either box pools NaN in channels whose data its floors' tap cells
+        # never meet.
+        rng = np.random.default_rng(79)
+        feat = np.zeros((4, 20, 24), dtype=np.float32)
+        feat[0, 2, 0] = np.inf  # an edge cell: column 0, row 2
+        feat[1, 14:18, 10:15] = rng.uniform(0.5, 1.5, (4, 5))  # far from rows 0..4
+        feat[3] = rng.standard_normal((20, 24))
+        big = 4.0 * 2.0**64
+        boxes = np.array(
+            [
+                [0.0, 0.0, np.inf, 10.0],
+                [-np.inf, 0.0, 10.0, 10.0],
+                [0.0, -np.inf, 10.0, 10.0],
+                [0.0, 0.0, 10.0, np.inf],
+                [big, 4.0, 2 * big, 16.0],  # right of the map, beyond int64
+                [-2 * big, 4.0, -big, 16.0],  # left of the map, beyond int64
+                [4.0, 4.0, 16.0, 16.0],  # finite, away from channel 1's block
+            ]
+        )
+        data = np.array([0, 1, 3])  # the channels with data, as FeatureMaps lists them
+        pooled = roi_align_batch(feat, boxes, data)
+        assert pooled.tobytes() == frozen_roi_align_batch(feat, boxes)[:, data].tobytes()
+        assert np.isnan(pooled[:4]).all() and np.isnan(pooled[4:6, 0]).any(axis=(1, 2)).all()
+        assert not pooled[6, 1].any()
+        # every listed channel, the all-zero channel 2 too, as the dense kernel pools it
+        assert np.isnan(roi_align_batch(feat, boxes[:4], np.arange(4))[:, 2]).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_only_pairs_that_reach_a_nonzero_rectangle_are_pooled(self, monkeypatch):
+        # count the (box, channel) pairs each chunk pools through the
+        # scratch's sample positions, (2, GRID, pairs), against each
+        # channel's rectangle of nonzero bits
+        pooled_pairs = []
+
+        class Counting(proposals._Scratch):
+            def take(self, name, shape, dtype=np.float32):
+                if name == "pos":
+                    pooled_pairs.append(shape[-1])
+                return super().take(name, shape, dtype)
+
+        monkeypatch.setattr(proposals, "_scratch", Counting())
+        monkeypatch.setattr(proposals, "ROI_CHUNK", 50)
+        rng = np.random.default_rng(83)
+        h, w = 30, 40
+        feat = np.zeros((6, h, w), dtype=np.float32)
+        for c in range(5):
+            r, q = rng.integers(0, h - 6), rng.integers(0, w - 6)
+            feat[c, r : r + 6, q : q + 6] = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
+        feat[3, 0, -1] = -0.0  # stretches the rectangle to the top-right corner
+        boxes = rng.uniform(-20.0, 4 * max(h, w) + 20.0, (300, 4))
+        boxes[:, 2:] = boxes[:, :2] + rng.uniform(-3.0, 40.0, (300, 2))
+        boxes[0] = (0.0, 0.0, np.inf, 4.0)
+        channels = np.arange(6)  # channel 5 is all zeros
+        pooled = roi_align_batch(feat, boxes, channels)
+        # the frozen kernel skips channel 5, which the infinite box pools as NaN
+        assert pooled[:, :5].tobytes() == frozen_roi_align_batch(feat, boxes)[:, :5].tobytes()
+
+        live = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+        fb = boxes[live] / 4
+        top = np.array([w - 1, h - 1])
+        lo, hi = np.clip(np.floor(fb[:, :2]), 0, top), np.clip(np.floor(fb[:, 2:]) + 1, 0, top)
+        want = (~np.isfinite(fb).all(axis=1)).sum() * channels.size
+        for c in channels:
+            ys, xs = np.nonzero(feat[c].view(np.uint32))
+            if xs.size:
+                meet = (lo <= [xs.max(), ys.max()]) & (hi >= [xs.min(), ys.min()])
+                want += (meet.all(axis=1) & np.isfinite(fb).all(axis=1)).sum()
+        assert 0 < want < live.sum() * channels.size // 2
+        assert sum(pooled_pairs) == want and max(pooled_pairs) <= 50
 
     def test_no_live_box_pools_nothing(self):
         feat = np.ones((3, 8, 8), dtype=np.float32)
