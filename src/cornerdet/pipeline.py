@@ -20,7 +20,6 @@ from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
 from cornerdet.geometry import DET_DTYPE
 from cornerdet.postprocess import (
     OBJECTNESS_THRESHOLD,
-    TOP_K,
     filter_by_objectness,
     label_detections,
     soft_nms,
@@ -103,7 +102,7 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             "cat_feat or the class head weights hold NaN, infinity or values that overflow"
         )
     dets = label_detections(survivors, q)
-    dets = soft_nms(dets, limit=TOP_K)
+    dets = soft_nms(dets)
     return SceneResult(detections=dets, proposals=proposals, num_survivors=len(survivors))
 
 

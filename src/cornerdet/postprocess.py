@@ -4,10 +4,10 @@ The stages, in pipeline order: keep proposals whose objectness clears a low
 threshold (0.2 operating default), assign each survivor up to two class
 labels (corner class and the class head's argmax), fuse corner and head
 scores into one normalized confidence, and decay overlapping same-class
-boxes with Gaussian soft-NMS, which merges the classes' pick streams in
-final score order and stops after the top 100. Every stage takes and
-returns geometry.DET_DTYPE rows, and write_detections dumps them, a piece
-of records at a time.
+boxes with Gaussian soft-NMS at SOFT_NMS_SIGMA and SOFT_NMS_PRUNE, which
+merges the classes' pick streams in final score order and stops after the
+top TOP_K (100). Every stage takes and returns geometry.DET_DTYPE rows, and
+write_detections dumps them, a piece of records at a time.
 """
 
 from __future__ import annotations
@@ -78,41 +78,35 @@ def label_detections(survivors: np.ndarray, q: np.ndarray) -> np.ndarray:
     return dets
 
 
-# an overflow is the limit the scalar algorithm reaches too: a tiny sigma
-# gives exp(-inf) = 0, and an infinite area an overlap of 0, as in iou_matrix
+# an overflow is the limit the scalar algorithm reaches too: an infinite
+# area gives an overlap of 0, as in iou_matrix
 @np.errstate(over="ignore", invalid="ignore")
-def soft_nms(
-    dets: np.ndarray,
-    sigma: float = SOFT_NMS_SIGMA,
-    prune: float = SOFT_NMS_PRUNE,
-    limit: int | None = None,
-) -> np.ndarray:
-    """Gaussian soft-NMS, run independently per class, keeping the first `limit` picks.
+def soft_nms(dets: np.ndarray) -> np.ndarray:
+    """Gaussian soft-NMS, run independently per class, keeping the first TOP_K picks.
 
     Within each class, repeatedly select the highest-scoring remaining box
     (ties broken by original index), then decay every other same-class
-    score by exp(-iou^2 / sigma); boxes whose running score drops below
-    `prune` are discarded. Scores never increase and geometry never changes.
-    The result is ordered by descending final score, ties by original index,
-    and holds at most `limit` rows (all of them when None): the first
-    `limit` rows of the unlimited result, so the `limit` highest final
-    scores.
+    score by exp(-iou^2 / SOFT_NMS_SIGMA); boxes whose running score drops
+    below SOFT_NMS_PRUNE are discarded. Scores never increase and geometry
+    never changes. The result is ordered by descending final score, ties by
+    original index, and holds at most TOP_K rows: the first TOP_K rows of
+    the uncut result, so the TOP_K highest final scores. The three
+    operating points are this module's constants, read at call time.
 
     Decay never raises a score, so a class's picks come out in that order,
     and each class's next pick, the argmax of its scores, is known before it
     decays anything. Each class is therefore a generator of its picks, keyed
     by (-score, original index), that decays the rest of its class only when
     resumed for the next pick; heapq.merge of those streams yields the final
-    order, and islice stops it after `limit` picks, so no class decays for a
+    order, and islice stops it after TOP_K picks, so no class decays for a
     pick past the cut. A NaN score, which the merge cannot order, raises.
 
     A pick is one argmax over the class's alive rows, a yield, a decay of
-    the rows still alive and a prune. The class's row count against `limit`
+    the rows still alive and a prune. The class's row count against TOP_K
     decides only where the picked row's factors come from. A class of at
-    most `limit` rows computes each intersecting pair's factor once into an
-    n x n table; a longer class, or any class when `limit` is None, computes
-    the overlaps of the picked box with the rows still alive, so a row
-    pruned early never costs a factor.
+    most TOP_K rows computes each intersecting pair's factor once into an
+    n x n table; a longer class computes the overlaps of the picked box with
+    the rows still alive, so a row pruned early never costs a factor.
 
     The overlaps follow geometry.iou_matrix's operations on arrays of each
     class's corners and areas, computed once, and both sources take the
@@ -121,18 +115,11 @@ def soft_nms(
     factor is exactly 1), so the scores are bit-identical to the scalar
     algorithm.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    # below zero, a decayed negative score would rise past earlier picks
-    if not prune >= 0.0:
-        raise ValueError(f"prune must be >= 0, got {prune}")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
     if np.isnan(dets["score"]).any():
         raise ValueError("scores must not be NaN")
 
     def factors(col, b, other, wh):
-        """exp(-iou^2 / sigma) of boxes b against boxes `other`, given their (iw, ih) rows."""
+        """exp(-iou^2 / SOFT_NMS_SIGMA) of boxes b against `other`, given their (iw, ih) rows."""
         iw, ih = wh
         inter = iw * ih
         union = col[4, b] + col[4, other]
@@ -140,7 +127,7 @@ def soft_nms(
         # iou_matrix's overlap is 0 where the union is not positive
         ov = np.divide(inter, union, out=np.zeros(inter.size), where=union > 0.0)
         ov *= ov
-        ov /= -sigma  # -(ov * ov) / sigma, bit for bit
+        ov /= -SOFT_NMS_SIGMA  # -(ov * ov) / SOFT_NMS_SIGMA, bit for bit
         return np.fromiter(map(math.exp, ov.tolist()), np.float64, ov.size)
 
     def factor_table(col):
@@ -167,7 +154,7 @@ def soft_nms(
         alive = np.ones(n, dtype=bool)
         for _ in range(n):  # each pick retires at least its own row
             # dead rows read -inf, and a live one, after the first pick, is
-            # >= prune: the argmax is dead only when every row is
+            # >= SOFT_NMS_PRUNE: the argmax is dead only when every row is
             b = int(np.where(alive, score, -np.inf).argmax())
             if not alive[b]:
                 return
@@ -182,7 +169,7 @@ def soft_nms(
                 hit &= alive
                 hit = hit.nonzero()[0]
                 score[hit] *= factors(col, b, hit, wh.take(hit, axis=1))
-            alive &= score >= prune
+            alive &= score >= SOFT_NMS_PRUNE
 
     # one column per box, grouped by class and each class in ascending
     # original index; rows x1, y1, x2, y2, area, running score and original
@@ -195,13 +182,13 @@ def soft_nms(
     cols[6] = order
     cls = dets["class_id"][order]
     edges = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
-    # a class of at most `limit` rows takes its factors from a table of at
-    # most limit x limit; a longer one may need only a few of its pairs
+    # a class of at most TOP_K rows takes its factors from a table of at
+    # most TOP_K x TOP_K; a longer one may need only a few of its pairs
     streams = [
-        picks(cols[:, lo:hi], limit is not None and hi - lo <= limit)
+        picks(cols[:, lo:hi], hi - lo <= TOP_K)
         for lo, hi in zip([0, *edges], [*edges, len(dets)])
     ]
-    picked = list(itertools.islice(heapq.merge(*streams), limit))
+    picked = list(itertools.islice(heapq.merge(*streams), TOP_K))
     out = dets[np.array([i for _, i in picked], dtype=np.int64)]
     out["score"] = [-neg_score for neg_score, _ in picked]
     return out

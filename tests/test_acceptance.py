@@ -272,7 +272,7 @@ def test_criterion_5_soft_nms_oracle():
             classes.append(int(rng.integers(4)))
             scores.append(float(rng.random()))
         dets = np.array([(0, *row) for row in zip(classes, boxes, scores)], dtype=DET_DTYPE)
-        got = soft_nms(dets, sigma=0.5, prune=1e-3)
+        got = soft_nms(dets)
         want = naive_soft_nms(boxes, scores, classes, sigma=0.5, prune=1e-3)
         got_rows = list(zip(got["box"].tolist(), got["class_id"].tolist(), got["score"].tolist()))
         if got_rows != [(list(boxes[i]), classes[i], s) for i, s in want]:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import multiprocessing
@@ -34,6 +35,7 @@ from cornerdet.postprocess import (
     SOFT_NMS_SIGMA,
     TOP_K,
     read_detections,
+    soft_nms,
 )
 from cornerdet.proposals import HeadWeights
 from cornerdet.synth import (
@@ -61,6 +63,7 @@ class TestPipelineConfig:
             12.0,
         )
         assert [f.name for f in fields(PipelineConfig)] == ["k", "use_binary_head"]
+        assert list(inspect.signature(soft_nms).parameters) == ["dets"]
         assert [f.name for f in fields(SynthConfig)] == [
             "num_classes",
             "num_boxes",

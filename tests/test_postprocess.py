@@ -172,7 +172,7 @@ class TestSoftNms:
 
     def test_identical_boxes_decay(self):
         dets = boxes(det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8))
-        out = soft_nms(dets, sigma=0.5)
+        out = soft_nms(dets)
         assert out[0]["score"] == 0.9
         assert out[1]["score"] == pytest.approx(0.8 * math.exp(-1 / 0.5), rel=1e-12)
 
@@ -182,9 +182,10 @@ class TestSoftNms:
         )
         assert sorted(out["score"].tolist()) == [0.8, 0.9]
 
-    def test_prune_drops_boxes(self):
+    def test_prune_drops_boxes(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "SOFT_NMS_SIGMA", 0.01)
         dets = boxes(det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8))
-        out = soft_nms(dets, sigma=0.01, prune=1e-3)
+        out = soft_nms(dets)
         assert len(out) == 1
 
     def test_never_increases_scores_or_moves_boxes(self):
@@ -202,15 +203,20 @@ class TestSoftNms:
         for b, c, s in scored(out):
             assert s <= original[(b, c)] + 1e-15
 
-    def test_matches_naive_reference_exactly(self):
+    def test_matches_naive_reference_exactly(self, monkeypatch):
         rng = np.random.default_rng(17)
         for _ in range(100):
             boxes_, scores, classes = random_case(rng, int(rng.integers(1, 30)))
-            got = scored(soft_nms(as_dets(boxes_, scores, classes), sigma=0.5, prune=1e-3))
+            dets = as_dets(boxes_, scores, classes)
             want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
-            assert got == [(boxes_[i], classes[i], s) for i, s in want]  # bit-exact
+            # at the operating cut every class takes its factor table; one
+            # short of the largest class, that class's factors come on demand
+            for k in (100, max(np.bincount(classes)) - 1):
+                monkeypatch.setattr(postprocess, "TOP_K", k)
+                got = scored(soft_nms(dets))
+                assert got == [(boxes_[i], classes[i], s) for i, s in want[:k]]  # bit-exact
 
-    def test_limit_is_a_prefix_of_the_naive_reference(self):
+    def test_limit_is_a_prefix_of_the_naive_reference(self, monkeypatch):
         # scores on a grid of eighths tie within and across classes
         rng = np.random.default_rng(29)
         for trial in range(120):
@@ -218,13 +224,15 @@ class TestSoftNms:
             boxes_, scores, classes = random_case(rng, n, ties=trial % 2 == 0)
             dets = as_dets(boxes_, scores, classes)
             want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
-            full = soft_nms(dets, sigma=0.5, prune=1e-3)
+            monkeypatch.setattr(postprocess, "TOP_K", 100)
+            full = soft_nms(dets)
             for k in sorted({0, 1, 5, n, len(want) + 3}):
-                got = soft_nms(dets, sigma=0.5, prune=1e-3, limit=k)
+                monkeypatch.setattr(postprocess, "TOP_K", k)
+                got = soft_nms(dets)
                 assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want[:k]]
                 assert got.tobytes() == full[np.argsort(-full["score"], kind="stable")[:k]].tobytes()
 
-    def test_equal_scores_across_classes_straddle_the_cut(self):
+    def test_equal_scores_across_classes_straddle_the_cut(self, monkeypatch):
         # disjoint boxes decay nothing; the three 0.5 scores go by row, not class
         dets = boxes(
             det(0, 0, 10, 10, cls=0, score=0.9),
@@ -233,10 +241,11 @@ class TestSoftNms:
             det(60, 0, 70, 10, cls=1, score=0.5),
         )
         for k, rows in [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3])]:
-            out = soft_nms(dets, limit=k)
+            monkeypatch.setattr(postprocess, "TOP_K", k)
+            out = soft_nms(dets)
             assert out.tobytes() == dets[rows].tobytes()
 
-    def test_cut_inside_a_class_before_another_class_picks(self):
+    def test_cut_inside_a_class_before_another_class_picks(self, monkeypatch):
         # class 0's second box decays below both class 1 boxes, so class 0's
         # sequence is cut after its first pick while class 1 has picks to come
         dets = boxes(
@@ -249,11 +258,12 @@ class TestSoftNms:
         assert full["class_id"].tolist() == [0, 1, 1, 0]
         assert full["score"][3] < 0.6
         for k in range(6):
-            out = soft_nms(dets, limit=k)
+            monkeypatch.setattr(postprocess, "TOP_K", k)
+            out = soft_nms(dets)
             assert out.tobytes() == full[:k].tobytes()
 
-    @pytest.mark.parametrize("limit, decays", [(0, 0), (1, 0), (2, 0), (3, 4), (None, 10)])
-    def test_no_class_decays_for_a_pick_past_the_cut(self, monkeypatch, limit, decays):
+    @pytest.mark.parametrize("top_k, decays", [(0, 0), (1, 0), (2, 0), (3, 4), (100, 10)])
+    def test_no_class_decays_for_a_pick_past_the_cut(self, monkeypatch, top_k, decays):
         # the far class-1 box and class 0's first box are the first two
         # picks, and each later class-0 pick decays every box left behind it
         calls = []
@@ -263,8 +273,9 @@ class TestSoftNms:
             return math.exp(x)
 
         monkeypatch.setattr(postprocess, "math", types.SimpleNamespace(exp=exp))
+        monkeypatch.setattr(postprocess, "TOP_K", top_k)
         rows = [det(0, 0, 10, 10 + i, score=s) for i, s in enumerate([0.9, 0.8, 0.7, 0.6, 0.5])]
-        soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)), limit=limit)
+        soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)))
         assert len(calls) == decays
 
     @pytest.fixture
@@ -279,26 +290,29 @@ class TestSoftNms:
         monkeypatch.setattr(postprocess, "math", types.SimpleNamespace(exp=exp))
         return calls
 
-    @pytest.mark.parametrize("limit", [5, 6, 100])
-    def test_class_under_the_cut_takes_each_factor_once(self, exp_calls, limit):
+    @pytest.mark.parametrize("top_k", [5, 6, 100])
+    def test_class_under_the_cut_takes_each_factor_once(self, monkeypatch, exp_calls, top_k):
         # the five class-0 boxes overlap one another: a class that fits
         # under the cut computes one factor per pair into its table
+        monkeypatch.setattr(postprocess, "TOP_K", top_k)
         rows = [det(0, 0, 10, 10 + i, score=s) for i, s in enumerate([0.9, 0.8, 0.7, 0.6, 0.5])]
-        out = soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)), limit=limit)
-        assert len(exp_calls) == 10 and len(out) == min(limit, 6)
+        out = soft_nms(boxes(*rows, det(100, 100, 110, 110, cls=1, score=0.95)))
+        assert len(exp_calls) == 10 and len(out) == min(top_k, 6)
 
-    @pytest.mark.parametrize("limit, decays", [(None, 1), (2, 1), (3, 2), (4, 2)])
-    def test_class_size_against_the_limit_picks_the_stream(self, exp_calls, limit, decays):
+    @pytest.mark.parametrize("top_k, decays", [(1, 0), (2, 1), (3, 2), (4, 2)])
+    def test_class_size_against_the_limit_picks_the_stream(self, monkeypatch, exp_calls, top_k, decays):
         # the first pick decays the middle box below prune, so a class
-        # longer than the limit, which computes the picked box's overlaps on
-        # demand, never takes the middle box's factor with the last box; a
-        # table takes every intersecting pair's
+        # longer than the cut, which computes the picked box's overlaps on
+        # demand, never takes the middle box's factor with the last box, and
+        # takes none for a pick past the cut; a table takes every
+        # intersecting pair's before its first pick
+        monkeypatch.setattr(postprocess, "TOP_K", top_k)
         rows = [det(0, 0, 10, 10, score=0.9), det(0, 0, 10, 20, score=0.0011), det(0, 12, 10, 20, score=0.5)]
-        assert len(soft_nms(boxes(*rows), limit=limit)) == min(limit or 2, 2)
+        assert len(soft_nms(boxes(*rows))) == min(top_k, 2)
         assert len(exp_calls) == decays
 
-    def test_classes_under_the_cut_match_the_naive_reference(self):
-        # a limit of at least the row count puts every class in its factor
+    def test_classes_under_the_cut_match_the_naive_reference(self, monkeypatch):
+        # a cut of at least the row count puts every class in its factor
         # table, and the median class size splits them between both factor
         # sources; scores on a grid of eighths tie within and across classes
         rng = np.random.default_rng(43)
@@ -309,15 +323,18 @@ class TestSoftNms:
             want = naive_soft_nms(boxes_, scores, classes, sigma=0.5, prune=1e-3)
             split = int(np.median(np.bincount(classes)))
             for k in sorted({split, n, n + 5}):
-                got = soft_nms(dets, sigma=0.5, prune=1e-3, limit=k)
+                monkeypatch.setattr(postprocess, "TOP_K", k)
+                got = soft_nms(dets)
                 assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want[:k]]  # bit-exact
 
     @pytest.mark.filterwarnings("error")  # as in test_subnormal_sigma_gives_factor_zero
     @pytest.mark.parametrize("sigma, prune", [(0.5, 0.0), (1e-320, 0.0), (1e-320, 1e-3)])
-    def test_table_stream_keeps_zero_negative_and_zero_factor_scores(self, sigma, prune):
+    def test_table_stream_keeps_zero_negative_and_zero_factor_scores(self, monkeypatch, sigma, prune):
         # scores of 0 and below, and a factor of exactly 0 (exp(-inf)), keep
         # the scalar algorithm's picks and prunes when a class's factors come
         # from its table too
+        monkeypatch.setattr(postprocess, "SOFT_NMS_SIGMA", sigma)
+        monkeypatch.setattr(postprocess, "SOFT_NMS_PRUNE", prune)
         rng = np.random.default_rng(47)
         grid = [-0.25, 0.0, 0.125, 0.5, 1.0]
         for _ in range(40):
@@ -326,21 +343,25 @@ class TestSoftNms:
             scores = [grid[int(i)] for i in rng.integers(len(grid), size=n)]
             dets = as_dets(boxes_, scores, classes)
             want = naive_soft_nms(boxes_, scores, classes, sigma=sigma, prune=prune)
-            got = soft_nms(dets, sigma=sigma, prune=prune, limit=n)
+            monkeypatch.setattr(postprocess, "TOP_K", n)
+            got = soft_nms(dets)
             assert scored(got) == [(boxes_[i], classes[i], s) for i, s in want]
 
     @pytest.mark.parametrize("row", [0, 2, 3])
-    def test_nan_score_raises(self, row):
+    def test_nan_score_raises(self, monkeypatch, row):
+        monkeypatch.setattr(postprocess, "TOP_K", 1)
         rows = [det(0, 0, 10, 10, cls=c, score=0.5) for c in (0, 0, 1, 1)]
         rows[row] = rows[row][:5] + (math.nan,)
         with pytest.raises(ValueError, match="NaN"):
-            soft_nms(boxes(*rows), limit=1)
+            soft_nms(boxes(*rows))
 
     @pytest.mark.filterwarnings("error")  # numpy would warn of the overflow in ov^2 / sigma
-    def test_subnormal_sigma_gives_factor_zero(self):
+    def test_subnormal_sigma_gives_factor_zero(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "SOFT_NMS_SIGMA", 1e-320)
+        monkeypatch.setattr(postprocess, "SOFT_NMS_PRUNE", 0.0)
         boxes_ = [(0.0, 0.0, 10.0, 10.0), (1.0, 1.0, 11.0, 11.0), (50.0, 50.0, 60.0, 60.0)]
         scores, classes = [0.9, 0.8, 0.7], [0, 0, 0]
-        out = soft_nms(as_dets(boxes_, scores, classes), sigma=1e-320, prune=0.0)
+        out = soft_nms(as_dets(boxes_, scores, classes))
         assert out["score"].tolist() == [0.9, 0.7, 0.0]  # exp(-inf) = 0 for the overlap
         want = naive_soft_nms(boxes_, scores, classes, sigma=1e-320, prune=0.0)
         assert scored(out) == [(boxes_[i], classes[i], s) for i, s in want]
@@ -356,18 +377,10 @@ class TestSoftNms:
             assert not iou_matrix(dets["box"][2:3], dets["box"][3:]).any()
         assert soft_nms(dets)["score"].tolist() == [0.9, 0.8, 0.7, 0.6]
 
-    def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            soft_nms(boxes(det(0, 0, 1, 1)), sigma=0.0)
-
-    @pytest.mark.parametrize("kwargs", [{"prune": -1e-3}, {"prune": math.nan}, {"limit": -1}])
-    def test_bad_prune_or_limit(self, kwargs):
-        with pytest.raises(ValueError):
-            soft_nms(boxes(det(0, 0, 1, 1)), **kwargs)
-
-    def test_empty_input(self):
-        for k in (None, 0, 3):
-            assert soft_nms(boxes()[:0], limit=k).dtype == DET_DTYPE
+    def test_empty_input(self, monkeypatch):
+        for k in (100, 0, 3):
+            monkeypatch.setattr(postprocess, "TOP_K", k)
+            assert soft_nms(boxes()[:0]).dtype == DET_DTYPE
 
 
 def disjoint(scores, classes=None):
@@ -378,26 +391,29 @@ def disjoint(scores, classes=None):
 
 
 class TestTopK:
-    """soft_nms's `limit`, the pipeline's top-k cut, over boxes that do not decay."""
+    """soft_nms's TOP_K cut, the pipeline's top-k, over boxes that do not decay."""
 
     def test_under_limit(self):
-        assert len(soft_nms(disjoint([0.5, 0.9, 0.1]), limit=100)) == 3
+        assert len(soft_nms(disjoint([0.5, 0.9, 0.1]))) == 3
 
-    def test_truncation_matches_sort_oracle(self):
+    def test_truncation_matches_sort_oracle(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "SOFT_NMS_PRUNE", 0.0)
         rng = np.random.default_rng(23)
         dets = disjoint(rng.random(150).tolist())
-        out = soft_nms(dets, prune=0.0, limit=100)
+        out = soft_nms(dets)
         assert len(out) == 100
         kept = sorted(out["score"].tolist(), reverse=True)
         dropped = sorted(dets["score"].tolist(), reverse=True)[100:]
         assert min(kept) >= max(dropped)
         assert kept == out["score"].tolist()  # descending order
 
-    def test_zero_k(self):
-        assert len(soft_nms(disjoint([0.5]), limit=0)) == 0
+    def test_zero_k(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "TOP_K", 0)
+        assert len(soft_nms(disjoint([0.5]))) == 0
 
-    def test_ties_by_original_index(self):
-        out = soft_nms(disjoint([0.5] * 5, classes=list(range(5))), limit=3)
+    def test_ties_by_original_index(self, monkeypatch):
+        monkeypatch.setattr(postprocess, "TOP_K", 3)
+        out = soft_nms(disjoint([0.5] * 5, classes=list(range(5))))
         assert out["class_id"].tolist() == [0, 1, 2]
 
 

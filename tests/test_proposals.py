@@ -495,11 +495,11 @@ class TestRoiAlign:
         assert int(done.stdout) < 100
 
     def test_scratch_stays_within_its_bound(self, monkeypatch):
-        # the README's bound, 4.90 MB per thread, is a chunk of 1,024 boxes
-        # of one channel: the per-box arrays (three float64 and one intp
-        # GRID x GRID, two float64 and one int64 2 x GRID) and the float32
-        # weights of one tap, acc, tap and pooled; keeping all four taps'
-        # weights at once would take 7.3 MB
+        # the README's bound, 4.90 MB per thread, is a chunk of 1,024
+        # (box, channel) pairs at any channel count: the per-pair arrays
+        # (two float64 and one int64 2 x GRID, one intp GRID x GRID) and the
+        # float32 weights of one tap, acc, tap and pooled; keeping all four
+        # taps' weights at once would take 7.3 MB
         monkeypatch.setattr(proposals, "_scratch", proposals._Scratch())
         rng = np.random.default_rng(61)
         feat = rng.standard_normal((BOX_CHANNELS, 60, 60)).astype(np.float32)
