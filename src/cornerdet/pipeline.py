@@ -68,16 +68,22 @@ class SceneResult:
 def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     """Run the full pipeline on one image's tensors.
 
-    Non-finite corner heatmaps or offsets, non-finite objectness scores
-    (from box_feat or the binary head weights) and non-finite class scores
-    (from cat_feat or the class head weights) raise a ValueError naming the
-    tensor; finite features whose pooling overflows float32 give such
-    scores too. So does a finite offset that puts a decoded corner's x or y
-    beyond float32 (``decode_corners`` names tl_off or br_off).
+    Non-finite corner heatmaps or offsets, heatmap values outside [0, 1],
+    non-finite objectness scores (from box_feat or the binary head weights)
+    and non-finite class scores (from cat_feat or the class head weights)
+    raise a ValueError naming the tensor; finite features whose pooling
+    overflows float32 give such scores too. So does a finite offset that
+    puts a decoded corner's x or y beyond float32 (``decode_corners`` names
+    tl_off or br_off).
     """
     for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
         if not np.isfinite(getattr(bundle.heatmaps, name)).all():
             raise ValueError(f"{name} holds NaN or infinity")
+    # corner scores outside [0, 1] would reorder the proposals unnoticed
+    for name in ("tl_heat", "br_heat"):
+        heat = getattr(bundle.heatmaps, name)
+        if (heat < 0.0).any() or (heat > 1.0).any():
+            raise ValueError(f"{name} holds values outside [0, 1]")
     tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k)
     brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k)
     proposals = enumerate_proposals(tls, brs)

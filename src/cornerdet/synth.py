@@ -74,6 +74,9 @@ MARGIN = 12.0
 EXTREME_ASPECT = 5.0
 # the forced first box of an extreme-area scene is larger than this
 EXTREME_AREA = 400.0**2 + 1.0
+# of every EXTREME_PERIOD random scenes of a corpus, the first forces an
+# extreme aspect and the second an extreme area (see scene_forces)
+EXTREME_PERIOD = 5
 # boxes BOX_GAP apart, each grown by BOX_GAP right and down, are disjoint
 # inside the margins grown the same way, and each covers at least
 # (sqrt(least area) + BOX_GAP)^2 px: this many at most fit in an image
@@ -96,8 +99,6 @@ class SynthConfig:
     num_boxes: tuple[int, int] = (1, 6)
     noise: float = 0.0
     arrangement: str = "random"  # or "cross"
-    extreme_aspect_period: int = 5  # every n-th scene gets a >=5:1 box; 0 disables
-    extreme_area_period: int = 5  # every n-th scene gets a >400^2 box; 0 disables
 
     def __post_init__(self):
         if self.num_classes < 1 or self.num_classes > CAT_CHANNELS:
@@ -115,9 +116,6 @@ class SynthConfig:
                 f"num_boxes hi must be at most {MAX_BOXES}, the most boxes an image "
                 f"holds, got {list(self.num_boxes)}"
             )
-        for name in ("extreme_aspect_period", "extreme_area_period"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -172,15 +170,13 @@ def _separated(box: tuple, placed: list[tuple]) -> bool:
 
 
 def _sample_box(
-    rng: np.random.Generator,
-    force_aspect: tuple[float, float] | None = None,
-    force_area: tuple[float, float] | None = None,
+    rng: np.random.Generator, extreme: str | None = None
 ) -> tuple[float, float, float, float] | None:
     img_h, img_w = IMAGE_SIZE
     avail_w = img_w - 2 * MARGIN
     avail_h = img_h - 2 * MARGIN
-    if force_aspect is not None:
-        ratio = float(rng.uniform(*force_aspect))
+    if extreme == "aspect":
+        ratio = float(rng.uniform(EXTREME_ASPECT, ASPECT_RANGE[1]))
     else:
         ratio = float(np.exp(rng.uniform(*map(math.log, ASPECT_RANGE))))
     wide = bool(rng.random() < 0.5)
@@ -190,10 +186,8 @@ def _sample_box(
         fit = min(avail_w**2 / ratio, avail_h**2 * ratio)
     else:
         fit = min(avail_h**2 / ratio, avail_w**2 * ratio)
-    lo, hi = AREA_RANGE
-    if force_area is not None:
-        lo, hi = max(lo, force_area[0]), min(hi, force_area[1])
-    hi = min(hi, fit)
+    lo = EXTREME_AREA if extreme == "area" else AREA_RANGE[0]
+    hi = min(AREA_RANGE[1], fit)
     if lo >= hi:
         return None
     area = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
@@ -206,18 +200,14 @@ def _sample_box(
     return x1, y1, x1 + w, y1 + h
 
 
-def generate_scene(
-    cfg: SynthConfig,
-    seed: int,
-    force_aspect: tuple[float, float] | None = None,
-    force_area: tuple[float, float] | None = None,
-) -> Scene:
-    """Sample a random scene, deterministic in (cfg, seed).
+def generate_scene(cfg: SynthConfig, seed: int, extreme: str | None = None) -> Scene:
+    """Sample a random scene, deterministic in (cfg, seed, extreme).
 
     Boxes are placed greedily: each new box is resampled until it lies
     BOX_GAP from every box placed before it, and the whole scene is redrawn
     when placement jams (a huge early box can leave no room).
-    Forced aspect/area constraints apply to the first box only.
+    `extreme` "aspect" or "area" forces the first box's aspect ratio to at
+    least EXTREME_ASPECT or its area to at least EXTREME_AREA.
     """
     rng = np.random.default_rng(seed)
     lo, hi = cfg.num_boxes
@@ -228,11 +218,7 @@ def generate_scene(
         classes: list[int] = []
         for k in range(target):
             for _ in range(200):
-                box = _sample_box(
-                    rng,
-                    force_aspect=force_aspect if k == 0 else None,
-                    force_area=force_area if k == 0 else None,
-                )
+                box = _sample_box(rng, extreme if k == 0 else None)
                 if box is None:
                     continue
                 if _separated(box, boxes):
@@ -387,18 +373,16 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
 
 
 def build_scene(
-    cfg: SynthConfig,
-    seed: int,
-    force_aspect: tuple[float, float] | None = None,
-    force_area: tuple[float, float] | None = None,
+    cfg: SynthConfig, seed: int, extreme: str | None = None
 ) -> tuple[Scene, OracleBundle]:
-    """Generate and render a scene, resampling until verification passes."""
+    """Generate and render a scene, resampling until verification passes;
+    `extreme` forces a random scene's first box as in generate_scene."""
     for attempt in range(RENDER_BUDGET):
         scene_seed = _subseed(seed, attempt)
         if cfg.arrangement == "cross":
             scene = generate_cross_scene(cfg, scene_seed)
         else:
-            scene = generate_scene(cfg, scene_seed, force_aspect=force_aspect, force_area=force_area)
+            scene = generate_scene(cfg, scene_seed, extreme)
         bundle = render_oracle(scene, cfg)
         if not verify_bundle(scene, bundle):
             return scene, bundle
@@ -410,15 +394,13 @@ def build_scene(
 # -- corpus files -----------------------------------------------------------
 
 
-def scene_forces(cfg: SynthConfig, index: int):
-    """Forced-geometry schedule giving the corpus its extreme-shape quota."""
-    force_aspect = force_area = None
-    if cfg.arrangement == "random":
-        if cfg.extreme_aspect_period and index % cfg.extreme_aspect_period == 0:
-            force_aspect = (EXTREME_ASPECT, ASPECT_RANGE[1])
-        elif cfg.extreme_area_period and index % cfg.extreme_area_period == 1 % cfg.extreme_area_period:
-            force_area = (EXTREME_AREA, AREA_RANGE[1])
-    return force_aspect, force_area
+def scene_forces(cfg: SynthConfig, index: int) -> str | None:
+    """The shape a corpus forces on scene `index`, for the extreme-shape AR
+    buckets: "aspect" at index % EXTREME_PERIOD == 0, "area" at 1, else None;
+    a cross arrangement forces none."""
+    if cfg.arrangement != "random":
+        return None
+    return {0: "aspect", 1: "area"}.get(index % EXTREME_PERIOD)
 
 
 def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
@@ -436,10 +418,7 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
     annotations = []
     scenes_meta = []
     for i in range(count):
-        force_aspect, force_area = scene_forces(cfg, i)
-        scene, bundle = build_scene(
-            cfg, _subseed(seed, 7, i), force_aspect=force_aspect, force_area=force_area
-        )
+        scene, bundle = build_scene(cfg, _subseed(seed, 7, i), scene_forces(cfg, i))
         name = f"scene_{i:05d}"
         scene_dir = out_dir / name
         scene_dir.mkdir(exist_ok=True)

@@ -56,8 +56,6 @@ def corpus_dir(tmp_path_factory):
         "num_classes": 2,
         "num_boxes": [1, 6],
         "noise": 0.02,
-        "extreme_aspect_period": 5,
-        "extreme_area_period": 5,
     }
     cfg_path = out / "synth_config.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -69,8 +69,6 @@ class TestPipelineConfig:
             "num_boxes",
             "noise",
             "arrangement",
-            "extreme_aspect_period",
-            "extreme_area_period",
         ]
 
     def test_from_json_partial(self, tmp_path):
@@ -92,9 +90,9 @@ class TestPipelineConfig:
         cfg = load_config(PipelineConfig, path)
         assert (cfg.use_binary_head, cfg.k) == (False, 9)
         # an integer is a float: noise 1 fits
-        path.write_text(json.dumps({"num_boxes": [2, 3], "noise": 1, "extreme_area_period": 0}))
+        path.write_text(json.dumps({"num_boxes": [2, 3], "noise": 1}))
         cfg = load_config(SynthConfig, path)
-        assert (cfg.num_boxes, cfg.noise, cfg.extreme_area_period) == ((2, 3), 1, 0)
+        assert (cfg.num_boxes, cfg.noise) == ((2, 3), 1)
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -422,8 +420,6 @@ OUT_OF_RANGE = {
         ("num_boxes", "[0, 9223372036854775808]"),  # 2**63, far beyond what an image holds
         ("num_boxes", "[214, 214]"),  # more boxes than an image holds
         ("num_boxes", "[0, 214]"),  # a draw of 214 boxes could never be placed
-        ("extreme_aspect_period", "-1"),
-        ("extreme_area_period", "-5"),
         ("num_classes", "0"),
         ("num_classes", "257"),
         ("noise", "-0.1"),
@@ -469,6 +465,8 @@ RETIRED = {
             ]
         ],
         *[("margin", value) for value in [*NOT_A_FLOAT, "1e308", "-1e9", "255.5", "12"]],
+        *[("extreme_aspect_period", value) for value in [*NOT_AN_INT, "-1", "5"]],
+        *[("extreme_area_period", value) for value in [*NOT_AN_INT, "-5", "5"]],
     ],
 }
 WHOLE_FILE = [
@@ -484,6 +482,14 @@ WHOLE_FILE = [
     ("nan", b"NaN"),
     ("duplicate-key", b'{"noise": 0.1, "noise": 0.2}'),
 ]
+
+
+def retired_message(name, value):
+    """The error for a RETIRED case: every key it sets is retired, listed sorted."""
+    keys = sorted(json.loads('{"%s": %s}' % (name, value)))
+    return f"unknown config keys {keys}"
+
+
 CONFIG_FUZZ = [
     pytest.param(command, text, "", id=f"{command}-{case}")
     for command in ("detect", "synth")
@@ -493,7 +499,7 @@ CONFIG_FUZZ = [
     for command, cls in (("detect", PipelineConfig), ("synth", SynthConfig))
     for name, value, message in [
         *[(name, value, "") for name, value in [*field_mutants(cls), *OUT_OF_RANGE[command]]],
-        *[(name, value, f"unknown config keys ['{name}']") for name, value in RETIRED[command]],
+        *[(name, value, retired_message(name, value)) for name, value in RETIRED[command]],
     ]
 ]
 
@@ -925,6 +931,20 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     out = tmp_path / "out"
     err = detect_exit_3(corpus, out, capsys)
     assert err == f"error: {scene}: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["tl_heat", "br_heat"])
+@pytest.mark.parametrize("value", [7.0, -0.5])
+def test_detect_heatmap_outside_unit_range_exit_3(name, value, small_corpus, tmp_path, capsys):
+    # a corner score outside [0, 1] would reorder the proposals and leave
+    # AR silently wrong
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    scene = corpus / "scene_00000"
+    plant_non_finite(scene, name, value)
+    err = detect_exit_3(corpus, tmp_path / "out", capsys)
+    assert err == f"error: {scene}: {name} holds values outside [0, 1]\n"
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cornerdet import synth
 from cornerdet.corners import BOTTOM_RIGHT, STRIDE, TOP_LEFT, decode_corners
 from cornerdet.geometry import TRUTH_DTYPE, iou_matrix
 from cornerdet.pipeline import PipelineConfig, detect_bundle
@@ -93,32 +94,29 @@ class TestGenerateScene:
 
     def test_forced_aspect(self):
         cfg = SynthConfig(num_boxes=(1, 1))
-        scene = generate_scene(cfg, seed=3, force_aspect=(5.0, 8.0))
+        scene = generate_scene(cfg, seed=3, extreme="aspect")
         x1, y1, x2, y2 = scene.truth["box"][0]
         w, h = x2 - x1, y2 - y1
         assert max(w / h, h / w) >= 5.0
 
     def test_forced_area(self):
         cfg = SynthConfig(num_boxes=(1, 1))
-        scene = generate_scene(cfg, seed=3, force_area=(400.0**2 + 1, 490.0**2))
+        scene = generate_scene(cfg, seed=3, extreme="area")
         x1, y1, x2, y2 = scene.truth["box"][0]
         assert (x2 - x1) * (y2 - y1) > 400.0**2
 
-    def test_area_period_one_forces_every_scene(self):
-        cfg = SynthConfig(extreme_aspect_period=0, extreme_area_period=1)
-        for index in range(4):
-            assert scene_forces(cfg, index) == (None, (400.0**2 + 1.0, 490.0**2))
-
     def test_default_periods_schedule(self):
         forces = [scene_forces(SynthConfig(), index) for index in range(10)]
-        assert [i for i, (aspect, _) in enumerate(forces) if aspect] == [0, 5]
-        assert [i for i, (_, area) in enumerate(forces) if area] == [1, 6]
+        assert forces == ["aspect", "area", None, None, None] * 2
+        cross = SynthConfig(arrangement="cross")
+        assert [scene_forces(cross, index) for index in range(10)] == [None] * 10
 
-    def test_infeasible_range(self):
+    def test_infeasible_range(self, monkeypatch):
         # the forced area lies above AREA_RANGE, so no first box can be drawn
+        monkeypatch.setattr(synth, "EXTREME_AREA", 250000.0)
         cfg = SynthConfig(num_boxes=(1, 1))
         with pytest.raises(RenderBudgetError):
-            generate_scene(cfg, seed=0, force_area=(250000.0, 260000.0))
+            generate_scene(cfg, seed=0, extreme="area")
 
     def test_box_count_beyond_the_image_rejected(self):
         # a box plus its gap covers at least 34 x 34 px of the 497 x 497 px
@@ -193,9 +191,24 @@ class TestRenderOracle:
             detect_bundle(bad, PipelineConfig(k=2))
         assert len(detect_bundle(bundle, PipelineConfig(k=2)).detections) == 1
 
-    def test_extreme_aspect_recovered(self):
+    @pytest.mark.parametrize("name", ["tl_heat", "br_heat"])
+    def test_heatmap_outside_unit_range_raises(self, name):
+        # 1.5 at the true corner's peak: a corner score above 1 would skew
+        # the proposal scores and their order without an error
         cfg = SynthConfig(num_boxes=(1, 1))
-        scene, bundle = build_scene(cfg, seed=4, force_aspect=(7.5, 8.0))
+        _, bundle = build_scene(cfg, seed=2)
+        heat = getattr(bundle.heatmaps, name).copy()
+        heat[np.unravel_index(np.argmax(heat), heat.shape)] = 1.5
+        heatmaps = dataclasses.replace(bundle.heatmaps, **{name: heat})
+        bad = dataclasses.replace(bundle, heatmaps=heatmaps)
+        with pytest.raises(ValueError, match=rf"^{name} holds values outside \[0, 1\]$"):
+            detect_bundle(bad, PipelineConfig(k=2))
+
+    def test_extreme_aspect_recovered(self, monkeypatch):
+        # aspect ratios drawn from [7.5, 8]
+        monkeypatch.setattr(synth, "EXTREME_ASPECT", 7.5)
+        cfg = SynthConfig(num_boxes=(1, 1))
+        scene, bundle = build_scene(cfg, seed=4, extreme="aspect")
         res = detect_bundle(bundle, PipelineConfig(k=4))
         assert len(scene.truth) == 1
         assert best_ious(res.detections, scene.truth).max() >= 0.99
