@@ -1058,6 +1058,18 @@ BAD_CORPORA = [
         tensor_shapes(tl_heat=(128, 128)), SCENE, "tl_heat must be (C, H, W), got shape (128, 128)", id="rank-2-heat"
     ),
     pytest.param(
+        tensor_shapes(br_heat=(3, 128, 128)),
+        SCENE,
+        "br_heat must be (2, 128, 128) like tl_heat, got shape (3, 128, 128)",
+        id="br-heat-classes",
+    ),
+    pytest.param(
+        tensor_shapes(box_feat=(16, 128, 128)),
+        SCENE,
+        "box_feat must be (32, H, W), got shape (16, 128, 128)",
+        id="box-feat-channels",
+    ),
+    pytest.param(
         tensor_shapes(br_off=(2, 128, 64)),
         SCENE,
         "br_off must be (2, 128, 128) to match the heatmaps, got shape (2, 128, 64)",
