@@ -72,7 +72,7 @@ def load_config(cls, path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # malformed JSON or a repeated key
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested, or a repeated key
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")

@@ -12,7 +12,6 @@ position x = (col + ox) * STRIDE, y = (row + oy) * STRIDE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,42 +19,10 @@ STRIDE = 4
 # least IoU a Gaussian target's radius keeps between a box and its displaced corners
 MIN_OVERLAP = 0.7
 
-TOP_LEFT = "top-left"
-BOTTOM_RIGHT = "bottom-right"
-
 # decoded corners, one row each: class, sub-pixel image position and score
 KEYPOINT_DTYPE = np.dtype(
     [("class_id", np.int64), ("x", np.float64), ("y", np.float64), ("score", np.float64)]
 )
-
-
-@dataclass(frozen=True)
-class HeatmapSet:
-    """Corner heatmaps and their shared offset planes for one image."""
-
-    tl_heat: np.ndarray
-    br_heat: np.ndarray
-    tl_off: np.ndarray
-    br_off: np.ndarray
-
-    def __post_init__(self):
-        if self.tl_heat.ndim != 3:
-            raise ValueError(f"tl_heat must be (C, H, W), got shape {self.tl_heat.shape}")
-        c, h, w = self.tl_heat.shape
-        if self.br_heat.shape != (c, h, w):
-            raise ValueError(f"br_heat must be {(c, h, w)} like tl_heat, got shape {self.br_heat.shape}")
-        for name in ("tl_off", "br_off"):
-            shape = getattr(self, name).shape
-            if shape != (2, h, w):
-                raise ValueError(f"{name} must be {(2, h, w)} to match the heatmaps, got shape {shape}")
-
-    @property
-    def num_classes(self) -> int:
-        return self.tl_heat.shape[0]
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.tl_heat.shape[1], self.tl_heat.shape[2]
 
 
 def local_max_suppress(heat: np.ndarray) -> np.ndarray:
@@ -95,8 +62,8 @@ def _first_ties(flat: np.ndarray, kth, need: int, every: bool) -> np.ndarray:
         stop *= 2
 
 
-def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
-    """Extract the k best corner keypoints of one kind from all heatmaps.
+def decode_corners(heat: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k best corner keypoints of a (C, H, W) heatmap, placed by its (2, H, W) offset planes.
 
     Selection runs jointly over all C*H*W cells after 3x3 local-max
     suppression. Returns k rows of KEYPOINT_DTYPE in descending score order;
@@ -111,16 +78,9 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     because numpy's introselect stalls on runs of equal values, and
     suppression leaves nearly every cell at 0.
 
-    A decoded x or y that overflows float32 (a finite but huge offset)
-    raises a ValueError naming the offset tensor.
+    A finite but huge offset gives an x or y that overflows float32 to
+    infinity; ``detect_bundle`` rejects it.
     """
-    if kind == TOP_LEFT:
-        heat, off, off_name = hm.tl_heat, hm.tl_off, "tl_off"
-    elif kind == BOTTOM_RIGHT:
-        heat, off, off_name = hm.br_heat, hm.br_off, "br_off"
-    else:
-        raise ValueError(f"unknown corner kind: {kind!r}")
-
     c, h, w = heat.shape
     if not 1 <= k <= c * h * w:
         raise ValueError(f"k must be in [1, {c * h * w}], got {k}")
@@ -140,8 +100,6 @@ def decode_corners(hm: HeatmapSet, kind: str, k: int) -> np.ndarray:
     oy = off[1, rows, cols].astype(np.float32)
     xs = (cols.astype(np.float32) + ox) * np.float32(STRIDE)
     ys = (rows.astype(np.float32) + oy) * np.float32(STRIDE)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError(f"{off_name} puts a corner at a position that overflows float32")
 
     kps = np.empty(k, dtype=KEYPOINT_DTYPE)
     kps["class_id"] = cls
@@ -196,8 +154,11 @@ def _splat(channel: np.ndarray, row: int, col: int, radius: int) -> None:
     np.maximum(region, patch.astype(np.float32), out=region)
 
 
-def gaussian_targets(truth: np.ndarray, num_classes: int, height: int, width: int) -> HeatmapSet:
-    """Render training-target heatmaps and offset planes for a scene.
+def gaussian_targets(
+    truth: np.ndarray, num_classes: int, height: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Render training-target heatmaps and offset planes for a scene:
+    tl_heat, br_heat, tl_off and br_off.
 
     Each corner of the TRUTH_DTYPE rows splats an unnormalized 2-D Gaussian
     with peak exactly 1 at its stride-reduced cell onto its class channel;
@@ -226,4 +187,4 @@ def gaussian_targets(truth: np.ndarray, num_classes: int, height: int, width: in
             off[0, row, col] = np.float32(fx - col)
             off[1, row, col] = np.float32(fy - row)
 
-    return HeatmapSet(tl_heat=tl_heat, br_heat=br_heat, tl_off=tl_off, br_off=br_off)
+    return tl_heat, br_heat, tl_off, br_off

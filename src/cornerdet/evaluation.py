@@ -406,7 +406,7 @@ def load_ground_truth(path) -> GroundTruthSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON
             raise ValueError(f"{path}: {exc}") from None
     try:
         return _ground_truth(doc)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cornerdet.corners import BOTTOM_RIGHT, TOP_LEFT, decode_corners
+from cornerdet.corners import decode_corners
 from cornerdet.geometry import DET_DTYPE
 from cornerdet.postprocess import (
     OBJECTNESS_THRESHOLD,
@@ -31,7 +31,7 @@ from cornerdet.proposals import (
     enumerate_proposals,
     roi_align_batch,
 )
-from cornerdet.synth import OracleBundle, load_scene_bundle, read_manifest
+from cornerdet.synth import SCENE_TENSORS, OracleBundle, load_scene_bundle, read_manifest
 
 
 @dataclass(frozen=True)
@@ -73,25 +73,26 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     and non-finite class scores (from cat_feat or the class head weights)
     raise a ValueError naming the tensor; finite features whose pooling
     overflows float32 give such scores too. So does a finite offset that
-    puts a decoded corner's x or y beyond float32 (``decode_corners`` names
-    tl_off or br_off).
+    puts a decoded corner's x or y beyond float32, naming tl_off or br_off.
     """
-    for name in ("tl_heat", "br_heat", "tl_off", "br_off"):
-        if not np.isfinite(getattr(bundle.heatmaps, name)).all():
+    for name in SCENE_TENSORS[:4]:
+        if not np.isfinite(getattr(bundle, name)).all():
             raise ValueError(f"{name} holds NaN or infinity")
     # corner scores outside [0, 1] would reorder the proposals unnoticed
     for name in ("tl_heat", "br_heat"):
-        heat = getattr(bundle.heatmaps, name)
+        heat = getattr(bundle, name)
         if (heat < 0.0).any() or (heat > 1.0).any():
             raise ValueError(f"{name} holds values outside [0, 1]")
-    tls = decode_corners(bundle.heatmaps, TOP_LEFT, config.k)
-    brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, config.k)
+    tls = decode_corners(bundle.tl_heat, bundle.tl_off, config.k)
+    brs = decode_corners(bundle.br_heat, bundle.br_off, config.k)
+    for name, kps in (("tl_off", tls), ("br_off", brs)):
+        if not (np.isfinite(kps["x"]).all() and np.isfinite(kps["y"]).all()):
+            raise ValueError(f"{name} puts a corner at a position that overflows float32")
     proposals = enumerate_proposals(tls, brs)
-    feats, weights = bundle.features, bundle.weights
     survivors = proposals
     if config.use_binary_head:
-        pooled_box = roi_align_batch(feats.box_feat, proposals["box"], feats.box_channels)
-        p_scores = binary_scores(pooled_box, feats.box_channels, weights)
+        pooled_box = roi_align_batch(bundle.box_feat, proposals["box"], bundle.box_channels)
+        p_scores = binary_scores(pooled_box, bundle.box_channels, bundle.weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
         if not np.isfinite(p_scores).all():
@@ -100,8 +101,8 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
             )
         survivors = filter_by_objectness(proposals, p_scores, OBJECTNESS_THRESHOLD)
 
-    pooled_cat = roi_align_batch(feats.cat_feat, survivors["box"], feats.cat_channels)
-    q = class_scores(pooled_cat, feats.cat_channels, weights)
+    pooled_cat = roi_align_batch(bundle.cat_feat, survivors["box"], bundle.cat_channels)
+    q = class_scores(pooled_cat, bundle.cat_channels, bundle.weights)
     # likewise for cat_feat: a bad value under a survivor gives a NaN class score
     if not np.isfinite(q).all():
         raise ValueError(

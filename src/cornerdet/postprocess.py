@@ -258,7 +258,7 @@ def read_detections(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
-        except ValueError as exc:  # malformed JSON or UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or bad UTF-8
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"{path}: detection dump must be a JSON array")

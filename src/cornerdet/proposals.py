@@ -36,32 +36,6 @@ _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
 
 @dataclass(frozen=True)
-class FeatureMaps:
-    """Box (32ch) and category (256ch) feature maps for one image.
-
-    `box_channels` and `cat_channels` list the ascending channels of each
-    map that may hold data; every other channel is all zeros, and RoIAlign
-    and the heads look at the listed channels alone.
-    """
-
-    box_feat: np.ndarray
-    cat_feat: np.ndarray
-    box_channels: np.ndarray
-    cat_channels: np.ndarray
-
-    def __post_init__(self):
-        if self.box_feat.ndim != 3 or self.box_feat.shape[0] != BOX_CHANNELS:
-            raise ValueError(f"box_feat must be ({BOX_CHANNELS}, H, W), got shape {self.box_feat.shape}")
-        if self.cat_feat.shape != (CAT_CHANNELS,) + self.box_feat.shape[1:]:
-            raise ValueError(
-                f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
-                f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
-            )
-        check_slices("box_channels", np.asarray(self.box_channels), BOX_CHANNELS)
-        check_slices("cat_channels", np.asarray(self.cat_channels), CAT_CHANNELS)
-
-
-@dataclass(frozen=True)
 class HeadWeights:
     """Kernels and biases of the binary and C-way heads."""
 
@@ -169,7 +143,7 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     """RoIAlign a (D, H, W) feature map over N boxes, on the listed channels only.
 
     Returns (N, L, 7, 7) float32 pooled over the L ascending `channels`:
-    those of the map that may hold data, as `FeatureMaps` lists them. Every
+    those of the map that may hold data, as `OracleBundle` lists them. Every
     other channel is all zeros and would pool to exact zeros.
 
     Box coordinates are image pixels and get divided by `STRIDE` into

@@ -32,19 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
-from cornerdet.corners import STRIDE, HeatmapSet, gaussian_targets
+from cornerdet.corners import STRIDE, gaussian_targets
 from cornerdet.geometry import TRUTH_DTYPE
 from cornerdet.proposals import (
     BOX_CHANNELS,
     CAT_CHANNELS,
     POOL_SIZE,
-    FeatureMaps,
     HeadWeights,
     binary_scores,
     class_scores,
     roi_align_batch,
 )
-from cornerdet.tensorio import anonymous_zeros, load_tensor, store_tensor
+from cornerdet.tensorio import anonymous_zeros, check_slices, load_tensor, store_tensor
 
 # planted-head response: sigmoid(gain * (mean indicator coverage - threshold))
 BINARY_GAIN = 50.0
@@ -128,27 +127,52 @@ class Scene:
 
 @dataclass(frozen=True)
 class OracleBundle:
-    """Pipeline inputs rendered from a scene, plus the planted weights."""
+    """One image's pipeline inputs, the SCENE_TENSORS in order, and its head weights.
 
-    heatmaps: HeatmapSet
-    features: FeatureMaps
+    The corner heatmaps are (C, H, W) and their offset planes (2, H, W), as
+    `corners` describes them; the box and category feature maps are
+    (BOX_CHANNELS, H, W) and (CAT_CHANNELS, H, W). `box_channels` and
+    `cat_channels` list the ascending channels of each map that may hold
+    data; every other channel is all zeros, and RoIAlign and the heads look
+    at the listed channels alone.
+    """
+
+    tl_heat: np.ndarray
+    br_heat: np.ndarray
+    tl_off: np.ndarray
+    br_off: np.ndarray
+    box_feat: np.ndarray
+    cat_feat: np.ndarray
+    box_channels: np.ndarray
+    cat_channels: np.ndarray
     weights: HeadWeights
 
     def __post_init__(self):
+        if self.tl_heat.ndim != 3:
+            raise ValueError(f"tl_heat must be (C, H, W), got shape {self.tl_heat.shape}")
+        c, h, w = self.tl_heat.shape
+        if self.br_heat.shape != (c, h, w):
+            raise ValueError(f"br_heat must be {(c, h, w)} like tl_heat, got shape {self.br_heat.shape}")
+        for name in ("tl_off", "br_off"):
+            shape = getattr(self, name).shape
+            if shape != (2, h, w):
+                raise ValueError(f"{name} must be {(2, h, w)} to match the heatmaps, got shape {shape}")
+        if self.box_feat.ndim != 3 or self.box_feat.shape[0] != BOX_CHANNELS:
+            raise ValueError(f"box_feat must be ({BOX_CHANNELS}, H, W), got shape {self.box_feat.shape}")
+        if self.cat_feat.shape != (CAT_CHANNELS,) + self.box_feat.shape[1:]:
+            raise ValueError(
+                f"cat_feat must be ({CAT_CHANNELS}, H, W) with extents matching box_feat "
+                f"{self.box_feat.shape}, got shape {self.cat_feat.shape}"
+            )
+        check_slices("box_channels", np.asarray(self.box_channels), BOX_CHANNELS)
+        check_slices("cat_channels", np.asarray(self.cat_channels), CAT_CHANNELS)
         # features off the heatmap grid would be read at the wrong cells (or
         # as zeros), and a class head of another width labels boxes with
         # classes no heatmap has
-        grid = self.heatmaps.grid_shape
-        if self.features.box_feat.shape[1:] != grid:
-            raise ValueError(
-                f"box_feat has shape {self.features.box_feat.shape}, "
-                f"off the {grid[0]} x {grid[1]} heatmap grid"
-            )
-        if self.weights.num_classes != self.heatmaps.num_classes:
-            raise ValueError(
-                f"the class head scores {self.weights.num_classes} classes "
-                f"but the heatmaps hold {self.heatmaps.num_classes}"
-            )
+        if self.box_feat.shape[1:] != (h, w):
+            raise ValueError(f"box_feat has shape {self.box_feat.shape}, off the {h} x {w} heatmap grid")
+        if self.weights.num_classes != c:
+            raise ValueError(f"the class head scores {self.weights.num_classes} classes but the heatmaps hold {c}")
 
 
 def map_size(image_extent: int) -> int:
@@ -303,17 +327,14 @@ def planted_weights(num_classes: int) -> HeadWeights:
 def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
     """Render heatmaps, indicator features, and planted weights for a scene."""
     h, w = map(map_size, IMAGE_SIZE)
-    hm = gaussian_targets(scene.truth, cfg.num_classes, h, w)
+    tl_heat, br_heat, tl_off, br_off = gaussian_targets(scene.truth, cfg.num_classes, h, w)
 
     if cfg.noise > 0.0:
         rng = np.random.default_rng(_subseed(scene.seed, 1000))
-        tl = np.clip(hm.tl_heat + rng.uniform(-cfg.noise, cfg.noise, hm.tl_heat.shape), 0.0, 1.0)
-        br = np.clip(hm.br_heat + rng.uniform(-cfg.noise, cfg.noise, hm.br_heat.shape), 0.0, 1.0)
-        hm = HeatmapSet(
-            tl_heat=tl.astype(np.float32),
-            br_heat=br.astype(np.float32),
-            tl_off=hm.tl_off,
-            br_off=hm.br_off,
+        # top-left first: the draws' order fixes each map's noise
+        tl_heat, br_heat = (
+            np.clip(heat + rng.uniform(-cfg.noise, cfg.noise, heat.shape), 0.0, 1.0).astype(np.float32)
+            for heat in (tl_heat, br_heat)
         )
 
     # only the painted channels' pages are ever touched
@@ -325,13 +346,17 @@ def render_oracle(scene: Scene, cfg: SynthConfig) -> OracleBundle:
         _paint_coverage(cat_feat[class_id], box)
 
     # every channel left unpainted is all zeros
-    features = FeatureMaps(
-        box_feat=box_feat,
-        cat_feat=cat_feat,
+    return OracleBundle(
+        tl_heat,
+        br_heat,
+        tl_off,
+        br_off,
+        box_feat,
+        cat_feat,
         box_channels=np.unique(np.arange(len(classes)) % BOX_CHANNELS),
         cat_channels=np.unique(classes),
+        weights=planted_weights(cfg.num_classes),
     )
-    return OracleBundle(heatmaps=hm, features=features, weights=planted_weights(cfg.num_classes))
 
 
 def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
@@ -341,9 +366,8 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     argmax; every geometrically valid same-class cross pairing must score
     <= 0.1.
     """
-    feats, weights = bundle.features, bundle.weights
     boxes, classes = scene.truth["box"], scene.truth["class_id"]
-    box_ch, cat_ch = feats.box_channels, feats.cat_channels
+    box_ch, cat_ch, weights = bundle.box_channels, bundle.cat_channels, bundle.weights
     # box i's top-left corner paired with box j's bottom-right, unless the
     # pairing is invalid or gives back a true box, as i == j does
     cross = np.concatenate(np.broadcast_arrays(boxes[:, None, :2], boxes[None, :, 2:]), axis=2)
@@ -356,9 +380,9 @@ def verify_bundle(scene: Scene, bundle: OracleBundle) -> list[str]:
     # one pass scores the true boxes, then the pairings: RoIAlign pools and
     # the head scores every box on its own, so the split keeps each score's bits
     scored = np.concatenate([boxes, cross[valid]])
-    p_box = binary_scores(roi_align_batch(feats.box_feat, scored, box_ch), box_ch, weights)
+    p_box = binary_scores(roi_align_batch(bundle.box_feat, scored, box_ch), box_ch, weights)
     p_true, p_cross = p_box[: len(boxes)], p_box[len(boxes) :]
-    heads = class_scores(roi_align_batch(feats.cat_feat, boxes, cat_ch), cat_ch, weights).argmax(axis=1)
+    heads = class_scores(roi_align_batch(bundle.cat_feat, boxes, cat_ch), cat_ch, weights).argmax(axis=1)
     problems = []
     for i, class_id in enumerate(classes):
         if p_true[i] < TRUE_SCORE_FLOOR:
@@ -422,12 +446,11 @@ def write_corpus(out_dir, cfg: SynthConfig, count: int, seed: int) -> dict:
         name = f"scene_{i:05d}"
         scene_dir = out_dir / name
         scene_dir.mkdir(exist_ok=True)
-        hm, fm = bundle.heatmaps, bundle.features
-        for tensor_name in SCENE_TENSORS[:4]:
-            store_tensor(getattr(hm, tensor_name), scene_dir / f"{tensor_name}.cpnt")
         # the feature maps' unlisted channels are zeros, and never read
-        store_tensor(fm.box_feat, scene_dir / "box_feat.cpnt", slices=fm.box_channels)
-        store_tensor(fm.cat_feat, scene_dir / "cat_feat.cpnt", slices=fm.cat_channels)
+        slices = {"box_feat": bundle.box_channels, "cat_feat": bundle.cat_channels}
+        for tensor_name in SCENE_TENSORS:
+            path = scene_dir / f"{tensor_name}.cpnt"
+            store_tensor(getattr(bundle, tensor_name), path, slices=slices.get(tensor_name))
         for (x1, y1, x2, y2), class_id in zip(
             scene.truth["box"].tolist(), scene.truth["class_id"].tolist()
         ):
@@ -481,7 +504,7 @@ def read_manifest(corpus_dir) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # malformed JSON or UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or bad UTF-8
             raise ValueError(f"{path}: {exc}") from None
     try:
         if not isinstance(manifest, dict):
@@ -515,11 +538,6 @@ def load_scene_bundle(scene_dir, weights: HeadWeights) -> OracleBundle:
     tensors, stored = {}, {}
     for name in SCENE_TENSORS:
         tensors[name], stored[name] = load_tensor(Path(scene_dir) / f"{name}.cpnt", with_slices=True)
-    heatmaps = HeatmapSet(**{name: tensors[name] for name in SCENE_TENSORS[:4]})
-    features = FeatureMaps(
-        box_feat=tensors["box_feat"],
-        cat_feat=tensors["cat_feat"],
-        box_channels=stored["box_feat"],
-        cat_channels=stored["cat_feat"],
+    return OracleBundle(
+        **tensors, box_channels=stored["box_feat"], cat_channels=stored["cat_feat"], weights=weights
     )
-    return OracleBundle(heatmaps=heatmaps, features=features, weights=weights)

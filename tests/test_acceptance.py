@@ -14,7 +14,7 @@ import pytest
 
 import brute_eval
 from cornerdet.cli import main, proposals_sibling
-from cornerdet.corners import TOP_LEFT, decode_corners
+from cornerdet.corners import decode_corners
 from cornerdet.evaluation import build_report
 from cornerdet.geometry import DET_DTYPE
 from cornerdet.losses import (
@@ -40,7 +40,6 @@ from oracles import (
     naive_soft_nms,
     relative_gradient_error,
 )
-from test_corners import make_heatmaps
 from test_proposals import pair_indices, random_keypoints
 
 
@@ -374,9 +373,8 @@ def test_criterion_8_monotonicity_and_ranges():
         c = int(rng.integers(1, 4))
         heat = rng.random((c, 8, 8)).astype(np.float32)
         off = (rng.random((2, 8, 8)) * 0.999).astype(np.float32)
-        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
         k = int(rng.integers(1, c * 64 + 1))
-        kps = decode_corners(hm, TOP_LEFT, k)
+        kps = decode_corners(heat, off, k)
         scores = kps["score"].tolist()
         if scores != sorted(scores, reverse=True):
             violations["decode"] += 1

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from cornerdet.corners import (
-    BOTTOM_RIGHT,
-    TOP_LEFT,
-    HeatmapSet,
     _first_ties,
     decode_corners,
     gaussian_radius,
@@ -12,6 +9,9 @@ from cornerdet.corners import (
     local_max_suppress,
 )
 from cornerdet.geometry import TRUTH_DTYPE
+from cornerdet.pipeline import PipelineConfig, detect_bundle
+from cornerdet.proposals import BOX_CHANNELS, CAT_CHANNELS
+from cornerdet.synth import OracleBundle, planted_weights
 from oracles import iou_xyxy, naive_local_max, naive_topk
 
 
@@ -20,15 +20,9 @@ def truth(*rows) -> np.ndarray:
     return np.array([(0, c, box) for box, c in rows], dtype=TRUTH_DTYPE)
 
 
-def make_heatmaps(tl_heat, tl_off=None, br_heat=None, br_off=None):
-    c, h, w = tl_heat.shape
-    zeros_off = np.zeros((2, h, w), dtype=np.float32)
-    return HeatmapSet(
-        tl_heat=tl_heat.astype(np.float32),
-        br_heat=(br_heat if br_heat is not None else np.zeros_like(tl_heat)).astype(np.float32),
-        tl_off=(tl_off if tl_off is not None else zeros_off).astype(np.float32),
-        br_off=(br_off if br_off is not None else zeros_off).astype(np.float32),
-    )
+def zero_off(heat):
+    """All-zero offset planes for a (C, H, W) heatmap."""
+    return np.zeros((2,) + heat.shape[1:], dtype=np.float32)
 
 
 class TestLocalMaxSuppress:
@@ -124,7 +118,7 @@ def benchmark_maps():
         signed_zeros[0, 20 * i + 5, 17 * i + 3] = 0.9 - 0.1 * i
     maps = {
         "all-zero": np.zeros(shape, dtype=np.float32),
-        "peaks": gaussian_targets(gts, 2, 128, 128).tl_heat,
+        "peaks": gaussian_targets(gts, 2, 128, 128)[0],
         "uniform": rng.random(shape, dtype=np.float32),
         "negative-plateau": negative_plateau,
         "negative-uniform": -rng.random(shape, dtype=np.float32),
@@ -135,8 +129,8 @@ def benchmark_maps():
 
 class TestDecodeCorners:
     def test_all_zero_tiebreak(self):
-        hm = make_heatmaps(np.zeros((2, 4, 4), dtype=np.float32))
-        kps = decode_corners(hm, TOP_LEFT, 2)
+        heat = np.zeros((2, 4, 4), dtype=np.float32)
+        kps = decode_corners(heat, zero_off(heat), 2)
         assert kps[["class_id", "x", "y"]].tolist() == [(0, 0.0, 0.0), (0, 4.0, 0.0)]
         assert kps["score"].tolist() == [0.0, 0.0]
 
@@ -146,8 +140,7 @@ class TestDecodeCorners:
         off = np.zeros((2, 16, 16), dtype=np.float32)
         off[0, 5, 7] = 0.25
         off[1, 5, 7] = 0.5
-        hm = make_heatmaps(heat, tl_off=off)
-        (kp,) = decode_corners(hm, TOP_LEFT, 1)
+        (kp,) = decode_corners(heat, off, 1)
         assert kp["class_id"] == 1
         assert kp["x"] == pytest.approx(29.0)
         assert kp["y"] == pytest.approx(22.0)
@@ -164,7 +157,7 @@ class TestDecodeCorners:
             suppressed = naive_local_max(heat, 3)
             for k in range(1, c * h * w + 1):
                 want = naive_topk(suppressed, k)
-                kps = decode_corners(make_heatmaps(heat), TOP_LEFT, k)
+                kps = decode_corners(heat, zero_off(heat), k)
                 cls, rows, cols = np.unravel_index(want, (c, h, w))
                 assert kps["class_id"].tolist() == cls.tolist()
                 assert kps["x"].tolist() == (4.0 * cols).tolist()
@@ -180,10 +173,9 @@ class TestDecodeCorners:
         # sign of a zero counts.
         for heat, suppressed in benchmark_maps.values():
             c, h, w = heat.shape
-            hm = make_heatmaps(heat)
             for k in (70, c * h * w):
                 want = naive_topk(suppressed, k)
-                kps = decode_corners(hm, TOP_LEFT, k)
+                kps = decode_corners(heat, zero_off(heat), k)
                 cls, rows, cols = np.unravel_index(want, (c, h, w))
                 assert kps["class_id"].tolist() == cls.tolist()
                 assert kps["x"].tolist() == (4.0 * cols).tolist()
@@ -227,65 +219,79 @@ class TestDecodeCorners:
                     assert _first_ties(flat, kth, need, every).tolist() == tied[:need].tolist()
 
     def test_k_too_large(self):
-        hm = make_heatmaps(np.zeros((1, 2, 2), dtype=np.float32))
+        heat = np.zeros((1, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError):
-            decode_corners(hm, TOP_LEFT, 5)
+            decode_corners(heat, zero_off(heat), 5)
 
     def test_scores_non_increasing_and_in_bounds(self):
         rng = np.random.default_rng(3)
         heat = rng.random((3, 12, 12)).astype(np.float32)
         off = rng.random((2, 12, 12)).astype(np.float32) * 0.999
-        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
-        for kind in (TOP_LEFT, BOTTOM_RIGHT):
-            kps = decode_corners(hm, kind, 40)
-            scores = kps["score"].tolist()
-            assert scores == sorted(scores, reverse=True)
-            assert np.all((0.0 <= kps["x"]) & (kps["x"] < 4 * 12))
-            assert np.all((0.0 <= kps["y"]) & (kps["y"] < 4 * 12))
+        kps = decode_corners(heat, off, 40)
+        scores = kps["score"].tolist()
+        assert scores == sorted(scores, reverse=True)
+        assert np.all((0.0 <= kps["x"]) & (kps["x"] < 4 * 12))
+        assert np.all((0.0 <= kps["y"]) & (kps["y"] < 4 * 12))
 
-    @pytest.mark.parametrize("kind, name", [(TOP_LEFT, "tl_off"), (BOTTOM_RIGHT, "br_off")])
+    @pytest.mark.parametrize(
+        "name", [pytest.param("tl_off", id="top-left-tl_off"), pytest.param("br_off", id="bottom-right-br_off")]
+    )
     @pytest.mark.parametrize("plane, value", [(0, 1e38), (1, 1e38), (0, -1e38)])
-    def test_offset_overflowing_position_names_the_tensor(self, kind, name, plane, value):
-        # 1e38 is finite, but (col + 1e38) * 4 is not in float32
+    def test_offset_overflowing_position_names_the_tensor(self, name, plane, value):
+        # 1e38 is finite, but (col + 1e38) * 4 is not in float32: decoding
+        # puts the corner at infinity, and detect_bundle names the tensor
         heat = np.zeros((1, 6, 6), dtype=np.float32)
         heat[0, 2, 3] = 0.9
         off = np.zeros((2, 6, 6), dtype=np.float32)
         off[plane, 2, 3] = value
-        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{name} puts a corner"):
-            decode_corners(hm, kind, 1)
+        with np.errstate(over="ignore"):
+            (kp,) = decode_corners(heat, off, 1)
+        assert np.isinf(kp[["x", "y"][plane]])
+        offsets = {"tl_off": zero_off(heat), "br_off": zero_off(heat), name: off}
+        bundle = OracleBundle(
+            heat,
+            heat,
+            offsets["tl_off"],
+            offsets["br_off"],
+            np.zeros((BOX_CHANNELS, 6, 6), dtype=np.float32),
+            np.zeros((CAT_CHANNELS, 6, 6), dtype=np.float32),
+            box_channels=np.array([0]),
+            cat_channels=np.array([0]),
+            weights=planted_weights(1),
+        )
+        with pytest.raises(ValueError, match=f"^{name} puts a corner at a position that overflows float32$"):
+            detect_bundle(bundle, PipelineConfig(k=1))
         # offsets are read only under decoded cells: with the peak gone,
         # the top cell is (0, 0, 0), whose offsets are 0
         heat[0, 2, 3] = 0.0
-        hm = make_heatmaps(heat, tl_off=off, br_heat=heat, br_off=off)
-        assert np.isfinite(decode_corners(hm, kind, 1)["x"]).all()
+        assert np.isfinite(decode_corners(heat, off, 1)["x"]).all()
 
 
 class TestGaussianTargets:
     def test_empty_scene(self):
-        hm = gaussian_targets(truth(), 2, 8, 8)
-        assert not hm.tl_heat.any() and not hm.br_heat.any()
-        assert not hm.tl_off.any() and not hm.br_off.any()
+        tl_heat, br_heat, tl_off, br_off = gaussian_targets(truth(), 2, 8, 8)
+        assert not tl_heat.any() and not br_heat.any()
+        assert not tl_off.any() and not br_off.any()
 
     def test_grid_aligned_corners(self):
-        hm = gaussian_targets(truth(((8.0, 4.0, 40.0, 44.0), 1)), 2, 16, 16)
-        assert hm.tl_heat[1, 1, 2] == 1.0
-        assert hm.br_heat[1, 11, 10] == 1.0
-        assert hm.tl_off[0, 1, 2] == 0.0 and hm.tl_off[1, 1, 2] == 0.0
+        tl_heat, br_heat, tl_off, _ = gaussian_targets(truth(((8.0, 4.0, 40.0, 44.0), 1)), 2, 16, 16)
+        assert tl_heat[1, 1, 2] == 1.0
+        assert br_heat[1, 11, 10] == 1.0
+        assert tl_off[0, 1, 2] == 0.0 and tl_off[1, 1, 2] == 0.0
 
     def test_fractional_offsets(self):
-        hm = gaussian_targets(truth(((9.0, 6.0, 41.0, 45.0), 0)), 1, 16, 16)
-        assert hm.tl_off[0, 1, 2] == np.float32(0.25)
-        assert hm.tl_off[1, 1, 2] == np.float32(0.5)
+        _, _, tl_off, _ = gaussian_targets(truth(((9.0, 6.0, 41.0, 45.0), 0)), 1, 16, 16)
+        assert tl_off[0, 1, 2] == np.float32(0.25)
+        assert tl_off[1, 1, 2] == np.float32(0.5)
 
     def test_shared_cell_takes_max(self):
         gts = truth(((8.0, 8.0, 60.0, 60.0), 0), ((8.5, 8.5, 100.0, 100.0), 0))
-        hm = gaussian_targets(gts, 1, 32, 32)
-        assert hm.tl_heat[0, 2, 2] == 1.0
+        tl_heat = gaussian_targets(gts, 1, 32, 32)[0]
+        assert tl_heat[0, 2, 2] == 1.0
 
     def test_peak_is_strict_max(self):
-        hm = gaussian_targets(truth(((20.0, 20.0, 100.0, 100.0), 0)), 1, 32, 32)
-        heat = hm.tl_heat[0]
+        tl_heat = gaussian_targets(truth(((20.0, 20.0, 100.0, 100.0), 0)), 1, 32, 32)[0]
+        heat = tl_heat[0]
         assert heat[5, 5] == 1.0
         masked = heat.copy()
         masked[5, 5] = 0.0
@@ -318,9 +324,9 @@ def test_decode_roundtrip_recovers_corners():
         ((200.0, 210.0, 380.5, 460.25), 2),
         ((60.0, 300.0, 160.0, 420.0), 1),
     )
-    hm = gaussian_targets(gts, 3, 128, 128)
-    tls = decode_corners(hm, TOP_LEFT, len(gts))
-    brs = decode_corners(hm, BOTTOM_RIGHT, len(gts))
+    tl_heat, br_heat, tl_off, br_off = gaussian_targets(gts, 3, 128, 128)
+    tls = decode_corners(tl_heat, tl_off, len(gts))
+    brs = decode_corners(br_heat, br_off, len(gts))
     got_tl = {(c, round(x, 3), round(y, 3)) for c, x, y in tls[["class_id", "x", "y"]].tolist()}
     want_tl = {(c, round(x1, 3), round(y1, 3)) for _, c, (x1, y1, _, _) in gts.tolist()}
     assert got_tl == want_tl

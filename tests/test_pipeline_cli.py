@@ -606,10 +606,10 @@ def test_loaded_features_carry_the_stored_channels(small_corpus):
     # scene's RoIAlign looks at the stored ones alone
     weights = HeadWeights.load_bundle(small_corpus / "weights")
     for scene in sorted(small_corpus.glob("scene_*")):
-        feats = load_scene_bundle(scene, weights).features
-        for feat, channels in ((feats.box_feat, feats.box_channels), (feats.cat_feat, feats.cat_channels)):
+        bundle = load_scene_bundle(scene, weights)
+        for feat, channels in ((bundle.box_feat, bundle.box_channels), (bundle.cat_feat, bundle.cat_channels)):
             assert channels.tolist() == np.flatnonzero(feat.reshape(len(feat), -1).any(axis=1)).tolist()
-        assert (scene / "cat_feat.cpnt").stat().st_size < 4 * feats.cat_feat.size // 64
+        assert (scene / "cat_feat.cpnt").stat().st_size < 4 * bundle.cat_feat.size // 64
 
 
 def test_run_corpus_library_level(small_corpus):
@@ -1403,6 +1403,34 @@ def test_eval_malformed_json_exit_3(target, tmp_path):
     assert err.startswith(f"error: {paths[target]}: Expecting value")
     assert err.count("\n") == 1
     assert not paths["report"].exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", ["detect-config", "synth-config", "manifest", "gt", "dets", "proposals"])
+def test_deeply_nested_json_exit_3(target, small_corpus, tmp_path, capsys):
+    # json's parser recurses once per bracket, so this raises RecursionError
+    out, report, corpus = tmp_path / "out", tmp_path / "report.json", small_corpus
+    eval_docs = {"gt": GT_DOC, "dets": DUMP, "proposals": DUMP}
+    inputs = {name: tmp_path / f"{name}.json" for name in [*eval_docs, "detect-config", "synth-config"]}
+    for name, doc in eval_docs.items():
+        inputs[name].write_text(json.dumps(doc))
+    if target == "manifest":
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus, copy_function=os.link)
+        inputs["manifest"] = corpus / "manifest.json"
+        inputs["manifest"].unlink()  # a hard link into the shared corpus
+    path = inputs[target]
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "detect-config": ["detect", "--corpus", str(corpus), "--out", str(out), "--config", str(path)],
+        "synth-config": ["synth", "--out", str(out), "--count", "1", "--seed", "1", "--config", str(path)],
+        "manifest": ["detect", "--corpus", str(corpus), "--out", str(out)],
+    }.get(target, ["eval", "--report", str(report)] + [f"--{name}={inputs[name]}" for name in eval_docs])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() and not proposals_sibling(out).exists() and not report.exists()
 
 
 def required_paths(doc, path=()):

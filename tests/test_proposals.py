@@ -14,13 +14,13 @@ from cornerdet.proposals import (
     BOX_CHANNELS,
     CAT_CHANNELS,
     POOL_SIZE,
-    FeatureMaps,
     HeadWeights,
     binary_scores,
     class_scores,
     enumerate_proposals,
     roi_align_batch,
 )
+from cornerdet.synth import OracleBundle, planted_weights
 from oracles import frozen_roi_align_batch, naive_head_score, naive_pairs, naive_roi_align
 
 
@@ -280,7 +280,7 @@ class TestRoiAlign:
                 [0.0, 0.0, np.inf, 20.0],
             ]
         )
-        # the channels with data, as FeatureMaps lists them: the infinite
+        # the channels with data, as OracleBundle lists them: the infinite
         # box's taps have NaN weights, which the all-zero channel 2 would
         # pool as NaN where the frozen kernel skips it
         channels = np.array([0, 1, 3, 4])
@@ -357,7 +357,7 @@ class TestRoiAlign:
                 [4.0, 4.0, 16.0, 16.0],  # finite, away from channel 1's block
             ]
         )
-        data = np.array([0, 1, 3])  # the channels with data, as FeatureMaps lists them
+        data = np.array([0, 1, 3])  # the channels with data, as OracleBundle lists them
         pooled = roi_align_batch(feat, boxes, data)
         assert pooled.tobytes() == frozen_roi_align_batch(feat, boxes)[:, data].tobytes()
         assert np.isnan(pooled[:4]).all() and np.isnan(pooled[4:6, 0]).any(axis=(1, 2)).all()
@@ -511,16 +511,19 @@ class TestRoiAlign:
         assert held <= 4_902_912
 
     def test_feature_maps_check_candidate_channels(self):
+        # a scene's OracleBundle lists the channels of its two feature maps
+        heat, off = np.zeros((1, 4, 4), np.float32), np.zeros((2, 4, 4), np.float32)
         box, cat = np.zeros((32, 4, 4), np.float32), np.zeros((256, 4, 4), np.float32)
+        maps, weights = (heat, heat, off, off, box, cat), planted_weights(1)
         none = np.zeros(0, np.intp)
-        FeatureMaps(box, cat, box_channels=np.array([0, 5]), cat_channels=none)
+        OracleBundle(*maps, box_channels=np.array([0, 5]), cat_channels=none, weights=weights)
         for bad in ([3, 1], [1, 1], [-1], [32], [0.0], [[0]]):
             with pytest.raises(ValueError, match="box_channels must be ascending integers"):
-                FeatureMaps(box, cat, box_channels=np.array(bad), cat_channels=none)
+                OracleBundle(*maps, box_channels=np.array(bad), cat_channels=none, weights=weights)
         with pytest.raises(ValueError, match=r"cat_channels must be ascending integers in \[0, 256\)"):
-            FeatureMaps(box, cat, box_channels=none, cat_channels=np.array([256]))
+            OracleBundle(*maps, box_channels=none, cat_channels=np.array([256]), weights=weights)
         with pytest.raises(TypeError, match="cat_channels"):
-            FeatureMaps(box, cat, box_channels=none)  # no default: every map lists its channels
+            OracleBundle(*maps, box_channels=none, weights=weights)  # no default: every map lists its channels
 
 
 ALL_BOX = np.arange(32)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from cornerdet import synth
-from cornerdet.corners import BOTTOM_RIGHT, STRIDE, TOP_LEFT, decode_corners
+from cornerdet.corners import STRIDE, decode_corners
 from cornerdet.geometry import TRUTH_DTYPE, iou_matrix
 from cornerdet.pipeline import PipelineConfig, detect_bundle
 from cornerdet.synth import (
     BOX_GAP,
     IMAGE_SIZE,
     MAX_BOXES,
+    SCENE_TENSORS,
+    OracleBundle,
     RenderBudgetError,
     SynthConfig,
     _paint_coverage,
@@ -156,12 +158,16 @@ class TestCrossScene:
 
 
 class TestRenderOracle:
+    def test_bundle_fields_start_with_the_scene_tensors(self):
+        fields = tuple(field.name for field in dataclasses.fields(OracleBundle))
+        assert fields == SCENE_TENSORS + ("box_channels", "cat_channels", "weights")
+
     def test_single_box_closed_loop(self):
         cfg = SynthConfig(num_boxes=(1, 1))
         scene, bundle = build_scene(cfg, seed=2)
         ((_, class_id, (x1, y1, x2, y2)),) = scene.truth.tolist()
-        tls = decode_corners(bundle.heatmaps, TOP_LEFT, 2)
-        brs = decode_corners(bundle.heatmaps, BOTTOM_RIGHT, 2)
+        tls = decode_corners(bundle.tl_heat, bundle.tl_off, 2)
+        brs = decode_corners(bundle.br_heat, bundle.br_off, 2)
         assert tls[0]["x"] == pytest.approx(x1, abs=1e-3)
         assert tls[0]["y"] == pytest.approx(y1, abs=1e-3)
         assert brs[0]["x"] == pytest.approx(x2, abs=1e-3)
@@ -180,12 +186,11 @@ class TestRenderOracle:
         # an infinite x or y, which would pair with nothing and lose the box
         cfg = SynthConfig(num_boxes=(1, 1))
         _, bundle = build_scene(cfg, seed=2)
-        heat = getattr(bundle.heatmaps, f"{kind}_heat")
+        heat = getattr(bundle, f"{kind}_heat")
         _, row, col = np.unravel_index(np.argmax(heat), heat.shape)
-        off = getattr(bundle.heatmaps, name).copy()
+        off = getattr(bundle, name).copy()
         off[plane, row, col] = value
-        heatmaps = dataclasses.replace(bundle.heatmaps, **{name: off})
-        bad = dataclasses.replace(bundle, heatmaps=heatmaps)
+        bad = dataclasses.replace(bundle, **{name: off})
         message = f"^{name} puts a corner at a position that overflows float32$"
         with pytest.raises(ValueError, match=message):
             detect_bundle(bad, PipelineConfig(k=2))
@@ -197,10 +202,9 @@ class TestRenderOracle:
         # the proposal scores and their order without an error
         cfg = SynthConfig(num_boxes=(1, 1))
         _, bundle = build_scene(cfg, seed=2)
-        heat = getattr(bundle.heatmaps, name).copy()
+        heat = getattr(bundle, name).copy()
         heat[np.unravel_index(np.argmax(heat), heat.shape)] = 1.5
-        heatmaps = dataclasses.replace(bundle.heatmaps, **{name: heat})
-        bad = dataclasses.replace(bundle, heatmaps=heatmaps)
+        bad = dataclasses.replace(bundle, **{name: heat})
         with pytest.raises(ValueError, match=rf"^{name} holds values outside \[0, 1\]$"):
             detect_bundle(bad, PipelineConfig(k=2))
 
@@ -233,8 +237,7 @@ class TestRenderOracle:
         cfg = SynthConfig(num_boxes=(2, 6), num_classes=5)
         for seed in (3, 4):
             _, bundle = build_scene(cfg, seed=seed)
-            f = bundle.features
-            for feat, channels in ((f.box_feat, f.box_channels), (f.cat_feat, f.cat_channels)):
+            for feat, channels in ((bundle.box_feat, bundle.box_channels), (bundle.cat_feat, bundle.cat_channels)):
                 assert channels.dtype.kind == "i"
                 assert channels.tolist() == np.flatnonzero(feat.reshape(len(feat), -1).any(axis=1)).tolist()
 
@@ -254,7 +257,7 @@ class TestRenderOracle:
 
     def test_verification_names_a_weak_true_box(self):
         scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
-        bundle.features.box_feat[0] = 0.0
+        bundle.box_feat[0] = 0.0
         (problem,) = verify_bundle(scene, bundle)
         assert problem.startswith("true box 0: binary score ")
 
@@ -262,18 +265,16 @@ class TestRenderOracle:
         scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
         cls = int(scene.truth["class_id"][0])
         other = 1 - cls
-        f = bundle.features
-        f.cat_feat[other] = f.cat_feat[cls]
-        f.cat_feat[cls] = 0.0
-        features = dataclasses.replace(f, cat_channels=np.array([other]))
-        (problem,) = verify_bundle(scene, dataclasses.replace(bundle, features=features))
+        bundle.cat_feat[other] = bundle.cat_feat[cls]
+        bundle.cat_feat[cls] = 0.0
+        (problem,) = verify_bundle(scene, dataclasses.replace(bundle, cat_channels=np.array([other])))
         assert problem == f"true box 0: class argmax {other} != {cls}"
 
     def test_verification_names_a_strong_cross_pairing(self):
         scene, bundle = build_scene(SynthConfig(arrangement="cross"), seed=5)
         assert verify_bundle(scene, bundle) == []
         a, b = scene.truth["box"]
-        _paint_coverage(bundle.features.box_feat[0], (*a[:2], *b[2:]))
+        _paint_coverage(bundle.box_feat[0], (*a[:2], *b[2:]))
         (problem,) = verify_bundle(scene, bundle)
         assert problem.startswith("cross pairing 0->1: binary score ")
 
@@ -282,14 +283,14 @@ class TestRenderOracle:
         s1, b1 = build_scene(cfg, seed=6)
         s2, b2 = build_scene(cfg, seed=6)
         assert np.array_equal(s1.truth, s2.truth) and s1.seed == s2.seed
-        assert np.array_equal(b1.heatmaps.tl_heat, b2.heatmaps.tl_heat)
-        assert np.array_equal(b1.heatmaps.br_off, b2.heatmaps.br_off)
-        assert np.array_equal(b1.features.box_feat, b2.features.box_feat)
+        assert np.array_equal(b1.tl_heat, b2.tl_heat)
+        assert np.array_equal(b1.br_off, b2.br_off)
+        assert np.array_equal(b1.box_feat, b2.box_feat)
         assert np.array_equal(b1.weights.class_kernel, b2.weights.class_kernel)
 
     def test_noise_bounds(self):
         cfg = SynthConfig(num_boxes=(1, 3), noise=0.05)
         scene, bundle = build_scene(cfg, seed=10)
-        for heat in (bundle.heatmaps.tl_heat, bundle.heatmaps.br_heat):
+        for heat in (bundle.tl_heat, bundle.br_heat):
             assert heat.min() >= 0.0
             assert heat.max() <= 1.0
