@@ -34,7 +34,7 @@ def main() -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     corpus = workdir / "corpus"
     synth_cfg = workdir / "synth_config.json"
-    synth_cfg.write_text(json.dumps({"num_boxes": [1, 6], "noise": args.noise}))
+    synth_cfg.write_text(json.dumps({"noise": args.noise}))
 
     print(f"== synthesizing {args.scenes} scenes into {corpus}")
     run(["synth", "--config", str(synth_cfg), "--out", str(corpus),

@@ -41,14 +41,14 @@ def proposals_sibling(out_path) -> Path:
 def _fits(value, hint) -> bool:
     """Whether a decoded JSON value fits a field annotation.
 
-    bool is not an int, an int is a float but NaN and infinity are not, and
-    a tuple takes a list of its length.
+    bool is not an int, and an int is a float, but NaN, infinity and an int
+    beyond the float range are not.
     """
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
     if hint is float:
-        return type(value) is int or (type(value) is float and math.isfinite(value))
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int too large to convert to float
+            return False
     return type(value) is hint
 
 
@@ -84,8 +84,6 @@ def load_config(cls, path):
     for key, value in doc.items():
         if not _fits(value, hints[key]):
             raise ValueError(f"{path}: {key} must be {declared[key]}, got {json.dumps(value)}")
-        if isinstance(value, list):
-            doc[key] = tuple(value)
     try:
         return cls(**doc)
     except ValueError as exc:
@@ -96,6 +94,8 @@ def cmd_detect(args) -> int:
     config = load_config(PipelineConfig, args.config) if args.config else PipelineConfig()
     start = time.perf_counter()
     run = run_corpus(args.corpus, config, workers=args.workers)
+    # an old proposal dump would be read as the new detections' proposals
+    proposals_sibling(args.out).unlink(missing_ok=True)
     write_detections(args.out, run.detection_records)
     write_detections(proposals_sibling(args.out), run.proposal_records)
     wall = time.perf_counter() - start

@@ -76,14 +76,8 @@ EXTREME_AREA = 400.0**2 + 1.0
 # of every EXTREME_PERIOD random scenes of a corpus, the first forces an
 # extreme aspect and the second an extreme area (see scene_forces)
 EXTREME_PERIOD = 5
-# boxes BOX_GAP apart, each grown by BOX_GAP right and down, are disjoint
-# inside the margins grown the same way, and each covers at least
-# (sqrt(least area) + BOX_GAP)^2 px: this many at most fit in an image
-MAX_BOXES = int(
-    (IMAGE_SIZE[0] - 2 * MARGIN + BOX_GAP)
-    * (IMAGE_SIZE[1] - 2 * MARGIN + BOX_GAP)
-    // (math.sqrt(AREA_RANGE[0]) + BOX_GAP) ** 2
-)
+# a random scene holds from NUM_BOXES[0] to NUM_BOXES[1] boxes, drawn uniformly
+NUM_BOXES = (1, 6)
 
 
 class RenderBudgetError(RuntimeError):
@@ -95,7 +89,6 @@ class SynthConfig:
     """Knobs for scene generation and rendering."""
 
     num_classes: int = 2
-    num_boxes: tuple[int, int] = (1, 6)
     noise: float = 0.0
     arrangement: str = "random"  # or "cross"
 
@@ -107,14 +100,6 @@ class SynthConfig:
         # uniform(-noise, noise) draws from a span of 2 * noise, which must be finite
         if not (self.noise >= 0.0 and math.isfinite(2.0 * self.noise)):
             raise ValueError(f"noise must be >= 0 with 2 * noise finite, got {self.noise}")
-        if not 0 <= self.num_boxes[0] <= self.num_boxes[1]:
-            raise ValueError(f"num_boxes must satisfy 0 <= lo <= hi, got {list(self.num_boxes)}")
-        # a drawn count above MAX_BOXES never fits, and its scene is drawn again
-        if self.num_boxes[1] > MAX_BOXES:
-            raise ValueError(
-                f"num_boxes hi must be at most {MAX_BOXES}, the most boxes an image "
-                f"holds, got {list(self.num_boxes)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -234,7 +219,7 @@ def generate_scene(cfg: SynthConfig, seed: int, extreme: str | None = None) -> S
     least EXTREME_ASPECT or its area to at least EXTREME_AREA.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = cfg.num_boxes
+    lo, hi = NUM_BOXES
 
     for _ in range(60):  # whole-scene restarts when placement jams
         target = int(rng.integers(lo, hi + 1))
@@ -254,9 +239,7 @@ def generate_scene(cfg: SynthConfig, seed: int, extreme: str | None = None) -> S
         if len(boxes) == target:
             truth = [(0, c, box) for box, c in zip(boxes, classes)]
             return Scene(truth=np.array(truth, dtype=TRUTH_DTYPE), seed=seed)
-    raise RenderBudgetError(
-        f"cannot place {cfg.num_boxes} boxes within the image (seed {seed})"
-    )
+    raise RenderBudgetError(f"cannot place NUM_BOXES {NUM_BOXES} boxes within the image (seed {seed})")
 
 
 def generate_cross_scene(cfg: SynthConfig, seed: int) -> Scene:

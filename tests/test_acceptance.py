@@ -53,7 +53,6 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_corpus")
     cfg = {
         "num_classes": 2,
-        "num_boxes": [1, 6],
         "noise": 0.02,
     }
     cfg_path = out / "synth_config.json"

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerdet import pipeline
+from cornerdet import cli, pipeline, synth
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets
 from cornerdet.geometry import DET_DTYPE
@@ -36,6 +36,7 @@ from cornerdet.postprocess import (
     TOP_K,
     read_detections,
     soft_nms,
+    write_detections,
 )
 from cornerdet.proposals import HeadWeights
 from cornerdet.synth import (
@@ -64,12 +65,8 @@ class TestPipelineConfig:
         )
         assert [f.name for f in fields(PipelineConfig)] == ["k", "use_binary_head"]
         assert list(inspect.signature(soft_nms).parameters) == ["dets"]
-        assert [f.name for f in fields(SynthConfig)] == [
-            "num_classes",
-            "num_boxes",
-            "noise",
-            "arrangement",
-        ]
+        assert [f.name for f in fields(SynthConfig)] == ["num_classes", "noise", "arrangement"]
+        assert synth.NUM_BOXES == (1, 6)
 
     def test_from_json_partial(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -90,9 +87,8 @@ class TestPipelineConfig:
         cfg = load_config(PipelineConfig, path)
         assert (cfg.use_binary_head, cfg.k) == (False, 9)
         # an integer is a float: noise 1 fits
-        path.write_text(json.dumps({"num_boxes": [2, 3], "noise": 1}))
-        cfg = load_config(SynthConfig, path)
-        assert (cfg.num_boxes, cfg.noise) == ((2, 3), 1)
+        path.write_text(json.dumps({"noise": 1}))
+        assert load_config(SynthConfig, path).noise == 1
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -102,8 +98,9 @@ class TestPipelineConfig:
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
-    cfg = SynthConfig(num_boxes=(1, 3), noise=0.02)
-    write_corpus(out, cfg, count=4, seed=101)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "NUM_BOXES", (1, 3))
+        write_corpus(out, SynthConfig(noise=0.02), count=4, seed=101)
     return out
 
 
@@ -165,10 +162,10 @@ class TestCliFlow:
             assert run.detection_records.dtype == run.proposal_records.dtype == DET_DTYPE
             assert len(run.detection_records) == len(run.proposal_records) == 0
 
-    def test_k_override_limits_proposals(self, tmp_path):
+    def test_k_override_limits_proposals(self, tmp_path, monkeypatch):
         corpus = tmp_path / "two_box"
-        cfg = SynthConfig(num_boxes=(2, 2))
-        write_corpus(corpus, cfg, count=1, seed=77)
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 2))
+        write_corpus(corpus, SynthConfig(), count=1, seed=77)
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"k": 1}))
         dump = tmp_path / "dets.json"
@@ -197,8 +194,9 @@ class TestCliFlow:
         assert a.read_bytes() == b.read_bytes()
         assert proposals_sibling(a).read_bytes() == proposals_sibling(b).read_bytes()
 
-    def test_synth_deterministic_bytes(self, tmp_path):
-        cfg = {"num_boxes": [1, 2], "noise": 0.01}
+    def test_synth_deterministic_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 2))
+        cfg = {"noise": 0.01}
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(cfg))
         d1, d2 = tmp_path / "c1", tmp_path / "c2"
@@ -264,6 +262,28 @@ class TestCliFlow:
         want = build_report(dets, dets, load_ground_truth(gt))
         assert json.loads(report_path.read_text())["ar_1000"] == want["ar_1000"]
         assert report_path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
+
+    def test_interrupted_detect_leaves_no_old_proposals(self, small_corpus, tmp_path, monkeypatch, capsys):
+        # a rerun cut off before its proposal dump must not leave the last
+        # run's proposals beside its new detections, where eval would read them
+        dump = tmp_path / "dets.json"
+        sibling = proposals_sibling(dump)
+        assert main(["detect", "--corpus", str(small_corpus), "--out", str(dump)]) == 0
+        assert sibling.exists()
+
+        def write(path, records):
+            if Path(path) == sibling:
+                raise KeyboardInterrupt
+            write_detections(path, records)
+
+        monkeypatch.setattr(cli, "write_detections", write)
+        with pytest.raises(KeyboardInterrupt):
+            main(["detect", "--corpus", str(small_corpus), "--out", str(dump)])
+        assert dump.exists() and not sibling.exists()
+        capsys.readouterr()
+        gt = str(small_corpus / "ground_truth.json")
+        assert main(["eval", "--dets", str(dump), "--gt", gt, "--report", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out.startswith("no proposal dump found; recall metrics use the detections\n")
 
 
 def detect_exit_3(corpus, out, capsys, *extra) -> str:
@@ -350,9 +370,10 @@ class TestCliErrors:
         assert err == f"error: {proposals}: record 2: image_id 999 is not among the images\n"
         assert not report.exists()
 
-    def test_corrupt_tensor_exit_3(self, tmp_path, capsys):
+    def test_corrupt_tensor_exit_3(self, tmp_path, capsys, monkeypatch):
         corpus = tmp_path / "corrupt"
-        write_corpus(corpus, SynthConfig(num_boxes=(1, 1)), count=1, seed=9)
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        write_corpus(corpus, SynthConfig(), count=1, seed=9)
         victim = corpus / "scene_00000" / "tl_heat.cpnt"
         victim.write_bytes(b"JUNKJUNKJUNK")
         err = detect_exit_3(corpus, tmp_path / "d.json", capsys)
@@ -368,9 +389,9 @@ BAD_CONFIGS = [
     ("detect", {"k": 0}, "k must be >= 1"),
     ("synth", {"noise": float("nan")}, "noise must be float, got NaN"),
     ("detect", {"iou_threshold": 0.7, "alpha": 2, "beta": 2}, "unknown config keys"),
-    ("synth", {"num_boxes": 3}, "num_boxes must be tuple[int, int], got 3"),
-    ("synth", {"num_boxes": [1, 2, 3]}, "num_boxes must be tuple[int, int]"),
-    ("synth", {"num_boxes": [1, 2.5]}, "num_boxes must be tuple[int, int]"),
+    ("synth", {"num_classes": 2, "num_boxes": [1, 6], "noise": 0.02}, "unknown config keys ['num_boxes']"),
+    ("synth", {"noise": 10**400}, f"noise must be float, got {10**400}"),  # beyond the float range
+    ("synth", {"noise": 10**308}, "noise must be >= 0 with 2 * noise finite"),  # a float, but not twice
     ("synth", {"noise": "0.3"}, "noise must be float"),
     ("synth", {"num_classes": 0}, "num_classes must be in [1, 256]"),
     ("detect", '{"k": 70, "k": 71}', "duplicate config key 'k'"),
@@ -393,8 +414,9 @@ def test_bad_config_exit_3(command, doc, message, small_corpus, tmp_path, capsys
     assert not out.exists() and not proposals_sibling(out).exists()
 
 
-# values no field of its JSON kind accepts, as JSON text
-NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", '"0.5"', "true", "null", "[0.5]"]
+# values no field of its JSON kind accepts, as JSON text; "1" + "0" * 400 is
+# an int beyond the float range
+NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, '"0.5"', "true", "null", "[0.5]"]
 NOT_AN_INT = ["1.5", "true", '"3"', "null", "1e400", "NaN", "[3]"]
 NOT_A_PAIR = ["5", "[]", "[1]", "[1, 2, 3]", '[1, "2"]', "[1, NaN]", "[1, 1e400]", "null"]
 NOT_OF_KIND = {float: NOT_A_FLOAT, int: NOT_AN_INT, bool: ["1", '"true"', "null"], str: ["5", "null"]}
@@ -404,8 +426,7 @@ def field_mutants(cls):
     """(name, JSON text) for every field of a config class and every value
     of the wrong JSON kind for it."""
     for name, hint in typing.get_type_hints(cls).items():
-        bad = NOT_A_PAIR if typing.get_origin(hint) is tuple else NOT_OF_KIND[hint]
-        for value in bad:
+        for value in NOT_OF_KIND[hint]:
             yield name, value
 
 
@@ -415,11 +436,6 @@ OUT_OF_RANGE = {
         ("k", "0"),
     ],
     "synth": [
-        ("num_boxes", "[3, 1]"),
-        ("num_boxes", "[-1, 2]"),
-        ("num_boxes", "[0, 9223372036854775808]"),  # 2**63, far beyond what an image holds
-        ("num_boxes", "[214, 214]"),  # more boxes than an image holds
-        ("num_boxes", "[0, 214]"),  # a draw of 214 boxes could never be placed
         ("num_classes", "0"),
         ("num_classes", "257"),
         ("noise", "-0.1"),
@@ -467,6 +483,18 @@ RETIRED = {
         *[("margin", value) for value in [*NOT_A_FLOAT, "1e308", "-1e9", "255.5", "12"]],
         *[("extreme_aspect_period", value) for value in [*NOT_AN_INT, "-1", "5"]],
         *[("extreme_area_period", value) for value in [*NOT_AN_INT, "-5", "5"]],
+        *[
+            ("num_boxes", value)
+            for value in [
+                *NOT_A_PAIR,
+                "[3, 1]",
+                "[-1, 2]",
+                "[0, 9223372036854775808]",
+                "[214, 214]",
+                "[0, 214]",
+                "[1, 6]",
+            ]
+        ],
     ],
 }
 WHOLE_FILE = [

@@ -10,7 +10,6 @@ from cornerdet.pipeline import PipelineConfig, detect_bundle
 from cornerdet.synth import (
     BOX_GAP,
     IMAGE_SIZE,
-    MAX_BOXES,
     SCENE_TENSORS,
     OracleBundle,
     RenderBudgetError,
@@ -46,18 +45,21 @@ def cells_touch(a, b) -> bool:
 
 
 class TestGenerateScene:
-    def test_empty_scene(self):
-        cfg = SynthConfig(num_boxes=(0, 0))
+    def test_empty_scene(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (0, 0))
+        cfg = SynthConfig()
         scene = generate_scene(cfg, seed=1)
         assert scene.truth.shape == (0,) and scene.truth.dtype == TRUTH_DTYPE
 
-    def test_deterministic(self):
-        cfg = SynthConfig(num_boxes=(2, 5))
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 5))
+        cfg = SynthConfig()
         a, b = generate_scene(cfg, seed=9), generate_scene(cfg, seed=9)
         assert len(a.truth) >= 2 and np.array_equal(a.truth, b.truth) and a.seed == b.seed
 
-    def test_boxes_inside_and_separated(self):
-        cfg = SynthConfig(num_boxes=(3, 6))
+    def test_boxes_inside_and_separated(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (3, 6))
+        cfg = SynthConfig()
         for seed in range(10):
             scene = generate_scene(cfg, seed=seed)
             h, w = IMAGE_SIZE
@@ -80,8 +82,9 @@ class TestGenerateScene:
                     for a, b in zip(corner_cells(boxes[i]), corner_cells(boxes[j])):
                         assert not cells_touch(a, b)
 
-    def test_aspect_ratios_cover_all_buckets(self):
-        cfg = SynthConfig(num_boxes=(2, 6))
+    def test_aspect_ratios_cover_all_buckets(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 6))
+        cfg = SynthConfig()
         buckets = set()
         sampled = 0
         seed = 0
@@ -94,15 +97,17 @@ class TestGenerateScene:
             seed += 1
         assert {5, 6, 7, 8} <= buckets
 
-    def test_forced_aspect(self):
-        cfg = SynthConfig(num_boxes=(1, 1))
+    def test_forced_aspect(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         scene = generate_scene(cfg, seed=3, extreme="aspect")
         x1, y1, x2, y2 = scene.truth["box"][0]
         w, h = x2 - x1, y2 - y1
         assert max(w / h, h / w) >= 5.0
 
-    def test_forced_area(self):
-        cfg = SynthConfig(num_boxes=(1, 1))
+    def test_forced_area(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         scene = generate_scene(cfg, seed=3, extreme="area")
         x1, y1, x2, y2 = scene.truth["box"][0]
         assert (x2 - x1) * (y2 - y1) > 400.0**2
@@ -116,17 +121,10 @@ class TestGenerateScene:
     def test_infeasible_range(self, monkeypatch):
         # the forced area lies above AREA_RANGE, so no first box can be drawn
         monkeypatch.setattr(synth, "EXTREME_AREA", 250000.0)
-        cfg = SynthConfig(num_boxes=(1, 1))
-        with pytest.raises(RenderBudgetError):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
+        with pytest.raises(RenderBudgetError, match=r"^cannot place NUM_BOXES \(1, 1\) boxes within"):
             generate_scene(cfg, seed=0, extreme="area")
-
-    def test_box_count_beyond_the_image_rejected(self):
-        # a box plus its gap covers at least 34 x 34 px of the 497 x 497 px
-        assert MAX_BOXES == 213
-        SynthConfig(num_boxes=(MAX_BOXES, MAX_BOXES))
-        for num_boxes in [(MAX_BOXES, MAX_BOXES + 1), (0, 2**63 - 1), (MAX_BOXES + 1, MAX_BOXES + 1)]:
-            with pytest.raises(ValueError, match=f"hi must be at most {MAX_BOXES}"):
-                SynthConfig(num_boxes=num_boxes)
 
 
 class TestCrossScene:
@@ -162,8 +160,9 @@ class TestRenderOracle:
         fields = tuple(field.name for field in dataclasses.fields(OracleBundle))
         assert fields == SCENE_TENSORS + ("box_channels", "cat_channels", "weights")
 
-    def test_single_box_closed_loop(self):
-        cfg = SynthConfig(num_boxes=(1, 1))
+    def test_single_box_closed_loop(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         scene, bundle = build_scene(cfg, seed=2)
         ((_, class_id, (x1, y1, x2, y2)),) = scene.truth.tolist()
         tls = decode_corners(bundle.tl_heat, bundle.tl_off, 2)
@@ -181,10 +180,11 @@ class TestRenderOracle:
     @pytest.mark.filterwarnings("error")  # detect_bundle keeps the overflow silent
     @pytest.mark.parametrize("kind, name", [("tl", "tl_off"), ("br", "br_off")])
     @pytest.mark.parametrize("plane, value", [(0, 1e38), (1, 1e38), (0, -1e38), (1, -1e38)])
-    def test_offset_overflowing_corner_raises(self, kind, name, plane, value):
+    def test_offset_overflowing_corner_raises(self, kind, name, plane, value, monkeypatch):
         # a finite offset under the true corner's cell: the corner decodes to
         # an infinite x or y, which would pair with nothing and lose the box
-        cfg = SynthConfig(num_boxes=(1, 1))
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         _, bundle = build_scene(cfg, seed=2)
         heat = getattr(bundle, f"{kind}_heat")
         _, row, col = np.unravel_index(np.argmax(heat), heat.shape)
@@ -197,10 +197,11 @@ class TestRenderOracle:
         assert len(detect_bundle(bundle, PipelineConfig(k=2)).detections) == 1
 
     @pytest.mark.parametrize("name", ["tl_heat", "br_heat"])
-    def test_heatmap_outside_unit_range_raises(self, name):
+    def test_heatmap_outside_unit_range_raises(self, name, monkeypatch):
         # 1.5 at the true corner's peak: a corner score above 1 would skew
         # the proposal scores and their order without an error
-        cfg = SynthConfig(num_boxes=(1, 1))
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         _, bundle = build_scene(cfg, seed=2)
         heat = getattr(bundle, name).copy()
         heat[np.unravel_index(np.argmax(heat), heat.shape)] = 1.5
@@ -211,14 +212,16 @@ class TestRenderOracle:
     def test_extreme_aspect_recovered(self, monkeypatch):
         # aspect ratios drawn from [7.5, 8]
         monkeypatch.setattr(synth, "EXTREME_ASPECT", 7.5)
-        cfg = SynthConfig(num_boxes=(1, 1))
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        cfg = SynthConfig()
         scene, bundle = build_scene(cfg, seed=4, extreme="aspect")
         res = detect_bundle(bundle, PipelineConfig(k=4))
         assert len(scene.truth) == 1
         assert best_ious(res.detections, scene.truth).max() >= 0.99
 
-    def test_closed_loop_multi_scene(self):
-        cfg = SynthConfig(num_boxes=(2, 6))
+    def test_closed_loop_multi_scene(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 6))
+        cfg = SynthConfig()
         for seed in (11, 12, 13):
             scene, bundle = build_scene(cfg, seed=seed)
             res = detect_bundle(bundle, PipelineConfig(k=16))
@@ -233,36 +236,41 @@ class TestRenderOracle:
                 assert candidates, f"ground truth not recovered (seed {seed})"
                 used.add(candidates[0])
 
-    def test_render_lists_the_channels_with_data(self):
-        cfg = SynthConfig(num_boxes=(2, 6), num_classes=5)
+    def test_render_lists_the_channels_with_data(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 6))
+        cfg = SynthConfig(num_classes=5)
         for seed in (3, 4):
             _, bundle = build_scene(cfg, seed=seed)
             for feat, channels in ((bundle.box_feat, bundle.box_channels), (bundle.cat_feat, bundle.cat_channels)):
                 assert channels.dtype.kind == "i"
                 assert channels.tolist() == np.flatnonzero(feat.reshape(len(feat), -1).any(axis=1)).tolist()
 
-    def test_verification_clean(self):
-        cfg = SynthConfig(num_boxes=(2, 5))
+    def test_verification_clean(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 5))
+        cfg = SynthConfig()
         scene, bundle = build_scene(cfg, seed=21)
         assert verify_bundle(scene, bundle) == []
 
     @pytest.mark.parametrize("count", [0, 1])
-    def test_verification_without_cross_pairings(self, count):
+    def test_verification_without_cross_pairings(self, count, monkeypatch):
         # one box pairs only with itself, so the scored batch holds just the
         # true boxes and the cross scores split off empty
-        cfg = SynthConfig(num_boxes=(count, count))
+        monkeypatch.setattr(synth, "NUM_BOXES", (count, count))
+        cfg = SynthConfig()
         scene = generate_scene(cfg, seed=2)
         assert len(scene.truth) == count
         assert verify_bundle(scene, render_oracle(scene, cfg)) == []
 
-    def test_verification_names_a_weak_true_box(self):
-        scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
+    def test_verification_names_a_weak_true_box(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        scene, bundle = build_scene(SynthConfig(), seed=2)
         bundle.box_feat[0] = 0.0
         (problem,) = verify_bundle(scene, bundle)
         assert problem.startswith("true box 0: binary score ")
 
-    def test_verification_names_a_wrong_class_argmax(self):
-        scene, bundle = build_scene(SynthConfig(num_boxes=(1, 1)), seed=2)
+    def test_verification_names_a_wrong_class_argmax(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 1))
+        scene, bundle = build_scene(SynthConfig(), seed=2)
         cls = int(scene.truth["class_id"][0])
         other = 1 - cls
         bundle.cat_feat[other] = bundle.cat_feat[cls]
@@ -278,8 +286,9 @@ class TestRenderOracle:
         (problem,) = verify_bundle(scene, bundle)
         assert problem.startswith("cross pairing 0->1: binary score ")
 
-    def test_bundle_deterministic(self):
-        cfg = SynthConfig(num_boxes=(2, 4), noise=0.03)
+    def test_bundle_deterministic(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (2, 4))
+        cfg = SynthConfig(noise=0.03)
         s1, b1 = build_scene(cfg, seed=6)
         s2, b2 = build_scene(cfg, seed=6)
         assert np.array_equal(s1.truth, s2.truth) and s1.seed == s2.seed
@@ -288,8 +297,9 @@ class TestRenderOracle:
         assert np.array_equal(b1.box_feat, b2.box_feat)
         assert np.array_equal(b1.weights.class_kernel, b2.weights.class_kernel)
 
-    def test_noise_bounds(self):
-        cfg = SynthConfig(num_boxes=(1, 3), noise=0.05)
+    def test_noise_bounds(self, monkeypatch):
+        monkeypatch.setattr(synth, "NUM_BOXES", (1, 3))
+        cfg = SynthConfig(noise=0.05)
         scene, bundle = build_scene(cfg, seed=10)
         for heat in (bundle.tl_heat, bundle.br_heat):
             assert heat.min() >= 0.0
