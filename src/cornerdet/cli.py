@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 import typing
@@ -103,10 +104,16 @@ def cmd_detect(args) -> int:
         print(f"image {image_id}: {elapsed * 1000.0:.1f} ms")
     latency = sum(elapsed for _, elapsed in run.timings)
     n = max(1, len(run.timings))
+    # ru_maxrss is in KiB on Linux; a detect process has waited for no
+    # children but its pool's workers, and RUSAGE_CHILDREN holds the largest
+    peak = f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB"
+    if min(args.workers, len(run.timings)) > 1:
+        worker_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        peak += f", largest worker {worker_peak:.1f} MB"
     print(
         f"detected {len(run.detection_records)} boxes over {len(run.timings)} images "
         f"in {wall:.2f} s wall time ({wall / n * 1000.0:.1f} ms/image); "
-        f"summed per-image latency {latency:.2f} s"
+        f"summed per-image latency {latency:.2f} s; {peak}"
     )
     return EXIT_OK
 

@@ -29,6 +29,7 @@ from cornerdet.proposals import (
     binary_scores,
     class_scores,
     enumerate_proposals,
+    release_scratch,
     roi_align_batch,
 )
 from cornerdet.synth import SCENE_TENSORS, OracleBundle, load_scene_bundle, read_manifest
@@ -158,7 +159,9 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     manifest order, so the output is identical regardless of worker count.
     The workers are forked, so calling this with ``workers > 1`` while other
     threads of the caller hold locks is unsafe: a worker inherits each lock
-    held, with no thread to release it.
+    held, with no thread to release it. With one worker the scenes are
+    detected in the calling thread, whose RoIAlign scratch is reused from
+    scene to scene and released when the run returns or a scene fails.
     """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
@@ -176,7 +179,11 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     entries = manifest["scenes"]
     workers = min(workers, len(entries))
     if workers <= 1:
-        outcomes = [_detect_scene(corpus_dir, weights, config, e) for e in entries]
+        try:
+            outcomes = [_detect_scene(corpus_dir, weights, config, e) for e in entries]
+        finally:
+            # the scenes share the RoIAlign scratch; a worker's ends with it
+            release_scratch()
     else:
         # fork, not spawn or forkserver: a forked worker starts with numpy,
         # cornerdet and the weights already loaded, where a fresh interpreter

@@ -25,7 +25,8 @@ OBJECTNESS_THRESHOLD = 0.2
 SOFT_NMS_SIGMA = 0.5
 SOFT_NMS_PRUNE = 1e-3
 TOP_K = 100
-# records joined into one string per write, so that no dump is one multi-MB string
+# records spelled and joined into one string per write, so that the writer
+# holds one piece, never the whole dump
 DUMP_PIECE = 1024
 
 
@@ -207,9 +208,10 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _spelled(column: np.ndarray) -> list[str]:
     """A column's numbers as json spells them: int or float repr, or NaN/Infinity.
 
-    Each distinct bit pattern is spelled once, since the boxes of the pairs
-    that share a corner share its coordinates; bits, unlike values, tell
-    -0.0 from 0.0.
+    Each distinct bit pattern of the column is spelled once, since the boxes
+    of the pairs that share a corner share its coordinates; bits, unlike
+    values, tell -0.0 from 0.0. write_detections passes one piece's column
+    at a time.
     """
     distinct, where = np.unique(column.view(np.int64), return_inverse=True)
     values = distinct.view(column.dtype)
@@ -228,9 +230,9 @@ def write_detections(path, records: np.ndarray) -> None:
     The bytes are those of json.dump(dicts, fh, sort_keys=True, indent=1)
     followed by a newline, where each dict holds a row's "image_id",
     "category_id" (class_id), "bbox" ([x1, y1, x2 - x1, y2 - y1] of its box)
-    and "score". Each column is spelled once over the whole dump, and the
-    records are joined and written DUMP_PIECE at a time. Anything but a 1-D
-    DET_DTYPE array raises a ValueError before the file is opened.
+    and "score". The records are spelled, joined and written DUMP_PIECE at
+    a time, so the writer's transient memory is one piece's. Anything but a
+    1-D DET_DTYPE array raises a ValueError before the file is opened.
     """
     want = "records must be a 1-D DET_DTYPE array"
     if not isinstance(records, np.ndarray):
@@ -238,20 +240,18 @@ def write_detections(path, records: np.ndarray) -> None:
     if records.dtype != DET_DTYPE or records.ndim != 1:
         raise ValueError(f"{want}, got a {records.ndim}-D array of {records.dtype}")
     stride = len(_LAYOUT)
-    parts = list(_LAYOUT) * len(records)
-    x1, y1, x2, y2 = records["box"].T
-    columns = (x1, y1, x2 - x1, y2 - y1, records["class_id"], records["image_id"], records["score"])
-    for at, column in zip(range(1, stride, 2), columns):
-        parts[at::stride] = _spelled(column)
-    if parts:
-        parts[0] = "[" + parts[0][1:]
-        parts.append("\n]\n")
-    else:
-        parts = ["[]\n"]
-    piece = DUMP_PIECE * stride
     with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(parts), piece):
-            fh.write("".join(parts[lo : lo + piece]))
+        for lo in range(0, len(records), DUMP_PIECE):
+            piece = records[lo : lo + DUMP_PIECE]
+            parts = list(_LAYOUT) * len(piece)
+            x1, y1, x2, y2 = piece["box"].T
+            columns = (x1, y1, x2 - x1, y2 - y1, piece["class_id"], piece["image_id"], piece["score"])
+            for at, column in zip(range(1, stride, 2), columns):
+                parts[at::stride] = _spelled(column)
+            if not lo:
+                parts[0] = "[" + parts[0][1:]
+            fh.write("".join(parts))
+        fh.write("\n]\n" if len(records) else "[]\n")
 
 
 def read_detections(path) -> list[dict]:

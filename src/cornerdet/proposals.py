@@ -116,12 +116,14 @@ def enumerate_proposals(tls: np.ndarray, brs: np.ndarray) -> np.ndarray:
 
 
 class _Scratch(threading.local):
-    """One thread's RoIAlign working arrays, kept from call to call.
+    """One thread's RoIAlign working arrays, kept from call to call until
+    release_scratch drops them.
 
     Allocated afresh on every call, arrays this large go back to the system
     when freed and fault their pages in again on the next call: glibc keeps
     them only after it has freed some larger buffer, as a fresh process has
-    not.
+    not. run_corpus keeps them for one run's scenes and releases them when
+    the run returns.
     """
 
     def __init__(self):
@@ -137,6 +139,11 @@ class _Scratch(threading.local):
 
 
 _scratch = _Scratch()
+
+
+def release_scratch() -> None:
+    """Drop the calling thread's RoIAlign scratch; the next call allocates it afresh."""
+    _scratch.buffers.clear()
 
 
 def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import re
+import resource
 import shutil
 import tempfile
 import struct
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerdet import cli, pipeline, synth
+from cornerdet import cli, pipeline, proposals, synth
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets
 from cornerdet.geometry import DET_DTYPE
@@ -625,8 +626,17 @@ def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
     measured = time.perf_counter() - start
     summary = capsys.readouterr().out.splitlines()[-1]
     wall = float(re.search(r"in ([0-9.]+) s wall time", summary).group(1))
-    assert re.search(r"summed per-image latency [0-9.]+ s", summary)
+    assert re.search(r"summed per-image latency [0-9.]+ s; peak RSS [0-9.]+ MB, ", summary)
+    assert re.search(r", largest worker [0-9.]+ MB$", summary)
     assert wall <= measured + 0.005  # the summary rounds to two decimals
+
+
+def test_detect_summary_reports_peak_rss(small_corpus, tmp_path, capsys):
+    # ru_maxrss in KiB, so the line reads MB; one worker forks no pool to report
+    assert main(["detect", "--corpus", str(small_corpus), "--out", str(tmp_path / "dets.json")]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    peak = float(re.search(r"; peak RSS ([0-9.]+) MB$", summary).group(1))
+    assert abs(peak - resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0) < 0.1
 
 
 def test_loaded_features_carry_the_stored_channels(small_corpus):
@@ -959,6 +969,37 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     out = tmp_path / "out"
     err = detect_exit_3(corpus, out, capsys)
     assert err == f"error: {scene}: {message}\n"
+
+
+class TakeCounting(proposals._Scratch):
+    """A RoIAlign scratch that counts the arrays taken from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.takes = 0
+
+    def take(self, name, shape, dtype=np.float32):
+        self.takes += 1
+        return super().take(name, shape, dtype)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_worker_run_leaves_no_scratch(small_corpus, tmp_path, monkeypatch):
+    # the scenes of a 1-worker run reuse the RoIAlign scratch, and none of it
+    # outlives the run, whether the run returns or a scene fails
+    monkeypatch.setattr(proposals, "_scratch", TakeCounting())
+    run_corpus(small_corpus, PipelineConfig(), workers=1)
+    assert proposals._scratch.takes > 0 and proposals._scratch.buffers == {}
+
+    monkeypatch.setattr(proposals, "_scratch", TakeCounting())
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    scene = corpus / "scene_00000"
+    plant_non_finite(scene, "cat_feat", float("nan"))  # fails after the box RoIAlign
+    with pytest.raises(ValueError) as exc:
+        run_corpus(corpus, PipelineConfig(), workers=1)
+    assert str(exc.value) == f"{scene}: {NON_FINITE_TENSORS[5][1]}"
+    assert proposals._scratch.takes > 0 and proposals._scratch.buffers == {}
 
 
 @pytest.mark.filterwarnings("error")

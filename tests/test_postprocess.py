@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -500,6 +501,27 @@ def test_write_detections_matches_json_dump(tmp_path, monkeypatch, piece, recs):
         warnings.simplefilter("error")  # an overflowing or NaN width warns nothing
         write_detections(path, np.array(recs, dtype=DET_DTYPE))
     assert path.read_bytes() == json_dump_bytes(dicts)
+
+
+def test_write_detections_memory_is_one_piece(tmp_path):
+    # as many rows as the seed-1 noisy proposal dump, with distinct
+    # coordinates and scores: the whole dump's spelled parts would take
+    # about 12 MB of Python heap, one piece's well under 1 MB
+    rng = np.random.default_rng(35)
+    n = 22_221
+    recs = np.zeros(n, dtype=DET_DTYPE)
+    recs["image_id"] = np.arange(n) // 741
+    recs["class_id"] = np.arange(n) % 7
+    recs["box"] = rng.uniform(0.0, 500.0, (n, 4))
+    recs["box"][:, 2:] += recs["box"][:, :2]
+    recs["score"] = rng.random(n)
+    tracemalloc.start()
+    try:
+        write_detections(tmp_path / "dets.json", recs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def record_fields(**changes):
