@@ -1,7 +1,7 @@
 """Command-line front-end: detect / synth / eval.
 
-Exit codes: 0 success, 2 usage error, 3 data or format error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 usage error, 3 data or format error, or a failed
+file operation or worker process, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from cornerdet.evaluation import (
     build_report,
     load_ground_truth,
-    records_to_dets,
     render_tables,
     require_known_images,
 )
@@ -129,11 +128,10 @@ def cmd_synth(args) -> int:
 
 
 def read_dump(path, gts):
-    """The detection records of a dump file; a malformed record, or one whose
+    """The detection rows of a dump file; a malformed record, or one whose
     image the ground truth lacks, names the file and the record."""
-    records = read_detections(path)
+    dets = read_detections(path)
     try:
-        dets = records_to_dets(records)
         require_known_images(dets["image_id"], gts.image_ids, "record")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -383,15 +383,24 @@ def _boxes(bboxes: list, label: str) -> np.ndarray:
         return np.zeros((0, 4))
     x, y, w, h = (_numbers(list(c), label, "bbox value") for c in zip(*bboxes))
     boxes = np.column_stack([x, y, x + w, y + h])
-    for bad, why in (
-        (~np.isfinite(boxes).all(axis=1), "which is not finite"),
-        (~np.isfinite(_area(boxes)), "whose area is not finite"),
-        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "whose width or height is negative"),
-    ):
+    for bad, why in box_faults(boxes):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"{label} {i} has bbox {json.dumps(bboxes[i])}, {why}")
     return boxes
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def box_faults(boxes: np.ndarray) -> tuple[tuple[np.ndarray, str], ...]:
+    """Each way an (N, 4) x1y1x2y2 box can be unfit for IoU: a row mask and its reason.
+
+    The corners and the area must be finite, and the width and height not negative.
+    """
+    return (
+        (~np.isfinite(boxes).all(axis=1), "which is not finite"),
+        (~np.isfinite(_area(boxes)), "whose area is not finite"),
+        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "whose width or height is negative"),
+    )
 
 
 def load_ground_truth(path) -> GroundTruthSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,6 +163,8 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
     held, with no thread to release it. With one worker the scenes are
     detected in the calling thread, whose RoIAlign scratch is reused from
     scene to scene and released when the run returns or a scene fails.
+    A worker process that dies (killed, or out of memory) ends the run with
+    a ChildProcessError naming the corpus, once the pool has shut down.
     """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
@@ -188,13 +191,19 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
         # fork, not spawn or forkserver: a forked worker starts with numpy,
         # cornerdet and the weights already loaded, where a fresh interpreter
         # would import them again on every call and eat the gain
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=(corpus_dir, weights, config),
-        ) as pool:
-            outcomes = list(pool.map(_detect_in_worker, entries))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(corpus_dir, weights, config),
+            ) as pool:
+                outcomes = list(pool.map(_detect_in_worker, entries))
+        except BrokenProcessPool:
+            # the pool does not say which scene the dead worker held
+            raise ChildProcessError(
+                f"{corpus_dir}: a worker process ended abruptly before every scene was detected"
+            ) from None
 
     empty = np.empty(0, DET_DTYPE)
     return CorpusRun(

@@ -6,8 +6,9 @@ labels (corner class and the class head's argmax), fuse corner and head
 scores into one normalized confidence, and decay overlapping same-class
 boxes with Gaussian soft-NMS at SOFT_NMS_SIGMA and SOFT_NMS_PRUNE, which
 merges the classes' pick streams in final score order and stops after the
-top TOP_K (100). Every stage takes and returns geometry.DET_DTYPE rows, and
-write_detections dumps them, a piece of records at a time.
+top TOP_K (100). Every stage takes and returns geometry.DET_DTYPE rows,
+write_detections dumps them, a piece of records at a time, and
+read_detections reads a dump back into them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 
 import numpy as np
 
+from cornerdet.evaluation import box_faults, records_to_dets
 from cornerdet.geometry import DET_DTYPE
 
 OBJECTNESS_THRESHOLD = 0.2
@@ -254,7 +257,65 @@ def write_detections(path, records: np.ndarray) -> None:
         fh.write("\n]\n" if len(records) else "[]\n")
 
 
-def read_detections(path) -> list[dict]:
+_RECORD_KEYS = {"image_id", "category_id", "bbox", "score"}
+
+
+# a corner x + w that overflows fails a check below, as in records_to_dets,
+# and numpy's warning would only add output
+@np.errstate(over="ignore", invalid="ignore")
+def read_detections(path) -> np.ndarray:
+    """The DET_DTYPE rows of a dump: any JSON array of detection records.
+
+    The mirror of write_detections, and the same rows, bit for bit, as
+    evaluation.records_to_dets of the file's json.load, which also sets its
+    contract. json's decoder hands each record to a hook that moves it into
+    two flat typed buffers, ids and numbers, so that no record outlives its
+    own decode. The hook takes only the exact shape the writer emits: the
+    four keys, int ids within int64 and five float numbers. Any other input,
+    or a row whose box or score is not finite or whose width or height is
+    negative, is read again through records_to_dets, which returns its rows
+    or raises its ValueError naming the record. Every error names the file.
+    """
+    ids, numbers = array("q"), array("d")
+
+    def take(record):
+        bbox, score = record.get("bbox"), record.get("score")
+        if not (
+            record.keys() == _RECORD_KEYS
+            and type(bbox) is list
+            and len(bbox) == 4
+            and type(bbox[0]) is type(bbox[1]) is type(bbox[2]) is type(bbox[3]) is type(score) is float
+            and type(record["image_id"]) is type(record["category_id"]) is int
+        ):
+            raise ValueError("not a record of the writer's shape")
+        ids.append(record["image_id"])  # an OverflowError beyond int64
+        ids.append(record["category_id"])
+        numbers.extend(bbox)
+        numbers.append(score)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            records = json.loads(fh.read(), object_hook=take)
+        except (ValueError, OverflowError, RecursionError):
+            # the hook's refusal, an id beyond int64, malformed or too deeply
+            # nested JSON, or bad UTF-8: the reference path reads the file again
+            records = None
+    # each top-level item must be a record the hook took: a literal null, or
+    # a record nested in anything but the array, leaves the counts apart
+    if type(records) is not list or records.count(None) != len(records) or len(ids) != 2 * len(records):
+        return _read_records(path)
+    dets = np.empty(len(records), DET_DTYPE)
+    dets["image_id"], dets["class_id"] = np.frombuffer(ids, np.int64).reshape(-1, 2).T
+    x, y, w, h, score = np.frombuffer(numbers).reshape(-1, 5).T
+    dets["box"] = np.column_stack([x, y, x + w, y + h])
+    dets["score"] = score
+    if any(bad.any() for bad, _ in box_faults(dets["box"])) or not np.isfinite(dets["score"]).all():
+        return _read_records(path)
+    return dets
+
+
+def _read_records(path) -> np.ndarray:
+    """records_to_dets of the file's json.load, every error prefixed by the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
@@ -262,4 +323,7 @@ def read_detections(path) -> list[dict]:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"{path}: detection dump must be a JSON array")
-    return records
+    try:
+        return records_to_dets(records)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

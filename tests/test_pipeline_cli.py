@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerdet import cli, pipeline, proposals, synth
+from cornerdet import cli, pipeline, postprocess, proposals, synth
 from cornerdet.cli import load_config, main, proposals_sibling
 from cornerdet.evaluation import build_report, load_ground_truth, records_to_dets
 from cornerdet.geometry import DET_DTYPE
@@ -145,8 +145,8 @@ class TestCliFlow:
                 str(report_path),
             ]
         )
-        dets = records_to_dets(read_detections(dump))
-        props = records_to_dets(read_detections(proposals_sibling(dump)))
+        dets = read_detections(dump)
+        props = read_detections(proposals_sibling(dump))
         gts = load_ground_truth(small_corpus / "ground_truth.json")
         doc = build_report(dets, props, gts)
         expected = json.dumps(doc, sort_keys=True, indent=1) + "\n"
@@ -259,7 +259,7 @@ class TestCliFlow:
         assert main(["eval", "--dets", str(dump), "--gt", str(gt), "--report", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("no proposal dump found; recall metrics use the detections\n")
-        dets = records_to_dets(read_detections(dump))
+        dets = read_detections(dump)
         want = build_report(dets, dets, load_ground_truth(gt))
         assert json.loads(report_path.read_text())["ar_1000"] == want["ar_1000"]
         assert report_path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
@@ -618,6 +618,26 @@ def test_eval_bad_score_exit_3(extra, message, small_corpus, tmp_path, capsys):
     assert not report.exists()
 
 
+def test_dead_worker_exit_3(small_corpus, tmp_path, capsys, monkeypatch):
+    # a worker that dies as a killed or out-of-memory one would; the parent
+    # process, which runs no scene here, keeps the real function
+    parent, detect_scene = os.getpid(), pipeline._detect_scene
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return detect_scene(*args)
+
+    monkeypatch.setattr(pipeline, "_detect_scene", dying)
+    out = tmp_path / "dets.json"
+    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--workers", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {small_corpus}: a worker process ended abruptly before every scene was detected\n"
+    assert not out.exists() and not proposals_sibling(out).exists()
+    assert not multiprocessing.active_children()
+
+
 def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
     dump = tmp_path / "dets.json"
     start = time.perf_counter()
@@ -750,7 +770,8 @@ def test_perfbench_detect_pass_smoke(bench, small_corpus, tmp_path):
 
 def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
     """A traced benchmark round on 3 noisy scenes: every layer check runs and
-    passes, only the four retired stages are absent, and tracing moves no dump.
+    passes, only the four retired stages and cli's retired records_to_dets
+    are absent, and tracing moves no dump.
     Soft-NMS keeps as many records as the dump holds, and every tensor load
     runs through a traced name: 4 weight files and 6 tensors per scene."""
     monkeypatch.setattr(bench, "SCENES", 3)
@@ -764,6 +785,7 @@ def test_perfbench_traced_round_smoke(bench, tmp_path, monkeypatch):
         "cornerdet.pipeline.assign_labels",
         "cornerdet.pipeline.top_k_truncate",
         "cornerdet.pipeline.detection_records",
+        "cornerdet.cli.records_to_dets",
         "cornerdet.evaluation.average_false_discovery",
     ]
     assert {(d.dets, d.props, d.n_dets, d.n_props) for d in dumps} == {
@@ -848,6 +870,30 @@ def test_benchmark_corpora_dumps_pinned(name, tmp_path):
     assert main(["eval", "--dets", str(dump), "--gt", str(gt), "--report", str(report)]) == 0
     got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (dump, proposals_sibling(dump), report)]
     assert got == want
+
+
+@pytest.mark.parametrize("name", BENCHMARK_CORPORA_SHA256)
+def test_read_detections_takes_benchmark_dumps(name, tmp_path, monkeypatch):
+    """Both pinned seed-1 dumps of each benchmark corpus read, every record on
+    the reader's fast path, as the rows records_to_dets makes of their json.load."""
+    overrides, *want = BENCHMARK_CORPORA_SHA256[name]
+    corpus = tmp_path / name
+    write_corpus(corpus, SynthConfig(**overrides), count=30, seed=1)
+    run = run_corpus(corpus, PipelineConfig())
+    paths = (tmp_path / "dets.json", proposals_sibling(tmp_path / "dets.json"))
+    write_detections(paths[0], run.detection_records)
+    write_detections(paths[1], run.proposal_records)
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == want[:2]
+    references = [records_to_dets(json.loads(p.read_text())) for p in paths]
+
+    def refuse(records):
+        raise AssertionError("the fast path left a record to records_to_dets")
+
+    monkeypatch.setattr(postprocess, "records_to_dets", refuse)
+    for path, reference in zip(paths, references):
+        rows = read_detections(path)
+        assert rows.dtype == reference.dtype == DET_DTYPE
+        assert rows.tobytes() == reference.tobytes()
 
 
 # sha256 of the ground truth and manifest of two fixed corpora: the noisy one

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cornerdet import postprocess
+from cornerdet.evaluation import records_to_dets
 from cornerdet.postprocess import (
     DUMP_PIECE,
     filter_by_objectness,
@@ -423,9 +424,11 @@ def test_detection_dump_roundtrip(tmp_path):
     records["image_id"] = 7
     path = tmp_path / "dets.json"
     write_detections(path, records)
-    assert read_detections(path) == [
+    assert json.loads(path.read_text()) == [
         {"image_id": 7, "category_id": 4, "bbox": [1.5, 2.5, 10.0, 20.0], "score": 0.25}
     ]
+    rows = read_detections(path)
+    assert rows.dtype == DET_DTYPE and rows.tobytes() == records.tobytes()
     # deterministic bytes on rewrite
     blob = path.read_bytes()
     write_detections(path, records)
@@ -503,10 +506,8 @@ def test_write_detections_matches_json_dump(tmp_path, monkeypatch, piece, recs):
     assert path.read_bytes() == json_dump_bytes(dicts)
 
 
-def test_write_detections_memory_is_one_piece(tmp_path):
-    # as many rows as the seed-1 noisy proposal dump, with distinct
-    # coordinates and scores: the whole dump's spelled parts would take
-    # about 12 MB of Python heap, one piece's well under 1 MB
+def noisy_sized_rows():
+    """As many rows as the seed-1 noisy proposal dump, with distinct coordinates and scores."""
     rng = np.random.default_rng(35)
     n = 22_221
     recs = np.zeros(n, dtype=DET_DTYPE)
@@ -515,6 +516,13 @@ def test_write_detections_memory_is_one_piece(tmp_path):
     recs["box"] = rng.uniform(0.0, 500.0, (n, 4))
     recs["box"][:, 2:] += recs["box"][:, :2]
     recs["score"] = rng.random(n)
+    return recs
+
+
+def test_write_detections_memory_is_one_piece(tmp_path):
+    # the whole dump's spelled parts would take about 12 MB of Python heap,
+    # one piece's well under 1 MB
+    recs = noisy_sized_rows()
     tracemalloc.start()
     try:
         write_detections(tmp_path / "dets.json", recs)
@@ -570,3 +578,161 @@ def test_read_detections_rejects_non_array(tmp_path):
     path.write_text(json.dumps({"not": "an array"}))
     with pytest.raises(ValueError):
         read_detections(path)
+
+
+def test_read_detections_memory_is_the_text(tmp_path):
+    # json.load of this 2.9 MB dump peaks at about 4.5 times its size, with
+    # a dict, a bbox list and boxed floats per record; the reader holds the
+    # file's bytes and text, two typed buffers and the rows
+    path = tmp_path / "dets.json"
+    write_detections(path, noisy_sized_rows())
+    tracemalloc.start()
+    try:
+        read_detections(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
+
+
+def reference_rows(path):
+    """records_to_dets of the file's json.load, or the message read_detections must raise."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, list):
+        return f"{path}: detection dump must be a JSON array"
+    try:
+        return records_to_dets(doc)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+def assert_reads_as_reference(path):
+    want = reference_rows(path)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as raised:
+            read_detections(path)
+        assert str(raised.value) == want
+    else:
+        got = read_detections(path)
+        assert got.dtype == want.dtype == DET_DTYPE
+        assert got.tobytes() == want.tobytes()
+
+
+class Text(str):
+    """JSON text already spelled, such as an object with a repeated key."""
+
+
+def spelled(value) -> str:
+    return value if isinstance(value, Text) else json.dumps(value)
+
+
+# the numbers of a record the reference accepts, floats of every kind and
+# ints; a width or height is never negative
+finite = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(EDGE_FLOATS[:-3]))
+sizes = st.one_of(st.floats(0.0, 1e6), st.sampled_from([-0.0, 5e-324, 1e16]))
+ints = st.integers(-(2**70), 2**70)
+# values no record field takes, and a record nested as a value
+misfits = st.sampled_from(
+    [True, False, None, "4", [4.0], {}, 1.5, -1.0, 2**63, -(2**63) - 1, 10**400, math.nan, -math.inf]
+)
+good_record = {"image_id": 0, "category_id": 1, "bbox": [0.5, 1.5, 2.0, 3.0], "score": 0.75}
+
+
+def record_text(pairs) -> Text:
+    return Text("{" + ", ".join(f"{json.dumps(k)}: {spelled(v)}" for k, v in pairs) + "}")
+
+
+# records as write_detections spells them, the reader's fast path
+well_formed = st.builds(
+    lambda i, c, x, y, w, h, s: record_text(
+        [("bbox", [x, y, w, h]), ("category_id", c), ("image_id", i), ("score", s)]
+    ),
+    int64s, int64s, finite, finite, sizes, sizes, finite,
+)
+
+
+@st.composite
+def record_texts(draw):
+    """One record's JSON text: fields in any order, ints among its numbers, and
+    now and then a field dropped, repeated, retyped or joined by an extra key."""
+    corners = [draw(st.one_of(finite, ints)) for _ in "xy"]
+    bbox = corners + [draw(st.one_of(sizes, ints.map(abs))) for _ in "wh"]
+    pairs = [
+        ("image_id", draw(int64s)),
+        ("category_id", draw(int64s)),
+        ("bbox", bbox),
+        ("score", draw(st.one_of(finite, ints))),
+    ]
+    pairs = draw(st.permutations(pairs))
+    odd = st.one_of(misfits, finite, st.just(Text(json.dumps(good_record))))
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["drop", "repeat", "extra", "retype", "rebox"]))
+        at = draw(st.integers(0, len(pairs) - 1)) if pairs else None
+        if change == "drop" and pairs:
+            del pairs[at]
+        elif change == "retype" and pairs:
+            pairs[at] = (pairs[at][0], draw(odd))
+        elif change == "rebox":
+            length = draw(st.one_of(st.just(4), st.integers(0, 5)))
+            pairs.append(("bbox", [draw(st.one_of(finite, odd)) for _ in range(length)]))
+        else:
+            key = draw(st.sampled_from(list(good_record))) if change == "repeat" else "note"
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(odd)))
+    return record_text(pairs)
+
+
+@st.composite
+def dump_texts(draw):
+    """A dump's JSON text: an array of records, three well-formed ones to one
+    other, and in some dumps an item that is not a record."""
+    items = draw(st.lists(st.one_of(well_formed, well_formed, well_formed, record_texts()), max_size=6))
+    if draw(st.integers(0, 4)) == 4:
+        odd = draw(st.sampled_from(["null", "7", "[]", f"[{json.dumps(good_record)}]"]))
+        items.insert(draw(st.integers(0, len(items))), odd)
+    return "[" + ",\n ".join(items) + "]"
+
+
+def dump_of(*records) -> str:
+    return json.dumps(list(records))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump_texts())
+@example("[]")
+@example(dump_of({**good_record, "bbox": [1, 2, 3, 4]}))  # int bbox values
+@example(dump_of({**good_record, "score": 1}))
+@example(dump_of({**good_record, "image_id": INT64_MIN, "category_id": INT64_MAX}))
+@example(dump_of({**good_record, "image_id": 2**63}))
+@example(dump_of({**good_record, "category_id": True}))
+@example(dump_of({**good_record, "bbox": [0.5, True, 2.0, 3.0]}))
+@example(dump_of({**good_record, "bbox": [0.5, 1.5, None, 3.0]}))
+@example(dump_of({**good_record, "score": math.nan}))
+@example(dump_of({**good_record, "score": True}))
+@example(dump_of({**good_record, "score": "0.5"}))
+@example(dump_of(good_record, {**good_record, "score": -math.inf}))
+@example(dump_of({**good_record, "bbox": [0.5, math.inf, 2.0, 3.0]}))
+@example(dump_of({**good_record, "bbox": [-0.0, 5e-324, 1e308, -0.0], "score": -0.0}))
+@example(dump_of({**good_record, "bbox": [-1e308, -1e308, 1e308, 1e308]}))  # the area overflows
+@example(dump_of({**good_record, "bbox": [1e308, 0.0, 1e308, 1.0]}))  # a corner overflows
+@example(dump_of({**good_record, "bbox": [1e16, 0.0, -1.0, 1.0]}))  # a negative width lost in rounding
+@example(dump_of({**good_record, "area": 4.0}))  # an extra key
+@example(dump_of({k: v for k, v in good_record.items() if k != "category_id"}))
+@example(dump_of(good_record, {k: v for k, v in good_record.items() if k != "image_id"}))
+@example('[{"image_id": 1.5, "image_id": 3, "category_id": 0, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5}]')
+@example(dump_of({**good_record, "note": good_record}))  # a nested record
+@example(dump_of(good_record, None))
+def test_read_detections_matches_reference(tmp_path, text):
+    """read_detections gives records_to_dets' rows, bit for bit, or raises its
+    message, on any dump: well-formed records and every kind of irregular one."""
+    path = tmp_path / "dets.json"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize(
+    "doc", [good_record, None, 7, "[]", {}], ids=["record", "null", "number", "string", "empty"]
+)
+def test_read_detections_rejects_a_top_level_non_array(tmp_path, doc):
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_reads_as_reference(path)
