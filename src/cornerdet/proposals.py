@@ -6,7 +6,8 @@ Regional features are pooled with RoIAlign (7x7 bins, 2x2 quarter-point
 samples per bin, average pooling, zero reads outside the feature extent)
 and scored by single-convolution sigmoid heads: a binary objectness head on
 the 32-channel box feature map and a C-way head on the 256-channel category
-feature map.
+feature map. An upper bound on the binary head's logit, computed without
+pooling, tells which proposals cannot reach the objectness threshold.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ GRID = 2 * POOL_SIZE
 # scratch: 4.90 MB at most (a chunk of 1,024 pairs), whatever the number of
 # boxes or listed channels
 ROI_CHUNK = 1024
+# largest |feature| whose 2 x 2 bilinear sums cannot overflow float32
+POOL_LIMIT = float(np.finfo(np.float32).max) / 8
 
 _BUNDLE_FILES = ("binary_kernel", "binary_bias", "class_kernel", "class_bias")
 
@@ -146,6 +149,23 @@ def release_scratch() -> None:
     _scratch.buffers.clear()
 
 
+def _nonzero_extents(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (H, W) plane's first and last column and row holding a cell with
+    a nonzero bit (NaN, +-inf and -0.0 count), as two (axis, plane, 1) arrays,
+    x first; an empty plane's run from past the map to before it, so no box
+    meets them."""
+    nch, h, w = planes.shape
+    bits = planes.view(np.uint32)
+    first = np.empty((2, nch, 1), dtype=np.intp)
+    last = np.empty_like(first)
+    for axis, (size, across) in enumerate(((w, 1), (h, 2))):
+        nonzero = np.bitwise_or.reduce(bits, axis=across) != 0
+        index = np.arange(size)
+        first[axis] = np.where(nonzero, index, size).min(axis=1, keepdims=True)
+        last[axis] = np.where(nonzero, index, -1).max(axis=1, keepdims=True)
+    return first, last
+
+
 def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """RoIAlign a (D, H, W) feature map over N boxes, on the listed channels only.
 
@@ -202,17 +222,7 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
     padded[:, :, -1] = padded[:, :, -2]
     flat = padded.reshape(-1)
 
-    # Each channel's first and last column and row holding a cell with a
-    # nonzero bit (NaN, +-inf and -0.0 count), (axis, channel, 1); an empty
-    # channel's run from past the map to before it, so no box meets them.
-    bits = padded[:, 1:-1, 1:-1].view(np.uint32)
-    first = np.empty((2, nch, 1), dtype=np.intp)
-    last = np.empty_like(first)
-    for axis, (size, across) in enumerate(((w, 1), (h, 2))):
-        nonzero = np.bitwise_or.reduce(bits, axis=across) != 0
-        index = np.arange(size)
-        first[axis] = np.where(nonzero, index, size).min(axis=1, keepdims=True)
-        last[axis] = np.where(nonzero, index, -1).max(axis=1, keepdims=True)
+    first, last = _nonzero_extents(padded[:, 1:-1, 1:-1])
     # A box reaches a channel when the cells its taps can read, floor(lo) to
     # floor(hi) + 1 per axis clipped into the map, meet its rectangle:
     # (channel, box). A box whose floors do not fit an int64 reaches every
@@ -289,6 +299,64 @@ def roi_align_batch(feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray) -
         pooled /= 4
         out[idx_live[box], ch] = pooled.transpose(2, 0, 1)
     return out
+
+
+def objectness_bound(
+    feat: np.ndarray, boxes: np.ndarray, channels: np.ndarray, kernel: np.ndarray
+) -> np.ndarray:
+    """An upper bound, (N,) float64, on each box's bias-free binary logit,
+    `_logits(roi_align_batch(feat, boxes, channels), channels, kernel)[:, 0]`.
+
+    Takes `roi_align_batch`'s arguments and a finite (1, D, 7, 7) kernel.
+    Each pooled bin is an average of bilinear samples whose weights are >= 0
+    and sum to 1, so its magnitude is at most top, the channel's largest
+    |value|. It is exactly zero when the cells the bin's taps read, floor of
+    its first sample to floor of its last plus one per axis, miss the
+    channel's nonzero rectangle. So the bound is the sum over channels of
+    top times the |kernel| entries of the bins whose column and row tap
+    ranges both meet the rectangle: two 7-vectors per axis, box and channel,
+    and one (7, 7) @ (7, N) product per channel. The tap ranges are widened
+    by one cell, and top by a relative 1e-4 and an absolute 2**-140, so that
+    no float rounding of the pooling or of the logit's sums can lift the
+    logit above the bound.
+
+    A degenerate box pools zeros and is bounded by 0. A box whose floors do
+    not fit an int64 can weigh its taps with NaN, and a listed channel that
+    holds NaN, infinity or a value whose pooling could overflow float32
+    (above float32's max / 8) bounds nothing: such boxes, or every live box,
+    get +inf.
+    """
+    feat = np.asarray(feat, dtype=np.float32)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    channels = np.asarray(channels, dtype=np.intp)
+    live = np.flatnonzero((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
+    bound = np.zeros(boxes.shape[0])
+    if channels.size == 0:
+        return bound
+    planes = feat[channels]
+    first, last = (ends.astype(np.float64)[..., None] for ends in _nonzero_extents(planes))
+    top = np.abs(planes, out=planes).max(axis=(1, 2)).astype(np.float64)
+    if not (top <= POOL_LIMIT).all():
+        bound[live] = np.inf
+        return bound
+    fb = boxes.T.take(live, axis=1) / STRIDE  # x1, y1, x2, y2 rows
+    tame = (np.abs(fb) < 2.0**63).all(axis=0)
+    bound[live[~tame]] = np.inf
+    cb = fb[:, tame].reshape(2, 2, 1, -1)  # (x1, y1), (x2, y2)
+    # sample positions per axis as roi_align_batch computes them, (axis, sample, box)
+    pos = (cb[1] - cb[0]) / POOL_SIZE * ((np.arange(GRID) + 0.5) / 2.0)[:, None] + cb[0]
+    lo = np.floor(pos[:, 0::2]) - 1
+    hi = np.floor(pos[:, 1::2]) + 2
+    # (axis, channel, bin, box): the bin's widened tap range meets the rectangle
+    meets = (lo[:, None] <= last) & (hi[:, None] >= first)
+    # per channel, |kernel| summed over the bin rows that meet, (channel, column, box)
+    k_abs = np.abs(kernel[0, channels]).astype(np.float64)
+    cols = np.matmul(k_abs.transpose(0, 2, 1), meets[1].astype(np.float64))
+    cols *= meets[0]
+    # a channel of zeros (top 0) pools exact zeros wherever its bits sit
+    pooled_max = np.where(top > 0, top * (1 + 1e-4) + 2.0**-140, 0.0)
+    bound[live[tame]] = pooled_max @ cols.sum(axis=1)
+    return bound
 
 
 def sigmoid(z):

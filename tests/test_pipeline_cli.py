@@ -1017,6 +1017,53 @@ def test_detect_non_finite_tensor_exit_3(name, message, value, small_corpus, tmp
     assert err == f"error: {scene}: {message}\n"
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("entry, bias", [(1e-30, -1e11), (1e-40, None)])
+def test_detect_overflow_under_a_tiny_kernel_exit_3(entry, bias, small_corpus, tmp_path, capsys):
+    # 3e38 under the true proposal pools to infinity, so its logit is
+    # infinite whatever the kernel. A bound of 3e38 times the kernel's
+    # magnitude would rule that proposal out (about 1.5e10 under a bias of
+    # -1e11, or 1.5 under the planted bias of -40 with subnormal entries)
+    # and hide the overflow; a channel that may overflow must bound nothing.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    store_tensor(np.full((1, 32, 7, 7), entry, dtype=np.float32), corpus / "weights" / "binary_kernel")
+    if bias is not None:
+        store_tensor(np.array([bias], dtype=np.float32), corpus / "weights" / "binary_bias")
+    scene = corpus / "scene_00000"
+    plant_non_finite(scene, "box_feat", 3e38)
+    err = detect_exit_3(corpus, tmp_path / "out", capsys)
+    assert err == f"error: {scene}: {NON_FINITE_TENSORS[4][1]}\n"
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", BENCHMARK_CORPORA_SHA256)
+def test_objectness_bound_keeps_every_survivor(name, seed, tmp_path, monkeypatch):
+    """On the benchmark corpora, ruling proposals out by the bound gives
+    each scene the same survivor count and the same rows as scoring every
+    proposal, while it rules out most of them under the planted head."""
+    corpus = tmp_path / name
+    write_corpus(corpus, SynthConfig(**BENCHMARK_CORPORA_SHA256[name][0]), count=30, seed=seed)
+    weights = HeadWeights.load_bundle(corpus / "weights")
+    bound = pipeline.objectness_bound
+    kept = total = 0
+    for entry in synth.read_manifest(corpus)["scenes"]:
+        bundle = load_scene_bundle(corpus / entry["dir"], weights)
+        monkeypatch.setattr(pipeline, "objectness_bound", lambda feat, boxes, *_: np.full(len(boxes), np.inf))
+        want = pipeline.detect_bundle(bundle, PipelineConfig())
+        monkeypatch.setattr(pipeline, "objectness_bound", bound)
+        got = pipeline.detect_bundle(bundle, PipelineConfig())
+        assert got.num_survivors == want.num_survivors
+        assert got.proposals.tobytes() == want.proposals.tobytes()
+        assert got.detections.tobytes() == want.detections.tobytes()
+        props = want.proposals["box"]
+        kept += pipeline._may_pass(
+            bound(bundle.box_feat, props, bundle.box_channels, weights.binary_kernel), weights.binary_bias
+        ).sum()
+        total += len(props)
+    assert kept < total / 2
+
+
 class TakeCounting(proposals._Scratch):
     """A RoIAlign scratch that counts the arrays taken from it."""
 
@@ -1600,21 +1647,3 @@ def test_eval_fuzzed_input_exit_3(mutation):
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not paths["report"].exists()
         assert not paths["report"].with_suffix(".json.txt").exists()
-
-
-@pytest.mark.parametrize("script", ["closed_loop_demo.py", "filtering_ablation.py"])
-def test_example_script_runs(script, tmp_path):
-    """The example scripts, the only callers of the k and use_binary_head
-    keys outside the tests, run end to end on a 2-scene corpus."""
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), "--scenes", "2", "--workdir", str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"== artifacts kept in {tmp_path}"

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerdet import proposals
+from cornerdet import pipeline, proposals
 from cornerdet.corners import KEYPOINT_DTYPE
 from cornerdet.geometry import DET_DTYPE
+from cornerdet.postprocess import OBJECTNESS_THRESHOLD
 from cornerdet.proposals import (
     BOX_CHANNELS,
     CAT_CHANNELS,
@@ -18,7 +19,9 @@ from cornerdet.proposals import (
     binary_scores,
     class_scores,
     enumerate_proposals,
+    objectness_bound,
     roi_align_batch,
+    sigmoid,
 )
 from cornerdet.synth import OracleBundle, planted_weights
 from oracles import frozen_roi_align_batch, naive_head_score, naive_pairs, naive_roi_align
@@ -524,6 +527,121 @@ class TestRoiAlign:
             OracleBundle(*maps, box_channels=none, cat_channels=np.array([256]), weights=weights)
         with pytest.raises(TypeError, match="cat_channels"):
             OracleBundle(*maps, box_channels=none, weights=weights)  # no default: every map lists its channels
+
+
+def random_bound_case(rng):
+    """A small map, kernel and box batch built to stress objectness_bound.
+
+    Dense signed features at scales 1e-3 to 1e3, some channels empty,
+    constant or confined to a rectangle, with -0.0, subnormals and values
+    near 1e30 planted; a kernel, signed or not, with zero and subnormal
+    entries; boxes that
+    are degenerate, partly or wholly off the map, or have infinite or NaN
+    coordinates.
+    """
+    depth = 5
+    h, w = rng.integers(4, 18, size=2)
+    feat = (rng.normal(size=(depth, h, w)) * 10.0 ** rng.uniform(-3, 3, size=(depth, 1, 1))).astype(np.float32)
+    for c in range(depth):
+        kind = rng.integers(5)
+        if kind == 0:
+            feat[c] = 0.0
+        elif kind == 2:
+            # a constant plane pools its value itself, so the bound is tight
+            # there; 3 * 2**-149 pools above itself through subnormal rounding
+            feat[c] = rng.choice([3 * 2.0**-149, 1e-41, 10.0 ** rng.uniform(-3, 30)])
+        elif kind == 1:
+            y0, x0 = rng.integers(0, h), rng.integers(0, w)
+            keep = np.zeros((h, w), dtype=bool)
+            keep[y0 : y0 + rng.integers(1, h + 1), x0 : x0 + rng.integers(1, w + 1)] = True
+            feat[c][~keep] = 0.0
+    specials = np.array([-0.0, 1e-41, -1e-45, 1e30, -1e30, 3e-39], dtype=np.float32)
+    for _ in range(rng.integers(0, 6)):
+        feat[rng.integers(depth), rng.integers(h), rng.integers(w)] = rng.choice(specials)
+    channels = np.flatnonzero(rng.random(depth) < 0.7)
+    kernel = (rng.normal(size=(1, depth, POOL_SIZE, POOL_SIZE)) * 10.0 ** rng.uniform(-2, 2)).astype(np.float32)
+    if rng.random() < 0.5:
+        np.abs(kernel, out=kernel)
+    kernel[rng.random(kernel.shape) < 0.2] = 0.0
+    kernel[rng.random(kernel.shape) < 0.05] = -1e-42
+    n = 24
+    x1 = rng.uniform(-30, 4 * w + 30, n)
+    y1 = rng.uniform(-30, 4 * h + 30, n)
+    boxes = np.column_stack([x1, y1, x1 + rng.exponential(20, n), y1 + rng.exponential(20, n)])
+    boxes[0, 2] = boxes[0, 0]  # degenerate
+    boxes[1, 2:] = boxes[1, :2] - 1.0  # inverted
+    boxes[2] = [-90.0, -90.0, -60.0, -70.0]  # wholly off the map
+    boxes[3] = [0.0, 0.0, 4.0 * w, 4.0 * h]  # the whole map
+    boxes[4, 2] = np.inf
+    boxes[5, 0] = -np.inf
+    boxes[6, 1] = np.nan
+    boxes[7] = [1e30, 1e30, 2e30, 2e30]  # beyond int64 in feature cells
+    return feat, boxes, channels, kernel
+
+
+def exact_logits(feat, boxes, channels, kernel):
+    """The bias-free binary logits of scoring every box, NaN where a box's
+    tap weights are NaN."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return proposals._logits(roi_align_batch(feat, boxes, channels), channels, kernel)[:, 0]
+
+
+class TestObjectnessBound:
+    def test_bounds_every_logit_on_random_cases(self):
+        rng = np.random.default_rng(37)
+        for _ in range(400):
+            feat, boxes, channels, kernel = random_bound_case(rng)
+            z = exact_logits(feat, boxes, channels, kernel)
+            # runs outside any errstate: a RuntimeWarning here is an error
+            bound = objectness_bound(feat, boxes, channels, kernel)
+            finite = np.isfinite(z)
+            assert (bound[finite] >= z[finite]).all()
+            assert (bound[~finite] == np.inf).all()
+
+    def test_never_rules_out_a_proposal_at_the_threshold(self):
+        # biases placed so the exact logit lands a few ulps below, on, or up
+        # to 1e-6 above logit(OBJECTNESS_THRESHOLD): every such proposal the
+        # head would keep must stay in. The first boxes of a case pool
+        # zeros, where the bound is exact and only the margin can save them.
+        rng = np.random.default_rng(38)
+        at = pipeline._THRESHOLD_LOGIT
+        steps = [k * np.spacing(at) for k in range(-8, 9)] + [1e-12, 1e-9, 1e-7, 1e-6]
+        kept = 0
+        for _ in range(200):
+            feat, boxes, channels, kernel = random_bound_case(rng)
+            z = exact_logits(feat, boxes, channels, kernel)
+            bound = objectness_bound(feat, boxes, channels, kernel)
+            for i in np.flatnonzero(np.isfinite(z))[:6]:
+                for step in steps:
+                    bias = at - z[i] + step
+                    if sigmoid(z[i] + bias) >= OBJECTNESS_THRESHOLD:
+                        kept += 1
+                        assert pipeline._may_pass(bound, bias)[i]
+        assert kept > 10000
+
+    def test_zero_where_no_tap_meets_a_rectangle(self):
+        feat = np.zeros((3, 16, 16), dtype=np.float32)
+        feat[0, 2:4, 2:4] = 1.0
+        feat[1, 12, 12] = -0.0  # bits set, but it pools exact zeros
+        kernel = np.ones((1, 3, POOL_SIZE, POOL_SIZE), dtype=np.float32)
+        boxes = np.array([[30.0, 30, 60, 60], [4.0, 4, 12, 12], [20.0, 20, 20, 40]])
+        bound = objectness_bound(feat, boxes, np.array([0, 1]), kernel)
+        assert bound[0] == 0.0 and bound[2] == 0.0
+        # every bin of the box over the rectangle may read it
+        assert bound[1] == pytest.approx(POOL_SIZE * POOL_SIZE * (1 + 1e-4))
+        assert not objectness_bound(feat, boxes, np.array([], dtype=np.intp), kernel).any()
+
+    # 5e37 is above POOL_LIMIT, float32's max / 8
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 3e38, -5e37])
+    def test_unbounded_channel_rules_out_no_live_box(self, value):
+        # a non-finite value, or one whose pooling may overflow float32, bounds nothing
+        feat = np.zeros((2, 16, 16), dtype=np.float32)
+        feat[1, 15, 15] = value
+        kernel = np.full((1, 2, POOL_SIZE, POOL_SIZE), 1e-30, dtype=np.float32)
+        boxes = np.array([[2.0, 2, 10, 10], [5.0, 5, 5, 30]])
+        bound = objectness_bound(feat, boxes, np.array([0, 1]), kernel)
+        assert bound[0] == np.inf and bound[1] == 0.0
+        assert objectness_bound(feat, boxes, np.array([0]), kernel)[0] == 0.0
 
 
 ALL_BOX = np.arange(32)
