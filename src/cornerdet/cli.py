@@ -103,8 +103,9 @@ def cmd_detect(args) -> int:
         print(f"image {image_id}: {elapsed * 1000.0:.1f} ms")
     latency = sum(elapsed for _, elapsed in run.timings)
     n = max(1, len(run.timings))
-    # ru_maxrss is in KiB on Linux; a detect process has waited for no
-    # children but its pool's workers, and RUSAGE_CHILDREN holds the largest
+    # ru_maxrss is in KiB on Linux; the process's own peak includes the
+    # scenes it detected, and it has waited for no children but the ones
+    # run_corpus forked, so RUSAGE_CHILDREN holds the largest child's
     peak = f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB"
     if min(args.workers, len(run.timings)) > 1:
         worker_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
@@ -188,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--config", default=None, help="pipeline config JSON")
     p_detect.add_argument("--out", required=True, help="detection dump path")
     p_detect.add_argument(
-        "--workers", type=int_at_least(1), default=1, help="worker processes, at most one per scene"
+        "--workers",
+        type=int_at_least(1),
+        default=1,
+        help="processes that detect, this one included (it forks N - 1), at most one per scene",
     )
     p_detect.set_defaults(func=cmd_detect)
 

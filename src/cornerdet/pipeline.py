@@ -10,11 +10,12 @@ with the C-way head, fuse scores, run per-class soft-NMS, and keep the top
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
+import os
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,32 +175,38 @@ def _detect_scene(corpus_dir: Path, weights: HeadWeights, config: PipelineConfig
     return entry["id"], result, time.perf_counter() - start
 
 
-# what every scene of a worker process shares, set once by _start_worker
-_worker_args: tuple = ()
-
-
-def _start_worker(corpus_dir: Path, weights: HeadWeights, config: PipelineConfig):
-    global _worker_args
-    _worker_args = (corpus_dir, weights, config)
-
-
-def _detect_in_worker(entry):
-    return _detect_scene(*_worker_args, entry)
+def _claim_scenes(claims: int, corpus_dir, weights, config, entries) -> list:
+    """(index, _detect_scene's outcome or what it raised) of each scene this
+    process claims by reading its 4-byte index from `claims`, one regular file
+    read by all, whose offset Linux moves under a lock no killed process can
+    leave held (a memfd's reads can race). A failure moves the offset to the
+    end: no process claims another scene, and each lower one is claimed.
+    """
+    done = []
+    while token := os.read(claims, 4):
+        index = int.from_bytes(token, "little")
+        try:
+            done.append((index, _detect_scene(corpus_dir, weights, config, entries[index])))
+        except Exception as exc:
+            done.append((index, exc))
+            os.lseek(claims, 0, os.SEEK_END)
+            break
+    return done
 
 
 def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRun:
     """Detect over every scene of a corpus, all scored by its one weights bundle.
 
-    With ``workers > 1`` the scenes are detected by up to that many worker
-    processes, never more than there are scenes; results are collected in
-    manifest order, so the output is identical regardless of worker count.
-    The workers are forked, so calling this with ``workers > 1`` while other
-    threads of the caller hold locks is unsafe: a worker inherits each lock
-    held, with no thread to release it. With one worker the scenes are
-    detected in the calling thread, whose RoIAlign scratch is reused from
-    scene to scene and released when the run returns or a scene fails.
-    A worker process that dies (killed, or out of memory) ends the run with
-    a ChildProcessError naming the corpus, once the pool has shut down.
+    ``workers`` processes, the caller among them and never more than there
+    are scenes, each claim the next scene until none is left; results go
+    back in manifest order, so the output is identical for any worker count,
+    and the lowest-index failing scene raises, as with one worker. The
+    caller forks the other ``workers - 1``, so calling this with
+    ``workers > 1`` while other threads of the caller hold locks is unsafe:
+    a child inherits each lock held, with no thread to release it. The
+    caller's RoIAlign scratch is reused from scene to scene and released
+    when the run returns or fails. A child that dies (killed, or out of
+    memory) ends the run with a ChildProcessError naming the corpus.
     """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
@@ -215,30 +222,38 @@ def run_corpus(corpus_dir, config: PipelineConfig, workers: int = 1) -> CorpusRu
         )
 
     entries = manifest["scenes"]
-    workers = min(workers, len(entries))
-    if workers <= 1:
-        try:
-            outcomes = [_detect_scene(corpus_dir, weights, config, e) for e in entries]
-        finally:
-            # the scenes share the RoIAlign scratch; a worker's ends with it
-            release_scratch()
-    else:
-        # fork, not spawn or forkserver: a forked worker starts with numpy,
-        # cornerdet and the weights already loaded, where a fresh interpreter
-        # would import them again on every call and eat the gain
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-                initargs=(corpus_dir, weights, config),
-            ) as pool:
-                outcomes = list(pool.map(_detect_in_worker, entries))
-        except BrokenProcessPool:
-            # the pool does not say which scene the dead worker held
-            raise ChildProcessError(
-                f"{corpus_dir}: a worker process ended abruptly before every scene was detected"
-            ) from None
+    # fork, not spawn or forkserver: a forked child starts with numpy, cornerdet
+    # and the weights loaded, which a fresh interpreter would import on every call
+    context, children = multiprocessing.get_context("fork"), []
+    claims = tempfile.TemporaryFile()
+    claim_args = (claims.fileno(), corpus_dir, weights, config, entries)
+    try:
+        os.pwrite(claims.fileno(), np.arange(len(entries), dtype="<u4").tobytes(), 0)
+        for _ in range(min(workers, len(entries)) - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=lambda: sender.send(_claim_scenes(*claim_args)))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        outcomes = _claim_scenes(*claim_args)
+        for child, receiver in children:
+            with contextlib.suppress(EOFError, OSError):  # a dead child sends nothing whole
+                outcomes += receiver.recv()
+            child.join()
+            if child.exitcode:  # nothing says which scene the dead child held
+                raise ChildProcessError(
+                    f"{corpus_dir}: a worker process ended abruptly before every scene was detected"
+                )
+    finally:
+        for child, _ in children:
+            child.kill()
+            child.join()
+        claims.close()
+        # the caller's scenes share the RoIAlign scratch; a child's ends with it
+        release_scratch()
+    outcomes = [outcome for _, outcome in sorted(outcomes, key=lambda claimed: claimed[0])]
+    if failures := [outcome for outcome in outcomes if isinstance(outcome, Exception)]:
+        raise failures[0]
 
     empty = np.empty(0, DET_DTYPE)
     return CorpusRun(

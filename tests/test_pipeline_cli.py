@@ -288,17 +288,17 @@ class TestCliFlow:
 
 
 def detect_exit_3(corpus, out, capsys, *extra) -> str:
-    """Run detect in-process and through a pool of two workers; both must
-    exit 3 with the same stderr, write no dump and leave no worker process
-    running. Returns the stderr."""
+    """Run detect with 1, 2 and 3 workers (the caller plus up to two forked
+    children); each must exit 3 with the same stderr, write no dump and
+    leave no child process running. Returns the stderr."""
     errs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         argv = ["detect", "--corpus", str(corpus), "--out", str(out), "--workers", workers, *extra]
         assert main(argv) == 3
         errs.append(capsys.readouterr().err)
         assert not out.exists() and not proposals_sibling(out).exists()
         assert not multiprocessing.active_children()
-    assert errs[0] == errs[1]
+    assert errs[0] == errs[1] == errs[2]
     return errs[0]
 
 
@@ -618,24 +618,83 @@ def test_eval_bad_score_exit_3(extra, message, small_corpus, tmp_path, capsys):
     assert not report.exists()
 
 
-def test_dead_worker_exit_3(small_corpus, tmp_path, capsys, monkeypatch):
-    # a worker that dies as a killed or out-of-memory one would; the parent
-    # process, which runs no scene here, keeps the real function
-    parent, detect_scene = os.getpid(), pipeline._detect_scene
+# Runs detect in a fresh interpreter in which exactly one forked child dies as
+# a killed or out-of-memory one would, with exit code 9; the caller keeps the
+# real functions. "holding" kills the child once it holds a claimed scene: each
+# process waits at a barrier on its first scene, so with 4 scenes and at most
+# 3 processes every child holds one whatever the timing. "sent" kills it just
+# after it sent every outcome. Of the children that get there, the one that
+# creates the marker file dies. Prints the exit code, whether the marker
+# exists, whether either dump does, and how many children still live.
+DEAD_CHILD_SCRIPT = """
+import json, multiprocessing, os, sys
+from multiprocessing.connection import Connection
+from pathlib import Path
+from cornerdet import cli, pipeline
 
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(9)
-        return detect_scene(*args)
+corpus, out, workers, when = sys.argv[1], Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+marker = out.with_name("died")
 
-    monkeypatch.setattr(pipeline, "_detect_scene", dying)
-    out = tmp_path / "dets.json"
-    argv = ["detect", "--corpus", str(small_corpus), "--out", str(out), "--workers", "2"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
+def die_once():
+    if multiprocessing.parent_process() is None:
+        return
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return
+    os._exit(9)
+
+barrier = multiprocessing.get_context("fork").Barrier(workers, timeout=60)
+detect_scene, send, waited = pipeline._detect_scene, Connection.send, []
+
+def holding(*args):
+    if not waited:
+        waited.append(True)
+        barrier.wait()
+        die_once()
+    return detect_scene(*args)
+
+def sent(self, obj):
+    send(self, obj)
+    die_once()
+
+if when == "holding":
+    pipeline._detect_scene = holding
+else:
+    Connection.send = sent
+code = cli.main(["detect", "--corpus", corpus, "--out", str(out), "--workers", str(workers)])
+dumps = out.exists() or cli.proposals_sibling(out).exists()
+print(json.dumps([code, marker.exists(), dumps, len(multiprocessing.active_children())]))
+"""
+
+
+def dead_child_detect(corpus, out, workers: int, when: str):
+    """DEAD_CHILD_SCRIPT's result and stderr; a hang fails the test."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", DEAD_CHILD_SCRIPT, str(corpus), str(out), str(workers), when],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), done.stderr
+
+
+def test_dead_worker_exit_3(small_corpus, tmp_path):
+    # the caller and its one child each hold a scene when the child dies
+    result, err = dead_child_detect(small_corpus, tmp_path / "dets.json", 2, "holding")
     assert err == f"error: {small_corpus}: a worker process ended abruptly before every scene was detected\n"
-    assert not out.exists() and not proposals_sibling(out).exists()
-    assert not multiprocessing.active_children()
+    assert result == [3, True, False, 0]  # exit 3, a child died, no dump, no child left
+
+
+@pytest.mark.parametrize("when", ["holding", "sent"])
+def test_one_of_two_children_dies_exit_3(when, small_corpus, tmp_path):
+    # the other child and the caller go on, yet the run still ends in one line
+    result, err = dead_child_detect(small_corpus, tmp_path / "dets.json", 3, when)
+    assert err == f"error: {small_corpus}: a worker process ended abruptly before every scene was detected\n"
+    assert result == [3, True, False, 0]
 
 
 def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
@@ -652,7 +711,7 @@ def test_detect_summary_reports_wall_time(small_corpus, tmp_path, capsys):
 
 
 def test_detect_summary_reports_peak_rss(small_corpus, tmp_path, capsys):
-    # ru_maxrss in KiB, so the line reads MB; one worker forks no pool to report
+    # ru_maxrss in KiB, so the line reads MB; one worker forks no child to report
     assert main(["detect", "--corpus", str(small_corpus), "--out", str(tmp_path / "dets.json")]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     peak = float(re.search(r"; peak RSS ([0-9.]+) MB$", summary).group(1))
@@ -680,14 +739,35 @@ def test_run_corpus_library_level(small_corpus):
 
 def test_run_corpus_records_equal_across_workers(small_corpus):
     one = run_corpus(small_corpus, PipelineConfig(), workers=1)
-    two = run_corpus(small_corpus, PipelineConfig(), workers=2)
-    for field in ("detection_records", "proposal_records"):
-        a, b = getattr(one, field), getattr(two, field)
-        assert a.dtype == b.dtype == DET_DTYPE
-        assert a.tobytes() == b.tobytes()
+    for workers in (2, 3):
+        many = run_corpus(small_corpus, PipelineConfig(), workers=workers)
+        assert many.timings and [i for i, _ in many.timings] == [i for i, _ in one.timings]
+        for field in ("detection_records", "proposal_records"):
+            a, b = getattr(one, field), getattr(many, field)
+            assert a.dtype == b.dtype == DET_DTYPE
+            assert a.tobytes() == b.tobytes()
     assert len(one.proposal_records) > len(one.detection_records) > 0
     # manifest order: image ids never decrease along either dump
     assert (np.diff(one.proposal_records["image_id"]) >= 0).all()
+
+
+def test_every_scene_is_claimed_once(small_corpus, monkeypatch):
+    # six processes on fewer cores race for 20,000 claims, more 4-byte
+    # tokens than a 64 KiB pipe holds; each scene is detected exactly once
+    manifest = synth.read_manifest(small_corpus)
+    scenes = [{"id": i, "dir": manifest["scenes"][0]["dir"]} for i in range(20_000)]
+    monkeypatch.setattr(pipeline, "read_manifest", lambda corpus: {**manifest, "scenes": scenes})
+
+    def stamped(corpus_dir, weights, config, entry):
+        rows = np.zeros(1, DET_DTYPE)
+        rows["image_id"] = entry["id"]
+        return entry["id"], pipeline.SceneResult(rows, rows, 0), 0.0
+
+    monkeypatch.setattr(pipeline, "_detect_scene", stamped)
+    run = run_corpus(small_corpus, PipelineConfig(), workers=6)
+    assert [image_id for image_id, _ in run.timings] == list(range(20_000))
+    assert run.detection_records["image_id"].tolist() == list(range(20_000))
+    assert not multiprocessing.active_children()
 
 
 def test_run_corpus_rows_are_each_scenes_rows_stamped(small_corpus):
@@ -716,33 +796,26 @@ def test_run_corpus_rows_are_each_scenes_rows_stamped(small_corpus):
 
 
 def test_pool_never_larger_than_the_corpus(small_corpus, tmp_path, monkeypatch):
-    # a fork pool starts all its workers at once: --workers 1000000 must
-    # ask for one per scene, not a million processes
-    asked = []
+    # the caller forks all its children at once: --workers 1000000 on 4
+    # scenes must start 3 children, not a million processes; a fourth start
+    # fails before it forks
+    process = multiprocessing.get_context("fork").Process
+    started, start = [], process.start
 
-    class Recorder:
-        """Stands in for the pool: records its size and runs the scenes here."""
+    def counted(self):
+        assert len(started) < 3, "a fourth child for 4 scenes"
+        started.append(self)
+        start(self)
 
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(pipeline, "_worker_args", ())  # the initializer sets it here
+    monkeypatch.setattr(process, "start", counted)
     one, many = tmp_path / "one.json", tmp_path / "many.json"
     assert main(["detect", "--corpus", str(small_corpus), "--out", str(one)]) == 0
+    assert started == []
     argv = ["detect", "--corpus", str(small_corpus), "--out", str(many), "--workers", "1000000"]
     assert main(argv) == 0
-    assert asked == [4]
+    assert len(started) == 3 and not multiprocessing.active_children()
     assert one.read_bytes() == many.read_bytes()
+    assert proposals_sibling(one).read_bytes() == proposals_sibling(many).read_bytes()
 
 
 @pytest.fixture
@@ -1064,6 +1137,17 @@ def test_objectness_bound_keeps_every_survivor(name, seed, tmp_path, monkeypatch
     assert kept < total / 2
 
 
+@pytest.mark.parametrize("bias", [-40.0, 0.0, 1e6])
+def test_may_pass_rules_out_only_beyond_its_margin(bias):
+    # a proposal is ruled out only when bias + bound lies more than
+    # 1e-6 (1 + |bias|) below the threshold logit; half that is kept, twice
+    # that is ruled out, and a NaN bound rules nothing out
+    margin = 1e-6 * (1.0 + abs(bias))
+    logits = pipeline._THRESHOLD_LOGIT - np.array([0.5 * margin, 2.0 * margin])
+    bound = np.append(logits - bias, np.nan)
+    assert pipeline._may_pass(bound, bias).tolist() == [True, False, True]
+
+
 class TakeCounting(proposals._Scratch):
     """A RoIAlign scratch that counts the arrays taken from it."""
 
@@ -1076,13 +1160,28 @@ class TakeCounting(proposals._Scratch):
         return super().take(name, shape, dtype)
 
 
+def test_detect_names_the_lowest_failing_scene(small_corpus, tmp_path, capsys):
+    # scene 1 lacks a tensor file (an OSError) and scene 3 holds NaN (a
+    # ValueError); whichever processes claim them, every worker count names
+    # scene 1, as one worker does
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus, copy_function=os.link)
+    (corpus / "scene_00001" / "br_off.cpnt").unlink()
+    plant_non_finite(corpus / "scene_00003", "tl_heat", float("nan"))
+    err = detect_exit_3(corpus, tmp_path / "out", capsys)
+    assert err.startswith("error: ") and str(corpus / "scene_00001" / "br_off.cpnt") in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_one_worker_run_leaves_no_scratch(small_corpus, tmp_path, monkeypatch):
     # the scenes of a 1-worker run reuse the RoIAlign scratch, and none of it
-    # outlives the run, whether the run returns or a scene fails
+    # outlives the run, whether the run returns or a scene fails; nor does
+    # the caller's when it detects beside a child
     monkeypatch.setattr(proposals, "_scratch", TakeCounting())
     run_corpus(small_corpus, PipelineConfig(), workers=1)
     assert proposals._scratch.takes > 0 and proposals._scratch.buffers == {}
+    run_corpus(small_corpus, PipelineConfig(), workers=2)
+    assert proposals._scratch.buffers == {}
 
     monkeypatch.setattr(proposals, "_scratch", TakeCounting())
     corpus = tmp_path / "corpus"
